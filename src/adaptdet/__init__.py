@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .detectors import (DetectorKind, Statistic, amgdd, amgdd_ru, appendix_identities,
                         bose_glrt, compute, glrgdd, glrgdd_ru)
-from .errors import ConfigError, SingularMatrixError
-from .linalg import (TOL, hermitize, hpd_solve, inv_sqrt, max_eig_psd_product,
-                     orthonormal_complement, psd_sqrt)
+from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
+from .linalg import TOL, hermitize, hpd_solve, inv_sqrt, orthonormal_complement, psd_sqrt
 from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_threshold,
                          calibrate_thresholds, cfar_check, estimate_pd, pd_curve,
                          pd_curves, simulate_statistics, threshold_from_h0)
@@ -27,14 +26,13 @@ from .verify import run_verification
 __all__ = [
     "__version__",
     "CalibrationResult", "CfarReport", "ConfigError", "DetectorKind",
-    "ExperimentConfig", "PdCurve", "Scenario", "SignalCoordinates",
-    "SingularMatrixError", "Statistic", "SubspaceFactorization", "TOL",
+    "ExperimentConfig", "NonFiniteStatisticError", "PdCurve", "Scenario",
+    "SignalCoordinates", "SingularMatrixError", "Statistic", "SubspaceFactorization", "TOL",
     "TransformedData", "amgdd", "amgdd_ru", "appendix_identities", "bose_glrt",
     "build_scenario", "calibrate_threshold", "calibrate_thresholds", "cfar_check",
     "compute", "estimate_pd", "factor_waveform_subspace", "format_config",
     "glrgdd", "glrgdd_ru", "hermitize", "hpd_solve", "inv_sqrt",
-    "make_scenario", "make_signal", "max_eig_psd_product",
-    "orthonormal_complement", "parse_config", "pd_curve", "pd_curves",
+    "make_scenario", "make_signal", "orthonormal_complement", "parse_config", "pd_curve", "pd_curves",
     "psd_sqrt", "random_directions", "random_subspaces", "run_verification",
     "sample_noise", "scale_to_snr", "simulate_statistics", "snr_of",
     "threshold_from_h0", "toeplitz_covariance", "transform_data",

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-
 from .detectors import DetectorKind
 from .errors import ConfigError
-from .scenario import Scenario, make_scenario
+from .scenario import Scenario, check_dimensions, make_scenario
 
 __all__ = ["ExperimentConfig", "parse_config", "format_config", "build_scenario",
            "DESK_SCALE", "PAPER_SCALE"]
@@ -118,16 +117,13 @@ def _split_list(value: str) -> list[str]:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    n, k, m, j, l = cfg.N, cfg.K, cfg.M, cfg.J, cfg.L
-    if min(n, k, m, j) < 1 or l < 0:
-        raise ConfigError(f"dimensions must be positive (L may be 0): "
-                          f"N={n}, K={k}, M={m}, J={j}, L={l}")
-    if j > n:
-        raise ConfigError(f"J={j} > N={n}: spatial subspace cannot exceed channels")
-    if m > k:
-        raise ConfigError(f"M={m} > K={k}: waveform subspace cannot exceed pulses")
-    if l + k < m + n:
-        raise ConfigError(f"L+K={l + k} < M+N={m + n}")
+    n, k, m, l = cfg.N, cfg.K, cfg.M, cfg.L
+    try:
+        check_dimensions(n, k, m, cfg.J, l)
+        for kind in cfg.detectors:
+            kind.check_dims(n, k, m, l)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not 0.0 <= cfg.rho < 1.0:
         raise ConfigError(f"rho must lie in [0, 1), got {cfg.rho}")
     if not 0.0 < cfg.pfa < 1.0:
@@ -148,11 +144,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("empty detector list")
     if len(set(cfg.detectors)) != len(cfg.detectors):
         raise ConfigError("duplicate detector in list")
-    for kind in cfg.detectors:
-        try:
-            kind.check_dims(n, k, m, l)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
 
 def format_config(cfg: ExperimentConfig) -> str:

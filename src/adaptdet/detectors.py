@@ -14,9 +14,11 @@ Two classical detectors need a nonsingular training-only SCM (L >= N):
 Bose's GLRT uses no training data at all and requires K >= M + N; it is
 GLRGDD-RU with an empty training set.
 
-This module is the readable per-instance reference path; the Monte Carlo
-engine uses the batched kernels in :mod:`adaptdet.kernels`, which are tied
-to these functions by parity tests.
+This module is the per-instance API: it validates one problem instance
+(shapes, dimension constraints, a nonsingular covariance estimate) and
+hands it to :mod:`adaptdet.kernels` as a stack of one trial.  The Monte
+Carlo engine calls the same kernels on whole blocks of trials, so every
+statistic has exactly one implementation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_cmatrix, hermitize, hpd_solve, max_eig_psd_product
+from . import kernels
+from .errors import SingularMatrixError
+from .linalg import as_cmatrix, hermitize
 from .transform import TransformedData, factor_waveform_subspace, transform_data
 
 __all__ = ["DetectorKind", "Statistic", "glrgdd_ru", "amgdd_ru", "glrgdd", "amgdd",
@@ -45,14 +49,6 @@ class DetectorKind(enum.Enum):
     @property
     def bounded_below_one(self) -> bool:
         return self in (DetectorKind.GLRGDD_RU, DetectorKind.BOSE_GLRT)
-
-    def constraint(self) -> str:
-        """Human-readable validity condition on the scenario dimensions."""
-        if self in (DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU):
-            return f"{self.name} requires L+K >= M+N"
-        if self is DetectorKind.BOSE_GLRT:
-            return f"{self.name} requires K >= M+N"
-        return f"{self.name} requires L >= N"
 
     def check_dims(self, n: int, k: int, m: int, l: int) -> None:
         """Raise ValueError naming the violated inequality, if any."""
@@ -95,111 +91,71 @@ class Statistic:
                              f"got {self.value}")
 
 
-def _whitened_blocks(td: TransformedData, a: np.ndarray):
-    """Gram blocks of [A, X_par] against the inverse augmented SCM."""
-    si_a = hpd_solve(td.s_plus, a, "augmented SCM")
-    si_x = hpd_solve(td.s_plus, td.x_par, "augmented SCM")
-    phi_a = hermitize(a.conj().T @ si_a, "phi_a")
-    phi_ax = a.conj().T @ si_x
-    phi_x = hermitize(td.x_par.conj().T @ si_x, "phi_x")
-    return phi_a, phi_ax, phi_x
+def _validated(kind: DetectorKind, x, x_l, a, c):
+    """Coerce the raw data matrices and check their shapes against `kind`."""
+    x = as_cmatrix(x, "X")
+    x_l = as_cmatrix(x_l, "X_L")
+    a = as_cmatrix(a, "A")
+    c = as_cmatrix(c, "C")
+    n, k = x.shape
+    if x_l.shape[0] != n or a.shape[0] != n or c.shape[1] != k:
+        raise ValueError(f"dimension mismatch: X is {x.shape}, X_L is {x_l.shape}, "
+                         f"A is {a.shape}, C is {c.shape}")
+    kind.check_dims(n, k, c.shape[0], x_l.shape[1])
+    return x, x_l, a, c
 
 
-def _ru_numerator(phi_a, phi_ax):
-    return hermitize(phi_ax.conj().T @ hpd_solve(phi_a, phi_ax, "whitened A gram"))
+def _ru_pair(td: TransformedData, a: np.ndarray) -> np.ndarray:
+    return kernels.ru_statistics(td.x_par[None], td.s_plus[None], a)[0]
+
+
+def _training_scm(x_l: np.ndarray) -> np.ndarray:
+    s = hermitize(x_l @ x_l.conj().T, "SCM")
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("singular covariance estimate: SCM") from exc
+    return s
 
 
 def glrgdd_ru(td: TransformedData, a) -> Statistic:
     """GLR statistic on the augmented SCM; value in [0, 1)."""
-    a = as_cmatrix(a, "A")
-    phi_a, phi_ax, phi_x = _whitened_blocks(td, a)
-    numerator = _ru_numerator(phi_a, phi_ax)
-    m = phi_x.shape[0]
-    shrink = hermitize(hpd_solve(hermitize(np.eye(m) + phi_x), np.eye(m), "I + phi_x"))
-    return Statistic(max_eig_psd_product(numerator, shrink), DetectorKind.GLRGDD_RU)
+    return Statistic(float(_ru_pair(td, as_cmatrix(a, "A"))[0]), DetectorKind.GLRGDD_RU)
 
 
 def amgdd_ru(td: TransformedData, a) -> Statistic:
     """Two-step statistic on the augmented SCM; nonnegative, unbounded."""
-    a = as_cmatrix(a, "A")
-    phi_a, phi_ax, _ = _whitened_blocks(td, a)
-    numerator = _ru_numerator(phi_a, phi_ax)
-    eye = np.eye(numerator.shape[0], dtype=np.complex128)
-    return Statistic(max_eig_psd_product(numerator, eye), DetectorKind.AMGDD_RU)
+    return Statistic(float(_ru_pair(td, as_cmatrix(a, "A"))[1]), DetectorKind.AMGDD_RU)
 
 
 def glrgdd(x, x_l, a, c) -> Statistic:
     """GLR statistic on the training-only SCM (factored product form)."""
-    x, x_l, a, c = _check_classic_inputs(x, x_l, a, c, DetectorKind.GLRGDD)
-    k, m = x.shape[1], c.shape[0]
-    f = factor_waveform_subspace(c)
-    s = hermitize(x_l @ x_l.conj().T, "SCM")
-    si_x = hpd_solve(s, x, "SCM")
-    q = hermitize(np.eye(k) + x.conj().T @ si_x, "I + X^H S^-1 X")
-    t1 = hpd_solve(q, f.c_par.conj().T, "I + X^H S^-1 X")
-    xi_ac = (a.conj().T @ si_x) @ t1
-    total = hermitize(s + x @ x.conj().T, "S + X X^H")
-    m_a = hermitize(a.conj().T @ hpd_solve(total, a, "S + X X^H"), "m_a")
-    core = hermitize(xi_ac.conj().T @ hpd_solve(m_a, xi_ac, "whitened A gram"))
-    w2 = hermitize(f.c_par @ t1, "whitened C gram")
-    xi_c = hermitize(hpd_solve(w2, np.eye(m), "whitened C gram"))
-    return Statistic(max_eig_psd_product(core, xi_c), DetectorKind.GLRGDD)
+    return compute(DetectorKind.GLRGDD, x, x_l, a, c)
 
 
 def amgdd(x, x_l, a, c) -> Statistic:
     """Two-step statistic on the training-only SCM."""
-    x, x_l, a, c = _check_classic_inputs(x, x_l, a, c, DetectorKind.AMGDD)
-    f = factor_waveform_subspace(c)
-    x_par = x @ f.c_par.conj().T
-    s = hermitize(x_l @ x_l.conj().T, "SCM")
-    si_a = hpd_solve(s, a, "SCM")
-    si_x = hpd_solve(s, x_par, "SCM")
-    phi_a = hermitize(a.conj().T @ si_a, "phi_a")
-    phi_ax = a.conj().T @ si_x
-    numerator = _ru_numerator(phi_a, phi_ax)
-    eye = np.eye(numerator.shape[0], dtype=np.complex128)
-    return Statistic(max_eig_psd_product(numerator, eye), DetectorKind.AMGDD)
+    return compute(DetectorKind.AMGDD, x, x_l, a, c)
 
 
 def bose_glrt(x, a, c) -> Statistic:
     """Training-free GLRT: GLRGDD-RU with an empty training set."""
     x = as_cmatrix(x, "X")
-    a = as_cmatrix(a, "A")
-    c = as_cmatrix(c, "C")
-    n, k = x.shape
-    m = c.shape[0]
-    DetectorKind.BOSE_GLRT.check_dims(n, k, m, 0)
-    f = factor_waveform_subspace(c)
-    td = transform_data(x, np.zeros((n, 0), dtype=np.complex128), f)
-    return Statistic(glrgdd_ru(td, a).value, DetectorKind.BOSE_GLRT)
-
-
-def _check_classic_inputs(x, x_l, a, c, kind: DetectorKind):
-    x = as_cmatrix(x, "X")
-    x_l = as_cmatrix(x_l, "X_L")
-    a = as_cmatrix(a, "A")
-    c = as_cmatrix(c, "C")
-    kind.check_dims(x.shape[0], x.shape[1], c.shape[0], x_l.shape[1])
-    return x, x_l, a, c
+    return compute(DetectorKind.BOSE_GLRT, x, x[:, :0], a, c)
 
 
 def compute(kind: DetectorKind, x, x_l, a, c) -> Statistic:
     """Evaluate any of the five statistics from raw data matrices."""
-    x = as_cmatrix(x, "X")
-    x_l = as_cmatrix(x_l, "X_L")
-    a = as_cmatrix(a, "A")
-    c = as_cmatrix(c, "C")
-    kind.check_dims(x.shape[0], x.shape[1], c.shape[0], x_l.shape[1])
-    if kind is DetectorKind.GLRGDD:
-        return glrgdd(x, x_l, a, c)
-    if kind is DetectorKind.AMGDD:
-        return amgdd(x, x_l, a, c)
-    if kind is DetectorKind.BOSE_GLRT:
-        return bose_glrt(x, a, c)
-    td = transform_data(x, x_l, factor_waveform_subspace(c))
-    if kind is DetectorKind.GLRGDD_RU:
-        return glrgdd_ru(td, a)
-    return amgdd_ru(td, a)
+    x, x_l, a, c = _validated(kind, x, x_l, a, c)
+    f = factor_waveform_subspace(c)
+    if kind in (DetectorKind.GLRGDD, DetectorKind.AMGDD):
+        pair = kernels.classic_statistics(x[None], _training_scm(x_l)[None], a, f.c_par)[0]
+    else:
+        if kind is DetectorKind.BOSE_GLRT:
+            x_l = x_l[:, :0]
+        pair = _ru_pair(transform_data(x, x_l, f), a)
+    column = 1 if kind in (DetectorKind.AMGDD_RU, DetectorKind.AMGDD) else 0
+    return Statistic(float(pair[column]), kind)
 
 
 def appendix_identities(x, x_l, a, c) -> dict[str, float]:
@@ -224,7 +180,7 @@ def appendix_identities(x, x_l, a, c) -> dict[str, float]:
     * ``whitened_gram_reduction``: the whitened waveform gram factor
       reduces to I + P.
     """
-    x, x_l, a, c = _check_classic_inputs(x, x_l, a, c, DetectorKind.GLRGDD)
+    x, x_l, a, c = _validated(DetectorKind.GLRGDD, x, x_l, a, c)
     k, m = x.shape[1], c.shape[0]
     f = factor_waveform_subspace(c)
     td = transform_data(x, x_l, f)

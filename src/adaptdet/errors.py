@@ -9,3 +9,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 class ConfigError(ValueError):
     """Experiment configuration is malformed or violates a dimension constraint."""
+
+
+class NonFiniteStatisticError(ArithmeticError):
+    """A detection statistic came out NaN or infinite."""

@@ -1,186 +1,93 @@
-"""Batched statistic kernels for the Monte Carlo hot path.
+"""The five detection statistics, evaluated on stacks of trials.
 
-Each kernel evaluates detector statistics for a whole batch of trials in
-one call.  The function bodies are written in the numpy subset that numba
-supports in nopython mode, so there is a single source of truth with two
-interchangeable backends:
+Every statistic the package reports comes from the two functions here.
+Inputs carry a leading trial axis and each trial is computed independently
+by numpy's stacked LAPACK calls, so a trial's value does not depend on the
+stack it was computed in: the Monte Carlo engine passes blocks of trials,
+the per-instance API in :mod:`adaptdet.detectors` passes a stack of one.
 
-* ``numba``: the kernels compiled with ``numba.njit(cache=True, nogil=True)``
-  (default whenever numba imports cleanly),
-* ``numpy``: the same functions run as plain Python + numpy.
+* ``ru_statistics`` gives [GLRGDD-RU, AMGDD-RU] on the augmented SCM;
+  with S_plus built from X_perp alone its first column is Bose's GLRT.
+* ``classic_statistics`` gives [GLRGDD, AMGDD] on the training-only SCM.
 
-Set ``ADAPTDET_BACKEND=numpy`` or ``=numba`` to force a backend; the
-``adaptdet benchmark`` subcommand times both on identical data.
-
-Kernels assume validated C-contiguous complex128 inputs and skip the
-defensive checks of the public per-instance API in
-:mod:`adaptdet.detectors`; agreement between the two paths (and between
-the two backends) is enforced by tests.
+Inputs are assumed validated (complex128, matching dimensions, positive
+definite covariance estimates); the defensive checks live in
+:mod:`adaptdet.detectors`.  Covariance estimates are hermitized here, so a
+raw Gram-matrix sum may be passed.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["ENV_BACKEND", "active_backend", "backend_functions",
-           "ru_pair_batch", "classic_pair_batch"]
-
-ENV_BACKEND = "ADAPTDET_BACKEND"
+__all__ = ["ru_statistics", "classic_statistics"]
 
 
-def _requested_backend() -> str:
-    value = os.environ.get(ENV_BACKEND, "auto").strip().lower()
-    if value in ("", "auto"):
-        return "auto"
-    if value in ("numba", "numpy"):
-        return value
-    raise ValueError(f"{ENV_BACKEND} must be 'numba' or 'numpy', got {value!r}")
+def _ct(m):
+    """Conjugate transpose of each matrix in a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
 
 
-_REQUESTED = _requested_backend()
-if _REQUESTED == "numpy":
-    _nb = None
-else:
-    try:
-        import numba as _nb
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise
-        _nb = None
+def _herm(m):
+    return 0.5 * (m + _ct(m))
 
 
-def active_backend() -> str:
-    """Backend the module-level kernels dispatch to: 'numba' or 'numpy'."""
-    return "numpy" if _nb is None else "numba"
+def _top_eig(m):
+    """Largest eigenvalue of each Hermitian matrix, clamped at 0."""
+    lam = np.linalg.eigvalsh(_herm(m))[..., -1]
+    return np.where(lam < 0.0, 0.0, lam)
 
 
-def _ru_pair_source(xb, xlb, a, a_h, cpar_h, cperp_h):
-    # Right-unitary family on shared draws.  Per trial t:
-    #   out[t, 0] = GLRGDD-RU, out[t, 1] = AMGDD-RU.
-    # xlb may have zero columns (no training data), which turns
-    # out[:, 0] into Bose's GLRT.
-    trials = xb.shape[0]
-    m = cpar_h.shape[1]
-    have_training = xlb.shape[2] > 0
-    eye_m = np.eye(m).astype(np.complex128)
-    out = np.empty((trials, 2), dtype=np.float64)
-    for t in range(trials):
-        x = xb[t]
-        x_par = x @ cpar_h
-        x_perp = x @ cperp_h
-        s_plus = x_perp @ np.ascontiguousarray(np.conj(x_perp).T)
-        if have_training:
-            xl = xlb[t]
-            s_plus = s_plus + xl @ np.ascontiguousarray(np.conj(xl).T)
-        s_plus = 0.5 * (s_plus + np.ascontiguousarray(np.conj(s_plus).T))
-        si_a = np.linalg.solve(s_plus, a)
-        si_x = np.linalg.solve(s_plus, x_par)
-        phi_a = a_h @ si_a
-        phi_a = 0.5 * (phi_a + np.ascontiguousarray(np.conj(phi_a).T))
-        phi_ax = a_h @ si_x
-        phi_x = np.ascontiguousarray(np.conj(x_par).T) @ si_x
-        phi_x = 0.5 * (phi_x + np.ascontiguousarray(np.conj(phi_x).T))
-        num = np.ascontiguousarray(np.conj(phi_ax).T) @ np.linalg.solve(phi_a, phi_ax)
-        num = 0.5 * (num + np.ascontiguousarray(np.conj(num).T))
-        lam_am = np.linalg.eigvalsh(num)[m - 1]
-        if lam_am < 0.0:
-            lam_am = 0.0
-        w, v = np.linalg.eigh(eye_m + phi_x)
-        scale = (1.0 / np.sqrt(w)).astype(np.complex128)
-        half = (v * scale) @ np.ascontiguousarray(np.conj(v).T)
-        sym = half @ num @ half
-        sym = 0.5 * (sym + np.ascontiguousarray(np.conj(sym).T))
-        lam_glr = np.linalg.eigvalsh(sym)[m - 1]
-        if lam_glr < 0.0:
-            lam_glr = 0.0
-        out[t, 0] = lam_glr
-        out[t, 1] = lam_am
-    return out
+def _inv_sqrt(g):
+    """Hermitian inverse square root of each Hermitian PD matrix."""
+    w, v = np.linalg.eigh(g)
+    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ _ct(v)
 
 
-def _classic_pair_source(xb, xlb, a, a_h, cpar, cpar_h):
-    # Training-only-SCM family (requires L >= N).  Per trial t:
-    #   out[t, 0] = GLRGDD (factored product form), out[t, 1] = AMGDD.
-    trials = xb.shape[0]
-    k = xb.shape[2]
-    m = cpar.shape[0]
-    eye_k = np.eye(k).astype(np.complex128)
-    out = np.empty((trials, 2), dtype=np.float64)
-    for t in range(trials):
-        x = xb[t]
-        xl = xlb[t]
-        x_h = np.ascontiguousarray(np.conj(x).T)
-        s = xl @ np.ascontiguousarray(np.conj(xl).T)
-        s = 0.5 * (s + np.ascontiguousarray(np.conj(s).T))
-
-        x_par = x @ cpar_h
-        si_a = np.linalg.solve(s, a)
-        si_xp = np.linalg.solve(s, x_par)
-        phi_a = a_h @ si_a
-        phi_a = 0.5 * (phi_a + np.ascontiguousarray(np.conj(phi_a).T))
-        phi_ax = a_h @ si_xp
-        num = np.ascontiguousarray(np.conj(phi_ax).T) @ np.linalg.solve(phi_a, phi_ax)
-        num = 0.5 * (num + np.ascontiguousarray(np.conj(num).T))
-        lam_am = np.linalg.eigvalsh(num)[m - 1]
-        if lam_am < 0.0:
-            lam_am = 0.0
-
-        si_x = np.linalg.solve(s, x)
-        q = eye_k + x_h @ si_x
-        q = 0.5 * (q + np.ascontiguousarray(np.conj(q).T))
-        t1 = np.linalg.solve(q, cpar_h)
-        xi_ac = (a_h @ si_x) @ t1
-        total = s + x @ x_h
-        total = 0.5 * (total + np.ascontiguousarray(np.conj(total).T))
-        m_a = a_h @ np.linalg.solve(total, a)
-        m_a = 0.5 * (m_a + np.ascontiguousarray(np.conj(m_a).T))
-        core = np.ascontiguousarray(np.conj(xi_ac).T) @ np.linalg.solve(m_a, xi_ac)
-        core = 0.5 * (core + np.ascontiguousarray(np.conj(core).T))
-        w2 = cpar @ t1
-        w2 = 0.5 * (w2 + np.ascontiguousarray(np.conj(w2).T))
-        w, v = np.linalg.eigh(w2)
-        scale = (1.0 / np.sqrt(w)).astype(np.complex128)
-        half = (v * scale) @ np.ascontiguousarray(np.conj(v).T)
-        sym = half @ core @ half
-        sym = 0.5 * (sym + np.ascontiguousarray(np.conj(sym).T))
-        lam_glr = np.linalg.eigvalsh(sym)[m - 1]
-        if lam_glr < 0.0:
-            lam_glr = 0.0
-        out[t, 0] = lam_glr
-        out[t, 1] = lam_am
-    return out
+def _two_step(s, x_par, a):
+    """Two-step numerator Phi_AX^H Phi_A^-1 Phi_AX against S, and S^-1 X_par."""
+    a_h = _ct(a)
+    si_a = np.linalg.solve(s, a)
+    si_x = np.linalg.solve(s, x_par)
+    phi_a = _herm(a_h @ si_a)
+    phi_ax = a_h @ si_x
+    return _herm(_ct(phi_ax) @ np.linalg.solve(phi_a, phi_ax)), si_x
 
 
-_JITTED: dict[str, object] = {}
+def ru_statistics(x_par, s_plus, a) -> np.ndarray:
+    """(trials, 2) array of [GLRGDD-RU, AMGDD-RU].
 
-
-def backend_functions(backend: str | None = None):
-    """Return (ru_pair, classic_pair) callables for the given backend.
-
-    ``backend`` is 'numba', 'numpy', or None for the active default.
+    x_par: (trials, N, M) signal block; s_plus: (trials, N, N) augmented
+    SCM; a: (N, J) spatial subspace.
     """
-    if backend is None:
-        backend = active_backend()
-    if backend == "numpy":
-        return _ru_pair_source, _classic_pair_source
-    if backend != "numba":
-        raise ValueError(f"unknown backend {backend!r}")
-    if _nb is None:
-        raise RuntimeError("numba backend requested but numba is not available")
-    if not _JITTED:
-        jit = _nb.njit(cache=True, nogil=True)
-        _JITTED["ru"] = jit(_ru_pair_source)
-        _JITTED["classic"] = jit(_classic_pair_source)
-    return _JITTED["ru"], _JITTED["classic"]
+    num, si_x = _two_step(_herm(s_plus), x_par, a)
+    m = x_par.shape[-1]
+    half = _inv_sqrt(np.eye(m) + _herm(_ct(x_par) @ si_x))
+    out = np.empty((x_par.shape[0], 2))
+    out[:, 0] = _top_eig(half @ num @ half)
+    out[:, 1] = _top_eig(num)
+    return out
 
 
-def ru_pair_batch(xb, xlb, a, a_h, cpar_h, cperp_h) -> np.ndarray:
-    """(trials, 2) array of [GLRGDD-RU, AMGDD-RU] on the active backend."""
-    return backend_functions()[0](xb, xlb, a, a_h, cpar_h, cperp_h)
+def classic_statistics(x, s, a, c_par) -> np.ndarray:
+    """(trials, 2) array of [GLRGDD, AMGDD] (GLRGDD in factored product form).
 
-
-def classic_pair_batch(xb, xlb, a, a_h, cpar, cpar_h) -> np.ndarray:
-    """(trials, 2) array of [GLRGDD, AMGDD] on the active backend."""
-    return backend_functions()[1](xb, xlb, a, a_h, cpar, cpar_h)
+    x: (trials, N, K) test data; s: (trials, N, N) training-only SCM;
+    a: (N, J) spatial subspace; c_par: (M, K) semi-unitary waveform rows.
+    """
+    s = _herm(s)
+    cpar_h = _ct(c_par)
+    a_h = _ct(a)
+    x_h = _ct(x)
+    num, _ = _two_step(s, x @ cpar_h, a)
+    si_x = np.linalg.solve(s, x)
+    q = _herm(np.eye(x.shape[-1]) + x_h @ si_x)
+    t1 = np.linalg.solve(q, cpar_h)
+    xi_ac = (a_h @ si_x) @ t1
+    m_a = _herm(a_h @ np.linalg.solve(_herm(s + x @ x_h), a))
+    core = _herm(_ct(xi_ac) @ np.linalg.solve(m_a, xi_ac))
+    half = _inv_sqrt(_herm(c_par @ t1))
+    out = np.empty((x.shape[0], 2))
+    out[:, 0] = _top_eig(half @ core @ half)
+    out[:, 1] = _top_eig(num)
+    return out

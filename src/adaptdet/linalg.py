@@ -1,9 +1,8 @@
 """Complex-matrix kernels used by every other module.
 
-Hermitian positive-definite solves, Hermitian matrix square roots,
-orthonormal row-space completion, and the largest eigenvalue of a product
-of Hermitian PSD matrices.  All matrices are dense 2-D complex128 arrays
-in row-major (C) order, the convention used repo-wide.  Every function is
+Hermitian positive-definite solves, Hermitian matrix square roots, and
+orthonormal row-space completion.  All matrices are dense 2-D complex128
+arrays in row-major (C) order, the convention used repo-wide.  Every function is
 pure and safe to call from any number of threads.
 """
 
@@ -25,7 +24,6 @@ __all__ = [
     "inv_sqrt",
     "psd_sqrt",
     "orthonormal_complement",
-    "max_eig_psd_product",
 ]
 
 
@@ -157,35 +155,3 @@ def orthonormal_complement(c_par) -> np.ndarray:
         raise ValueError("c_par rows are not orthonormal")
     _, _, vh = np.linalg.svd(c, full_matrices=True)
     return np.ascontiguousarray(vh[m:])
-
-
-def _check_psd(g: np.ndarray, name: str) -> None:
-    w = np.linalg.eigvalsh(g)
-    floor = -TOL.psd_clamp_rtol * max(float(np.trace(g).real), 0.0)
-    if w[0] < floor:
-        raise ValueError(
-            f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
-
-
-def max_eig_psd_product(g, b) -> float:
-    """Largest eigenvalue of G B for Hermitian PSD G and B.
-
-    The product of two Hermitian PSD matrices is not Hermitian but has a
-    real nonnegative spectrum, equal to that of the Hermitian matrix
-    B^{1/2} G B^{1/2}.  Working on the symmetrized form keeps the
-    computation inside a Hermitian eigensolver, so the result is real and
-    nonnegative by construction.
-    """
-    g = as_cmatrix(g, "G")
-    b = as_cmatrix(b, "B")
-    _require_square(g, "G")
-    _require_square(b, "B")
-    if g.shape != b.shape:
-        raise ValueError(f"dimension mismatch: G is {g.shape}, B is {b.shape}")
-    _check_hermitian(g, "G")
-    _check_psd(hermitize(g), "G")
-    half = psd_sqrt(b, "B")
-    sym = hermitize(half @ g @ half)
-    lam = float(np.linalg.eigvalsh(sym)[-1])
-    return max(lam, 0.0)

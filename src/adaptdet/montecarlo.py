@@ -7,9 +7,13 @@ Reproducibility contract: every trial draws from its own counter-based
 stream keyed by (master seed, stream domain, grid point, trial index), so
 results are bitwise identical for any worker-thread count and any
 scheduling.  Trials are processed in fixed-size blocks by a thread pool;
-each block writes a disjoint slice of a preallocated result array, and all
+each block forms the transformed data and covariance estimates of all its
+trials at once, evaluates them with the stacked formulas of
+:mod:`adaptdet.kernels` (a trial's value does not depend on the block it
+sits in), and writes a disjoint slice of a preallocated result array.  All
 order-sensitive reductions (sorting, counting) happen on the full array in
-trial order.
+trial order.  A non-finite statistic stops the run with the replay key of
+its trial instead of being counted as a miss or sorted into a threshold.
 
 Detectors requested together share the same draws per trial (common random
 numbers), which sharpens PD comparisons between detectors.
@@ -24,6 +28,7 @@ import numpy as np
 
 from . import kernels
 from .detectors import DetectorKind
+from .errors import NonFiniteStatisticError
 from .linalg import as_cmatrix
 from .scenario import (Scenario, SignalCoordinates, make_signal, noise_factor,
                        random_directions, scale_to_snr)
@@ -33,7 +38,7 @@ __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
            "estimate_pd", "pd_curve", "pd_curves", "cfar_check"]
 
-BLOCK_TRIALS = 512
+BLOCK_TRIALS = 256
 _SQRT_HALF = np.sqrt(0.5)
 
 # Stream domains keep draws from different purposes disjoint.
@@ -94,27 +99,22 @@ def _trial_generator(seed: int, domain: int, point: int, trial: int) -> np.rando
     return np.random.Generator(np.random.Philox(ss))
 
 
-class _Workspace:
-    """Per-scenario constants, laid out contiguously for the kernels."""
-
-    def __init__(self, scenario: Scenario):
-        fact = factor_waveform_subspace(scenario.C)
-        self.a = np.ascontiguousarray(scenario.A)
-        self.a_h = np.ascontiguousarray(scenario.A.conj().T)
-        self.cpar = np.ascontiguousarray(fact.c_par)
-        self.cpar_h = np.ascontiguousarray(fact.c_par.conj().T)
-        self.cperp_h = np.ascontiguousarray(fact.c_perp.conj().T)
-        self.noise_factor = noise_factor(scenario.R)
+def _gram(m: np.ndarray) -> np.ndarray:
+    """M M^H for each matrix in a stack."""
+    return m @ np.conj(np.swapaxes(m, -1, -2))
 
 
 def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
                         signal=None, domain: int = DOMAIN_NULL, point: int = 0,
-                        threads: int = 1, block: int = BLOCK_TRIALS) -> np.ndarray:
+                        threads: int = 1) -> np.ndarray:
     """Statistics of `kinds` over `trials` independent realizations.
 
     Returns (trials, len(kinds)) float64; column j holds kinds[j].  All
     kinds are evaluated on the same data per trial.  `signal` is an
     optional N x K matrix added to the noise of every trial (H1).
+
+    Raises NonFiniteStatisticError naming the replay key of the first
+    trial whose statistics are not all finite.
     """
     kinds = list(kinds)
     if not kinds:
@@ -131,49 +131,51 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         if sig.shape != (n, k):
             raise ValueError(f"signal must be {n}x{k}, got {sig.shape}")
 
-    ws = _Workspace(scenario)
-    ru_fn, classic_fn = kernels.backend_functions()
+    fact = factor_waveform_subspace(scenario.C)
+    cpar_h, cperp_h = fact.c_par.conj().T, fact.c_perp.conj().T
+    factor = noise_factor(scenario.R)
+    a = scenario.A
     need_ru = any(kd in (DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU) for kd in kinds)
     need_classic = any(kd in (DetectorKind.GLRGDD, DetectorKind.AMGDD) for kd in kinds)
     need_bose = DetectorKind.BOSE_GLRT in kinds
     out = np.empty((trials, len(kinds)), dtype=np.float64)
 
     def run_block(lo: int) -> None:
-        hi = min(lo + block, trials)
+        hi = min(lo + BLOCK_TRIALS, trials)
         count = hi - lo
         z = np.empty((count, n, k + l), dtype=np.complex128)
         for idx in range(count):
             rng = _trial_generator(seed, domain, point, lo + idx)
             draws = rng.standard_normal((2, n, k + l))
             z[idx] = (draws[0] + 1j * draws[1]) * _SQRT_HALF
-        colored = np.matmul(ws.noise_factor, z)
-        if sig is None:
-            xb = np.ascontiguousarray(colored[:, :, :k])
-        else:
-            xb = colored[:, :, :k] + sig
-        xlb = np.ascontiguousarray(colored[:, :, k:])
-        ru = classic = bose = None
+        colored = np.matmul(factor, z)
+        x = colored[:, :, :k] if sig is None else colored[:, :, :k] + sig
+        x_l = colored[:, :, k:]
+        columns = {}
+        if need_ru or need_bose:
+            x_par = x @ cpar_h
+            s_perp = _gram(x @ cperp_h)
+        if need_ru or need_classic:
+            s_train = _gram(x_l)
         if need_ru:
-            ru = ru_fn(xb, xlb, ws.a, ws.a_h, ws.cpar_h, ws.cperp_h)
+            ru = kernels.ru_statistics(x_par, s_perp + s_train, a)
+            columns[DetectorKind.GLRGDD_RU], columns[DetectorKind.AMGDD_RU] = ru.T
         if need_classic:
-            classic = classic_fn(xb, xlb, ws.a, ws.a_h, ws.cpar, ws.cpar_h)
+            classic = kernels.classic_statistics(x, s_train, a, fact.c_par)
+            columns[DetectorKind.GLRGDD], columns[DetectorKind.AMGDD] = classic.T
         if need_bose:
-            empty = np.ascontiguousarray(xlb[:, :, :0])
-            bose = ru_fn(xb, empty, ws.a, ws.a_h, ws.cpar_h, ws.cperp_h)[:, 0]
+            columns[DetectorKind.BOSE_GLRT] = kernels.ru_statistics(x_par, s_perp, a)[:, 0]
+        block = out[lo:hi]
         for col, kind in enumerate(kinds):
-            if kind is DetectorKind.GLRGDD_RU:
-                out[lo:hi, col] = ru[:, 0]
-            elif kind is DetectorKind.AMGDD_RU:
-                out[lo:hi, col] = ru[:, 1]
-            elif kind is DetectorKind.GLRGDD:
-                out[lo:hi, col] = classic[:, 0]
-            elif kind is DetectorKind.AMGDD:
-                out[lo:hi, col] = classic[:, 1]
-            else:
-                out[lo:hi, col] = bose
+            block[:, col] = columns[kind]
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+        if bad.size:
+            raise NonFiniteStatisticError(
+                f"non-finite statistic in trial (seed, domain, point, trial) = "
+                f"({seed}, {domain}, {point}, {lo + int(bad[0])})")
 
-    starts = range(0, trials, block)
-    if threads == 1 or trials <= block:
+    starts = range(0, trials, BLOCK_TRIALS)
+    if threads == 1 or trials <= BLOCK_TRIALS:
         for lo in starts:
             run_block(lo)
     else:
@@ -187,7 +189,8 @@ def threshold_from_h0(stats, pfa: float) -> float:
 
     m = round(trials * pfa).  With the strict ``statistic > threshold``
     detection rule, exactly m of the calibration statistics would be
-    declared detections.
+    declared detections.  Non-finite statistics are refused, since NaN
+    would sort to the top and shift the threshold.
     """
     stats = np.asarray(stats, dtype=np.float64).ravel()
     trials = stats.size
@@ -198,6 +201,10 @@ def threshold_from_h0(stats, pfa: float) -> float:
     m = int(round(trials * pfa))
     if m >= trials:
         raise ValueError(f"pfa {pfa} too large for {trials} trials")
+    bad = int(np.count_nonzero(~np.isfinite(stats)))
+    if bad:
+        raise NonFiniteStatisticError(
+            f"{bad} of {trials} calibration statistics are non-finite")
     return float(np.sort(stats)[::-1][m])
 
 

@@ -18,6 +18,7 @@ from .linalg import TOL, as_cmatrix, hpd_solve
 __all__ = [
     "Scenario",
     "SignalCoordinates",
+    "check_dimensions",
     "toeplitz_covariance",
     "random_subspaces",
     "random_directions",
@@ -52,6 +53,19 @@ def as_cvector(x, name: str = "vector") -> np.ndarray:
     return a
 
 
+def check_dimensions(n: int, k: int, m: int, j: int, l: int) -> None:
+    """Raise ValueError naming the violated dimension constraint, if any."""
+    if min(n, k, m, j) < 1 or l < 0:
+        raise ValueError(f"dimensions must be positive (L may be 0): "
+                         f"N={n}, K={k}, M={m}, J={j}, L={l}")
+    if j > n:
+        raise ValueError(f"J={j} > N={n}: spatial subspace cannot exceed channels")
+    if m > k:
+        raise ValueError(f"M={m} > K={k}: waveform subspace cannot exceed pulses")
+    if l + k < m + n:
+        raise ValueError(f"L+K={l + k} < M+N={m + n}")
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One detection problem: dimensions, subspaces, and noise covariance.
@@ -70,15 +84,8 @@ class Scenario:
     R: np.ndarray
 
     def __post_init__(self):
-        n, k, m, j, l = self.N, self.K, self.M, self.J, self.L
-        if min(n, k, m, j) < 1 or l < 0:
-            raise ValueError(f"invalid dimensions N={n}, K={k}, M={m}, J={j}, L={l}")
-        if j > n:
-            raise ValueError(f"J={j} > N={n}: spatial subspace cannot exceed channels")
-        if m > k:
-            raise ValueError(f"M={m} > K={k}: waveform subspace cannot exceed pulses")
-        if l + k < m + n:
-            raise ValueError(f"L+K={l + k} < M+N={m + n}")
+        n, k, m, j = self.N, self.K, self.M, self.J
+        check_dimensions(n, k, m, j, self.L)
         a = as_cmatrix(self.A, "A")
         c = as_cmatrix(self.C, "C")
         r = as_cmatrix(self.R, "R")

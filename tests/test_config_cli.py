@@ -7,6 +7,7 @@ from adaptdet import cli
 from adaptdet.config import build_scenario, format_config, parse_config
 from adaptdet.detectors import DetectorKind
 from adaptdet.errors import ConfigError, SingularMatrixError
+from adaptdet.scenario import check_dimensions
 
 SMALL_CONFIG = """\
 # small experiment used by the test suite
@@ -75,6 +76,17 @@ class TestParseConfig:
                                     "detectors = GLRGDD")
         with pytest.raises(ConfigError, match=r"GLRGDD requires L >= N \(L=11, N=12\)"):
             parse_config(text)
+
+    def test_dimension_messages_match_scenario(self):
+        for n, k, m, j, l in ((4, 8, 2, 5, 6), (4, 6, 7, 2, 8), (5, 8, 0, 2, 6)):
+            with pytest.raises(ValueError) as expected:
+                check_dimensions(n, k, m, j, l)
+            text = SMALL_CONFIG.replace("N = 5", f"N = {n}").replace("K = 8", f"K = {k}") \
+                               .replace("M = 2", f"M = {m}").replace("J = 2", f"J = {j}") \
+                               .replace("L = 6", f"L = {l}")
+            with pytest.raises(ConfigError) as raised:
+                parse_config(text)
+            assert str(raised.value) == str(expected.value)
 
     def test_unknown_detector_lists_valid_names(self):
         with pytest.raises(ConfigError, match="unknown detector 'KELLY'"):
@@ -180,6 +192,15 @@ class TestCommandLine:
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def test_non_finite_statistics_exit_code(self, tmp_path, monkeypatch, capsys):
+        def nan_statistics(scenario, kinds, trials, *args, **kwargs):
+            return np.full((trials, len(kinds)), np.nan)
+
+        monkeypatch.setattr(cli.montecarlo, "simulate_statistics", nan_statistics)
+        code = cli.main(["calibrate", "--config", self._write_config(tmp_path)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_verify_command_passes(self, capsys):
         assert cli.main(["verify", "--instances", "24", "--seed", "5"]) == 0
         out = capsys.readouterr().out
@@ -200,8 +221,3 @@ class TestCommandLine:
         assert out.count("N = 12") == 3
         for k in cli.FIG2_K_GRID:
             assert f"K = {k}" in out
-
-    def test_benchmark_smoke(self, capsys):
-        assert cli.main(["benchmark", "--trials", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "numpy" in out

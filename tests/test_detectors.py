@@ -4,6 +4,7 @@ import pytest
 from adaptdet.detectors import (DetectorKind, Statistic, amgdd, amgdd_ru,
                                 appendix_identities, bose_glrt, compute, glrgdd,
                                 glrgdd_ru)
+from adaptdet.errors import SingularMatrixError
 from adaptdet.transform import factor_waveform_subspace, transform_data
 from adaptdet.verify import random_instance
 
@@ -14,6 +15,12 @@ from oracles import (amgdd_projection_form, glrgdd_raw_form, random_cmatrix,
 def _instances(regime, seed, count):
     for idx in range(count):
         yield random_instance(regime, np.random.SeedSequence(seed, spawn_key=(idx,)))
+
+
+def _zero_training_row(inst):
+    x_l = inst.x_l.copy()
+    x_l[0] = 0.0
+    return x_l
 
 
 class TestDetectorKind:
@@ -115,6 +122,11 @@ class TestGlrgdd:
         with pytest.raises(ValueError, match="GLRGDD requires L >= N"):
             glrgdd(inst.x, inst.x_l, inst.a, inst.c)
 
+    def test_zero_training_row_is_a_singular_scm(self):
+        inst = next(_instances("abundant", 120, 1))
+        with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
+            glrgdd(inst.x, _zero_training_row(inst), inst.a, inst.c)
+
 
 class TestAmgdd:
     def test_zero_test_data_gives_zero(self):
@@ -138,6 +150,11 @@ class TestAmgdd:
         inst = next(_instances("lowsample", 110, 1))
         with pytest.raises(ValueError, match="AMGDD requires L >= N"):
             amgdd(inst.x, inst.x_l, inst.a, inst.c)
+
+    def test_zero_training_row_is_a_singular_scm(self):
+        inst = next(_instances("abundant", 121, 1))
+        with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
+            amgdd(inst.x, _zero_training_row(inst), inst.a, inst.c)
 
 
 class TestBoseGlrt:
@@ -206,3 +223,10 @@ class TestComputeDispatcher:
         inst = next(_instances("lowsample", 119, 1))
         with pytest.raises(ValueError, match="requires"):
             compute(DetectorKind.BOSE_GLRT, inst.x, inst.x_l, inst.a, inst.c)
+
+    def test_rejects_mismatched_shapes(self):
+        inst = next(_instances("full", 122, 1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            compute(DetectorKind.AMGDD_RU, inst.x, inst.x_l[1:], inst.a, inst.c)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c[:, 1:])

@@ -1,13 +1,12 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from adaptdet import kernels
-from adaptdet.detectors import DetectorKind, compute
-from adaptdet.montecarlo import _Workspace
 from adaptdet.scenario import make_scenario, sample_noise, as_generator
+from adaptdet.transform import factor_waveform_subspace
+
+from oracles import (amgdd_projection_form, dagger, glrgdd_raw_form, ru_am_direct,
+                     ru_glr_direct)
 
 
 def _batch(scenario, trials, seed):
@@ -21,78 +20,77 @@ def _batch(scenario, trials, seed):
 
 
 @pytest.fixture(scope="module")
-def workspace_and_batch():
+def stacks():
+    """Kernel inputs for a stack of trials, built as the Monte Carlo engine does."""
     scenario = make_scenario(6, 10, 2, 2, 8, rho=0.95, seed=21)
-    ws = _Workspace(scenario)
+    f = factor_waveform_subspace(scenario.C)
     xb, xlb = _batch(scenario, 32, 5)
-    return scenario, ws, xb, xlb
+    x_par = xb @ dagger(f.c_par)
+    x_perp = xb @ dagger(f.c_perp)
+    s_perp = x_perp @ np.conj(np.swapaxes(x_perp, 1, 2))
+    s_train = xlb @ np.conj(np.swapaxes(xlb, 1, 2))
+    return {"scenario": scenario, "c_par": f.c_par, "x": xb, "x_l": xlb,
+            "x_par": x_par, "s_plus": s_perp + s_train, "s_perp": s_perp,
+            "s_train": s_train}
 
 
-def test_active_backend_is_known():
-    assert kernels.active_backend() in ("numba", "numpy")
+def test_kernels_match_public_reference_path(stacks):
+    # Reference values come from the explicit-inverse oracles in tests/oracles.py,
+    # which share no code with the kernels.
+    sc, a = stacks["scenario"], stacks["scenario"].A
+    ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a)
+    bose = kernels.ru_statistics(stacks["x_par"], stacks["s_perp"], a)[:, 0]
+    classic = kernels.classic_statistics(stacks["x"], stacks["s_train"], a, stacks["c_par"])
+    for t in range(ru.shape[0]):
+        x_par = stacks["x_par"][t]
+        x, x_l = stacks["x"][t], stacks["x_l"][t]
+        assert ru[t, 0] == pytest.approx(ru_glr_direct(x_par, stacks["s_plus"][t], a),
+                                         rel=1e-8)
+        assert ru[t, 1] == pytest.approx(ru_am_direct(x_par, stacks["s_plus"][t], a),
+                                         rel=1e-8)
+        assert bose[t] == pytest.approx(ru_glr_direct(x_par, stacks["s_perp"][t], a),
+                                        rel=1e-8)
+        assert classic[t, 0] == pytest.approx(glrgdd_raw_form(x, x_l, a, sc.C), rel=1e-8)
+        assert classic[t, 1] == pytest.approx(amgdd_projection_form(x, x_l, a, sc.C),
+                                              rel=1e-8)
 
 
-def test_backends_agree_bit_for_bit_or_close(workspace_and_batch):
-    if kernels.active_backend() != "numba":
-        pytest.skip("numba unavailable; single backend only")
-    _, ws, xb, xlb = workspace_and_batch
-    ru_np, cl_np = kernels.backend_functions("numpy")
-    ru_nb, cl_nb = kernels.backend_functions("numba")
-    args_ru = (xb, xlb, ws.a, ws.a_h, ws.cpar_h, ws.cperp_h)
-    args_cl = (xb, xlb, ws.a, ws.a_h, ws.cpar, ws.cpar_h)
-    assert np.allclose(ru_np(*args_ru), ru_nb(*args_ru), rtol=1e-12, atol=1e-14)
-    assert np.allclose(cl_np(*args_cl), cl_nb(*args_cl), rtol=1e-12, atol=1e-14)
-
-
-def test_kernels_match_public_reference_path(workspace_and_batch):
-    scenario, ws, xb, xlb = workspace_and_batch
-    ru = kernels.ru_pair_batch(xb, xlb, ws.a, ws.a_h, ws.cpar_h, ws.cperp_h)
-    cl = kernels.classic_pair_batch(xb, xlb, ws.a, ws.a_h, ws.cpar, ws.cpar_h)
-    empty = np.ascontiguousarray(xlb[:, :, :0])
-    bose = kernels.ru_pair_batch(xb, empty, ws.a, ws.a_h, ws.cpar_h, ws.cperp_h)[:, 0]
-    column = {
-        DetectorKind.GLRGDD_RU: ru[:, 0],
-        DetectorKind.AMGDD_RU: ru[:, 1],
-        DetectorKind.GLRGDD: cl[:, 0],
-        DetectorKind.AMGDD: cl[:, 1],
-        DetectorKind.BOSE_GLRT: bose,
-    }
-    for t in range(xb.shape[0]):
-        for kind, col in column.items():
-            x_l = xlb[t] if kind is not DetectorKind.BOSE_GLRT else np.zeros(
-                (scenario.N, 0), complex)
-            ref = compute(kind, xb[t], x_l, scenario.A, scenario.C).value
-            assert col[t] == pytest.approx(ref, rel=1e-10, abs=1e-12), kind
-
-
-def test_zero_column_training_batch(workspace_and_batch):
-    _, ws, xb, xlb = workspace_and_batch
-    empty = np.ascontiguousarray(xlb[:, :, :0])
-    out = kernels.ru_pair_batch(xb, empty, ws.a, ws.a_h, ws.cpar_h, ws.cperp_h)
-    assert out.shape == (xb.shape[0], 2)
+def test_zero_column_training_batch(stacks):
+    # Bose's GLRT: the augmented SCM built from the virtual training data alone
+    out = kernels.ru_statistics(stacks["x_par"], stacks["s_perp"], stacks["scenario"].A)
+    assert out.shape == (stacks["x"].shape[0], 2)
     assert np.all((out[:, 0] >= 0) & (out[:, 0] < 1))
 
 
-def test_numpy_backend_forced_by_env():
-    code = ("import os; os.environ['ADAPTDET_BACKEND'] = 'numpy'; "
-            "import adaptdet.kernels as k; "
-            "assert k.active_backend() == 'numpy'; "
-            "import sys; sys.exit(0)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
+def test_trial_is_bitwise_independent_of_its_stack(stacks):
+    # Byte-identical output across thread counts relies on this.
+    a = stacks["scenario"].A
+    ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a)
+    classic = kernels.classic_statistics(stacks["x"], stacks["s_train"], a, stacks["c_par"])
+    for t in range(ru.shape[0]):
+        one = slice(t, t + 1)
+        alone_ru = kernels.ru_statistics(stacks["x_par"][one], stacks["s_plus"][one], a)
+        alone_cl = kernels.classic_statistics(stacks["x"][one], stacks["s_train"][one], a,
+                                              stacks["c_par"])
+        assert np.array_equal(alone_ru[0], ru[t])
+        assert np.array_equal(alone_cl[0], classic[t])
 
 
-def test_invalid_backend_env_rejected():
-    code = ("import os; os.environ['ADAPTDET_BACKEND'] = 'cuda'; "
-            "import adaptdet.kernels")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
-    assert proc.returncode != 0
-    assert b"ADAPTDET_BACKEND" in proc.stderr
+def test_monotone_map_between_scm_families(stacks):
+    # GLRGDD = t / (1 - t) of GLRGDD-RU, as computed on the engine's stacks
+    a = stacks["scenario"].A
+    t_ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a)[:, 0]
+    t_full = kernels.classic_statistics(stacks["x"], stacks["s_train"], a,
+                                        stacks["c_par"])[:, 0]
+    assert np.all(np.abs(t_full - t_ru / (1.0 - t_ru)) <= 1e-8 * (1.0 + t_full))
 
 
-def test_requesting_numba_when_disabled_errors():
-    code = ("import os; os.environ['ADAPTDET_BACKEND'] = 'numpy'; "
-            "import adaptdet.kernels as k; k.backend_functions('numba')")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
-    assert proc.returncode != 0
-    assert b"numba backend" in proc.stderr
+def test_square_waveform_subspace_two_step_agreement():
+    # K = M: no virtual training data, so AMGDD-RU and AMGDD coincide
+    scenario = make_scenario(4, 3, 3, 2, 6, rho=0.5, seed=22)
+    c_par = factor_waveform_subspace(scenario.C).c_par
+    xb, xlb = _batch(scenario, 16, 6)
+    s_train = xlb @ np.conj(np.swapaxes(xlb, 1, 2))
+    ru = kernels.ru_statistics(xb @ dagger(c_par), s_train, scenario.A)
+    classic = kernels.classic_statistics(xb, s_train, scenario.A, c_par)
+    assert np.allclose(ru[:, 1], classic[:, 1], rtol=1e-12, atol=0.0)

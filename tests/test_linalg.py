@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from adaptdet.errors import SingularMatrixError
-from adaptdet.linalg import (hermitize, hpd_solve, inv_sqrt, max_eig_psd_product,
-                             orthonormal_complement, psd_sqrt)
+from adaptdet.linalg import hermitize, hpd_solve, inv_sqrt, orthonormal_complement, psd_sqrt
 
-from oracles import (dagger, general_max_eig, random_cmatrix, random_hpd,
-                     random_semi_unitary_rows)
+from oracles import dagger, random_cmatrix, random_hpd, random_semi_unitary_rows
 
 
 class TestHermitize:
@@ -125,42 +123,3 @@ class TestOrthonormalComplement:
     def test_rejects_non_orthonormal_rows(self):
         with pytest.raises(ValueError, match="not orthonormal"):
             orthonormal_complement(np.array([[2.0, 0.0, 0.0]]))
-
-
-class TestMaxEigPsdProduct:
-    def test_zero_numerator(self):
-        rng = np.random.default_rng(7)
-        b = random_hpd(rng, 3)
-        assert max_eig_psd_product(np.zeros((3, 3)), b) == 0.0
-
-    def test_diagonal_against_identity(self):
-        assert max_eig_psd_product(np.diag([1.0, 2.0, 3.0]), np.eye(3)) == pytest.approx(3.0)
-
-    def test_matches_general_eigensolver(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            g = random_hpd(rng, 4)
-            b = random_hpd(rng, 4)
-            ours = max_eig_psd_product(g, b)
-            reference = general_max_eig(g @ b)
-            assert ours == pytest.approx(reference, rel=1e-8)
-
-    def test_cyclic_symmetry(self):
-        rng = np.random.default_rng(9)
-        g = random_hpd(rng, 5)
-        b = random_hpd(rng, 5)
-        assert max_eig_psd_product(g, b) == pytest.approx(
-            max_eig_psd_product(b, g), rel=1e-10)
-
-    def test_rejects_indefinite_input(self):
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            max_eig_psd_product(np.diag([1.0, -1.0]), np.eye(2))
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            max_eig_psd_product(np.eye(2), np.eye(3))
-
-    def test_accepts_singular_psd(self):
-        # rank-deficient inputs are fine; only genuinely negative spectra are not
-        g = np.diag([1.0, 0.0])
-        assert max_eig_psd_product(g, g) == pytest.approx(1.0)

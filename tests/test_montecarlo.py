@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from adaptdet.detectors import DetectorKind
-from adaptdet.montecarlo import (DOMAIN_NULL_FRESH, calibrate_threshold,
-                                 cfar_check, estimate_pd, pd_curve, pd_curves,
-                                 simulate_statistics, threshold_from_h0)
+from adaptdet import kernels, montecarlo
+from adaptdet.detectors import DetectorKind, compute
+from adaptdet.errors import NonFiniteStatisticError
+from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL_FRESH, DOMAIN_SIGNAL,
+                                 calibrate_threshold, cfar_check, estimate_pd, pd_curve,
+                                 pd_curves, simulate_statistics, threshold_from_h0)
 from adaptdet.scenario import (SignalCoordinates, make_scenario, random_directions,
                                scale_to_snr, toeplitz_covariance)
 
@@ -38,6 +40,45 @@ class TestThresholdRule:
     def test_rejects_pfa_too_large_for_sample(self):
         with pytest.raises(ValueError, match="too large"):
             threshold_from_h0(np.ones(3), 0.9)
+
+    def test_refuses_non_finite_statistics(self):
+        # NaN would sort to the top: threshold 1.0 instead of 0.9899...
+        stats = np.linspace(0.0, 1.0, 100)
+        stats[40] = np.nan
+        with pytest.raises(NonFiniteStatisticError, match="1 of 100"):
+            threshold_from_h0(stats, 0.01)
+
+
+class TestNonFiniteTrials:
+    @pytest.mark.parametrize("name, kinds", [
+        ("ru_statistics", [RU, DetectorKind.BOSE_GLRT]),
+        ("classic_statistics", [DetectorKind.AMGDD]),
+    ])
+    def test_names_replay_key_of_first_bad_trial(self, monkeypatch, name, kinds):
+        real = getattr(kernels, name)
+
+        def inf_in_row_3(*args):
+            out = real(*args)
+            out[3, 0] = np.inf
+            out[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(kernels, name, inf_in_row_3)
+        # every block has a bad row; the earliest one in trial order is reported
+        with pytest.raises(NonFiniteStatisticError, match=r"= \(9, 1, 4, 3\)"):
+            simulate_statistics(_scenario(), kinds, 2 * BLOCK_TRIALS + 5, seed=9,
+                                domain=DOMAIN_SIGNAL, point=4, threads=2)
+
+    def test_replay_key_reproduces_the_trial(self):
+        # the (seed, domain, point, trial) key is enough to recompute a row
+        sc = _scenario()
+        stats = simulate_statistics(sc, ALL, 3, seed=11, domain=DOMAIN_SIGNAL, point=2)
+        draws = montecarlo._trial_generator(11, DOMAIN_SIGNAL, 2, 1).standard_normal(
+            (2, sc.N, sc.K + sc.L))
+        data = np.linalg.cholesky(sc.R) @ ((draws[0] + 1j * draws[1]) * np.sqrt(0.5))
+        for col, kind in enumerate(ALL):
+            value = compute(kind, data[:, :sc.K], data[:, sc.K:], sc.A, sc.C).value
+            assert value == pytest.approx(stats[1, col], rel=1e-10)
 
 
 class TestCalibration:

@@ -195,6 +195,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="M=7 > K=6"):
             make_scenario(4, 6, 7, 2, 8)
 
+    def test_rejects_nonpositive_dimensions(self):
+        a, c = random_subspaces(3, 1, 1, 4, seed=1)
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            Scenario(N=3, K=4, M=1, J=1, L=-1, A=a, C=c, R=np.eye(3))
+
     def test_rejects_indefinite_covariance(self):
         a, c = random_subspaces(3, 1, 1, 4, seed=1)
         with pytest.raises(ValueError, match="positive definite"):

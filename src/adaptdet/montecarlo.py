@@ -3,17 +3,23 @@
 Threshold calibration at a target false-alarm probability, detection
 probability over SNR grids, and empirical CFAR verification.
 
-Reproducibility contract: every trial draws from its own counter-based
-stream keyed by (master seed, stream domain, grid point, trial index), so
-results are bitwise identical for any worker-thread count and any
-scheduling.  Trials are processed in fixed-size blocks by a thread pool;
-each block forms the transformed data and covariance estimates of all its
-trials at once, evaluates them with the stacked formulas of
+Reproducibility contract (stream layout ``STREAM_VERSION``): block b of
+``BLOCK_TRIALS`` trials draws its white noise, trial by trial, in one call
+from a counter-based Philox stream keyed by (master seed, stream domain,
+grid point, b).  A trial's draws thus depend only on its key (seed, domain,
+point, trial) and the block size, not on the trial count, the worker-thread
+count or the scheduling: results are bitwise identical for any thread count
+and a shorter run is a prefix of a longer one.  Changing the block size or
+the key changes the draws and bumps ``STREAM_VERSION``.  Each block, run by
+a thread pool, forms the transformed data and covariance estimates of all
+its trials at once, evaluates them with the stacked formulas of
 :mod:`adaptdet.kernels` (a trial's value does not depend on the block it
 sits in), and writes a disjoint slice of a preallocated result array.  All
 order-sensitive reductions (sorting, counting) happen on the full array in
 trial order.  A non-finite statistic stops the run with the replay key of
-its trial instead of being counted as a miss or sorted into a threshold.
+its trial instead of being counted as a miss or sorted into a threshold; a
+LAPACK failure stops it with ``SingularMatrixError`` naming the stream and
+the trial range of the earliest failing block.
 
 Detectors requested together share the same draws per trial (common random
 numbers), which sharpens PD comparisons between detectors.
@@ -28,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .detectors import DetectorKind
-from .errors import NonFiniteStatisticError
+from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
 from .scenario import (Scenario, SignalCoordinates, make_signal, noise_factor,
                        random_directions, scale_to_snr)
@@ -38,6 +44,7 @@ __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
            "estimate_pd", "pd_curve", "pd_curves", "cfar_check"]
 
+STREAM_VERSION = 2
 BLOCK_TRIALS = 256
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -93,10 +100,15 @@ class CfarReport:
         return abs(self.pfa_empirical - self.pfa_target) <= 4.0 * self.sigma
 
 
-def _trial_generator(seed: int, domain: int, point: int, trial: int) -> np.random.Generator:
+def _block_noise(seed: int, domain: int, point: int, block: int, count: int,
+                 n: int, cols: int) -> np.ndarray:
+    """White CN(0, I) noise (count, n, cols) of the first `count` trials of
+    block `block`, i.e. trials from block * BLOCK_TRIALS, of its stream."""
     ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(int(domain), int(point), int(trial)))
-    return np.random.Generator(np.random.Philox(ss))
+                                spawn_key=(int(domain), int(point), int(block)))
+    draws = np.random.Generator(np.random.Philox(ss)).standard_normal((count, n, cols, 2))
+    draws *= _SQRT_HALF
+    return draws.view(np.complex128)[..., 0]
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -143,11 +155,7 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     def run_block(lo: int) -> None:
         hi = min(lo + BLOCK_TRIALS, trials)
         count = hi - lo
-        z = np.empty((count, n, k + l), dtype=np.complex128)
-        for idx in range(count):
-            rng = _trial_generator(seed, domain, point, lo + idx)
-            draws = rng.standard_normal((2, n, k + l))
-            z[idx] = (draws[0] + 1j * draws[1]) * _SQRT_HALF
+        z = _block_noise(seed, domain, point, lo // BLOCK_TRIALS, count, n, k + l)
         colored = np.matmul(factor, z)
         x = colored[:, :, :k] if sig is None else colored[:, :, :k] + sig
         x_l = colored[:, :, k:]
@@ -157,14 +165,19 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
             s_perp = _gram(x @ cperp_h)
         if need_ru or need_classic:
             s_train = _gram(x_l)
-        if need_ru:
-            ru = kernels.ru_statistics(x_par, s_perp + s_train, a)
-            columns[DetectorKind.GLRGDD_RU], columns[DetectorKind.AMGDD_RU] = ru.T
-        if need_classic:
-            classic = kernels.classic_statistics(x, s_train, a, fact.c_par)
-            columns[DetectorKind.GLRGDD], columns[DetectorKind.AMGDD] = classic.T
-        if need_bose:
-            columns[DetectorKind.BOSE_GLRT] = kernels.ru_statistics(x_par, s_perp, a)[:, 0]
+        try:
+            if need_ru:
+                ru = kernels.ru_statistics(x_par, s_perp + s_train, a)
+                columns[DetectorKind.GLRGDD_RU], columns[DetectorKind.AMGDD_RU] = ru.T
+            if need_classic:
+                classic = kernels.classic_statistics(x, s_train, a, fact.c_par)
+                columns[DetectorKind.GLRGDD], columns[DetectorKind.AMGDD] = classic.T
+            if need_bose:
+                columns[DetectorKind.BOSE_GLRT] = kernels.glrgdd_ru_statistic(x_par, s_perp, a)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"{exc} in trials {lo}..{hi - 1} of stream version {STREAM_VERSION}, "
+                f"(seed, domain, point) = ({seed}, {domain}, {point})") from exc
         block = out[lo:hi]
         for col, kind in enumerate(kinds):
             block[:, col] = columns[kind]

@@ -1,4 +1,6 @@
 import csv
+import runpy
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +216,13 @@ class TestCommandLine:
         assert cli.main(["preset", "fig1", "--print-config"]) == 0
         cfg = parse_config(capsys.readouterr().out)
         assert cfg.N == 12 and cfg.K == 16
+
+    def test_python_dash_m_runs_the_command_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["adaptdet", "preset", "fig1", "--print-config"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("adaptdet", run_name="__main__")
+        assert exc.value.code == 0
+        assert parse_config(capsys.readouterr().out).N == 12
 
     def test_preset_fig2_prints_three_configs(self, capsys):
         assert cli.main(["preset", "fig2", "--print-config"]) == 0

@@ -62,6 +62,15 @@ def test_zero_column_training_batch(stacks):
     assert np.all((out[:, 0] >= 0) & (out[:, 0] < 1))
 
 
+@pytest.mark.parametrize("estimate", ["s_plus", "s_perp"])
+def test_bounded_column_alone_is_bitwise_the_pair_column(stacks, estimate):
+    # the engine's Bose pass computes only this column
+    a = stacks["scenario"].A
+    pair = kernels.ru_statistics(stacks["x_par"], stacks[estimate], a)
+    alone = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks[estimate], a)
+    assert np.array_equal(alone, pair[:, 0])
+
+
 def test_trial_is_bitwise_independent_of_its_stack(stacks):
     # Byte-identical output across thread counts relies on this.
     a = stacks["scenario"].A

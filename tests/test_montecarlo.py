@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 
 from adaptdet import kernels, montecarlo
 from adaptdet.detectors import DetectorKind, compute
-from adaptdet.errors import NonFiniteStatisticError
+from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
 from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL_FRESH, DOMAIN_SIGNAL,
                                  calibrate_threshold, cfar_check, estimate_pd, pd_curve,
                                  pd_curves, simulate_statistics, threshold_from_h0)
@@ -70,15 +72,42 @@ class TestNonFiniteTrials:
                                 domain=DOMAIN_SIGNAL, point=4, threads=2)
 
     def test_replay_key_reproduces_the_trial(self):
-        # the (seed, domain, point, trial) key is enough to recompute a row
+        # the (seed, domain, point, trial) key is enough to recompute a row:
+        # the trial is row trial % BLOCK_TRIALS of its block's noise
         sc = _scenario()
-        stats = simulate_statistics(sc, ALL, 3, seed=11, domain=DOMAIN_SIGNAL, point=2)
-        draws = montecarlo._trial_generator(11, DOMAIN_SIGNAL, 2, 1).standard_normal(
-            (2, sc.N, sc.K + sc.L))
-        data = np.linalg.cholesky(sc.R) @ ((draws[0] + 1j * draws[1]) * np.sqrt(0.5))
-        for col, kind in enumerate(ALL):
-            value = compute(kind, data[:, :sc.K], data[:, sc.K:], sc.A, sc.C).value
-            assert value == pytest.approx(stats[1, col], rel=1e-10)
+        replayed = [1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1]
+        stats = simulate_statistics(sc, ALL, BLOCK_TRIALS + 2, seed=11,
+                                    domain=DOMAIN_SIGNAL, point=2)
+        for trial in replayed:
+            block, row = divmod(trial, BLOCK_TRIALS)
+            white = montecarlo._block_noise(11, DOMAIN_SIGNAL, 2, block, row + 1,
+                                            sc.N, sc.K + sc.L)[row]
+            data = np.linalg.cholesky(sc.R) @ white
+            for col, kind in enumerate(ALL):
+                value = compute(kind, data[:, :sc.K], data[:, sc.K:], sc.A, sc.C).value
+                assert value == pytest.approx(stats[trial, col], rel=1e-10)
+
+    @pytest.mark.parametrize("failing, trials, named", [
+        # every block fails, the short last one at once and the full first one
+        # late: the earliest block in trial order is named, not the first to fail
+        ("every block", BLOCK_TRIALS + 5, f"trials 0..{BLOCK_TRIALS - 1} "),
+        ("last block", 2 * BLOCK_TRIALS + 5,
+         f"trials {2 * BLOCK_TRIALS}..{2 * BLOCK_TRIALS + 4} "),
+    ])
+    def test_lapack_failure_names_the_block(self, monkeypatch, failing, trials, named):
+        def singular(x_par, s_plus, a):
+            if x_par.shape[0] == BLOCK_TRIALS:
+                if failing == "last block":
+                    return np.zeros((BLOCK_TRIALS, 2))
+                time.sleep(0.2)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(kernels, "ru_statistics", singular)
+        pattern = (f"Singular matrix in {named}of stream version "
+                   rf"{montecarlo.STREAM_VERSION}, \(seed, domain, point\) = \(9, 1, 4\)")
+        with pytest.raises(SingularMatrixError, match=pattern):
+            simulate_statistics(_scenario(), [RU], trials, seed=9,
+                                domain=DOMAIN_SIGNAL, point=4, threads=2)
 
 
 class TestCalibration:
@@ -98,6 +127,13 @@ class TestCalibration:
         serial = simulate_statistics(sc, ALL, 1200, seed=3, threads=1)
         parallel = simulate_statistics(sc, ALL, 1200, seed=3, threads=4)
         assert np.array_equal(serial, parallel)
+
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self):
+        # a trial's draws must not depend on the trial count or the thread split
+        sc = _scenario()
+        short = simulate_statistics(sc, ALL, 300, seed=3, threads=2)
+        long = simulate_statistics(sc, ALL, 700, seed=3, threads=1)
+        assert np.array_equal(short, long[:300])
 
     def test_common_random_numbers_across_detectors(self):
         sc = _scenario()

@@ -189,14 +189,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("ADAPTDET_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _thread_count(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=_thread_count, default=None,
                        help="worker threads (default: ADAPTDET_THREADS or 1)")
 
     p = sub.add_parser("calibrate", help="calibrate detection thresholds")
@@ -245,6 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) is None:
+        try:
+            args.threads = _thread_count(os.environ.get("ADAPTDET_THREADS", "").strip() or "1")
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: ADAPTDET_THREADS {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except ConfigError as exc:

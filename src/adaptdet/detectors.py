@@ -129,7 +129,7 @@ def amgdd_ru(td: TransformedData, a) -> Statistic:
 
 
 def glrgdd(x, x_l, a, c) -> Statistic:
-    """GLR statistic on the training-only SCM (factored product form)."""
+    """GLR statistic of the training-only-SCM family, computed on S + X X^H."""
     return compute(DetectorKind.GLRGDD, x, x_l, a, c)
 
 

@@ -11,11 +11,27 @@ the per-instance API in :mod:`adaptdet.detectors` passes a stack of one.
   GLRT when S_plus is built from X_perp alone.
 * ``classic_statistics`` gives [GLRGDD, AMGDD] on the training-only SCM.
 
+A covariance estimate S enters only through the Gram of [A, X_par]
+against S^-1, i.e. Phi_A = A^H S^-1 A, Phi_AX = A^H S^-1 X_par and
+Psi = X_par^H S^-1 X_par, from one N x N solve.  With Phi_A = L L^H and
+V = L^-1 Phi_AX, V^H V = Phi_AX^H Phi_A^-1 Phi_AX and each statistic is the
+top eigenvalue of a J x J matrix: GLRGDD-RU = lambda_max(V (I + Psi)^-1 V^H)
+and AMGDD-RU = lambda_max(V V^H) on S_plus (Bose's GLRT: the former on
+S_perp), AMGDD = lambda_max(V V^H) on S, and GLRGDD =
+lambda_max(V (I - Psi)^-1 V^H) on the full SCM T = S + X X^H.  The last is
+the factored product form (Q = I + X^H S^-1 X) rewritten by identities that
+:func:`adaptdet.detectors.appendix_identities` checks: by
+``coupling_factor_reduction`` and ``woodbury_total_inverse`` its coupling
+factor A^H S^-1 X Q^-1 C_par^H is A^H T^-1 X_par, and by
+``whitened_gram_reduction``, ``woodbury_total_inverse`` and
+``resolvent_contraction`` its waveform Gram C_par Q^-1 C_par^H is
+I - X_par^H T^-1 X_par.  No K x K matrix is formed, and GLRGDD is computed
+on T, not mapped from GLRGDD-RU.
+
 Inputs are assumed validated (complex128, matching dimensions, positive
 definite covariance estimates); the defensive checks live in
 :mod:`adaptdet.detectors`.  Covariance estimates are hermitized here, so a
-raw Gram-matrix sum may be passed.  Each estimate is LU-factored once, for
-all of its right-hand sides together.
+raw Gram-matrix sum may be passed.
 """
 
 from __future__ import annotations
@@ -40,29 +56,20 @@ def _top_eig(m):
     return np.where(lam < 0.0, 0.0, lam)
 
 
-def _inv_sqrt(g):
-    """Hermitian inverse square root of each Hermitian PD matrix."""
-    w, v = np.linalg.eigh(g)
-    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ _ct(v)
+def _reduce(s, a, x_par):
+    """V = L^-1 Phi_AX (Phi_A = L L^H) and Psi of the estimate S, from one
+    solve of S against [A, X_par]."""
+    j = a.shape[-1]
+    b = np.concatenate([np.broadcast_to(a, x_par.shape[:-1] + a.shape[-1:]), x_par],
+                       axis=-1)
+    g = _herm(_ct(b) @ np.linalg.solve(_herm(s), b))
+    v = np.linalg.solve(np.linalg.cholesky(g[..., :j, :j]), g[..., :j, j:])
+    return v, g[..., j:, j:]
 
 
-def _two_step(s, x_par, a, *more):
-    """Two-step numerator Phi_AX^H Phi_A^-1 Phi_AX against S, then S^-1 X_par
-    and S^-1 of each further right-hand side, from one LU factorization of S."""
-    rhs = [np.broadcast_to(a, x_par.shape[:-1] + a.shape[-1:]), x_par, *more]
-    si_a, *si = np.split(np.linalg.solve(s, np.concatenate(rhs, axis=-1)),
-                         np.cumsum([b.shape[-1] for b in rhs])[:-1], axis=-1)
-    a_h = _ct(a)
-    phi_a = _herm(a_h @ si_a)
-    phi_ax = a_h @ si[0]
-    return _herm(_ct(phi_ax) @ np.linalg.solve(phi_a, phi_ax)), *si
-
-
-def _ru_terms(x_par, s_plus, a):
-    """GLRGDD-RU and the two-step numerator whose top eigenvalue is AMGDD-RU."""
-    num, si_x = _two_step(_herm(s_plus), x_par, a)
-    half = _inv_sqrt(np.eye(x_par.shape[-1]) + _herm(_ct(x_par) @ si_x))
-    return _top_eig(half @ num @ half), num
+def _glr(v, psi, sign):
+    """lambda_max(V (I + sign Psi)^-1 V^H)."""
+    return _top_eig(v @ np.linalg.solve(np.eye(psi.shape[-1]) + sign * psi, _ct(v)))
 
 
 def ru_statistics(x_par, s_plus, a) -> np.ndarray:
@@ -71,34 +78,23 @@ def ru_statistics(x_par, s_plus, a) -> np.ndarray:
     x_par: (trials, N, M) signal block; s_plus: (trials, N, N) augmented
     SCM; a: (N, J) spatial subspace.
     """
-    glr, num = _ru_terms(x_par, s_plus, a)
-    return np.stack([glr, _top_eig(num)], axis=-1)
+    v, psi = _reduce(s_plus, a, x_par)
+    return np.stack([_glr(v, psi, 1.0), _top_eig(v @ _ct(v))], axis=-1)
 
 
 def glrgdd_ru_statistic(x_par, s_plus, a) -> np.ndarray:
     """(trials,) GLRGDD-RU alone: bitwise ``ru_statistics(...)[:, 0]``, one
     eigvalsh cheaper.  Bose's GLRT when S_plus is built from X_perp alone."""
-    return _ru_terms(x_par, s_plus, a)[0]
+    return _glr(*_reduce(s_plus, a, x_par), 1.0)
 
 
 def classic_statistics(x, s, a, c_par) -> np.ndarray:
-    """(trials, 2) array of [GLRGDD, AMGDD] (GLRGDD in factored product form).
+    """(trials, 2) array of [GLRGDD, AMGDD].
 
     x: (trials, N, K) test data; s: (trials, N, N) training-only SCM;
     a: (N, J) spatial subspace; c_par: (M, K) semi-unitary waveform rows.
     """
-    s = _herm(s)
-    cpar_h = _ct(c_par)
-    a_h = _ct(a)
-    x_h = _ct(x)
-    num, _, si_x = _two_step(s, x @ cpar_h, a, x)
-    q = _herm(np.eye(x.shape[-1]) + x_h @ si_x)
-    t1 = np.linalg.solve(q, cpar_h)
-    xi_ac = (a_h @ si_x) @ t1
-    m_a = _herm(a_h @ np.linalg.solve(_herm(s + x @ x_h), a))
-    core = _herm(_ct(xi_ac) @ np.linalg.solve(m_a, xi_ac))
-    half = _inv_sqrt(_herm(c_par @ t1))
-    out = np.empty((x.shape[0], 2))
-    out[:, 0] = _top_eig(half @ core @ half)
-    out[:, 1] = _top_eig(num)
-    return out
+    x_par = x @ _ct(c_par)
+    v, _ = _reduce(s, a, x_par)
+    glr = _glr(*_reduce(s + x @ _ct(x), a, x_par), -1.0)
+    return np.stack([glr, _top_eig(v @ _ct(v))], axis=-1)

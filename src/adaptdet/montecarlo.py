@@ -135,7 +135,8 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         kind.check_dims(scenario.N, scenario.K, scenario.M, scenario.L)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    threads = max(1, int(threads))
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n, k, l = scenario.N, scenario.K, scenario.L
     sig = None
     if signal is not None:

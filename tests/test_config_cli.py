@@ -203,6 +203,42 @@ class TestCommandLine:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-4", "two"])
+    def test_invalid_thread_option_exit_code(self, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["preset", "fig1", "--print-config", "--threads", value])
+        assert err.value.code == 1
+        assert f"--threads: must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-4", "two"])
+    def test_invalid_thread_environment_exit_code(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("ADAPTDET_THREADS", value)
+        assert cli.main(["preset", "fig1", "--print-config"]) == 1
+        assert (f"ADAPTDET_THREADS must be an integer >= 1, got {value!r}"
+                in capsys.readouterr().err)
+
+    def test_help_works_with_malformed_thread_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("ADAPTDET_THREADS", "two")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["preset", "--help"])
+        assert err.value.code == 0
+        assert "--threads" in capsys.readouterr().out
+
+    def test_thread_count_from_environment_and_option(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.montecarlo.calibrate_thresholds
+
+        def record(*args, threads, **kwargs):
+            seen.append(threads)
+            return real(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli.montecarlo, "calibrate_thresholds", record)
+        monkeypatch.setenv("ADAPTDET_THREADS", " 2 ")
+        config = self._write_config(tmp_path)
+        assert cli.main(["calibrate", "--config", config]) == 0
+        assert cli.main(["calibrate", "--config", config, "--threads", "3"]) == 0
+        assert seen == [2, 3]
+
     def test_verify_command_passes(self, capsys):
         assert cli.main(["verify", "--instances", "24", "--seed", "5"]) == 0
         out = capsys.readouterr().out

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from adaptdet import kernels
-from adaptdet.scenario import make_scenario, sample_noise, as_generator
+from adaptdet.scenario import (as_generator, make_scenario, make_signal, random_directions,
+                               sample_noise, scale_to_snr)
 from adaptdet.transform import factor_waveform_subspace
 
 from oracles import (amgdd_projection_form, dagger, glrgdd_raw_form, ru_am_direct,
@@ -19,12 +20,12 @@ def _batch(scenario, trials, seed):
     return xb, xlb
 
 
-@pytest.fixture(scope="module")
-def stacks():
+def _engine_stacks(scenario, trials, seed, signal=None):
     """Kernel inputs for a stack of trials, built as the Monte Carlo engine does."""
-    scenario = make_scenario(6, 10, 2, 2, 8, rho=0.95, seed=21)
     f = factor_waveform_subspace(scenario.C)
-    xb, xlb = _batch(scenario, 32, 5)
+    xb, xlb = _batch(scenario, trials, seed)
+    if signal is not None:
+        xb = xb + signal
     x_par = xb @ dagger(f.c_par)
     x_perp = xb @ dagger(f.c_perp)
     s_perp = x_perp @ np.conj(np.swapaxes(x_perp, 1, 2))
@@ -34,12 +35,20 @@ def stacks():
             "s_train": s_train}
 
 
-def test_kernels_match_public_reference_path(stacks):
+_SCENARIO = make_scenario(6, 10, 2, 2, 8, rho=0.95, seed=21)
+
+
+@pytest.fixture(scope="module")
+def stacks():
+    return _engine_stacks(_SCENARIO, 32, 5)
+
+
+def _assert_kernels_match_oracles(stacks):
     # Reference values come from the explicit-inverse oracles in tests/oracles.py,
     # which share no code with the kernels.
     sc, a = stacks["scenario"], stacks["scenario"].A
     ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a)
-    bose = kernels.ru_statistics(stacks["x_par"], stacks["s_perp"], a)[:, 0]
+    bose = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks["s_perp"], a)
     classic = kernels.classic_statistics(stacks["x"], stacks["s_train"], a, stacks["c_par"])
     for t in range(ru.shape[0]):
         x_par = stacks["x_par"][t]
@@ -53,6 +62,19 @@ def test_kernels_match_public_reference_path(stacks):
         assert classic[t, 0] == pytest.approx(glrgdd_raw_form(x, x_l, a, sc.C), rel=1e-8)
         assert classic[t, 1] == pytest.approx(amgdd_projection_form(x, x_l, a, sc.C),
                                               rel=1e-8)
+
+
+def test_kernels_match_public_reference_path(stacks):
+    _assert_kernels_match_oracles(stacks)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0, 60.0])
+def test_kernels_match_oracles_on_signal_data(snr_db):
+    # H1 stacks, with the signal scaled and placed as the engine does
+    theta, alpha = random_directions(_SCENARIO.J, _SCENARIO.M, 7)
+    coords = scale_to_snr(_SCENARIO, theta, alpha, snr_db)
+    signal = make_signal(_SCENARIO.A, coords.theta, coords.alpha, _SCENARIO.C)
+    _assert_kernels_match_oracles(_engine_stacks(_SCENARIO, 12, 9, signal))
 
 
 def test_zero_column_training_batch(stacks):
@@ -76,13 +98,16 @@ def test_trial_is_bitwise_independent_of_its_stack(stacks):
     a = stacks["scenario"].A
     ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a)
     classic = kernels.classic_statistics(stacks["x"], stacks["s_train"], a, stacks["c_par"])
+    bose = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks["s_perp"], a)
     for t in range(ru.shape[0]):
         one = slice(t, t + 1)
         alone_ru = kernels.ru_statistics(stacks["x_par"][one], stacks["s_plus"][one], a)
         alone_cl = kernels.classic_statistics(stacks["x"][one], stacks["s_train"][one], a,
                                               stacks["c_par"])
+        alone_bose = kernels.glrgdd_ru_statistic(stacks["x_par"][one], stacks["s_perp"][one], a)
         assert np.array_equal(alone_ru[0], ru[t])
         assert np.array_equal(alone_cl[0], classic[t])
+        assert np.array_equal(alone_bose[0], bose[t])
 
 
 def test_monotone_map_between_scm_families(stacks):

@@ -150,6 +150,11 @@ class TestCalibration:
         with pytest.raises(ValueError, match="empty detector list"):
             simulate_statistics(_scenario(), [], 10, seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_rejects_thread_count_below_one(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            simulate_statistics(_scenario(), [RU], 10, seed=0, threads=threads)
+
     def test_exactly_m_calibration_exceedances(self):
         sc = _scenario()
         trials, pfa = 500, 0.08

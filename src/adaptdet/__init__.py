@@ -19,7 +19,7 @@ from .scenario import (Scenario, SignalCoordinates, make_scenario, make_signal,
                        random_directions, random_subspaces, sample_noise, scale_to_snr,
                        snr_of, toeplitz_covariance)
 from .transform import (SubspaceFactorization, TransformedData,
-                        factor_waveform_subspace, transform_data)
+                        factor_waveform_subspace, signal_coefficient, transform_data)
 from .config import ExperimentConfig, build_scenario, format_config, parse_config
 from .verify import run_verification
 
@@ -34,6 +34,6 @@ __all__ = [
     "glrgdd", "glrgdd_ru", "hermitize", "hpd_solve", "inv_sqrt",
     "make_scenario", "make_signal", "orthonormal_complement", "parse_config", "pd_curve", "pd_curves",
     "psd_sqrt", "random_directions", "random_subspaces", "run_verification",
-    "sample_noise", "scale_to_snr", "simulate_statistics", "snr_of",
+    "sample_noise", "scale_to_snr", "signal_coefficient", "simulate_statistics", "snr_of",
     "threshold_from_h0", "toeplitz_covariance", "transform_data",
 ]

@@ -16,8 +16,9 @@ GLRGDD-RU with an empty training set.
 
 This module is the per-instance API: it validates one problem instance
 (shapes, dimension constraints, a nonsingular covariance estimate) and
-hands it to :mod:`adaptdet.kernels` as a stack of one trial.  The Monte
-Carlo engine calls the same kernels on whole blocks of trials, so every
+hands it to :mod:`adaptdet.kernels` as a stack of one trial at the single
+signal point c = 0 (the data is taken as given).  The Monte Carlo engine
+calls the same kernels on whole blocks of trials and SNR grids, so every
 statistic has exactly one implementation.
 """
 
@@ -106,7 +107,8 @@ def _validated(kind: DetectorKind, x, x_l, a, c):
 
 
 def _ru_pair(td: TransformedData, a: np.ndarray) -> np.ndarray:
-    return kernels.ru_statistics(td.x_par[None], td.s_plus[None], a)[0]
+    c = kernels.no_signal(a.shape[1], td.x_par.shape[1])
+    return kernels.ru_statistics(td.x_par[None], td.s_plus[None], a, c)[0, 0]
 
 
 def _training_scm(x_l: np.ndarray) -> np.ndarray:
@@ -149,7 +151,9 @@ def compute(kind: DetectorKind, x, x_l, a, c) -> Statistic:
     x, x_l, a, c = _validated(kind, x, x_l, a, c)
     f = factor_waveform_subspace(c)
     if kind in (DetectorKind.GLRGDD, DetectorKind.AMGDD):
-        pair = kernels.classic_statistics(x[None], _training_scm(x_l)[None], a, f.c_par)[0]
+        zero = kernels.no_signal(a.shape[1], c.shape[0])
+        pair = kernels.classic_statistics(x[None], _training_scm(x_l)[None], a, f.c_par,
+                                          zero)[0, 0]
     else:
         if kind is DetectorKind.BOSE_GLRT:
             x_l = x_l[:, :0]

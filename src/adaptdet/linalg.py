@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMatrixError
 
@@ -31,15 +30,12 @@ __all__ = [
 class Tolerances:
     """Numerical tolerances for the whole package (single source of truth)."""
 
-    hermitian_rtol: float = 1e-12  # Hermitian round-trip of constructed matrices
     check_rtol: float = 1e-10      # Hermitian / semi-unitary input checks
-    solve_rtol: float = 1e-10      # relative residual budget of hpd_solve
     psd_clamp_rtol: float = 1e-10  # eigenvalue clamp (relative to trace) in psd_sqrt
     rank_sv_rtol: float = 1e-8     # smallest/largest singular value full-rank test
     identity_rtol: float = 1e-8    # algebraic-identity / equivalence residual budget
     degenerate_rtol: float = 1e-12 # boundary-case detector agreement
     stat_unit_margin: float = 1e-12  # bounded statistics stay below 1 by this margin
-    snr_rtol: float = 1e-12        # scale_to_snr self-consistency
 
 
 TOL = Tolerances()
@@ -76,9 +72,9 @@ def hermitize(g, name: str = "matrix") -> np.ndarray:
 def hpd_solve(s, b, name: str = "covariance") -> np.ndarray:
     """Solve S Y = B for Hermitian positive-definite S.
 
-    Uses a Cholesky factorization of S; the explicit inverse is never
-    formed.  The solution satisfies ``|S Y - B| <= 1e-10 |B|`` (Frobenius,
-    relative) for well-conditioned S.
+    Uses a Cholesky factorization S = F F^H and one solve against each
+    factor; the explicit inverse is never formed.  The solution satisfies
+    ``|S Y - B| <= 1e-10 |B|`` (Frobenius, relative) for well-conditioned S.
 
     Raises
     ------
@@ -93,10 +89,10 @@ def hpd_solve(s, b, name: str = "covariance") -> np.ndarray:
             f"dimension mismatch: {name} is {s.shape}, right-hand side is {b.shape}"
         )
     try:
-        factor = scipy.linalg.cho_factor(s, lower=True, check_finite=False)
+        factor = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"singular covariance estimate: {name}") from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
+    return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, b))
 
 
 def _eigh_checked(s, name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -6,20 +6,31 @@ probability over SNR grids, and empirical CFAR verification.
 Reproducibility contract (stream layout ``STREAM_VERSION``): block b of
 ``BLOCK_TRIALS`` trials draws its white noise, trial by trial, in one call
 from a counter-based Philox stream keyed by (master seed, stream domain,
-grid point, b).  A trial's draws thus depend only on its key (seed, domain,
-point, trial) and the block size, not on the trial count, the worker-thread
-count or the scheduling: results are bitwise identical for any thread count
-and a shorter run is a prefix of a longer one.  Changing the block size or
-the key changes the draws and bumps ``STREAM_VERSION``.  Each block, run by
-a thread pool, forms the transformed data and covariance estimates of all
-its trials at once, evaluates them with the stacked formulas of
-:mod:`adaptdet.kernels` (a trial's value does not depend on the block it
-sits in), and writes a disjoint slice of a preallocated result array.  All
-order-sensitive reductions (sorting, counting) happen on the full array in
-trial order.  A non-finite statistic stops the run with the replay key of
-its trial instead of being counted as a miss or sorted into a threshold; a
-LAPACK failure stops it with ``SingularMatrixError`` naming the stream and
-the trial range of the earliest failing block.
+b).  A trial's draws thus depend only on its key (seed, domain, trial) and
+the block size, not on the trial count, the worker-thread count or the
+scheduling: results are bitwise identical for any thread count and a
+shorter run is a prefix of a longer one.  Changing the block size or the
+key changes the draws and bumps ``STREAM_VERSION``.
+
+An H1 trial's noise is drawn once and evaluated at every point of the SNR
+grid: the signal only moves X_par (see :mod:`adaptdet.kernels`), so each
+point costs small matrix products on the trial's shared reduction, plus
+GLRGDD's own solve.  The grid points of a trial share its noise (common
+random numbers across SNR), a point's value does not depend on which other
+points are evaluated with it, and a grid can therefore be extended or cut
+without changing the points it keeps.  Layout 3 keys the H1 stream as
+layout 2 keyed its first grid point; the H0 streams are unchanged.
+
+Each block, run by a thread pool, forms the transformed data and
+covariance estimates of all its trials at once, evaluates them with the
+stacked formulas of :mod:`adaptdet.kernels` (a trial's value does not
+depend on the block it sits in), and writes a disjoint slice of a
+preallocated result array.  All order-sensitive reductions (sorting,
+counting) happen on the full array in trial order.  A non-finite statistic
+stops the run with the replay key of its trial and grid point instead of
+being counted as a miss or sorted into a threshold; a LAPACK failure stops
+it with ``SingularMatrixError`` naming the stream, the grid and the trial
+range of the earliest failing block.
 
 Detectors requested together share the same draws per trial (common random
 numbers), which sharpens PD comparisons between detectors.
@@ -36,21 +47,21 @@ from . import kernels
 from .detectors import DetectorKind
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
-from .scenario import (Scenario, SignalCoordinates, make_signal, noise_factor,
-                       random_directions, scale_to_snr)
-from .transform import factor_waveform_subspace
+from .scenario import (Scenario, SignalCoordinates, noise_factor, random_directions,
+                       scale_to_snr)
+from .transform import factor_waveform_subspace, signal_coefficient
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
            "estimate_pd", "pd_curve", "pd_curves", "cfar_check"]
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 BLOCK_TRIALS = 256
 _SQRT_HALF = np.sqrt(0.5)
 
 # Stream domains keep draws from different purposes disjoint.
 DOMAIN_NULL = 0        # H0 draws: calibration (and CFAR re-measurement, by design)
-DOMAIN_SIGNAL = 1      # H1 draws, one sub-stream per SNR grid point
+DOMAIN_SIGNAL = 1      # H1 draws, one per trial, shared by every SNR grid point
 DOMAIN_NULL_FRESH = 2  # independent H0 draws for re-measuring an empirical PFA
 
 
@@ -63,11 +74,7 @@ class CalibrationResult:
     seed: int
 
     def __post_init__(self):
-        if self.trials * self.pfa_target < 20:
-            raise ValueError(
-                f"calibration refused: trials*pfa = {self.trials * self.pfa_target:g} "
-                "< 20 (threshold variance too high to be meaningful)"
-            )
+        _check_calibration_budget(self.pfa_target, self.trials)
 
 
 @dataclass(frozen=True)
@@ -100,12 +107,14 @@ class CfarReport:
         return abs(self.pfa_empirical - self.pfa_target) <= 4.0 * self.sigma
 
 
-def _block_noise(seed: int, domain: int, point: int, block: int, count: int,
-                 n: int, cols: int) -> np.ndarray:
+def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
+                 cols: int) -> np.ndarray:
     """White CN(0, I) noise (count, n, cols) of the first `count` trials of
     block `block`, i.e. trials from block * BLOCK_TRIALS, of its stream."""
+    # The middle 0 is the grid-point slot of layout 2, where H1 drew one stream
+    # per point; keeping it leaves the H0 draws and layout 2's first point as they were.
     ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(int(domain), int(point), int(block)))
+                                spawn_key=(int(domain), 0, int(block)))
     draws = np.random.Generator(np.random.Philox(ss)).standard_normal((count, n, cols, 2))
     draws *= _SQRT_HALF
     return draws.view(np.complex128)[..., 0]
@@ -116,14 +125,25 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return m @ np.conj(np.swapaxes(m, -1, -2))
 
 
+def _coefficients(scenario: Scenario, coords) -> np.ndarray:
+    """(P, J, M) signal coefficients of a sequence of signal coordinates."""
+    f = factor_waveform_subspace(scenario.C)
+    stack = [signal_coefficient(f, co.theta, co.alpha) for co in coords]
+    return np.array(stack, dtype=np.complex128).reshape(-1, scenario.J, scenario.M)
+
+
 def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
-                        signal=None, domain: int = DOMAIN_NULL, point: int = 0,
+                        coefficients=None, snr_db=None, domain: int = DOMAIN_NULL,
                         threads: int = 1) -> np.ndarray:
     """Statistics of `kinds` over `trials` independent realizations.
 
-    Returns (trials, len(kinds)) float64; column j holds kinds[j].  All
-    kinds are evaluated on the same data per trial.  `signal` is an
-    optional N x K matrix added to the noise of every trial (H1).
+    Without `coefficients` the trials are noise only and the result is
+    (trials, len(kinds)) float64; column j holds kinds[j].  With a (P, J, M)
+    stack of signal coefficients c (the signal A theta alpha^H C has
+    c = theta alpha^H D, see :func:`adaptdet.transform.signal_coefficient`)
+    each trial's noise is evaluated at all P points and the result is
+    (trials, P, len(kinds)).  `snr_db` labels the points in error messages.
+    All kinds and points are evaluated on the same noise per trial.
 
     Raises NonFiniteStatisticError naming the replay key of the first
     trial whose statistics are not all finite.
@@ -138,11 +158,24 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     n, k, l = scenario.N, scenario.K, scenario.L
-    sig = None
-    if signal is not None:
-        sig = as_cmatrix(signal, "signal")
-        if sig.shape != (n, k):
-            raise ValueError(f"signal must be {n}x{k}, got {sig.shape}")
+    if coefficients is None:
+        c = kernels.no_signal(scenario.J, scenario.M)
+    else:
+        c = np.asarray(coefficients, dtype=np.complex128)
+        if c.ndim != 3 or c.shape[1:] != (scenario.J, scenario.M):
+            raise ValueError(f"coefficients must be (P, {scenario.J}, {scenario.M}), "
+                             f"got {c.shape}")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients contain non-finite entries")
+    points = c.shape[0]
+    names = ([f"{p} ({float(v)} dB)" for p, v in enumerate(snr_db)] if snr_db is not None
+             else [str(p) for p in range(points)])
+    if len(names) != points:
+        raise ValueError(f"{len(names)} SNR labels for {points} grid points")
+    grid = ""
+    if coefficients is not None and points:
+        grid = (f" at grid point {names[0]}" if points == 1
+                else f" at grid points {names[0]} to {names[-1]}")
 
     fact = factor_waveform_subspace(scenario.C)
     cpar_h, cperp_h = fact.c_par.conj().T, fact.c_perp.conj().T
@@ -151,15 +184,14 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     need_ru = any(kd in (DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU) for kd in kinds)
     need_classic = any(kd in (DetectorKind.GLRGDD, DetectorKind.AMGDD) for kd in kinds)
     need_bose = DetectorKind.BOSE_GLRT in kinds
-    out = np.empty((trials, len(kinds)), dtype=np.float64)
+    out = np.empty((trials, points, len(kinds)), dtype=np.float64)
 
     def run_block(lo: int) -> None:
         hi = min(lo + BLOCK_TRIALS, trials)
         count = hi - lo
-        z = _block_noise(seed, domain, point, lo // BLOCK_TRIALS, count, n, k + l)
+        z = _block_noise(seed, domain, lo // BLOCK_TRIALS, count, n, k + l)
         colored = np.matmul(factor, z)
-        x = colored[:, :, :k] if sig is None else colored[:, :, :k] + sig
-        x_l = colored[:, :, k:]
+        x, x_l = colored[:, :, :k], colored[:, :, k:]
         columns = {}
         if need_ru or need_bose:
             x_par = x @ cpar_h
@@ -168,25 +200,31 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
             s_train = _gram(x_l)
         try:
             if need_ru:
-                ru = kernels.ru_statistics(x_par, s_perp + s_train, a)
-                columns[DetectorKind.GLRGDD_RU], columns[DetectorKind.AMGDD_RU] = ru.T
+                ru = kernels.ru_statistics(x_par, s_perp + s_train, a, c)
+                columns[DetectorKind.GLRGDD_RU] = ru[..., 0]
+                columns[DetectorKind.AMGDD_RU] = ru[..., 1]
             if need_classic:
-                classic = kernels.classic_statistics(x, s_train, a, fact.c_par)
-                columns[DetectorKind.GLRGDD], columns[DetectorKind.AMGDD] = classic.T
+                classic = kernels.classic_statistics(x, s_train, a, fact.c_par, c)
+                columns[DetectorKind.GLRGDD] = classic[..., 0]
+                columns[DetectorKind.AMGDD] = classic[..., 1]
             if need_bose:
-                columns[DetectorKind.BOSE_GLRT] = kernels.glrgdd_ru_statistic(x_par, s_perp, a)
+                columns[DetectorKind.BOSE_GLRT] = kernels.glrgdd_ru_statistic(
+                    x_par, s_perp, a, c)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"{exc} in trials {lo}..{hi - 1} of stream version {STREAM_VERSION}, "
-                f"(seed, domain, point) = ({seed}, {domain}, {point})") from exc
+                f"(seed, domain) = ({seed}, {domain}){grid}") from exc
         block = out[lo:hi]
         for col, kind in enumerate(kinds):
-            block[:, col] = columns[kind]
-        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+            block[..., col] = columns[kind]
+        bad = np.argwhere(~np.isfinite(block).all(axis=-1))
         if bad.size:
+            trial, p = int(bad[0, 0]), int(bad[0, 1])
             raise NonFiniteStatisticError(
-                f"non-finite statistic in trial (seed, domain, point, trial) = "
-                f"({seed}, {domain}, {point}, {lo + int(bad[0])})")
+                f"non-finite statistic in trial (seed, domain, trial) = "
+                f"({seed}, {domain}, {lo + trial})"
+                + (f" at grid point {names[p]}" if coefficients is not None else "")
+                + f" of stream version {STREAM_VERSION}")
 
     starts = range(0, trials, BLOCK_TRIALS)
     if threads == 1 or trials <= BLOCK_TRIALS:
@@ -195,7 +233,7 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_block, starts))
-    return out
+    return out if coefficients is not None else out[:, 0]
 
 
 def threshold_from_h0(stats, pfa: float) -> float:
@@ -255,12 +293,14 @@ def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
 def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
                 snr_db: float, trials: int, seed: int, *,
                 coords: SignalCoordinates | None = None, directions=None,
-                point: int = 0, threads: int = 1) -> float:
+                threads: int = 1) -> float:
     """Detection probability at one SNR: count(statistic > threshold) / trials.
 
     The signal direction pair defaults to unit vectors drawn from the seed;
     pass `coords` to inject explicit signal coordinates (bypassing the SNR
-    scaling, e.g. for the zero-signal degenerate case).
+    scaling, e.g. for the zero-signal degenerate case).  The trials are
+    those of every grid point, so the result equals bitwise the ``pd_curves``
+    value at this SNR for the same seed, trials, directions and threshold.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -268,10 +308,10 @@ def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
         if directions is None:
             directions = random_directions(scenario.J, scenario.M, seed)
         coords = scale_to_snr(scenario, directions[0], directions[1], snr_db)
-    sig = make_signal(scenario.A, coords.theta, coords.alpha, scenario.C)
-    stats = simulate_statistics(scenario, [kind], trials, seed, signal=sig,
-                                domain=DOMAIN_SIGNAL, point=point, threads=threads)
-    return float(np.count_nonzero(stats[:, 0] > threshold)) / trials
+    stats = simulate_statistics(scenario, [kind], trials, seed,
+                                coefficients=_coefficients(scenario, [coords]),
+                                snr_db=[snr_db], domain=DOMAIN_SIGNAL, threads=threads)
+    return float(np.count_nonzero(stats[:, 0, 0] > threshold)) / trials
 
 
 def _check_grid(snr_grid_db) -> tuple[float, ...]:
@@ -294,25 +334,24 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
               threads: int = 1) -> dict[DetectorKind, PdCurve]:
     """PD curves for several detectors with common random numbers.
 
-    One calibration pass and one H1 pass per grid point are shared by all
-    detectors, so curve differences reflect the detectors rather than the
-    draws.
+    One calibration pass and one H1 pass are shared by all detectors and
+    all grid points, so curve differences reflect the detectors rather than
+    the draws, and each point's pd is that of :func:`estimate_pd` at its SNR.
     """
+    if pd_trials < 1:
+        raise ValueError(f"pd_trials must be >= 1, got {pd_trials}")
     kinds = list(kinds)
     grid = _check_grid(snr_grid_db)
     cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, seed,
                                 threads=threads)
     if directions is None:
         directions = random_directions(scenario.J, scenario.M, seed)
-    pd_matrix = np.empty((len(grid), len(kinds)), dtype=np.float64)
-    for i, snr in enumerate(grid):
-        coords = scale_to_snr(scenario, directions[0], directions[1], snr)
-        sig = make_signal(scenario.A, coords.theta, coords.alpha, scenario.C)
-        stats = simulate_statistics(scenario, kinds, pd_trials, seed, signal=sig,
-                                    domain=DOMAIN_SIGNAL, point=i, threads=threads)
-        for j, kind in enumerate(kinds):
-            count = int(np.count_nonzero(stats[:, j] > cals[kind].threshold))
-            pd_matrix[i, j] = count / pd_trials
+    coords = [scale_to_snr(scenario, directions[0], directions[1], snr) for snr in grid]
+    stats = simulate_statistics(scenario, kinds, pd_trials, seed,
+                                coefficients=_coefficients(scenario, coords),
+                                snr_db=grid, domain=DOMAIN_SIGNAL, threads=threads)
+    thresholds = np.array([cals[kind].threshold for kind in kinds])
+    pd_matrix = np.count_nonzero(stats > thresholds, axis=0) / pd_trials
     return {
         kind: PdCurve(
             kind=kind,

@@ -18,7 +18,7 @@ from .errors import SingularMatrixError
 from .linalg import TOL, as_cmatrix, hermitize, inv_sqrt, orthonormal_complement, psd_sqrt
 
 __all__ = ["SubspaceFactorization", "TransformedData", "factor_waveform_subspace",
-           "transform_data"]
+           "signal_coefficient", "transform_data"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +65,15 @@ def factor_waveform_subspace(c) -> SubspaceFactorization:
     else:
         c_perp = np.zeros((0, k), dtype=np.complex128)
     return SubspaceFactorization(c_par=c_par, c_perp=c_perp, d=d)
+
+
+def signal_coefficient(f: SubspaceFactorization, theta, alpha) -> np.ndarray:
+    """J x M coefficient c = theta alpha^H D of the signal A theta alpha^H C.
+
+    As C = D C_par and C C_perp^H = 0, the signal adds A c to X_par and
+    nothing to X_perp.
+    """
+    return np.outer(theta, np.conj(alpha)) @ f.d
 
 
 def transform_data(x, x_l, f: SubspaceFactorization) -> TransformedData:

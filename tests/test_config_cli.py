@@ -1,6 +1,9 @@
 import csv
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,3 +269,17 @@ class TestCommandLine:
         assert out.count("N = 12") == 3
         for k in cli.FIG2_K_GRID:
             assert f"K = {k}" in out
+
+
+def test_package_and_command_line_import_without_scipy():
+    # scipy serves only the test oracles; importing it would cost most of the
+    # package's start-up time
+    import adaptdet
+
+    src = str(Path(adaptdet.__file__).resolve().parents[1])
+    probe = ("import adaptdet, adaptdet.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -4,7 +4,7 @@ import pytest
 from adaptdet import kernels
 from adaptdet.scenario import (as_generator, make_scenario, make_signal, random_directions,
                                sample_noise, scale_to_snr)
-from adaptdet.transform import factor_waveform_subspace
+from adaptdet.transform import factor_waveform_subspace, signal_coefficient
 
 from oracles import (amgdd_projection_form, dagger, glrgdd_raw_form, ru_am_direct,
                      ru_glr_direct)
@@ -36,6 +36,20 @@ def _engine_stacks(scenario, trials, seed, signal=None):
 
 
 _SCENARIO = make_scenario(6, 10, 2, 2, 8, rho=0.95, seed=21)
+_SNRS_DB = (0.0, 20.0, 40.0, 60.0)
+
+
+def _signal(snr_db):
+    """The signal matrix at `snr_db` and its (1, J, M) coefficient stack."""
+    theta, alpha = random_directions(_SCENARIO.J, _SCENARIO.M, 7)
+    coords = scale_to_snr(_SCENARIO, theta, alpha, snr_db)
+    f = factor_waveform_subspace(_SCENARIO.C)
+    return (make_signal(_SCENARIO.A, coords.theta, coords.alpha, _SCENARIO.C),
+            signal_coefficient(f, coords.theta, coords.alpha)[None])
+
+
+def _zero(sc):
+    return kernels.no_signal(sc.J, sc.M)
 
 
 @pytest.fixture(scope="module")
@@ -43,79 +57,91 @@ def stacks():
     return _engine_stacks(_SCENARIO, 32, 5)
 
 
-def _assert_kernels_match_oracles(stacks):
+def _kernel_values(stacks, c):
+    """The five statistics, (trials, P, 5), computed from noise stacks and a
+    coefficient stack: [GLRGDD-RU, AMGDD-RU, Bose, GLRGDD, AMGDD]."""
+    a = stacks["scenario"].A
+    ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a, c)
+    bose = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks["s_perp"], a, c)
+    classic = kernels.classic_statistics(stacks["x"], stacks["s_train"], a,
+                                         stacks["c_par"], c)
+    return np.concatenate([ru, bose[..., None], classic], axis=-1)
+
+
+def _assert_match_oracles(values, stacks):
     # Reference values come from the explicit-inverse oracles in tests/oracles.py,
-    # which share no code with the kernels.
+    # which share no code with the kernels; `stacks` holds the data with any
+    # signal already added.
     sc, a = stacks["scenario"], stacks["scenario"].A
-    ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a)
-    bose = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks["s_perp"], a)
-    classic = kernels.classic_statistics(stacks["x"], stacks["s_train"], a, stacks["c_par"])
-    for t in range(ru.shape[0]):
+    for t in range(values.shape[0]):
         x_par = stacks["x_par"][t]
         x, x_l = stacks["x"][t], stacks["x_l"][t]
-        assert ru[t, 0] == pytest.approx(ru_glr_direct(x_par, stacks["s_plus"][t], a),
-                                         rel=1e-8)
-        assert ru[t, 1] == pytest.approx(ru_am_direct(x_par, stacks["s_plus"][t], a),
-                                         rel=1e-8)
-        assert bose[t] == pytest.approx(ru_glr_direct(x_par, stacks["s_perp"][t], a),
-                                        rel=1e-8)
-        assert classic[t, 0] == pytest.approx(glrgdd_raw_form(x, x_l, a, sc.C), rel=1e-8)
-        assert classic[t, 1] == pytest.approx(amgdd_projection_form(x, x_l, a, sc.C),
-                                              rel=1e-8)
+        expected = [ru_glr_direct(x_par, stacks["s_plus"][t], a),
+                    ru_am_direct(x_par, stacks["s_plus"][t], a),
+                    ru_glr_direct(x_par, stacks["s_perp"][t], a),
+                    glrgdd_raw_form(x, x_l, a, sc.C),
+                    amgdd_projection_form(x, x_l, a, sc.C)]
+        for value, ref in zip(values[t], expected):
+            assert value == pytest.approx(ref, rel=1e-8)
 
 
 def test_kernels_match_public_reference_path(stacks):
-    _assert_kernels_match_oracles(stacks)
+    _assert_match_oracles(_kernel_values(stacks, _zero(_SCENARIO))[:, 0], stacks)
 
 
-@pytest.mark.parametrize("snr_db", [0.0, 20.0, 40.0, 60.0])
-def test_kernels_match_oracles_on_signal_data(snr_db):
-    # H1 stacks, with the signal scaled and placed as the engine does
-    theta, alpha = random_directions(_SCENARIO.J, _SCENARIO.M, 7)
-    coords = scale_to_snr(_SCENARIO, theta, alpha, snr_db)
-    signal = make_signal(_SCENARIO.A, coords.theta, coords.alpha, _SCENARIO.C)
-    _assert_kernels_match_oracles(_engine_stacks(_SCENARIO, 12, 9, signal))
+@pytest.fixture(scope="module")
+def signal_values():
+    # one kernel call over the whole SNR stack, on noise stacks of 12 trials
+    c = np.concatenate([_signal(snr)[1] for snr in _SNRS_DB])
+    return _kernel_values(_engine_stacks(_SCENARIO, 12, 9), c)
+
+
+@pytest.mark.parametrize("snr_db", _SNRS_DB)
+def test_kernels_match_oracles_on_signal_data(signal_values, snr_db):
+    # kernels: the noise and the signal coefficient; oracles: X + the signal matrix
+    signal, _ = _signal(snr_db)
+    values = signal_values[:, _SNRS_DB.index(snr_db)]
+    _assert_match_oracles(values, _engine_stacks(_SCENARIO, 12, 9, signal))
 
 
 def test_zero_column_training_batch(stacks):
     # Bose's GLRT: the augmented SCM built from the virtual training data alone
-    out = kernels.ru_statistics(stacks["x_par"], stacks["s_perp"], stacks["scenario"].A)
-    assert out.shape == (stacks["x"].shape[0], 2)
-    assert np.all((out[:, 0] >= 0) & (out[:, 0] < 1))
+    sc = stacks["scenario"]
+    out = kernels.ru_statistics(stacks["x_par"], stacks["s_perp"], sc.A, _zero(sc))
+    assert out.shape == (stacks["x"].shape[0], 1, 2)
+    assert np.all((out[..., 0] >= 0) & (out[..., 0] < 1))
 
 
 @pytest.mark.parametrize("estimate", ["s_plus", "s_perp"])
 def test_bounded_column_alone_is_bitwise_the_pair_column(stacks, estimate):
     # the engine's Bose pass computes only this column
     a = stacks["scenario"].A
-    pair = kernels.ru_statistics(stacks["x_par"], stacks[estimate], a)
-    alone = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks[estimate], a)
-    assert np.array_equal(alone, pair[:, 0])
+    c = np.concatenate([_signal(snr)[1] for snr in _SNRS_DB])
+    pair = kernels.ru_statistics(stacks["x_par"], stacks[estimate], a, c)
+    alone = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks[estimate], a, c)
+    assert np.array_equal(alone, pair[..., 0])
 
 
 def test_trial_is_bitwise_independent_of_its_stack(stacks):
-    # Byte-identical output across thread counts relies on this.
-    a = stacks["scenario"].A
-    ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a)
-    classic = kernels.classic_statistics(stacks["x"], stacks["s_train"], a, stacks["c_par"])
-    bose = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks["s_perp"], a)
-    for t in range(ru.shape[0]):
-        one = slice(t, t + 1)
-        alone_ru = kernels.ru_statistics(stacks["x_par"][one], stacks["s_plus"][one], a)
-        alone_cl = kernels.classic_statistics(stacks["x"][one], stacks["s_train"][one], a,
-                                              stacks["c_par"])
-        alone_bose = kernels.glrgdd_ru_statistic(stacks["x_par"][one], stacks["s_perp"][one], a)
-        assert np.array_equal(alone_ru[0], ru[t])
-        assert np.array_equal(alone_cl[0], classic[t])
-        assert np.array_equal(alone_bose[0], bose[t])
+    # Byte-identical output across thread counts relies on the trial axis, and
+    # a grid that can be extended or cut relies on the point axis.
+    c = np.concatenate([_zero(_SCENARIO)] + [_signal(snr)[1] for snr in _SNRS_DB])
+    full = _kernel_values(stacks, c)
+    for t in range(full.shape[0]):
+        one = {key: (val[t:t + 1] if key in ("x", "x_l", "x_par", "s_plus", "s_perp",
+                                             "s_train") else val)
+               for key, val in stacks.items()}
+        for p in range(c.shape[0]):
+            assert np.array_equal(_kernel_values(one, c[p:p + 1])[0, 0], full[t, p])
 
 
 def test_monotone_map_between_scm_families(stacks):
     # GLRGDD = t / (1 - t) of GLRGDD-RU, as computed on the engine's stacks
     a = stacks["scenario"].A
-    t_ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a)[:, 0]
+    c = np.concatenate([_zero(_SCENARIO)] + [_signal(snr)[1] for snr in _SNRS_DB[:2]])
+    t_ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a, c)[..., 0]
     t_full = kernels.classic_statistics(stacks["x"], stacks["s_train"], a,
-                                        stacks["c_par"])[:, 0]
+                                        stacks["c_par"], c)[..., 0]
     assert np.all(np.abs(t_full - t_ru / (1.0 - t_ru)) <= 1e-8 * (1.0 + t_full))
 
 
@@ -125,6 +151,7 @@ def test_square_waveform_subspace_two_step_agreement():
     c_par = factor_waveform_subspace(scenario.C).c_par
     xb, xlb = _batch(scenario, 16, 6)
     s_train = xlb @ np.conj(np.swapaxes(xlb, 1, 2))
-    ru = kernels.ru_statistics(xb @ dagger(c_par), s_train, scenario.A)
-    classic = kernels.classic_statistics(xb, s_train, scenario.A, c_par)
-    assert np.allclose(ru[:, 1], classic[:, 1], rtol=1e-12, atol=0.0)
+    zero = _zero(scenario)
+    ru = kernels.ru_statistics(xb @ dagger(c_par), s_train, scenario.A, zero)
+    classic = kernels.classic_statistics(xb, s_train, scenario.A, c_par, zero)
+    assert np.allclose(ru[..., 1], classic[..., 1], rtol=1e-12, atol=0.0)

@@ -9,8 +9,9 @@ from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
 from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL_FRESH, DOMAIN_SIGNAL,
                                  calibrate_threshold, cfar_check, estimate_pd, pd_curve,
                                  pd_curves, simulate_statistics, threshold_from_h0)
-from adaptdet.scenario import (SignalCoordinates, make_scenario, random_directions,
-                               scale_to_snr, toeplitz_covariance)
+from adaptdet.scenario import (SignalCoordinates, make_scenario, make_signal,
+                               random_directions, scale_to_snr, toeplitz_covariance)
+from adaptdet.transform import factor_waveform_subspace, signal_coefficient
 
 RU = DetectorKind.GLRGDD_RU
 ALL = list(DetectorKind)
@@ -51,6 +52,14 @@ class TestThresholdRule:
             threshold_from_h0(stats, 0.01)
 
 
+def _grid(sc, snrs, seed):
+    """(P, J, M) signal coefficients of the seed's directions over `snrs`."""
+    theta, alpha = random_directions(sc.J, sc.M, seed)
+    f = factor_waveform_subspace(sc.C)
+    return np.array([signal_coefficient(f, co.theta, co.alpha) for co in
+                     (scale_to_snr(sc, theta, alpha, snr) for snr in snrs)])
+
+
 class TestNonFiniteTrials:
     @pytest.mark.parametrize("name, kinds", [
         ("ru_statistics", [RU, DetectorKind.BOSE_GLRT]),
@@ -61,31 +70,44 @@ class TestNonFiniteTrials:
 
         def inf_in_row_3(*args):
             out = real(*args)
-            out[3, 0] = np.inf
-            out[3, 1] = np.nan
+            out[3, 1, 0] = np.inf
+            out[3, 1, 1] = np.nan
+            out[4, 0] = np.nan
             return out
 
         monkeypatch.setattr(kernels, name, inf_in_row_3)
-        # every block has a bad row; the earliest one in trial order is reported
-        with pytest.raises(NonFiniteStatisticError, match=r"= \(9, 1, 4, 3\)"):
-            simulate_statistics(_scenario(), kinds, 2 * BLOCK_TRIALS + 5, seed=9,
-                                domain=DOMAIN_SIGNAL, point=4, threads=2)
+        sc = _scenario()
+        snrs = [0.0, 6.0, 12.0]
+        # every block has bad rows; the earliest trial in trial order is reported
+        pattern = (r"\(seed, domain, trial\) = \(9, 1, 3\) at grid point 1 \(6\.0 dB\) "
+                   rf"of stream version {montecarlo.STREAM_VERSION}")
+        with pytest.raises(NonFiniteStatisticError, match=pattern):
+            simulate_statistics(sc, kinds, 2 * BLOCK_TRIALS + 5, seed=9,
+                                coefficients=_grid(sc, snrs, 9), snr_db=snrs,
+                                domain=DOMAIN_SIGNAL, threads=2)
 
     def test_replay_key_reproduces_the_trial(self):
-        # the (seed, domain, point, trial) key is enough to recompute a row:
-        # the trial is row trial % BLOCK_TRIALS of its block's noise
+        # the (seed, domain, trial) key and the grid point's signal are enough
+        # to recompute a value: the trial is row trial % BLOCK_TRIALS of its
+        # block's noise, shared by every grid point
         sc = _scenario()
+        snrs = [-3.0, 6.0, 15.0]
+        theta, alpha = random_directions(sc.J, sc.M, 11)
         replayed = [1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1]
         stats = simulate_statistics(sc, ALL, BLOCK_TRIALS + 2, seed=11,
-                                    domain=DOMAIN_SIGNAL, point=2)
+                                    coefficients=_grid(sc, snrs, 11), snr_db=snrs,
+                                    domain=DOMAIN_SIGNAL)
         for trial in replayed:
             block, row = divmod(trial, BLOCK_TRIALS)
-            white = montecarlo._block_noise(11, DOMAIN_SIGNAL, 2, block, row + 1,
+            white = montecarlo._block_noise(11, DOMAIN_SIGNAL, block, row + 1,
                                             sc.N, sc.K + sc.L)[row]
             data = np.linalg.cholesky(sc.R) @ white
-            for col, kind in enumerate(ALL):
-                value = compute(kind, data[:, :sc.K], data[:, sc.K:], sc.A, sc.C).value
-                assert value == pytest.approx(stats[trial, col], rel=1e-10)
+            for p, snr in enumerate(snrs):
+                coords = scale_to_snr(sc, theta, alpha, snr)
+                x = data[:, :sc.K] + make_signal(sc.A, coords.theta, coords.alpha, sc.C)
+                for col, kind in enumerate(ALL):
+                    value = compute(kind, x, data[:, sc.K:], sc.A, sc.C).value
+                    assert value == pytest.approx(stats[trial, p, col], rel=1e-10)
 
     @pytest.mark.parametrize("failing, trials, named", [
         # every block fails, the short last one at once and the full first one
@@ -95,19 +117,22 @@ class TestNonFiniteTrials:
          f"trials {2 * BLOCK_TRIALS}..{2 * BLOCK_TRIALS + 4} "),
     ])
     def test_lapack_failure_names_the_block(self, monkeypatch, failing, trials, named):
-        def singular(x_par, s_plus, a):
+        def singular(x_par, s_plus, a, c):
             if x_par.shape[0] == BLOCK_TRIALS:
                 if failing == "last block":
-                    return np.zeros((BLOCK_TRIALS, 2))
+                    return np.zeros((BLOCK_TRIALS, c.shape[0], 2))
                 time.sleep(0.2)
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(kernels, "ru_statistics", singular)
+        sc = _scenario()
+        snrs = [0.0, 6.0]
         pattern = (f"Singular matrix in {named}of stream version "
-                   rf"{montecarlo.STREAM_VERSION}, \(seed, domain, point\) = \(9, 1, 4\)")
+                   rf"{montecarlo.STREAM_VERSION}, \(seed, domain\) = \(9, 1\) "
+                   r"at grid points 0 \(0\.0 dB\) to 1 \(6\.0 dB\)")
         with pytest.raises(SingularMatrixError, match=pattern):
-            simulate_statistics(_scenario(), [RU], trials, seed=9,
-                                domain=DOMAIN_SIGNAL, point=4, threads=2)
+            simulate_statistics(sc, [RU], trials, seed=9, coefficients=_grid(sc, snrs, 9),
+                                snr_db=snrs, domain=DOMAIN_SIGNAL, threads=2)
 
 
 class TestCalibration:
@@ -201,6 +226,10 @@ class TestPdCurves:
         with pytest.raises(ValueError, match="strictly increasing"):
             pd_curve(sc, RU, [3.0, 3.0], 0.05, 600, 100, seed=11)
 
+    def test_rejects_empty_pd_budget(self):
+        with pytest.raises(ValueError, match="pd_trials must be >= 1, got 0"):
+            pd_curve(_scenario(), RU, [0.0], 0.05, 600, 0, seed=11)
+
     def test_pd_values_are_exact_trial_ratios(self):
         sc = _scenario()
         curve = pd_curve(sc, RU, [0.0, 8.0, 16.0], 0.05, 600, 250, seed=12)
@@ -223,6 +252,44 @@ class TestPdCurves:
         joint = pd_curves(sc, ALL, grid, 0.05, 600, 300, seed=16)
         single = pd_curve(sc, DetectorKind.BOSE_GLRT, grid, 0.05, 600, 300, seed=16)
         assert joint[DetectorKind.BOSE_GLRT].points == single.points
+
+    def test_estimate_pd_is_the_curve_value_at_its_snr(self):
+        sc = _scenario()
+        curve = pd_curve(sc, RU, [0.0, 6.0, 12.0], 0.05, 600, 600, seed=23)
+        for snr, pd in curve.points:
+            assert estimate_pd(sc, RU, curve.threshold_used, snr, 600, seed=23) == pd
+
+    def test_sub_grid_keeps_the_points_it_shares(self):
+        # a grid can be extended or cut without moving the points it keeps
+        sc = _scenario()
+        full = pd_curves(sc, ALL, [-3.0, 0.0, 3.0, 6.0, 9.0, 12.0], 0.05, 600, 600, seed=24)
+        sub = pd_curves(sc, ALL, [3.0, 12.0], 0.05, 600, 600, seed=24)
+        for kind in ALL:
+            assert sub[kind].points == tuple(p for p in full[kind].points
+                                             if p[0] in (3.0, 12.0))
+
+    def test_grid_points_share_the_trial_noise(self):
+        sc = _scenario()
+        snrs = [-3.0, 0.0, 3.0, 6.0]
+        full = simulate_statistics(sc, ALL, 300, seed=25, coefficients=_grid(sc, snrs, 25),
+                                   domain=DOMAIN_SIGNAL)
+        assert full.shape == (300, len(snrs), len(ALL))
+        sub = simulate_statistics(sc, ALL, 300, seed=25,
+                                  coefficients=_grid(sc, snrs[1::2], 25), domain=DOMAIN_SIGNAL)
+        assert np.array_equal(sub, full[:, 1::2])
+        # a zero coefficient gives the noise-only statistics of the H1 stream
+        zero = np.zeros((1, sc.J, sc.M), dtype=complex)
+        noise = simulate_statistics(sc, ALL, 300, seed=25, domain=DOMAIN_SIGNAL)
+        assert np.array_equal(simulate_statistics(sc, ALL, 300, seed=25, coefficients=zero,
+                                                  domain=DOMAIN_SIGNAL)[:, 0], noise)
+
+    def test_rejects_misshapen_coefficients(self):
+        sc = _scenario()
+        with pytest.raises(ValueError, match=r"coefficients must be \(P, 2, 2\)"):
+            simulate_statistics(sc, [RU], 10, seed=0, coefficients=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="1 SNR labels for 2 grid points"):
+            simulate_statistics(sc, [RU], 10, seed=0, coefficients=np.zeros((2, 2, 2)),
+                                snr_db=[0.0])
 
 
 class TestCfar:

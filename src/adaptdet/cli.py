@@ -189,10 +189,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _thread_count(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """argparse type for a decimal integer >= low."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+_thread_count = _int_at_least(1)
+_seed = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, *, config: bool):
         if config:
             p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override master_seed")
         p.add_argument("--threads", type=_thread_count, default=None,
                        help="worker threads (default: ADAPTDET_THREADS or 1)")
 
@@ -221,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pd_curve)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--seed", type=int, default=20260810)
-    p.add_argument("--instances", type=int, default=500)
+    p.add_argument("--seed", type=_seed, default=20260810)
+    p.add_argument("--instances", type=_int_at_least(0), default=500)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("preset", help="run a bundled experiment preset")

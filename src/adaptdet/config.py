@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 from .detectors import DetectorKind
 from .errors import ConfigError
+from .montecarlo import _check_calibration_budget, _check_grid
 from .scenario import Scenario, check_dimensions, make_scenario
 
 __all__ = ["ExperimentConfig", "parse_config", "format_config", "build_scenario",
@@ -122,22 +123,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         check_dimensions(n, k, m, cfg.J, l)
         for kind in cfg.detectors:
             kind.check_dims(n, k, m, l)
+        _check_grid(cfg.snr_grid_db)
+        _check_calibration_budget(cfg.pfa, cfg.calib_trials)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not 0.0 <= cfg.rho < 1.0:
         raise ConfigError(f"rho must lie in [0, 1), got {cfg.rho}")
-    if not 0.0 < cfg.pfa < 1.0:
-        raise ConfigError(f"pfa must lie in (0, 1), got {cfg.pfa}")
-    grid = cfg.snr_grid_db
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"snr_grid_db must be strictly increasing, got {grid}")
     if cfg.calib_trials < 1 or cfg.pd_trials < 1:
         raise ConfigError("calib_trials and pd_trials must be positive")
-    if cfg.calib_trials * cfg.pfa < 20:
-        raise ConfigError(
-            f"calib_trials*pfa = {cfg.calib_trials * cfg.pfa:g} < 20: "
-            "too few false alarms to set a meaningful threshold"
-        )
     if cfg.master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
     if not cfg.detectors:

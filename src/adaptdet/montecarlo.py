@@ -86,9 +86,7 @@ class PdCurve:
     seed: int
 
     def __post_init__(self):
-        grid = [snr for snr, _ in self.points]
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"SNR grid must be strictly increasing, got {grid}")
+        _check_grid(snr for snr, _ in self.points)
         if any(not 0.0 <= pd <= 1.0 for _, pd in self.points):
             raise ValueError("pd values must lie in [0, 1]")
 

@@ -1,11 +1,12 @@
 """Right-unitary transformation of the test data.
 
-Factors the waveform subspace matrix C into a semi-unitary part and its
-orthonormal complement, splits the test data into the signal-bearing block
-X_par and the signal-free block X_perp, and forms the augmented sample
-covariance matrix S_plus from the training data plus X_perp.  This turns a
-limited-training detection problem into a sample-abundant one: the columns
-of X_perp act as extra (virtual) training data.
+One SVD of the waveform subspace matrix C = U diag(s) [V_1, V_2]^H gives
+the unitary transformation [V_1, V_2]: it splits the test data into the
+signal-bearing block X_par = X V_1 U^H and the signal-free block
+X_perp = X V_2, and the augmented sample covariance matrix S_plus is formed
+from the training data plus X_perp.  This turns a limited-training detection
+problem into a sample-abundant one: the columns of X_perp act as extra
+(virtual) training data.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import TOL, as_cmatrix, hermitize, inv_sqrt, orthonormal_complement, psd_sqrt
+from .linalg import TOL, as_cmatrix, hermitize
 
 __all__ = ["SubspaceFactorization", "TransformedData", "factor_waveform_subspace",
            "signal_coefficient", "transform_data"]
@@ -25,8 +26,10 @@ __all__ = ["SubspaceFactorization", "TransformedData", "factor_waveform_subspace
 class SubspaceFactorization:
     """C = D C_par with semi-unitary C_par; C_perp completes the row space.
 
-    c_par is M x K with orthonormal rows, c_perp is (K-M) x K, and
-    [c_par^H, c_perp^H] is K x K unitary.  d = (C C^H)^{1/2} is Hermitian PD.
+    All three come from one SVD C = U diag(s) [V_1, V_2]^H: c_par = U V_1^H
+    (M x K, orthonormal rows, equal to (C C^H)^{-1/2} C), c_perp = V_2^H
+    ((K-M) x K), so [c_par^H, c_perp^H] is K x K unitary, and
+    d = U diag(s) U^H = (C C^H)^{1/2} is Hermitian PD.
     """
 
     c_par: np.ndarray
@@ -49,21 +52,17 @@ class TransformedData:
 
 
 def factor_waveform_subspace(c) -> SubspaceFactorization:
-    """Factor a full-row-rank M x K matrix C into (c_par, c_perp, d)."""
+    """Factor a full-row-rank M x K matrix C into (c_par, c_perp, d) by one SVD."""
     c = as_cmatrix(c, "C")
     m, k = c.shape
     if m > k:
         raise ValueError(f"C must have at most as many rows as columns, got {c.shape}")
-    sv = np.linalg.svd(c, compute_uv=False)
+    u, sv, vh = np.linalg.svd(c, full_matrices=True)
     if sv[-1] <= TOL.rank_sv_rtol * sv[0]:
         raise ValueError("C is rank deficient")
-    gram = hermitize(c @ c.conj().T, "C C^H")
-    c_par = inv_sqrt(gram, "C C^H") @ c
-    d = psd_sqrt(gram, "C C^H")
-    if m < k:
-        c_perp = orthonormal_complement(c_par)
-    else:
-        c_perp = np.zeros((0, k), dtype=np.complex128)
+    c_par = u @ vh[:m]
+    c_perp = np.ascontiguousarray(vh[m:])
+    d = hermitize((u * sv) @ u.conj().T, "D")
     return SubspaceFactorization(c_par=c_par, c_perp=c_perp, d=d)
 
 

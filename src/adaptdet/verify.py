@@ -169,6 +169,8 @@ class VerificationReport:
 
 def run_verification(seed: int = 20260810, instance_count: int = 500) -> VerificationReport:
     """Run every check suite over `instance_count` random instances."""
+    if instance_count < 0:
+        raise ValueError(f"instance_count must be >= 0, got {instance_count}")
     suites = {
         "identities": CheckSuite("identities"),
         "monotone_map": CheckSuite("monotone map GLRGDD = t/(1-t) of GLRGDD-RU"),

@@ -1,5 +1,7 @@
 import csv
+import importlib
 import os
+import pkgutil
 import runpy
 import subprocess
 import sys
@@ -8,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adaptdet
 from adaptdet import cli
 from adaptdet.config import build_scenario, format_config, parse_config
 from adaptdet.detectors import DetectorKind
 from adaptdet.errors import ConfigError, SingularMatrixError
 from adaptdet.scenario import check_dimensions
+from adaptdet.verify import run_verification
 
 SMALL_CONFIG = """\
 # small experiment used by the test suite
@@ -107,6 +111,14 @@ class TestParseConfig:
     def test_calibration_budget_checked(self):
         with pytest.raises(ConfigError, match="< 20"):
             parse_config(SMALL_CONFIG.replace("pfa = 0.05", "pfa = 0.0001"))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, 8", "strictly increasing"),
+        ("pfa = 0.05", "pfa = 1.5", r"pfa must lie in \(0, 1\)"),
+    ])
+    def test_engine_run_rules_checked_at_parse_time(self, old, new, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(SMALL_CONFIG.replace(old, new))
 
     def test_build_scenario_is_deterministic(self):
         cfg = parse_config(SMALL_CONFIG)
@@ -213,6 +225,17 @@ class TestCommandLine:
         assert err.value.code == 1
         assert f"--threads: must be an integer >= 1, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["calibrate", "--config", "unread.cfg"],
+                                      ["pd-curve", "--config", "unread.cfg"],
+                                      ["preset", "fig1", "--print-config"],
+                                      ["verify"]],
+                             ids=lambda argv: argv[0])
+    def test_negative_seed_exit_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--seed", "-2"])
+        assert err.value.code == 1
+        assert "--seed: must be an integer >= 0, got '-2'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-4", "two"])
     def test_invalid_thread_environment_exit_code(self, value, monkeypatch, capsys):
         monkeypatch.setenv("ADAPTDET_THREADS", value)
@@ -251,6 +274,14 @@ class TestCommandLine:
         assert cli.main(["verify", "--instances", "0"]) == 0
         assert "vacuous" in capsys.readouterr().out
 
+    def test_verify_negative_instances_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--instances", "-3"])
+        assert err.value.code == 1
+        assert "--instances: must be an integer >= 0, got '-3'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="instance_count must be >= 0"):
+            run_verification(instance_count=-1)
+
     def test_preset_print_config_is_parseable(self, capsys):
         assert cli.main(["preset", "fig1", "--print-config"]) == 0
         cfg = parse_config(capsys.readouterr().out)
@@ -274,8 +305,6 @@ class TestCommandLine:
 def test_package_and_command_line_import_without_scipy():
     # scipy serves only the test oracles; importing it would cost most of the
     # package's start-up time
-    import adaptdet
-
     src = str(Path(adaptdet.__file__).resolve().parents[1])
     probe = ("import adaptdet, adaptdet.cli, sys; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -283,3 +312,14 @@ def test_package_and_command_line_import_without_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["adaptdet"] + [
+    f"adaptdet.{info.name}" for info in pkgutil.iter_modules(adaptdet.__path__)
+    if info.name != "__main__"])
+def test_export_list_names_resolve_once(module):
+    # a stale __all__ entry would otherwise fail only at `from module import *`
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", [])
+    assert len(names) == len(set(names)), f"duplicate names in {module}.__all__"
+    assert [name for name in names if not hasattr(mod, name)] == []

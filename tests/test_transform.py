@@ -49,6 +49,49 @@ class TestFactorWaveformSubspace:
         with pytest.raises(ValueError, match="rank deficient"):
             factor_waveform_subspace(np.vstack([row, 2 * row]))
 
+    def test_rejects_more_rows_than_columns(self):
+        with pytest.raises(ValueError, match="at most as many rows as columns"):
+            factor_waveform_subspace(np.ones((3, 2)))
+
+    # A C with repeated singular values has no unique U, but d and c_par are unique.
+    @pytest.mark.parametrize("repeated", [False, True], ids=["random", "repeated_sv"])
+    def test_d_is_the_square_root_and_c_par_its_solve(self, repeated):
+        rng = np.random.default_rng(13)
+        c = 2.0 * random_semi_unitary_rows(rng, 3, 9) if repeated else random_cmatrix(rng, 3, 9)
+        f = factor_waveform_subspace(c)
+        gram = c @ dagger(c)
+        assert np.array_equal(f.d, dagger(f.d))
+        assert np.linalg.eigvalsh(f.d)[0] > 0.0
+        assert np.linalg.norm(f.d @ f.d - gram) <= 1e-12 * np.linalg.norm(gram)
+        assert np.linalg.norm(f.c_par - np.linalg.solve(f.d, c)) <= 1e-12
+        if repeated:
+            assert np.allclose(f.d, 2.0 * np.eye(3), rtol=0, atol=1e-14)
+
+    def test_complement_of_one_column(self):
+        rng = np.random.default_rng(14)
+        c = random_cmatrix(rng, 4, 5)
+        f = factor_waveform_subspace(c)
+        assert f.c_perp.shape == (1, 5)
+        assert abs(np.linalg.norm(f.c_perp) - 1.0) <= 1e-12
+        assert np.linalg.norm(f.c_perp @ dagger(c)) <= 1e-12 * np.linalg.norm(c)
+
+    def test_one_svd_and_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("factor_waveform_subspace called an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        factor_waveform_subspace(random_cmatrix(np.random.default_rng(15), 2, 6))
+        assert len(calls) == 1
+
 
 class TestTransformData:
     def _scenario_data(self, seed=3, n=5, k=9, m=3, j=2, l=7):

@@ -7,8 +7,10 @@ Two detectors built on the augmented SCM work whenever L + K >= M + N:
 
 Two classical detectors need a nonsingular training-only SCM (L >= N):
 
-* GLRGDD: equivalent to GLRGDD-RU through the strictly increasing map
-  t -> t / (1 - t), so both give identical detection decisions.
+* GLRGDD: GLR statistic of the full SCM S + X X^H, the same test as
+  GLRGDD-RU through the strictly increasing map t -> t / (1 - t).  Both are
+  read from one value mu (see :mod:`adaptdet.kernels`): GLRGDD = mu and
+  GLRGDD-RU = mu / (1 + mu).
 * AMGDD: two-step variant on the training-only SCM.
 
 Bose's GLRT uses no training data at all and requires K >= M + N; it is
@@ -106,11 +108,6 @@ def _validated(kind: DetectorKind, x, x_l, a, c):
     return x, x_l, a, c
 
 
-def _ru_pair(td: TransformedData, a: np.ndarray) -> np.ndarray:
-    c = kernels.no_signal(a.shape[1], td.x_par.shape[1])
-    return kernels.ru_statistics(td.x_par[None], td.s_plus[None], a, c)[0, 0]
-
-
 def _training_scm(x_l: np.ndarray) -> np.ndarray:
     s = hermitize(x_l @ x_l.conj().T, "SCM")
     try:
@@ -120,18 +117,32 @@ def _training_scm(x_l: np.ndarray) -> np.ndarray:
     return s
 
 
+def _statistic(kind: DetectorKind, x_par: np.ndarray, s: np.ndarray,
+               a: np.ndarray) -> Statistic:
+    """`kind` from the kernel reduction of the estimate `s` of one instance."""
+    red = kernels.reduce(x_par[None], s[None], a)
+    v = kernels.at_signals(red, kernels.no_signal(a.shape[1], x_par.shape[1]))
+    if kind in (DetectorKind.AMGDD_RU, DetectorKind.AMGDD):
+        value = kernels.am(v)
+    elif kind is DetectorKind.GLRGDD:
+        value = kernels.glr(red, v)
+    else:
+        value = kernels.bounded(kernels.glr(red, v))
+    return Statistic(float(value[0, 0]), kind)
+
+
 def glrgdd_ru(td: TransformedData, a) -> Statistic:
     """GLR statistic on the augmented SCM; value in [0, 1)."""
-    return Statistic(float(_ru_pair(td, as_cmatrix(a, "A"))[0]), DetectorKind.GLRGDD_RU)
+    return _statistic(DetectorKind.GLRGDD_RU, td.x_par, td.s_plus, as_cmatrix(a, "A"))
 
 
 def amgdd_ru(td: TransformedData, a) -> Statistic:
     """Two-step statistic on the augmented SCM; nonnegative, unbounded."""
-    return Statistic(float(_ru_pair(td, as_cmatrix(a, "A"))[1]), DetectorKind.AMGDD_RU)
+    return _statistic(DetectorKind.AMGDD_RU, td.x_par, td.s_plus, as_cmatrix(a, "A"))
 
 
 def glrgdd(x, x_l, a, c) -> Statistic:
-    """GLR statistic of the training-only-SCM family, computed on S + X X^H."""
+    """GLR statistic on S + X X^H, computed as mu on the augmented SCM."""
     return compute(DetectorKind.GLRGDD, x, x_l, a, c)
 
 
@@ -150,16 +161,14 @@ def compute(kind: DetectorKind, x, x_l, a, c) -> Statistic:
     """Evaluate any of the five statistics from raw data matrices."""
     x, x_l, a, c = _validated(kind, x, x_l, a, c)
     f = factor_waveform_subspace(c)
-    if kind in (DetectorKind.GLRGDD, DetectorKind.AMGDD):
-        zero = kernels.no_signal(a.shape[1], c.shape[0])
-        pair = kernels.classic_statistics(x[None], _training_scm(x_l)[None], a, f.c_par,
-                                          zero)[0, 0]
-    else:
-        if kind is DetectorKind.BOSE_GLRT:
-            x_l = x_l[:, :0]
-        pair = _ru_pair(transform_data(x, x_l, f), a)
-    column = 1 if kind in (DetectorKind.AMGDD_RU, DetectorKind.AMGDD) else 0
-    return Statistic(float(pair[column]), kind)
+    if kind is DetectorKind.AMGDD:
+        return _statistic(kind, x @ f.c_par.conj().T, _training_scm(x_l), a)
+    if kind is DetectorKind.GLRGDD:
+        _training_scm(x_l)  # GLRGDD is defined on a nonsingular training SCM
+    elif kind is DetectorKind.BOSE_GLRT:
+        x_l = x_l[:, :0]
+    td = transform_data(x, x_l, f)
+    return _statistic(kind, td.x_par, td.s_plus, a)
 
 
 def appendix_identities(x, x_l, a, c) -> dict[str, float]:

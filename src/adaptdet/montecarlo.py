@@ -14,12 +14,13 @@ key changes the draws and bumps ``STREAM_VERSION``.
 
 An H1 trial's noise is drawn once and evaluated at every point of the SNR
 grid: the signal only moves X_par (see :mod:`adaptdet.kernels`), so each
-point costs small matrix products on the trial's shared reduction, plus
-GLRGDD's own solve.  The grid points of a trial share its noise (common
-random numbers across SNR), a point's value does not depend on which other
-points are evaluated with it, and a grid can therefore be extended or cut
-without changing the points it keeps.  Layout 3 keys the H1 stream as
-layout 2 keyed its first grid point; the H0 streams are unchanged.
+point costs small matrix products on the trial's reductions of its
+covariance estimates, one N x N solve each for the whole grid.  The grid
+points of a trial share its noise (common random numbers across SNR), a
+point's value does not depend on which other points are evaluated with it,
+and a grid can therefore be extended or cut without changing the points it
+keeps.  Layout 3 keys the H1 stream as layout 2 keyed its first grid point;
+the H0 streams are unchanged.
 
 Each block, run by a thread pool, forms the transformed data and
 covariance estimates of all its trials at once, evaluates them with the
@@ -49,7 +50,7 @@ from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
 from .scenario import (Scenario, SignalCoordinates, noise_factor, random_directions,
                        scale_to_snr)
-from .transform import factor_waveform_subspace, signal_coefficient
+from .transform import signal_coefficient
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
@@ -125,8 +126,7 @@ def _gram(m: np.ndarray) -> np.ndarray:
 
 def _coefficients(scenario: Scenario, coords) -> np.ndarray:
     """(P, J, M) signal coefficients of a sequence of signal coordinates."""
-    f = factor_waveform_subspace(scenario.C)
-    stack = [signal_coefficient(f, co.theta, co.alpha) for co in coords]
+    stack = [signal_coefficient(scenario.waveform, co.theta, co.alpha) for co in coords]
     return np.array(stack, dtype=np.complex128).reshape(-1, scenario.J, scenario.M)
 
 
@@ -175,13 +175,12 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         grid = (f" at grid point {names[0]}" if points == 1
                 else f" at grid points {names[0]} to {names[-1]}")
 
-    fact = factor_waveform_subspace(scenario.C)
-    cpar_h, cperp_h = fact.c_par.conj().T, fact.c_perp.conj().T
+    cpar_h = scenario.waveform.c_par.conj().T
+    cperp_h = scenario.waveform.c_perp.conj().T
     factor = noise_factor(scenario.R)
     a = scenario.A
-    need_ru = any(kd in (DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU) for kd in kinds)
-    need_classic = any(kd in (DetectorKind.GLRGDD, DetectorKind.AMGDD) for kd in kinds)
-    need_bose = DetectorKind.BOSE_GLRT in kinds
+    glrgdd, glrgdd_ru = DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU
+    want = set(kinds)
     out = np.empty((trials, points, len(kinds)), dtype=np.float64)
 
     def run_block(lo: int) -> None:
@@ -190,24 +189,26 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         z = _block_noise(seed, domain, lo // BLOCK_TRIALS, count, n, k + l)
         colored = np.matmul(factor, z)
         x, x_l = colored[:, :, :k], colored[:, :, k:]
+        x_par = x @ cpar_h
+        s_perp, s_train = _gram(x @ cperp_h), _gram(x_l)
         columns = {}
-        if need_ru or need_bose:
-            x_par = x @ cpar_h
-            s_perp = _gram(x @ cperp_h)
-        if need_ru or need_classic:
-            s_train = _gram(x_l)
         try:
-            if need_ru:
-                ru = kernels.ru_statistics(x_par, s_perp + s_train, a, c)
-                columns[DetectorKind.GLRGDD_RU] = ru[..., 0]
-                columns[DetectorKind.AMGDD_RU] = ru[..., 1]
-            if need_classic:
-                classic = kernels.classic_statistics(x, s_train, a, fact.c_par, c)
-                columns[DetectorKind.GLRGDD] = classic[..., 0]
-                columns[DetectorKind.AMGDD] = classic[..., 1]
-            if need_bose:
-                columns[DetectorKind.BOSE_GLRT] = kernels.glrgdd_ru_statistic(
-                    x_par, s_perp, a, c)
+            # one reduction per covariance estimate: S_plus, S_perp and S
+            if want & {glrgdd, glrgdd_ru, DetectorKind.AMGDD_RU}:
+                plus = kernels.reduce(x_par, s_perp + s_train, a)
+                v = kernels.at_signals(plus, c)
+                if want & {glrgdd, glrgdd_ru}:
+                    columns[glrgdd] = kernels.glr(plus, v)
+                    columns[glrgdd_ru] = kernels.bounded(columns[glrgdd])
+                if DetectorKind.AMGDD_RU in want:
+                    columns[DetectorKind.AMGDD_RU] = kernels.am(v)
+            if DetectorKind.BOSE_GLRT in want:
+                bose = kernels.reduce(x_par, s_perp, a)
+                columns[DetectorKind.BOSE_GLRT] = kernels.bounded(
+                    kernels.glr(bose, kernels.at_signals(bose, c)))
+            if DetectorKind.AMGDD in want:
+                train = kernels.reduce(x_par, s_train, a)
+                columns[DetectorKind.AMGDD] = kernels.am(kernels.at_signals(train, c))
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"{exc} in trials {lo}..{hi - 1} of stream version {STREAM_VERSION}, "

@@ -8,12 +8,13 @@ freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SingularMatrixError
 from .linalg import TOL, as_cmatrix, hpd_solve
+from .transform import SubspaceFactorization, factor_waveform_subspace
 
 __all__ = [
     "Scenario",
@@ -72,6 +73,7 @@ class Scenario:
 
     N: channels, K: test-data columns (pulses), M: waveform-subspace
     dimension, J: spatial-subspace dimension, L: training-data count.
+    ``waveform`` is the factorization of C, built once with the scenario.
     """
 
     N: int
@@ -82,6 +84,7 @@ class Scenario:
     A: np.ndarray
     C: np.ndarray
     R: np.ndarray
+    waveform: SubspaceFactorization = field(init=False, repr=False)
 
     def __post_init__(self):
         n, k, m, j = self.N, self.K, self.M, self.J
@@ -97,8 +100,7 @@ class Scenario:
             raise ValueError(f"R must be {n}x{n}, got {r.shape}")
         if not _full_rank(a):
             raise ValueError("A must have full column rank")
-        if not _full_rank(c):
-            raise ValueError("C must have full row rank")
+        waveform = factor_waveform_subspace(c)
         dev = np.linalg.norm(r - r.conj().T)
         if dev > TOL.check_rtol * max(1.0, np.linalg.norm(r)):
             raise ValueError("R is not Hermitian")
@@ -109,6 +111,7 @@ class Scenario:
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "R", r)
+        object.__setattr__(self, "waveform", waveform)
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,7 +59,7 @@ def factor_waveform_subspace(c) -> SubspaceFactorization:
         raise ValueError(f"C must have at most as many rows as columns, got {c.shape}")
     u, sv, vh = np.linalg.svd(c, full_matrices=True)
     if sv[-1] <= TOL.rank_sv_rtol * sv[0]:
-        raise ValueError("C is rank deficient")
+        raise ValueError("C must have full row rank; this C is rank deficient")
     c_par = u @ vh[:m]
     c_perp = np.ascontiguousarray(vh[m:])
     d = hermitize((u * sv) @ u.conj().T, "D")

@@ -1,10 +1,12 @@
 """Independent brute-force formulations used only as test oracles.
 
 Everything here is deliberately naive: explicit matrix inverses, principal
-matrix square roots from scipy, and a dense general (non-Hermitian)
-eigensolver.  None of it shares code with the package's computation paths.
+matrix square roots from scipy, a dense general (non-Hermitian)
+eigensolver, and mpmath for references that must not lose digits.  None
+of it shares code with the package's computation paths.
 """
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -80,3 +82,31 @@ def glrgdd_raw_form(x, x_l, a, c):
     p_cb = dagger(c_b) @ np.linalg.inv(c_b @ dagger(c_b)) @ c_b
     gram = np.linalg.inv(dagger(a_t) @ np.linalg.inv(np.eye(n) + x_t @ dagger(x_t)) @ a_t)
     return general_max_eig(x_b @ p_cb @ dagger(x_b) @ a_t @ gram @ dagger(a_t))
+
+
+def mp_glr_pair(x_par, s_plus, a, c, dps=60):
+    """GLRGDD-RU and GLRGDD at X_par + A c, in mpmath at `dps` digits.
+
+    The float inputs are taken as exact; X_par + A c is formed in mpmath.
+    GLRGDD-RU comes from the explicit-inverse form on S_plus and GLRGDD from
+    the classical form on the full SCM T = S_plus + X X^H, so neither is
+    mapped from the other.  Returns mpmath numbers.
+    """
+    with mpmath.workdps(dps):
+        a_mp = mpmath.matrix(a.tolist())
+        xs = mpmath.matrix(x_par.tolist()) + a_mp * mpmath.matrix(c.tolist())
+        eye = mpmath.eye(x_par.shape[1])
+
+        def core_psi(s):
+            si = s ** -1
+            core = xs.H * si * a_mp * (a_mp.H * si * a_mp) ** -1 * a_mp.H * si * xs
+            return core, xs.H * si * xs
+
+        def top_eig(m):
+            return max(mpmath.re(e) for e in mpmath.eig(m, left=False, right=False))
+
+        s = mpmath.matrix(s_plus.tolist())
+        core, psi = core_psi(s)
+        t_ru = top_eig((eye + psi) ** -1 * core)
+        core, psi = core_psi(s + xs * xs.H)
+        return t_ru, top_eig((eye - psi) ** -1 * core)

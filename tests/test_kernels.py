@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from adaptdet import kernels
+from adaptdet.detectors import DetectorKind
+from adaptdet.montecarlo import simulate_statistics
 from adaptdet.scenario import (as_generator, make_scenario, make_signal, random_directions,
                                sample_noise, scale_to_snr)
 from adaptdet.transform import factor_waveform_subspace, signal_coefficient
 
-from oracles import (amgdd_projection_form, dagger, glrgdd_raw_form, ru_am_direct,
-                     ru_glr_direct)
+from oracles import (amgdd_projection_form, dagger, glrgdd_raw_form, mp_glr_pair,
+                     ru_am_direct, ru_glr_direct)
 
 
 def _batch(scenario, trials, seed):
@@ -30,7 +32,7 @@ def _engine_stacks(scenario, trials, seed, signal=None):
     x_perp = xb @ dagger(f.c_perp)
     s_perp = x_perp @ np.conj(np.swapaxes(x_perp, 1, 2))
     s_train = xlb @ np.conj(np.swapaxes(xlb, 1, 2))
-    return {"scenario": scenario, "c_par": f.c_par, "x": xb, "x_l": xlb,
+    return {"scenario": scenario, "x": xb, "x_l": xlb,
             "x_par": x_par, "s_plus": s_perp + s_train, "s_perp": s_perp,
             "s_train": s_train}
 
@@ -61,11 +63,13 @@ def _kernel_values(stacks, c):
     """The five statistics, (trials, P, 5), computed from noise stacks and a
     coefficient stack: [GLRGDD-RU, AMGDD-RU, Bose, GLRGDD, AMGDD]."""
     a = stacks["scenario"].A
-    ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a, c)
-    bose = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks["s_perp"], a, c)
-    classic = kernels.classic_statistics(stacks["x"], stacks["s_train"], a,
-                                         stacks["c_par"], c)
-    return np.concatenate([ru, bose[..., None], classic], axis=-1)
+    plus, bose, train = (kernels.reduce(stacks["x_par"], stacks[key], a)
+                         for key in ("s_plus", "s_perp", "s_train"))
+    v = kernels.at_signals(plus, c)
+    mu = kernels.glr(plus, v)
+    return np.stack([kernels.bounded(mu), kernels.am(v),
+                     kernels.bounded(kernels.glr(bose, kernels.at_signals(bose, c))), mu,
+                     kernels.am(kernels.at_signals(train, c))], axis=-1)
 
 
 def _assert_match_oracles(values, stacks):
@@ -104,22 +108,46 @@ def test_kernels_match_oracles_on_signal_data(signal_values, snr_db):
     _assert_match_oracles(values, _engine_stacks(_SCENARIO, 12, 9, signal))
 
 
+@pytest.mark.parametrize("snr_db", [60.0, 90.0, 120.0])
+def test_glr_statistics_stay_accurate_near_their_bound(snr_db):
+    # Against mpmath on the same float noise and estimates, with X_par + A c
+    # formed in mpmath: GLRGDD keeps its relative accuracy and the bounded
+    # statistics their absolute accuracy, although 1 - t falls to ~1e-12.
+    st = _engine_stacks(_SCENARIO, 3, 13)
+    for key in ("s_plus", "s_perp", "s_train"):
+        st[key] = 0.5 * (st[key] + np.conj(np.swapaxes(st[key], 1, 2)))
+    c = _signal(snr_db)[1]
+    values = _kernel_values(st, c)[:, 0]
+    ulp = 2.0 ** -52
+    for t in range(values.shape[0]):
+        t_ru, glrgdd = mp_glr_pair(st["x_par"][t], st["s_plus"][t], _SCENARIO.A, c[0])
+        t_bose, _ = mp_glr_pair(st["x_par"][t], st["s_perp"][t], _SCENARIO.A, c[0])
+        assert abs(values[t, 0] - t_ru) <= 2 * ulp
+        assert abs(values[t, 2] - t_bose) <= 2 * ulp
+        assert abs(values[t, 3] - glrgdd) <= 1e-12 * glrgdd
+
+
 def test_zero_column_training_batch(stacks):
     # Bose's GLRT: the augmented SCM built from the virtual training data alone
     sc = stacks["scenario"]
-    out = kernels.ru_statistics(stacks["x_par"], stacks["s_perp"], sc.A, _zero(sc))
+    red = kernels.reduce(stacks["x_par"], stacks["s_perp"], sc.A)
+    v = kernels.at_signals(red, _zero(sc))
+    out = np.stack([kernels.bounded(kernels.glr(red, v)), kernels.am(v)], axis=-1)
     assert out.shape == (stacks["x"].shape[0], 1, 2)
     assert np.all((out[..., 0] >= 0) & (out[..., 0] < 1))
 
 
 @pytest.mark.parametrize("estimate", ["s_plus", "s_perp"])
-def test_bounded_column_alone_is_bitwise_the_pair_column(stacks, estimate):
-    # the engine's Bose pass computes only this column
-    a = stacks["scenario"].A
+def test_bounded_column_alone_is_bitwise_the_pair_column(estimate):
+    # The engine computes the bounded statistic of an estimate alone (Bose's
+    # GLRT on S_perp, or GLRGDD-RU requested by itself) or next to the other
+    # statistics of the same reduction; either way it is the same column.
+    kind = {"s_plus": DetectorKind.GLRGDD_RU, "s_perp": DetectorKind.BOSE_GLRT}[estimate]
     c = np.concatenate([_signal(snr)[1] for snr in _SNRS_DB])
-    pair = kernels.ru_statistics(stacks["x_par"], stacks[estimate], a, c)
-    alone = kernels.glrgdd_ru_statistic(stacks["x_par"], stacks[estimate], a, c)
-    assert np.array_equal(alone, pair[..., 0])
+    kinds = list(DetectorKind)
+    every = simulate_statistics(_SCENARIO, kinds, 40, 3, coefficients=c)
+    alone = simulate_statistics(_SCENARIO, [kind], 40, 3, coefficients=c)
+    assert np.array_equal(alone[..., 0], every[..., kinds.index(kind)])
 
 
 def test_trial_is_bitwise_independent_of_its_stack(stacks):
@@ -139,19 +167,20 @@ def test_monotone_map_between_scm_families(stacks):
     # GLRGDD = t / (1 - t) of GLRGDD-RU, as computed on the engine's stacks
     a = stacks["scenario"].A
     c = np.concatenate([_zero(_SCENARIO)] + [_signal(snr)[1] for snr in _SNRS_DB[:2]])
-    t_ru = kernels.ru_statistics(stacks["x_par"], stacks["s_plus"], a, c)[..., 0]
-    t_full = kernels.classic_statistics(stacks["x"], stacks["s_train"], a,
-                                        stacks["c_par"], c)[..., 0]
+    t_ru = _kernel_values(stacks, c)[..., 0]
+    t_full = _kernel_values(stacks, c)[..., 3]
     assert np.all(np.abs(t_full - t_ru / (1.0 - t_ru)) <= 1e-8 * (1.0 + t_full))
 
 
 def test_square_waveform_subspace_two_step_agreement():
     # K = M: no virtual training data, so AMGDD-RU and AMGDD coincide
     scenario = make_scenario(4, 3, 3, 2, 6, rho=0.5, seed=22)
-    c_par = factor_waveform_subspace(scenario.C).c_par
+    f = factor_waveform_subspace(scenario.C)
     xb, xlb = _batch(scenario, 16, 6)
+    x_par, x_perp = xb @ dagger(f.c_par), xb @ dagger(f.c_perp)
     s_train = xlb @ np.conj(np.swapaxes(xlb, 1, 2))
+    s_plus = x_perp @ np.conj(np.swapaxes(x_perp, 1, 2)) + s_train
     zero = _zero(scenario)
-    ru = kernels.ru_statistics(xb @ dagger(c_par), s_train, scenario.A, zero)
-    classic = kernels.classic_statistics(xb, s_train, scenario.A, c_par, zero)
-    assert np.allclose(ru[..., 1], classic[..., 1], rtol=1e-12, atol=0.0)
+    ru = kernels.am(kernels.at_signals(kernels.reduce(x_par, s_plus, scenario.A), zero))
+    classic = kernels.am(kernels.at_signals(kernels.reduce(x_par, s_train, scenario.A), zero))
+    assert np.allclose(ru, classic, rtol=1e-12, atol=0.0)

@@ -62,16 +62,15 @@ def _grid(sc, snrs, seed):
 
 class TestNonFiniteTrials:
     @pytest.mark.parametrize("name, kinds", [
-        ("ru_statistics", [RU, DetectorKind.BOSE_GLRT]),
-        ("classic_statistics", [DetectorKind.AMGDD]),
+        ("glr", [RU, DetectorKind.BOSE_GLRT]),
+        ("am", [DetectorKind.AMGDD]),
     ])
     def test_names_replay_key_of_first_bad_trial(self, monkeypatch, name, kinds):
         real = getattr(kernels, name)
 
         def inf_in_row_3(*args):
             out = real(*args)
-            out[3, 1, 0] = np.inf
-            out[3, 1, 1] = np.nan
+            out[3, 1] = np.inf
             out[4, 0] = np.nan
             return out
 
@@ -117,14 +116,14 @@ class TestNonFiniteTrials:
          f"trials {2 * BLOCK_TRIALS}..{2 * BLOCK_TRIALS + 4} "),
     ])
     def test_lapack_failure_names_the_block(self, monkeypatch, failing, trials, named):
-        def singular(x_par, s_plus, a, c):
-            if x_par.shape[0] == BLOCK_TRIALS:
+        def singular(red, v):
+            if v.shape[0] == BLOCK_TRIALS:
                 if failing == "last block":
-                    return np.zeros((BLOCK_TRIALS, c.shape[0], 2))
+                    return np.zeros((BLOCK_TRIALS, v.shape[1]))
                 time.sleep(0.2)
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(kernels, "ru_statistics", singular)
+        monkeypatch.setattr(kernels, "glr", singular)
         sc = _scenario()
         snrs = [0.0, 6.0]
         pattern = (f"Singular matrix in {named}of stream version "
@@ -282,6 +281,41 @@ class TestPdCurves:
         noise = simulate_statistics(sc, ALL, 300, seed=25, domain=DOMAIN_SIGNAL)
         assert np.array_equal(simulate_statistics(sc, ALL, 300, seed=25, coefficients=zero,
                                                   domain=DOMAIN_SIGNAL)[:, 0], noise)
+
+    def test_grid_costs_no_covariance_solve_per_point(self, monkeypatch):
+        # fig1 dimensions, two blocks: each block makes one N x N solve per
+        # covariance estimate (S_plus, S_perp, S), whatever the grid size, and
+        # the call factors R once
+        sc = make_scenario(12, 16, 3, 2, 14, rho=0.95, seed=26)
+        counts = []
+        for snrs in ([6.0], [float(v) for v in range(-4, 14, 2)]):
+            c = _grid(sc, snrs, 26)
+            calls = []
+
+            def counted(fn):
+                def wrapper(a, *args, **kwargs):
+                    if np.shape(a)[-2:] == (sc.N, sc.N):
+                        calls.append(fn.__name__)
+                    return fn(a, *args, **kwargs)
+                return wrapper
+
+            with monkeypatch.context() as patch:
+                for name in ("solve", "cholesky"):
+                    patch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+                simulate_statistics(sc, ALL, BLOCK_TRIALS + 1, seed=26, coefficients=c,
+                                    domain=DOMAIN_SIGNAL)
+            counts.append((calls.count("solve"), calls.count("cholesky")))
+        assert counts == [(3 * 2, 1), (3 * 2, 1)]
+
+    def test_pd_curves_reuse_the_scenario_factorization_of_c(self, monkeypatch):
+        sc = _scenario()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("pd_curves took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        curves = pd_curves(sc, ALL, [0.0, 6.0], 0.05, 600, 100, seed=27)
+        assert set(curves) == set(ALL)
 
     def test_rejects_misshapen_coefficients(self):
         sc = _scenario()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,19 @@ class TestScenarioValidation:
         a, c = random_subspaces(3, 1, 1, 4, seed=1)
         with pytest.raises(ValueError, match="positive definite"):
             Scenario(N=3, K=4, M=1, J=1, L=3, A=a, C=c, R=-np.eye(3))
+
+    def test_rank_deficient_waveform_subspace_message(self):
+        a, c = random_subspaces(3, 1, 2, 4, seed=1)
+        with pytest.raises(ValueError, match="C must have full row rank"):
+            Scenario(N=3, K=4, M=2, J=1, L=3, A=a, C=np.vstack([c[0], 2 * c[0]]),
+                     R=np.eye(3))
+
+    def test_carries_the_factorization_of_c(self):
+        sc = _small_scenario()
+        assert np.allclose(sc.waveform.d @ sc.waveform.c_par, sc.C, rtol=0, atol=1e-12)
+        moved = replace(sc, R=2.0 * sc.R)
+        assert moved.waveform is not sc.waveform
+        assert np.array_equal(moved.waveform.c_par, sc.waveform.c_par)
 
     def test_directions_are_unit_norm_and_deterministic(self):
         d1 = random_directions(3, 2, 9)

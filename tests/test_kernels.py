@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adaptdet import kernels
 from adaptdet.detectors import DetectorKind
@@ -125,6 +126,52 @@ def test_glr_statistics_stay_accurate_near_their_bound(snr_db):
         assert abs(values[t, 0] - t_ru) <= 2 * ulp
         assert abs(values[t, 2] - t_bose) <= 2 * ulp
         assert abs(values[t, 3] - glrgdd) <= 1e-12 * glrgdd
+
+
+@pytest.mark.parametrize("j", [1, 3])
+def test_kernels_match_oracles_at_other_subspace_ranks(j):
+    # J = 1 takes the closed-form norm and J = 3 the eigvalsh path; both on a
+    # two-point grid, against the same oracles as the J = 2 tests above
+    sc = make_scenario(6, 10, 2, j, 8, rho=0.95, seed=21)
+    theta, alpha = random_directions(j, sc.M, 7)
+    coords = [scale_to_snr(sc, theta, alpha, snr) for snr in (0.0, 20.0)]
+    c = np.array([signal_coefficient(sc.waveform, co.theta, co.alpha) for co in coords])
+    values = _kernel_values(_engine_stacks(sc, 6, 9), c)
+    for p, co in enumerate(coords):
+        signal = make_signal(sc.A, co.theta, co.alpha, sc.C)
+        _assert_match_oracles(values[:, p], _engine_stacks(sc, 6, 9, signal))
+
+
+@st.composite
+def _gram_factors(draw):
+    """A J x M matrix Y, J and M in 1..3, with entries from 1e-100 to 1e100."""
+    j, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    magnitude = st.builds(lambda f, e: f * 10.0 ** e, st.floats(1.0, 10.0),
+                          st.integers(-100, 99))
+    shape = draw(st.sampled_from(["generic", "rank_one", "near_degenerate"]))
+    if shape == "near_degenerate" and j == 2 and m >= 2:
+        # a = d (1 - delta^2) and |b| = delta a, with delta down to 1e-20
+        delta = 10.0 ** -draw(st.integers(1, 20))
+        y = np.zeros((2, m), dtype=np.complex128)
+        y[0, 0], y[1, 1] = 1.0, 1.0
+        y[1, 0] = delta * np.exp(1j * draw(st.floats(0.0, 6.3)))
+        return draw(magnitude) * y
+    y = np.array([[draw(magnitude) * np.exp(1j * draw(st.floats(0.0, 6.3)))
+                   for _ in range(m)] for _ in range(j)])
+    if shape == "rank_one":
+        # M = 1 with J = 2 is rank deficient too
+        y = np.array([draw(st.floats(0.1, 1.0)) for _ in range(j)])[:, None] * y[:1]
+    return y
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_gram_factors())
+def test_top_eigenvalue_matches_eigvalsh(y):
+    # eigvalsh itself is off by up to ~7 ulp on rank-one 2 x 2 Grams, where
+    # the closed form stays within ~1 ulp of an mpmath evaluation
+    expected = np.linalg.eigvalsh(y @ y.conj().T)[-1]
+    value = kernels.am(y[None])[0]
+    assert abs(value - expected) <= 16 * 2.0 ** -52 * expected
 
 
 def test_zero_column_training_batch(stacks):

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from adaptdet import kernels, montecarlo
 from adaptdet.detectors import DetectorKind, compute
@@ -307,6 +308,26 @@ class TestPdCurves:
             counts.append((calls.count("solve"), calls.count("cholesky")))
         assert counts == [(3 * 2, 1), (3 * 2, 1)]
 
+    @pytest.mark.parametrize("j, expected", [(2, 0), (3, 4 * 2)])
+    def test_grid_takes_no_eigensolver_below_three_signal_dimensions(self, monkeypatch,
+                                                                       j, expected):
+        # fig1 dimensions, two blocks at P = 9: J <= 2 reads every top
+        # eigenvalue in closed form; J = 3 calls eigvalsh once per statistic
+        # (GLRGDD and AMGDD-RU on S_plus, Bose, AMGDD) and block
+        sc = make_scenario(12, 16, 3, j, 14, rho=0.95, seed=26)
+        c = _grid(sc, [float(v) for v in range(-4, 14, 2)], 26)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        simulate_statistics(sc, ALL, BLOCK_TRIALS + 1, seed=26, coefficients=c,
+                            domain=DOMAIN_SIGNAL)
+        assert len(calls) == expected
+
     def test_pd_curves_reuse_the_scenario_factorization_of_c(self, monkeypatch):
         sc = _scenario()
 
@@ -324,6 +345,46 @@ class TestPdCurves:
         with pytest.raises(ValueError, match="1 SNR labels for 2 grid points"):
             simulate_statistics(sc, [RU], 10, seed=0, coefficients=np.zeros((2, 2, 2)),
                                 snr_db=[0.0])
+
+
+class TestExactNullLaw:
+    """J = 1 under H0: GLRGDD-RU ~ Beta(M, L + K - M - N + 1), Bose ~ Beta(M, K - M - N + 1).
+
+    The statistics are CFAR, so with R = I and A rotated onto the first
+    coordinate, S_plus ~ CW_N(L + K - M, I) and the reduced statistic is a
+    ratio of independent chi-squares (Kelly 1986; Bose & Steinhardt 1995).
+    This checks draws, coloring, transform, kernels and threshold against
+    theory, not against a second formula for the same algebra.
+    """
+
+    CASES = [((6, 10, 2, 1, 8), RU), ((12, 6, 3, 1, 11), RU), ((5, 4, 1, 1, 5), RU),
+             ((6, 10, 2, 1, 8), DetectorKind.BOSE_GLRT)]
+    TRIALS, SEED, PFA = 20_000, 123, 0.01
+
+    @staticmethod
+    def _law(dims, kind):
+        n, k, m, _, l = dims
+        extra = l if kind is RU else 0
+        return stats.beta(m, extra + k - m - n + 1)
+
+    @pytest.mark.parametrize("dims, kind", CASES)
+    def test_null_draws_follow_the_beta_law(self, dims, kind):
+        sc = make_scenario(*dims, rho=0.9, seed=31)
+        draws = simulate_statistics(sc, [kind], self.TRIALS, seed=self.SEED)[:, 0]
+        # four fixed-seed cases: at 1e-3 an exact engine fails one on ~0.4 % of
+        # seeds, while the law one degree of freedom off reads p < 1e-29 on each
+        assert stats.kstest(draws, self._law(dims, kind).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("dims, kind", CASES)
+    def test_threshold_brackets_the_exact_quantile(self, dims, kind):
+        # with exact cdf F, F(threshold) of the (m+1)-th largest of n draws is
+        # Beta(n - m, m + 1); the threshold must sit in its central 99.9 %
+        n, m = self.TRIALS, round(self.TRIALS * self.PFA)
+        sc = make_scenario(*dims, rho=0.9, seed=31)
+        law = self._law(dims, kind)
+        lo, hi = law.ppf(stats.beta(n - m, m + 1).ppf([0.0005, 0.9995]))
+        threshold = calibrate_threshold(sc, kind, self.PFA, n, self.SEED).threshold
+        assert lo <= threshold <= hi
 
 
 class TestCfar:

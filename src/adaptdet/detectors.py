@@ -16,12 +16,12 @@ Two classical detectors need a nonsingular training-only SCM (L >= N):
 Bose's GLRT uses no training data at all and requires K >= M + N; it is
 GLRGDD-RU with an empty training set.
 
-This module is the per-instance API: it validates one problem instance
-(shapes, dimension constraints, a nonsingular covariance estimate) and
-hands it to :mod:`adaptdet.kernels` as a stack of one trial at the single
-signal point c = 0 (the data is taken as given).  The Monte Carlo engine
-calls the same kernels on whole blocks of trials and SNR grids, so every
-statistic has exactly one implementation.
+:func:`statistics` maps each kind to its covariance estimate and kernels;
+the Monte Carlo engine calls it on blocks of trials.  The per-instance API
+validates one instance (shapes, dimensions, a full-rank A, a nonsingular
+covariance estimate), transforms it as the engine does and evaluates it as
+a stack of one at the signal point c = 0 (the data is taken as given), so
+on the same noise it gives bitwise the engine's value.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import SingularMatrixError
-from .linalg import as_cmatrix, hermitize
-from .transform import TransformedData, factor_waveform_subspace, transform_data
+from .linalg import as_cmatrix, cholesky, hermitize
+from .scenario import _full_rank, check_dimensions
+from .transform import (TransformedData, factor_waveform_subspace, require_augmented_scm,
+                        transform_data, transform_stack)
 
-__all__ = ["DetectorKind", "Statistic", "glrgdd_ru", "amgdd_ru", "glrgdd", "amgdd",
-           "bose_glrt", "appendix_identities", "compute"]
+__all__ = ["DetectorKind", "Statistic", "statistics", "glrgdd_ru", "amgdd_ru", "glrgdd",
+           "amgdd", "bose_glrt", "appendix_identities", "compute"]
 
 
 class DetectorKind(enum.Enum):
@@ -94,8 +95,33 @@ class Statistic:
                              f"got {self.value}")
 
 
+def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(trials, P, len(kinds)) statistics of `kinds` from stacked transformed data
+    at (P, J, M) signal coefficients c; unvalidated, LAPACK errors propagate."""
+    glrgdd, glrgdd_ru = DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU
+    want = set(kinds)
+    columns = {}
+    # one reduction per covariance estimate: S_plus, S_perp and S
+    if want & {glrgdd, glrgdd_ru, DetectorKind.AMGDD_RU}:
+        plus = kernels.reduce(td.x_par, td.s_plus, a)
+        v = kernels.at_signals(plus, c)
+        if want & {glrgdd, glrgdd_ru}:
+            columns[glrgdd] = kernels.glr(plus, v)
+            columns[glrgdd_ru] = kernels.bounded(columns[glrgdd])
+        if DetectorKind.AMGDD_RU in want:
+            columns[DetectorKind.AMGDD_RU] = kernels.am(v)
+    if DetectorKind.BOSE_GLRT in want:
+        bose = kernels.reduce(td.x_par, td.s_perp, a)
+        columns[DetectorKind.BOSE_GLRT] = kernels.bounded(
+            kernels.glr(bose, kernels.at_signals(bose, c)))
+    if DetectorKind.AMGDD in want:
+        train = kernels.reduce(td.x_par, td.s_train, a)
+        columns[DetectorKind.AMGDD] = kernels.am(kernels.at_signals(train, c))
+    return np.stack([columns[kind] for kind in kinds], axis=-1)
+
+
 def _validated(kind: DetectorKind, x, x_l, a, c):
-    """Coerce the raw data matrices and check their shapes against `kind`."""
+    """Coerce the raw data matrices and check them against `kind`."""
     x = as_cmatrix(x, "X")
     x_l = as_cmatrix(x_l, "X_L")
     a = as_cmatrix(a, "A")
@@ -105,40 +131,27 @@ def _validated(kind: DetectorKind, x, x_l, a, c):
         raise ValueError(f"dimension mismatch: X is {x.shape}, X_L is {x_l.shape}, "
                          f"A is {a.shape}, C is {c.shape}")
     kind.check_dims(n, k, c.shape[0], x_l.shape[1])
+    check_dimensions(n, k, c.shape[0], a.shape[1], x_l.shape[1])
+    if not _full_rank(a):
+        raise ValueError("A must have full column rank")
     return x, x_l, a, c
 
 
-def _training_scm(x_l: np.ndarray) -> np.ndarray:
-    s = hermitize(x_l @ x_l.conj().T, "SCM")
-    try:
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("singular covariance estimate: SCM") from exc
-    return s
-
-
-def _statistic(kind: DetectorKind, x_par: np.ndarray, s: np.ndarray,
-               a: np.ndarray) -> Statistic:
-    """`kind` from the kernel reduction of the estimate `s` of one instance."""
-    red = kernels.reduce(x_par[None], s[None], a)
-    v = kernels.at_signals(red, kernels.no_signal(a.shape[1], x_par.shape[1]))
-    if kind in (DetectorKind.AMGDD_RU, DetectorKind.AMGDD):
-        value = kernels.am(v)
-    elif kind is DetectorKind.GLRGDD:
-        value = kernels.glr(red, v)
-    else:
-        value = kernels.bounded(kernels.glr(red, v))
-    return Statistic(float(value[0, 0]), kind)
+def _at_noise(kind: DetectorKind, td: TransformedData, a: np.ndarray) -> Statistic:
+    """`kind` of one instance's transformed data, taken as noise (c = 0)."""
+    one = TransformedData(**{name: value[None] for name, value in vars(td).items()})
+    c = kernels.no_signal(a.shape[1], td.x_par.shape[1])
+    return Statistic(float(statistics([kind], one, a, c)[0, 0, 0]), kind)
 
 
 def glrgdd_ru(td: TransformedData, a) -> Statistic:
     """GLR statistic on the augmented SCM; value in [0, 1)."""
-    return _statistic(DetectorKind.GLRGDD_RU, td.x_par, td.s_plus, as_cmatrix(a, "A"))
+    return _at_noise(DetectorKind.GLRGDD_RU, td, as_cmatrix(a, "A"))
 
 
 def amgdd_ru(td: TransformedData, a) -> Statistic:
     """Two-step statistic on the augmented SCM; nonnegative, unbounded."""
-    return _statistic(DetectorKind.AMGDD_RU, td.x_par, td.s_plus, as_cmatrix(a, "A"))
+    return _at_noise(DetectorKind.AMGDD_RU, td, as_cmatrix(a, "A"))
 
 
 def glrgdd(x, x_l, a, c) -> Statistic:
@@ -160,15 +173,15 @@ def bose_glrt(x, a, c) -> Statistic:
 def compute(kind: DetectorKind, x, x_l, a, c) -> Statistic:
     """Evaluate any of the five statistics from raw data matrices."""
     x, x_l, a, c = _validated(kind, x, x_l, a, c)
-    f = factor_waveform_subspace(c)
-    if kind is DetectorKind.AMGDD:
-        return _statistic(kind, x @ f.c_par.conj().T, _training_scm(x_l), a)
-    if kind is DetectorKind.GLRGDD:
-        _training_scm(x_l)  # GLRGDD is defined on a nonsingular training SCM
-    elif kind is DetectorKind.BOSE_GLRT:
+    if kind is DetectorKind.BOSE_GLRT:
         x_l = x_l[:, :0]
-    td = transform_data(x, x_l, f)
-    return _statistic(kind, td.x_par, td.s_plus, a)
+    td = transform_stack(x, x_l, factor_waveform_subspace(c))
+    if kind in (DetectorKind.GLRGDD, DetectorKind.AMGDD):
+        # both are defined on a nonsingular training SCM
+        cholesky(td.s_train, "singular covariance estimate: SCM")
+    else:
+        require_augmented_scm(td, x_l.shape[1])
+    return _at_noise(kind, td, a)
 
 
 def appendix_identities(x, x_l, a, c) -> dict[str, float]:
@@ -197,23 +210,21 @@ def appendix_identities(x, x_l, a, c) -> dict[str, float]:
     k, m = x.shape[1], c.shape[0]
     f = factor_waveform_subspace(c)
     td = transform_data(x, x_l, f)
-    s = hermitize(x_l @ x_l.conj().T, "SCM")
-    s_perp = td.x_perp @ td.x_perp.conj().T
-    s_inv = np.linalg.inv(s)
+    s_inv = np.linalg.inv(td.s_train)
     sp_inv = np.linalg.inv(td.s_plus)
     phi_ax = a.conj().T @ sp_inv @ td.x_par
     phi_x = hermitize(td.x_par.conj().T @ sp_inv @ td.x_par, "phi_x")
     shrink = np.linalg.inv(np.eye(m) + phi_x)
 
     residuals = {}
-    lhs = np.linalg.inv(s + x @ x.conj().T)
+    lhs = np.linalg.inv(td.s_train + x @ x.conj().T)
     rhs = sp_inv - sp_inv @ td.x_par @ shrink @ td.x_par.conj().T @ sp_inv
     residuals["woodbury_total_inverse"] = _relative_residual(lhs, rhs)
 
     lhs = np.eye(m) - phi_x + phi_x @ shrink @ phi_x
     residuals["resolvent_contraction"] = _relative_residual(lhs, shrink)
 
-    lhs = s_inv - s_inv @ s_perp @ sp_inv
+    lhs = s_inv - s_inv @ td.s_perp @ sp_inv
     residuals["scm_update_inverse"] = _relative_residual(lhs, sp_inv)
 
     q_inv = np.linalg.inv(np.eye(k) + x.conj().T @ s_inv @ x)

@@ -45,8 +45,8 @@ I - Psi_T is formed, so there is no N x N operation per grid point and no
 cancellation as GLRGDD-RU approaches 1: 1 - GLRGDD-RU is 1 / (1 + mu).
 
 Inputs are assumed validated (complex128, matching dimensions, positive
-definite covariance estimates); the defensive checks live in
-:mod:`adaptdet.detectors`.
+definite covariance estimates); :func:`adaptdet.detectors.statistics` is
+the one caller.
 """
 
 from __future__ import annotations

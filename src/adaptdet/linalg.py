@@ -18,6 +18,7 @@ __all__ = [
     "TOL",
     "Tolerances",
     "as_cmatrix",
+    "cholesky",
     "hermitize",
     "hpd_solve",
 ]
@@ -78,8 +79,13 @@ def hpd_solve(s, b, name: str = "covariance") -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {name} is {s.shape}, right-hand side is {b.shape}"
         )
-    try:
-        factor = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular covariance estimate: {name}") from exc
+    factor = cholesky(s, f"singular covariance estimate: {name}")
     return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, b))
+
+
+def cholesky(s, message: str) -> np.ndarray:
+    """Lower Cholesky factor(s) of `s`; SingularMatrixError(message) if not PD."""
+    try:
+        return np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(message) from exc

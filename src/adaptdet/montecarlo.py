@@ -22,16 +22,15 @@ and a grid can therefore be extended or cut without changing the points it
 keeps.  Layout 3 keys the H1 stream as layout 2 keyed its first grid point;
 the H0 streams are unchanged.
 
-Each block, run by a thread pool, forms the transformed data and
-covariance estimates of all its trials at once, evaluates them with the
-stacked formulas of :mod:`adaptdet.kernels` (a trial's value does not
-depend on the block it sits in), and writes a disjoint slice of a
-preallocated result array.  All order-sensitive reductions (sorting,
-counting) happen on the full array in trial order.  A non-finite statistic
-stops the run with the replay key of its trial and grid point instead of
-being counted as a miss or sorted into a threshold; a LAPACK failure stops
-it with ``SingularMatrixError`` naming the stream, the grid and the trial
-range of the earliest failing block.
+Each block, run by a thread pool, transforms the noise of all its trials
+at once and evaluates it with :func:`adaptdet.detectors.statistics`, as the
+per-instance API does (a trial's value does not depend on the block it sits
+in), and writes a disjoint slice of a preallocated result array.  All
+order-sensitive reductions (sorting, counting) happen on the full array in
+trial order.  A non-finite statistic stops the run with the replay key of
+its trial and grid point instead of being counted as a miss or sorted into
+a threshold; a LAPACK failure stops it with ``SingularMatrixError`` naming
+the stream, the grid and the trial range of the earliest failing block.
 
 Detectors requested together share the same draws per trial (common random
 numbers), which sharpens PD comparisons between detectors.
@@ -45,12 +44,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .detectors import DetectorKind
+from .detectors import DetectorKind, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
 from .scenario import (Scenario, SignalCoordinates, noise_factor, random_directions,
                        scale_to_snr)
-from .transform import signal_coefficient
+from .transform import signal_coefficient, transform_stack
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
@@ -119,11 +118,6 @@ def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
     return draws.view(np.complex128)[..., 0]
 
 
-def _gram(m: np.ndarray) -> np.ndarray:
-    """M M^H for each matrix in a stack."""
-    return m @ np.conj(np.swapaxes(m, -1, -2))
-
-
 def _coefficients(scenario: Scenario, coords) -> np.ndarray:
     """(P, J, M) signal coefficients of a sequence of signal coordinates."""
     stack = [signal_coefficient(scenario.waveform, co.theta, co.alpha) for co in coords]
@@ -175,47 +169,22 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         grid = (f" at grid point {names[0]}" if points == 1
                 else f" at grid points {names[0]} to {names[-1]}")
 
-    cpar_h = scenario.waveform.c_par.conj().T
-    cperp_h = scenario.waveform.c_perp.conj().T
     factor = noise_factor(scenario.R)
-    a = scenario.A
-    glrgdd, glrgdd_ru = DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU
-    want = set(kinds)
     out = np.empty((trials, points, len(kinds)), dtype=np.float64)
 
     def run_block(lo: int) -> None:
         hi = min(lo + BLOCK_TRIALS, trials)
-        count = hi - lo
-        z = _block_noise(seed, domain, lo // BLOCK_TRIALS, count, n, k + l)
-        colored = np.matmul(factor, z)
-        x, x_l = colored[:, :, :k], colored[:, :, k:]
-        x_par = x @ cpar_h
-        s_perp, s_train = _gram(x @ cperp_h), _gram(x_l)
-        columns = {}
+        colored = np.matmul(factor, _block_noise(seed, domain, lo // BLOCK_TRIALS, hi - lo,
+                                                 n, k + l))
+        td = transform_stack(colored[:, :, :k], colored[:, :, k:], scenario.waveform)
+        del colored  # the kernels' temporaries reuse the noise's memory
         try:
-            # one reduction per covariance estimate: S_plus, S_perp and S
-            if want & {glrgdd, glrgdd_ru, DetectorKind.AMGDD_RU}:
-                plus = kernels.reduce(x_par, s_perp + s_train, a)
-                v = kernels.at_signals(plus, c)
-                if want & {glrgdd, glrgdd_ru}:
-                    columns[glrgdd] = kernels.glr(plus, v)
-                    columns[glrgdd_ru] = kernels.bounded(columns[glrgdd])
-                if DetectorKind.AMGDD_RU in want:
-                    columns[DetectorKind.AMGDD_RU] = kernels.am(v)
-            if DetectorKind.BOSE_GLRT in want:
-                bose = kernels.reduce(x_par, s_perp, a)
-                columns[DetectorKind.BOSE_GLRT] = kernels.bounded(
-                    kernels.glr(bose, kernels.at_signals(bose, c)))
-            if DetectorKind.AMGDD in want:
-                train = kernels.reduce(x_par, s_train, a)
-                columns[DetectorKind.AMGDD] = kernels.am(kernels.at_signals(train, c))
+            block = statistics(kinds, td, scenario.A, c)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(
                 f"{exc} in trials {lo}..{hi - 1} of stream version {STREAM_VERSION}, "
                 f"(seed, domain) = ({seed}, {domain}){grid}") from exc
-        block = out[lo:hi]
-        for col, kind in enumerate(kinds):
-            block[..., col] = columns[kind]
+        out[lo:hi] = block
         bad = np.argwhere(~np.isfinite(block).all(axis=-1))
         if bad.size:
             trial, p = int(bad[0, 0]), int(bad[0, 1])

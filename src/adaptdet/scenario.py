@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .linalg import TOL, as_cmatrix, hpd_solve
+from .linalg import TOL, as_cmatrix, cholesky, hpd_solve
 from .transform import SubspaceFactorization, factor_waveform_subspace
 
 __all__ = [
@@ -184,11 +183,7 @@ def random_directions(j: int, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
 
 def noise_factor(r) -> np.ndarray:
     """Lower-triangular factor F with F F^H = R."""
-    r = as_cmatrix(r, "R")
-    try:
-        return np.linalg.cholesky(r)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("singular covariance estimate: R") from exc
+    return cholesky(as_cmatrix(r, "R"), "singular covariance estimate: R")
 
 
 def sample_noise(r, cols: int, rng: np.random.Generator) -> np.ndarray:

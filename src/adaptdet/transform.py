@@ -7,6 +7,9 @@ X_perp = X V_2, and the augmented sample covariance matrix S_plus is formed
 from the training data plus X_perp.  This turns a limited-training detection
 problem into a sample-abundant one: the columns of X_perp act as extra
 (virtual) training data.
+
+:func:`transform_stack` alone applies it and forms the covariance
+estimates, for the Monte Carlo engine and the per-instance API alike.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .linalg import TOL, as_cmatrix, hermitize
+from .linalg import TOL, as_cmatrix, cholesky, hermitize
 
 __all__ = ["SubspaceFactorization", "TransformedData", "factor_waveform_subspace",
-           "signal_coefficient", "transform_data"]
+           "require_augmented_scm", "signal_coefficient", "transform_data",
+           "transform_stack"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,16 +42,23 @@ class SubspaceFactorization:
 
 @dataclass(frozen=True, eq=False)
 class TransformedData:
-    """Transformed test data and the augmented SCM.
+    """Transformed test data and the covariance estimates formed from it.
 
     x_par (N x M) carries any subspace signal, x_perp (N x (K-M)) is
-    signal-free, and s_plus = X_L X_L^H + x_perp x_perp^H is Hermitian PD
-    whenever L + K >= M + N and the data are nondegenerate.
+    signal-free, s_perp = x_perp x_perp^H, s_train = X_L X_L^H (the training
+    SCM) and s_plus = s_perp + s_train, Hermitian PD whenever L + K >= M + N
+    and the data are nondegenerate.  Fields may carry leading trial axes.
     """
 
     x_par: np.ndarray
     x_perp: np.ndarray
-    s_plus: np.ndarray
+    s_perp: np.ndarray
+    s_train: np.ndarray
+
+    @property
+    def s_plus(self) -> np.ndarray:
+        """Formed on each access, so a block of trials holds no third N x N stack."""
+        return self.s_perp + self.s_train
 
 
 def factor_waveform_subspace(c) -> SubspaceFactorization:
@@ -75,8 +85,26 @@ def signal_coefficient(f: SubspaceFactorization, theta, alpha) -> np.ndarray:
     return np.outer(theta, np.conj(alpha)) @ f.d
 
 
+def transform_stack(x, x_l, f: SubspaceFactorization) -> TransformedData:
+    """Unvalidated transformation of test data x (..., N, K) and training
+    data x_l (..., N, L) with any leading trial axes.  A trial's values do
+    not depend on the other trials of its stack."""
+    x_par = x @ f.c_par.conj().T
+    x_perp = x @ f.c_perp.conj().T
+    s_perp = x_perp @ np.conj(np.swapaxes(x_perp, -1, -2))
+    s_train = x_l @ np.conj(np.swapaxes(x_l, -1, -2))
+    return TransformedData(x_par, x_perp, s_perp, s_train)
+
+
+def require_augmented_scm(td: TransformedData, l: int) -> None:
+    """Refuse a singular td.s_plus, formed with L = `l` training columns."""
+    n, m = td.x_par.shape[-2:]
+    cholesky(td.s_plus, f"augmented SCM singular (N={n}, K={m + td.x_perp.shape[-1]}, "
+                        f"M={m}, L={l}): need L+K >= M+N and nondegenerate data")
+
+
 def transform_data(x, x_l, f: SubspaceFactorization) -> TransformedData:
-    """Apply the right-unitary transformation and form the augmented SCM.
+    """Apply the right-unitary transformation to one instance.
 
     x is the N x K test-data matrix, x_l the N x L training data (L may be
     zero).  Raises SingularMatrixError rather than returning a singular
@@ -88,18 +116,7 @@ def transform_data(x, x_l, f: SubspaceFactorization) -> TransformedData:
     if x.shape[1] != k:
         raise ValueError(f"X must have {k} columns, got {x.shape[1]}")
     if x_l.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"X_L must have {x.shape[0]} rows to match X, got {x_l.shape[0]}"
-        )
-    x_par = x @ f.c_par.conj().T
-    x_perp = x @ f.c_perp.conj().T
-    s_plus = hermitize(x_l @ x_l.conj().T + x_perp @ x_perp.conj().T, "S_plus")
-    try:
-        np.linalg.cholesky(s_plus)
-    except np.linalg.LinAlgError as exc:
-        n, l = x.shape[0], x_l.shape[1]
-        raise SingularMatrixError(
-            f"augmented SCM singular (N={n}, K={x.shape[1]}, M={f.c_par.shape[0]}, "
-            f"L={l}): need L+K >= M+N and nondegenerate data"
-        ) from exc
-    return TransformedData(x_par=x_par, x_perp=x_perp, s_plus=s_plus)
+        raise ValueError(f"X_L must have {x.shape[0]} rows to match X, got {x_l.shape[0]}")
+    td = transform_stack(x, x_l, f)
+    require_augmented_scm(td, x_l.shape[1])
+    return td

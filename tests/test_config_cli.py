@@ -323,3 +323,17 @@ def test_export_list_names_resolve_once(module):
     names = getattr(mod, "__all__", [])
     assert len(names) == len(set(names)), f"duplicate names in {module}.__all__"
     assert [name for name in names if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("path", [
+    "cli.main", "config.parse_config", "config.build_scenario",
+    "montecarlo.simulate_statistics", "verify.instance_stream", "verify.compute",
+    "verify.appendix_identities"])
+def test_benchmark_entry_points_resolve(path):
+    # perfbench/worker.py reads these as attributes of the imported package
+    module, name = path.split(".")
+    assert callable(getattr(getattr(adaptdet, module), name))
+
+
+def test_benchmark_reads_the_identity_budget():
+    assert isinstance(adaptdet.linalg.TOL.identity_rtol, float)

@@ -230,3 +230,15 @@ class TestComputeDispatcher:
             compute(DetectorKind.AMGDD_RU, inst.x, inst.x_l[1:], inst.a, inst.c)
         with pytest.raises(ValueError, match="dimension mismatch"):
             compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c[:, 1:])
+
+    @pytest.mark.parametrize("kind", list(DetectorKind))
+    def test_refuses_an_invalid_spatial_subspace(self, kind):
+        # every kind's own constraint holds in both cases
+        rng = np.random.default_rng(23)
+        x, x_l, c = (random_cmatrix(rng, *shape) for shape in ((2, 6), (2, 4), (2, 6)))
+        with pytest.raises(ValueError, match="J=3 > N=2"):
+            compute(kind, x, x_l, random_cmatrix(rng, 2, 3), c)
+        x, x_l, c = (random_cmatrix(rng, *shape) for shape in ((6, 10), (6, 8), (2, 10)))
+        column = random_cmatrix(rng, 6, 1)
+        with pytest.raises(ValueError, match="A must have full column rank"):
+            compute(kind, x, x_l, np.hstack([column, column]), c)

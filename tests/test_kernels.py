@@ -1,16 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adaptdet import kernels
-from adaptdet.detectors import DetectorKind
+from adaptdet.detectors import DetectorKind, statistics
 from adaptdet.montecarlo import simulate_statistics
 from adaptdet.scenario import (as_generator, make_scenario, make_signal, random_directions,
                                sample_noise, scale_to_snr)
-from adaptdet.transform import factor_waveform_subspace, signal_coefficient
+from adaptdet.transform import (TransformedData, factor_waveform_subspace,
+                                signal_coefficient, transform_stack)
 
-from oracles import (amgdd_projection_form, dagger, glrgdd_raw_form, mp_glr_pair,
-                     ru_am_direct, ru_glr_direct)
+from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, ru_am_direct,
+                     ru_glr_direct)
 
 
 def _batch(scenario, trials, seed):
@@ -25,17 +28,11 @@ def _batch(scenario, trials, seed):
 
 def _engine_stacks(scenario, trials, seed, signal=None):
     """Kernel inputs for a stack of trials, built as the Monte Carlo engine does."""
-    f = factor_waveform_subspace(scenario.C)
     xb, xlb = _batch(scenario, trials, seed)
     if signal is not None:
         xb = xb + signal
-    x_par = xb @ dagger(f.c_par)
-    x_perp = xb @ dagger(f.c_perp)
-    s_perp = x_perp @ np.conj(np.swapaxes(x_perp, 1, 2))
-    s_train = xlb @ np.conj(np.swapaxes(xlb, 1, 2))
     return {"scenario": scenario, "x": xb, "x_l": xlb,
-            "x_par": x_par, "s_plus": s_perp + s_train, "s_perp": s_perp,
-            "s_train": s_train}
+            "td": transform_stack(xb, xlb, scenario.waveform)}
 
 
 _SCENARIO = make_scenario(6, 10, 2, 2, 8, rho=0.95, seed=21)
@@ -60,30 +57,27 @@ def stacks():
     return _engine_stacks(_SCENARIO, 32, 5)
 
 
+_KINDS = [DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU, DetectorKind.BOSE_GLRT,
+          DetectorKind.GLRGDD, DetectorKind.AMGDD]
+
+
 def _kernel_values(stacks, c):
     """The five statistics, (trials, P, 5), computed from noise stacks and a
     coefficient stack: [GLRGDD-RU, AMGDD-RU, Bose, GLRGDD, AMGDD]."""
-    a = stacks["scenario"].A
-    plus, bose, train = (kernels.reduce(stacks["x_par"], stacks[key], a)
-                         for key in ("s_plus", "s_perp", "s_train"))
-    v = kernels.at_signals(plus, c)
-    mu = kernels.glr(plus, v)
-    return np.stack([kernels.bounded(mu), kernels.am(v),
-                     kernels.bounded(kernels.glr(bose, kernels.at_signals(bose, c))), mu,
-                     kernels.am(kernels.at_signals(train, c))], axis=-1)
+    return statistics(_KINDS, stacks["td"], stacks["scenario"].A, c)
 
 
 def _assert_match_oracles(values, stacks):
     # Reference values come from the explicit-inverse oracles in tests/oracles.py,
     # which share no code with the kernels; `stacks` holds the data with any
     # signal already added.
-    sc, a = stacks["scenario"], stacks["scenario"].A
+    sc, a, td = stacks["scenario"], stacks["scenario"].A, stacks["td"]
     for t in range(values.shape[0]):
-        x_par = stacks["x_par"][t]
+        x_par = td.x_par[t]
         x, x_l = stacks["x"][t], stacks["x_l"][t]
-        expected = [ru_glr_direct(x_par, stacks["s_plus"][t], a),
-                    ru_am_direct(x_par, stacks["s_plus"][t], a),
-                    ru_glr_direct(x_par, stacks["s_perp"][t], a),
+        expected = [ru_glr_direct(x_par, td.s_plus[t], a),
+                    ru_am_direct(x_par, td.s_plus[t], a),
+                    ru_glr_direct(x_par, td.s_perp[t], a),
                     glrgdd_raw_form(x, x_l, a, sc.C),
                     amgdd_projection_form(x, x_l, a, sc.C)]
         for value, ref in zip(values[t], expected):
@@ -115,14 +109,15 @@ def test_glr_statistics_stay_accurate_near_their_bound(snr_db):
     # formed in mpmath: GLRGDD keeps its relative accuracy and the bounded
     # statistics their absolute accuracy, although 1 - t falls to ~1e-12.
     st = _engine_stacks(_SCENARIO, 3, 13)
-    for key in ("s_plus", "s_perp", "s_train"):
-        st[key] = 0.5 * (st[key] + np.conj(np.swapaxes(st[key], 1, 2)))
+    hermitian = {key: 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
+                 for key, s in vars(st["td"]).items() if key.startswith("s_")}
+    td = st["td"] = replace(st["td"], **hermitian)
     c = _signal(snr_db)[1]
     values = _kernel_values(st, c)[:, 0]
     ulp = 2.0 ** -52
     for t in range(values.shape[0]):
-        t_ru, glrgdd = mp_glr_pair(st["x_par"][t], st["s_plus"][t], _SCENARIO.A, c[0])
-        t_bose, _ = mp_glr_pair(st["x_par"][t], st["s_perp"][t], _SCENARIO.A, c[0])
+        t_ru, glrgdd = mp_glr_pair(td.x_par[t], td.s_plus[t], _SCENARIO.A, c[0])
+        t_bose, _ = mp_glr_pair(td.x_par[t], td.s_perp[t], _SCENARIO.A, c[0])
         assert abs(values[t, 0] - t_ru) <= 2 * ulp
         assert abs(values[t, 2] - t_bose) <= 2 * ulp
         assert abs(values[t, 3] - glrgdd) <= 1e-12 * glrgdd
@@ -177,7 +172,7 @@ def test_top_eigenvalue_matches_eigvalsh(y):
 def test_zero_column_training_batch(stacks):
     # Bose's GLRT: the augmented SCM built from the virtual training data alone
     sc = stacks["scenario"]
-    red = kernels.reduce(stacks["x_par"], stacks["s_perp"], sc.A)
+    red = kernels.reduce(stacks["td"].x_par, stacks["td"].s_perp, sc.A)
     v = kernels.at_signals(red, _zero(sc))
     out = np.stack([kernels.bounded(kernels.glr(red, v)), kernels.am(v)], axis=-1)
     assert out.shape == (stacks["x"].shape[0], 1, 2)
@@ -203,9 +198,8 @@ def test_trial_is_bitwise_independent_of_its_stack(stacks):
     c = np.concatenate([_zero(_SCENARIO)] + [_signal(snr)[1] for snr in _SNRS_DB])
     full = _kernel_values(stacks, c)
     for t in range(full.shape[0]):
-        one = {key: (val[t:t + 1] if key in ("x", "x_l", "x_par", "s_plus", "s_perp",
-                                             "s_train") else val)
-               for key, val in stacks.items()}
+        one = dict(stacks, td=TransformedData(
+            **{key: val[t:t + 1] for key, val in vars(stacks["td"]).items()}))
         for p in range(c.shape[0]):
             assert np.array_equal(_kernel_values(one, c[p:p + 1])[0, 0], full[t, p])
 
@@ -222,12 +216,7 @@ def test_monotone_map_between_scm_families(stacks):
 def test_square_waveform_subspace_two_step_agreement():
     # K = M: no virtual training data, so AMGDD-RU and AMGDD coincide
     scenario = make_scenario(4, 3, 3, 2, 6, rho=0.5, seed=22)
-    f = factor_waveform_subspace(scenario.C)
-    xb, xlb = _batch(scenario, 16, 6)
-    x_par, x_perp = xb @ dagger(f.c_par), xb @ dagger(f.c_perp)
-    s_train = xlb @ np.conj(np.swapaxes(xlb, 1, 2))
-    s_plus = x_perp @ np.conj(np.swapaxes(x_perp, 1, 2)) + s_train
-    zero = _zero(scenario)
-    ru = kernels.am(kernels.at_signals(kernels.reduce(x_par, s_plus, scenario.A), zero))
-    classic = kernels.am(kernels.at_signals(kernels.reduce(x_par, s_train, scenario.A), zero))
-    assert np.allclose(ru, classic, rtol=1e-12, atol=0.0)
+    td = _engine_stacks(scenario, 16, 6)["td"]
+    values = statistics([DetectorKind.AMGDD_RU, DetectorKind.AMGDD], td, scenario.A,
+                        _zero(scenario))
+    assert np.allclose(values[..., 0], values[..., 1], rtol=1e-12, atol=0.0)

@@ -7,11 +7,13 @@ from scipy import stats
 from adaptdet import kernels, montecarlo
 from adaptdet.detectors import DetectorKind, compute
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
-from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL_FRESH, DOMAIN_SIGNAL,
-                                 calibrate_threshold, cfar_check, estimate_pd, pd_curve,
-                                 pd_curves, simulate_statistics, threshold_from_h0)
+from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_NULL_FRESH,
+                                 DOMAIN_SIGNAL, calibrate_threshold, cfar_check,
+                                 estimate_pd, pd_curve, pd_curves, simulate_statistics,
+                                 threshold_from_h0)
 from adaptdet.scenario import (SignalCoordinates, make_scenario, make_signal,
-                               random_directions, scale_to_snr, toeplitz_covariance)
+                               noise_factor, random_directions, scale_to_snr,
+                               toeplitz_covariance)
 from adaptdet.transform import factor_waveform_subspace, signal_coefficient
 
 RU = DetectorKind.GLRGDD_RU
@@ -108,6 +110,25 @@ class TestNonFiniteTrials:
                 for col, kind in enumerate(ALL):
                     value = compute(kind, x, data[:, sc.K:], sc.A, sc.C).value
                     assert value == pytest.approx(stats[trial, p, col], rel=1e-10)
+
+    @pytest.mark.parametrize("dims, kinds", [
+        ((6, 10, 2, 2, 8), ALL),
+        ((6, 6, 2, 2, 3), [RU, DetectorKind.AMGDD_RU]),  # L < N: the RU pair only
+    ])
+    def test_per_instance_api_is_bitwise_the_engine(self, dims, kinds):
+        # compute and the engine share the transform and the dispatch, so a
+        # replayed noise-only trial gives the engine's value to the last bit
+        sc = make_scenario(*dims, seed=21)
+        stats = simulate_statistics(sc, kinds, BLOCK_TRIALS + 2, seed=11)
+        factor = noise_factor(sc.R)
+        for trial in (0, 1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1):
+            block, row = divmod(trial, BLOCK_TRIALS)
+            white = montecarlo._block_noise(11, DOMAIN_NULL, block, row + 1,
+                                            sc.N, sc.K + sc.L)[row]
+            data = factor @ white
+            for col, kind in enumerate(kinds):
+                value = compute(kind, data[:, :sc.K], data[:, sc.K:], sc.A, sc.C).value
+                assert value == stats[trial, col], (trial, kind)
 
     @pytest.mark.parametrize("failing, trials, named", [
         # every block fails, the short last one at once and the full first one

@@ -9,7 +9,7 @@ experiments, and empirical CFAR checks.
 __version__ = "0.1.0"
 
 from .detectors import (DetectorKind, Statistic, amgdd, amgdd_ru, appendix_identities,
-                        bose_glrt, compute, glrgdd, glrgdd_ru)
+                        bose_glrt, compute, evaluate, glrgdd, glrgdd_ru)
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
 from .linalg import TOL, hermitize, hpd_solve
 from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_threshold,
@@ -30,7 +30,7 @@ __all__ = [
     "SignalCoordinates", "SingularMatrixError", "Statistic", "SubspaceFactorization", "TOL",
     "TransformedData", "amgdd", "amgdd_ru", "appendix_identities", "bose_glrt",
     "build_scenario", "calibrate_threshold", "calibrate_thresholds", "cfar_check",
-    "compute", "estimate_pd", "factor_waveform_subspace", "format_config",
+    "compute", "estimate_pd", "evaluate", "factor_waveform_subspace", "format_config",
     "glrgdd", "glrgdd_ru", "hermitize", "hpd_solve", "make_scenario", "make_signal",
     "parse_config", "pd_curve", "pd_curves", "random_directions", "random_subspaces",
     "run_verification", "sample_noise", "scale_to_snr", "signal_coefficient",

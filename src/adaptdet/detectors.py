@@ -17,11 +17,11 @@ Bose's GLRT uses no training data at all and requires K >= M + N; it is
 GLRGDD-RU with an empty training set.
 
 :func:`statistics` maps each kind to its covariance estimate and kernels;
-the Monte Carlo engine calls it on blocks of trials.  The per-instance API
-validates one instance (shapes, dimensions, a full-rank A, a nonsingular
-covariance estimate), transforms it as the engine does and evaluates it as
-a stack of one at the signal point c = 0 (the data is taken as given), so
-on the same noise it gives bitwise the engine's value.
+the Monte Carlo engine calls it on blocks of trials.  The per-instance API,
+:func:`evaluate` (:func:`compute` is its one-kind case), validates one
+instance once for all its kinds, transforms it as the engine does, checks
+once each covariance estimate they read and reads every kind from one
+:func:`statistics` call on a stack of one at c = 0: the engine's value, bitwise.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from . import kernels
 from .linalg import as_cmatrix, cholesky, hermitize
 from .scenario import _full_rank, check_dimensions
 from .transform import (TransformedData, factor_waveform_subspace, require_augmented_scm,
-                        transform_data, transform_stack)
+                        transform_stack)
 
 __all__ = ["DetectorKind", "Statistic", "statistics", "glrgdd_ru", "amgdd_ru", "glrgdd",
-           "amgdd", "bose_glrt", "appendix_identities", "compute"]
+           "amgdd", "bose_glrt", "appendix_identities", "evaluate", "compute"]
 
 
 class DetectorKind(enum.Enum):
@@ -120,8 +120,9 @@ def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray) -> np.n
     return np.stack([columns[kind] for kind in kinds], axis=-1)
 
 
-def _validated(kind: DetectorKind, x, x_l, a, c):
-    """Coerce the raw data matrices and check them against `kind`."""
+def _prepared(kinds, x, x_l, a, c):
+    """Check raw data against each of `kinds`, transform it once and refuse a
+    singular covariance estimate that one of them reads, each checked once."""
     x = as_cmatrix(x, "X")
     x_l = as_cmatrix(x_l, "X_L")
     a = as_cmatrix(a, "A")
@@ -130,28 +131,38 @@ def _validated(kind: DetectorKind, x, x_l, a, c):
     if x_l.shape[0] != n or a.shape[0] != n or c.shape[1] != k:
         raise ValueError(f"dimension mismatch: X is {x.shape}, X_L is {x_l.shape}, "
                          f"A is {a.shape}, C is {c.shape}")
-    kind.check_dims(n, k, c.shape[0], x_l.shape[1])
+    for kind in kinds:
+        kind.check_dims(n, k, c.shape[0], x_l.shape[1])
     check_dimensions(n, k, c.shape[0], a.shape[1], x_l.shape[1])
     if not _full_rank(a):
         raise ValueError("A must have full column rank")
-    return x, x_l, a, c
+    f = factor_waveform_subspace(c)
+    td = transform_stack(x, x_l, f)
+    if {DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU} & set(kinds):
+        require_augmented_scm(td, x_l.shape[1])
+    if {DetectorKind.GLRGDD, DetectorKind.AMGDD} & set(kinds):
+        cholesky(td.s_train, "singular covariance estimate: SCM")
+    if DetectorKind.BOSE_GLRT in kinds:
+        require_augmented_scm(td, 0)  # S_perp, the augmented SCM of no training data
+    return x, a, f, td
 
 
-def _at_noise(kind: DetectorKind, td: TransformedData, a: np.ndarray) -> Statistic:
-    """`kind` of one instance's transformed data, taken as noise (c = 0)."""
+def _at_noise(kinds, td: TransformedData, a: np.ndarray) -> list[Statistic]:
+    """`kinds` of one instance's transformed data, taken as noise (c = 0)."""
     one = TransformedData(**{name: value[None] for name, value in vars(td).items()})
     c = kernels.no_signal(a.shape[1], td.x_par.shape[1])
-    return Statistic(float(statistics([kind], one, a, c)[0, 0, 0]), kind)
+    values = statistics(kinds, one, a, c)[0, 0]
+    return [Statistic(float(value), kind) for kind, value in zip(kinds, values)]
 
 
 def glrgdd_ru(td: TransformedData, a) -> Statistic:
     """GLR statistic on the augmented SCM; value in [0, 1)."""
-    return _at_noise(DetectorKind.GLRGDD_RU, td, as_cmatrix(a, "A"))
+    return _at_noise([DetectorKind.GLRGDD_RU], td, as_cmatrix(a, "A"))[0]
 
 
 def amgdd_ru(td: TransformedData, a) -> Statistic:
     """Two-step statistic on the augmented SCM; nonnegative, unbounded."""
-    return _at_noise(DetectorKind.AMGDD_RU, td, as_cmatrix(a, "A"))
+    return _at_noise([DetectorKind.AMGDD_RU], td, as_cmatrix(a, "A"))[0]
 
 
 def glrgdd(x, x_l, a, c) -> Statistic:
@@ -166,22 +177,19 @@ def amgdd(x, x_l, a, c) -> Statistic:
 
 def bose_glrt(x, a, c) -> Statistic:
     """Training-free GLRT: GLRGDD-RU with an empty training set."""
-    x = as_cmatrix(x, "X")
-    return compute(DetectorKind.BOSE_GLRT, x, x[:, :0], a, c)
+    return compute(DetectorKind.BOSE_GLRT, x, np.zeros(np.shape(x)[:1] + (0,)), a, c)
+
+
+def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, Statistic]:
+    """Evaluate several statistics of one instance from raw data matrices:
+    one validation, one transform and one :func:`statistics` call."""
+    _, a, _, td = _prepared(kinds, x, x_l, a, c)
+    return dict(zip(kinds, _at_noise(kinds, td, a)))
 
 
 def compute(kind: DetectorKind, x, x_l, a, c) -> Statistic:
     """Evaluate any of the five statistics from raw data matrices."""
-    x, x_l, a, c = _validated(kind, x, x_l, a, c)
-    if kind is DetectorKind.BOSE_GLRT:
-        x_l = x_l[:, :0]
-    td = transform_stack(x, x_l, factor_waveform_subspace(c))
-    if kind in (DetectorKind.GLRGDD, DetectorKind.AMGDD):
-        # both are defined on a nonsingular training SCM
-        cholesky(td.s_train, "singular covariance estimate: SCM")
-    else:
-        require_augmented_scm(td, x_l.shape[1])
-    return _at_noise(kind, td, a)
+    return evaluate([kind], x, x_l, a, c)[kind]
 
 
 def appendix_identities(x, x_l, a, c) -> dict[str, float]:
@@ -206,10 +214,8 @@ def appendix_identities(x, x_l, a, c) -> dict[str, float]:
     * ``whitened_gram_reduction``: the whitened waveform gram factor
       reduces to I + P.
     """
-    x, x_l, a, c = _validated(DetectorKind.GLRGDD, x, x_l, a, c)
-    k, m = x.shape[1], c.shape[0]
-    f = factor_waveform_subspace(c)
-    td = transform_data(x, x_l, f)
+    x, a, f, td = _prepared([DetectorKind.GLRGDD], x, x_l, a, c)
+    k, m = x.shape[1], f.c_par.shape[0]
     s_inv = np.linalg.inv(td.s_train)
     sp_inv = np.linalg.inv(td.s_plus)
     phi_ax = a.conj().T @ sp_inv @ td.x_par

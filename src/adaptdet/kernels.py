@@ -94,6 +94,7 @@ def reduce(x_par, s, a) -> Reduction:
     b = np.concatenate([np.broadcast_to(a, x_par.shape[:-1] + a.shape[-1:]), x_par],
                        axis=-1)
     g = _ct(b) @ np.linalg.solve(s, b)
+    g = 0.5 * (g + _ct(g))  # Cholesky reads one triangle of G
     # the Cholesky factor of G + diag(0, I) is [[L, 0], [V^H, R]]
     g[..., j:, j:] += np.eye(x_par.shape[-1])
     f = np.linalg.cholesky(g)

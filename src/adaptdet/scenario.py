@@ -121,9 +121,9 @@ class SignalCoordinates:
     alpha: np.ndarray
 
 
-def _full_rank(a: np.ndarray) -> bool:
+def _full_rank(a: np.ndarray, rtol: float = TOL.rank_sv_rtol) -> bool:
     sv = np.linalg.svd(a, compute_uv=False)
-    return bool(sv[-1] > TOL.rank_sv_rtol * sv[0])
+    return bool(sv[-1] > rtol * sv[0])
 
 
 def toeplitz_covariance(n: int, rho: float) -> np.ndarray:
@@ -163,10 +163,10 @@ def random_subspaces(n: int, j: int, m: int, k: int, seed) -> tuple[np.ndarray, 
     return a, c
 
 
-def _draw_full_rank(rng, rows, cols, name):
+def _draw_full_rank(rng, rows, cols, name, rtol=TOL.rank_sv_rtol):
     for _ in range(_MAX_RANK_RETRIES):
         cand = complex_gaussian(rng, rows, cols)
-        if _full_rank(cand):
+        if _full_rank(cand, rtol):
             return cand
     raise RuntimeError(f"could not draw a full-rank {name} in {_MAX_RANK_RETRIES} tries")
 

@@ -97,10 +97,11 @@ def transform_stack(x, x_l, f: SubspaceFactorization) -> TransformedData:
 
 
 def require_augmented_scm(td: TransformedData, l: int) -> None:
-    """Refuse a singular td.s_plus, formed with L = `l` training columns."""
+    """Refuse a singular augmented SCM of `l` training columns (td.s_perp at l = 0)."""
     n, m = td.x_par.shape[-2:]
-    cholesky(td.s_plus, f"augmented SCM singular (N={n}, K={m + td.x_perp.shape[-1]}, "
-                        f"M={m}, L={l}): need L+K >= M+N and nondegenerate data")
+    s = td.s_plus if l else td.s_perp
+    cholesky(s, f"augmented SCM singular (N={n}, K={m + td.x_perp.shape[-1]}, "
+                f"M={m}, L={l}): need L+K >= M+N and nondegenerate data")
 
 
 def transform_data(x, x_l, f: SubspaceFactorization) -> TransformedData:

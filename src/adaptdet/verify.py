@@ -11,8 +11,10 @@ checks, on each, the algebraic facts the detectors rest on:
   (A -> A T, C -> T C) and under common data scaling (X, X_L) -> (c X, c X_L),
 * boundedness of the [0, 1) statistics.
 
-These are theorems, so any persistent failure flags an implementation bug;
-each failure records the instance index for replay.
+Each instance costs one :func:`adaptdet.detectors.evaluate` of its valid
+kinds per (A, C, data) variant, plus the identity report where GLRGDD is
+valid.  These are theorems, so any persistent failure flags an
+implementation bug; each failure records the instance index for replay.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import DetectorKind, appendix_identities, compute
+from .detectors import DetectorKind, appendix_identities, evaluate
+from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
-from .scenario import (Scenario, as_generator, complex_gaussian, make_signal,
-                       random_subspaces, sample_noise, scale_to_snr,
+from .scenario import (Scenario, _draw_full_rank, as_generator, complex_gaussian,
+                       make_signal, random_subspaces, sample_noise, scale_to_snr,
                        toeplitz_covariance)
 
 __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
@@ -33,6 +36,7 @@ __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
 REGIMES = ("abundant", "lowsample", "notraining", "square")
 
 _RHO_CYCLE = (0.0, 0.5, 0.95)
+_TRANSFORM_RTOL = 1e-3  # the invariance transforms T are drawn with cond(T) < 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,55 +192,44 @@ def run_verification(seed: int = 20260810, instance_count: int = 500) -> Verific
 
 def _check_instance(idx: int, inst: Instance, rng, suites: dict[str, CheckSuite]) -> None:
     kinds = inst.valid_kinds()
-    values = {kind: compute(kind, inst.x, inst.x_l, inst.a, inst.c).value
-              for kind in kinds}
+    base = evaluate(kinds, inst.x, inst.x_l, inst.a, inst.c)
 
     if DetectorKind.GLRGDD in kinds:
         residuals = appendix_identities(inst.x, inst.x_l, inst.a, inst.c)
         worst = max(residuals.values())
         suites["identities"].record(idx, worst, TOL.identity_rtol,
                                     f"{inst.regime}, worst of {len(residuals)} identities")
-        t_ru = values[DetectorKind.GLRGDD_RU]
-        t_full = values[DetectorKind.GLRGDD]
+        t_ru = base[DetectorKind.GLRGDD_RU].value
+        t_full = base[DetectorKind.GLRGDD].value
         mapped = t_ru / (1.0 - t_ru)
         res = abs(t_full - mapped) / (1.0 + t_full)
         suites["monotone_map"].record(idx, res, TOL.identity_rtol, inst.regime)
 
     if inst.l == 0:
-        ru = values[DetectorKind.GLRGDD_RU]
-        bose = values[DetectorKind.BOSE_GLRT]
-        res = abs(bose - ru) / max(1.0, abs(ru))
+        ru = base[DetectorKind.GLRGDD_RU].value
+        res = abs(base[DetectorKind.BOSE_GLRT].value - ru) / max(1.0, abs(ru))
         suites["no_training_agreement"].record(idx, res, TOL.degenerate_rtol, inst.regime)
 
     if inst.k == inst.m and DetectorKind.AMGDD in kinds:
-        res = abs(values[DetectorKind.AMGDD] - values[DetectorKind.AMGDD_RU])
-        res /= max(1.0, abs(values[DetectorKind.AMGDD_RU]))
+        ru = base[DetectorKind.AMGDD_RU].value
+        res = abs(base[DetectorKind.AMGDD].value - ru) / max(1.0, abs(ru))
         suites["square_agreement"].record(idx, res, TOL.degenerate_rtol, inst.regime)
 
-    t_a = _random_invertible(rng, inst.j)
-    t_c = _random_invertible(rng, inst.m)
+    t_a = _draw_full_rank(rng, inst.j, inst.j, "T", _TRANSFORM_RTOL)
+    t_c = _draw_full_rank(rng, inst.m, inst.m, "T", _TRANSFORM_RTOL)
     scale = complex(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
+    variants = (
+        ("A -> A T", evaluate(kinds, inst.x, inst.x_l, inst.a @ t_a, inst.c)),
+        ("C -> T C", evaluate(kinds, inst.x, inst.x_l, inst.a, t_c @ inst.c)),
+        ("(X, X_L) -> (c X, c X_L)",
+         evaluate(kinds, scale * inst.x, scale * inst.x_l, inst.a, inst.c)),
+    )
     for kind in kinds:
-        base = values[kind]
-        denom = 1.0 + abs(base)
-        variants = (
-            ("A -> A T", compute(kind, inst.x, inst.x_l, inst.a @ t_a, inst.c).value),
-            ("C -> T C", compute(kind, inst.x, inst.x_l, inst.a, t_c @ inst.c).value),
-            ("(X, X_L) -> (c X, c X_L)",
-             compute(kind, scale * inst.x, scale * inst.x_l, inst.a, inst.c).value),
-        )
-        for label, value in variants:
-            suites["invariance"].record(idx, abs(value - base) / denom,
-                                        TOL.identity_rtol, f"{kind.name} {label}")
+        value = base[kind].value
+        for label, stats in variants:
+            res = abs(stats[kind].value - value) / (1.0 + abs(value))
+            suites["invariance"].record(idx, res, TOL.identity_rtol, f"{kind.name} {label}")
         if kind.bounded_below_one:
-            overshoot = base - (1.0 - TOL.stat_unit_margin)
+            overshoot = value - (1.0 - TOL.stat_unit_margin)
             suites["boundedness"].record(idx, max(overshoot, 0.0), 0.0, kind.name)
 
-
-def _random_invertible(rng, dim: int) -> np.ndarray:
-    for _ in range(100):
-        t = complex_gaussian(rng, dim, dim)
-        sv = np.linalg.svd(t, compute_uv=False)
-        if sv[-1] > 1e-3 * sv[0]:
-            return t
-    raise RuntimeError("could not draw a well-conditioned transform")

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+import adaptdet.detectors
 from adaptdet.detectors import (DetectorKind, Statistic, amgdd, amgdd_ru,
-                                appendix_identities, bose_glrt, compute, glrgdd,
+                                appendix_identities, bose_glrt, compute, evaluate, glrgdd,
                                 glrgdd_ru)
 from adaptdet.errors import SingularMatrixError
 from adaptdet.transform import factor_waveform_subspace, transform_data
-from adaptdet.verify import random_instance
+from adaptdet.verify import REGIMES, instance_stream, random_instance, run_verification
 
-from oracles import (amgdd_projection_form, glrgdd_raw_form, random_cmatrix,
+from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, random_cmatrix,
                      ru_am_direct, ru_glr_direct)
 
 
@@ -122,6 +123,20 @@ class TestGlrgdd:
         with pytest.raises(ValueError, match="GLRGDD requires L >= N"):
             glrgdd(inst.x, inst.x_l, inst.a, inst.c)
 
+    def test_ill_conditioned_square_instance_matches_mpmath(self):
+        # `adaptdet verify --seed 10`, instance 99: square, L = N = 3, cond(S) 1.8e6.
+        # Cholesky reads one triangle of the Gram, so an unsymmetrized Gram put
+        # GLRGDD 3.3e-8 off here.
+        idx = 99
+        inst = random_instance(REGIMES[idx % len(REGIMES)],
+                               np.random.SeedSequence(10, spawn_key=(idx,)))
+        td = transform_data(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
+        t_ru, t_full = mp_glr_pair(td.x_par, td.s_plus, inst.a, np.zeros((inst.j, inst.m)))
+        stats = evaluate([DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU],
+                         inst.x, inst.x_l, inst.a, inst.c)
+        assert stats[DetectorKind.GLRGDD].value == pytest.approx(float(t_full), rel=1e-9)
+        assert stats[DetectorKind.GLRGDD_RU].value == pytest.approx(float(t_ru), rel=1e-9)
+
     def test_zero_training_row_is_a_singular_scm(self):
         inst = next(_instances("abundant", 120, 1))
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
@@ -210,6 +225,11 @@ class TestAppendixIdentities:
         with pytest.raises(ValueError, match="requires L >= N"):
             appendix_identities(inst.x, inst.x_l, inst.a, inst.c)
 
+    def test_zero_training_row_is_a_singular_scm(self):
+        inst = random_instance("abundant", np.random.SeedSequence(120))
+        with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
+            appendix_identities(inst.x, _zero_training_row(inst), inst.a, inst.c)
+
 
 class TestComputeDispatcher:
     def test_each_kind_dispatches(self):
@@ -242,3 +262,48 @@ class TestComputeDispatcher:
         column = random_cmatrix(rng, 6, 1)
         with pytest.raises(ValueError, match="A must have full column rank"):
             compute(kind, x, x_l, np.hstack([column, column]), c)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("regime", REGIMES + ("full",))
+    def test_equals_per_kind_compute_bitwise(self, regime):
+        # "full" is the regime where Bose with L > 0 rides with the RU kinds
+        for inst in _instances(regime, 123, 8):
+            kinds = inst.valid_kinds()
+            stats = evaluate(kinds, inst.x, inst.x_l, inst.a, inst.c)
+            assert list(stats) == list(kinds)
+            for kind in kinds:
+                alone = compute(kind, inst.x, inst.x_l, inst.a, inst.c)
+                assert stats[kind].kind is kind and stats[kind].value == alone.value
+
+    def test_checks_every_kind(self):
+        inst = next(_instances("lowsample", 124, 1))
+        with pytest.raises(ValueError, match=r"BOSE_GLRT requires K >= M\+N"):
+            evaluate([DetectorKind.GLRGDD_RU, DetectorKind.BOSE_GLRT],
+                     inst.x, inst.x_l, inst.a, inst.c)
+
+    def test_checks_the_estimate_each_kind_reads(self):
+        # zero test data: S_perp = 0, while S_plus = S is PD
+        inst = next(_instances("full", 125, 1))
+        x = np.zeros_like(inst.x)
+        ru = [DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU, DetectorKind.AMGDD]
+        assert set(evaluate(ru, x, inst.x_l, inst.a, inst.c)) == set(ru)
+        with pytest.raises(SingularMatrixError, match=r"augmented SCM singular .*L=0"):
+            evaluate(ru + [DetectorKind.BOSE_GLRT], x, inst.x_l, inst.a, inst.c)
+
+    def test_verification_transforms_once_per_variant(self, monkeypatch):
+        # one evaluation per (A, C, data) variant: the instance, A T, T C and
+        # the scaled data, plus the identity report where GLRGDD is valid
+        seed, count = 20260810, 12
+        calls = []
+        transform_stack = adaptdet.detectors.transform_stack
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return transform_stack(*args, **kwargs)
+
+        monkeypatch.setattr(adaptdet.detectors, "transform_stack", counted)
+        assert run_verification(seed=seed, instance_count=count).passed
+        glrgdd = sum(DetectorKind.GLRGDD in inst.valid_kinds()
+                     for _, inst in instance_stream(seed, count))
+        assert 0 < len(calls) <= 4 * count + glrgdd

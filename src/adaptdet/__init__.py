@@ -19,7 +19,7 @@ from .scenario import (Scenario, SignalCoordinates, make_scenario, make_signal,
                        random_directions, random_subspaces, sample_noise, scale_to_snr,
                        snr_of, toeplitz_covariance)
 from .transform import (SubspaceFactorization, TransformedData,
-                        factor_waveform_subspace, signal_coefficient, transform_data)
+                        factor_waveform_subspace, signal_coefficient)
 from .config import ExperimentConfig, build_scenario, format_config, parse_config
 from .verify import run_verification
 
@@ -35,5 +35,4 @@ __all__ = [
     "parse_config", "pd_curve", "pd_curves", "random_directions", "random_subspaces",
     "run_verification", "sample_noise", "scale_to_snr", "signal_coefficient",
     "simulate_statistics", "snr_of", "threshold_from_h0", "toeplitz_covariance",
-    "transform_data",
 ]

@@ -8,7 +8,7 @@ Subcommands:
 * ``preset fig1|fig2``: bundled experiment presets at desk scale, with
   ``--paper-scale`` switching to the published trial budgets.
 
-Exit codes: 0 success, 1 usage/config error, 2 verification failure,
+Exit codes: 0 success, 1 usage, config or file error, 2 verification failure,
 3 runtime numerical error (a singular covariance estimate or a non-finite
 statistic).  ``ADAPTDET_THREADS`` sets the default worker count.  Timing
 lives outside the package, in ``perfbench/``.
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SingularMatrixError, np.linalg.LinAlgError, NonFiniteStatisticError) as exc:

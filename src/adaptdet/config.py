@@ -110,7 +110,9 @@ def _parse_value(key: str, value: str, lineno: int):
                 raise ConfigError(f"line {lineno}: unknown detector {name!r} "
                                   f"(valid: {valid})") from None
         return tuple(kinds)
-    return value  # output_path
+    if not value:
+        raise ConfigError(f"line {lineno}: output_path is empty")
+    return value
 
 
 def _split_list(value: str) -> list[str]:
@@ -118,11 +120,8 @@ def _split_list(value: str) -> list[str]:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    n, k, m, l = cfg.N, cfg.K, cfg.M, cfg.L
     try:
-        check_dimensions(n, k, m, cfg.J, l)
-        for kind in cfg.detectors:
-            kind.check_dims(n, k, m, l)
+        check_dimensions(cfg.N, cfg.K, cfg.M, cfg.J, cfg.L, cfg.detectors)
         _check_grid(cfg.snr_grid_db)
         _check_calibration_budget(cfg.pfa, cfg.calib_trials)
     except ValueError as exc:

@@ -17,11 +17,11 @@ Bose's GLRT uses no training data at all and requires K >= M + N; it is
 GLRGDD-RU with an empty training set.
 
 :func:`statistics` maps each kind to its covariance estimate and kernels;
-the Monte Carlo engine calls it on blocks of trials.  The per-instance API,
-:func:`evaluate` (:func:`compute` is its one-kind case), validates one
-instance once for all its kinds, transforms it as the engine does, checks
-once each covariance estimate they read and reads every kind from one
-:func:`statistics` call on a stack of one at c = 0: the engine's value, bitwise.
+the Monte Carlo engine calls it on blocks of trials.  Every per-instance
+entry takes raw data (X, X_L, A, C) and is :func:`evaluate` of one or more
+kinds, which validates the instance once, transforms it as the engine does,
+checks once each covariance estimate the kinds read and reads them all from
+one :func:`statistics` call on a stack of one at c = 0: the engine's value, bitwise.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 from . import kernels
 from .linalg import as_cmatrix, cholesky, hermitize
 from .scenario import _full_rank, check_dimensions
-from .transform import (TransformedData, factor_waveform_subspace, require_augmented_scm,
-                        transform_stack)
+from .transform import TransformedData, factor_waveform_subspace, transform_stack
 
 __all__ = ["DetectorKind", "Statistic", "statistics", "glrgdd_ru", "amgdd_ru", "glrgdd",
            "amgdd", "bose_glrt", "appendix_identities", "evaluate", "compute"]
@@ -59,7 +58,7 @@ class DetectorKind(enum.Enum):
         if self in (DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU):
             if l + k < m + n:
                 raise ValueError(
-                    f"{self.name} requires L+K >= M+N (L+K={l + k}, M+N={m + n})"
+                    f"{self.name} requires L+K >= M+N (L+K={l + k} < M+N={m + n})"
                 )
         elif self is DetectorKind.BOSE_GLRT:
             if k < m + n:
@@ -127,42 +126,34 @@ def _prepared(kinds, x, x_l, a, c):
     x_l = as_cmatrix(x_l, "X_L")
     a = as_cmatrix(a, "A")
     c = as_cmatrix(c, "C")
-    n, k = x.shape
+    (n, k), m, l = x.shape, c.shape[0], x_l.shape[1]
     if x_l.shape[0] != n or a.shape[0] != n or c.shape[1] != k:
         raise ValueError(f"dimension mismatch: X is {x.shape}, X_L is {x_l.shape}, "
                          f"A is {a.shape}, C is {c.shape}")
-    for kind in kinds:
-        kind.check_dims(n, k, c.shape[0], x_l.shape[1])
-    check_dimensions(n, k, c.shape[0], a.shape[1], x_l.shape[1])
+    check_dimensions(n, k, m, a.shape[1], l, kinds)
     if not _full_rank(a):
         raise ValueError("A must have full column rank")
     f = factor_waveform_subspace(c)
     td = transform_stack(x, x_l, f)
+    singular = (f"augmented SCM singular (N={n}, K={k}, M={m}, L={{}}): "
+                "need L+K >= M+N and nondegenerate data")
     if {DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU} & set(kinds):
-        require_augmented_scm(td, x_l.shape[1])
+        cholesky(td.s_plus, singular.format(l))
     if {DetectorKind.GLRGDD, DetectorKind.AMGDD} & set(kinds):
         cholesky(td.s_train, "singular covariance estimate: SCM")
     if DetectorKind.BOSE_GLRT in kinds:
-        require_augmented_scm(td, 0)  # S_perp, the augmented SCM of no training data
+        cholesky(td.s_perp, singular.format(0))  # S_perp: S_plus of no training data
     return x, a, f, td
 
 
-def _at_noise(kinds, td: TransformedData, a: np.ndarray) -> list[Statistic]:
-    """`kinds` of one instance's transformed data, taken as noise (c = 0)."""
-    one = TransformedData(**{name: value[None] for name, value in vars(td).items()})
-    c = kernels.no_signal(a.shape[1], td.x_par.shape[1])
-    values = statistics(kinds, one, a, c)[0, 0]
-    return [Statistic(float(value), kind) for kind, value in zip(kinds, values)]
-
-
-def glrgdd_ru(td: TransformedData, a) -> Statistic:
+def glrgdd_ru(x, x_l, a, c) -> Statistic:
     """GLR statistic on the augmented SCM; value in [0, 1)."""
-    return _at_noise([DetectorKind.GLRGDD_RU], td, as_cmatrix(a, "A"))[0]
+    return compute(DetectorKind.GLRGDD_RU, x, x_l, a, c)
 
 
-def amgdd_ru(td: TransformedData, a) -> Statistic:
+def amgdd_ru(x, x_l, a, c) -> Statistic:
     """Two-step statistic on the augmented SCM; nonnegative, unbounded."""
-    return _at_noise([DetectorKind.AMGDD_RU], td, as_cmatrix(a, "A"))[0]
+    return compute(DetectorKind.AMGDD_RU, x, x_l, a, c)
 
 
 def glrgdd(x, x_l, a, c) -> Statistic:
@@ -182,9 +173,12 @@ def bose_glrt(x, a, c) -> Statistic:
 
 def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, Statistic]:
     """Evaluate several statistics of one instance from raw data matrices:
-    one validation, one transform and one :func:`statistics` call."""
-    _, a, _, td = _prepared(kinds, x, x_l, a, c)
-    return dict(zip(kinds, _at_noise(kinds, td, a)))
+    one validation, one transform and one :func:`statistics` call on a stack
+    of one trial at c = 0, the instance's data taken as noise."""
+    _, a, f, td = _prepared(kinds, x, x_l, a, c)
+    one = TransformedData(**{name: value[None] for name, value in vars(td).items()})
+    values = statistics(kinds, one, a, kernels.no_signal(a.shape[1], f.c_par.shape[0]))
+    return {kind: Statistic(float(value), kind) for kind, value in zip(kinds, values[0, 0])}
 
 
 def compute(kind: DetectorKind, x, x_l, a, c) -> Statistic:

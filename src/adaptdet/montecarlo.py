@@ -47,8 +47,8 @@ from . import kernels
 from .detectors import DetectorKind, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
-from .scenario import (Scenario, SignalCoordinates, noise_factor, random_directions,
-                       scale_to_snr)
+from .scenario import (Scenario, SignalCoordinates, check_dimensions, noise_factor,
+                       random_directions, scale_to_snr)
 from .transform import signal_coefficient, transform_stack
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
@@ -143,8 +143,7 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     kinds = list(kinds)
     if not kinds:
         raise ValueError("empty detector list")
-    for kind in kinds:
-        kind.check_dims(scenario.N, scenario.K, scenario.M, scenario.L)
+    check_dimensions(scenario.N, scenario.K, scenario.M, scenario.J, scenario.L, kinds)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if threads < 1:

@@ -53,8 +53,9 @@ def as_cvector(x, name: str = "vector") -> np.ndarray:
     return a
 
 
-def check_dimensions(n: int, k: int, m: int, j: int, l: int) -> None:
-    """Raise ValueError naming the violated dimension constraint, if any."""
+def check_dimensions(n: int, k: int, m: int, j: int, l: int, kinds=()) -> None:
+    """Raise ValueError naming the violated dimension constraint, if any; the
+    rule of each detector kind in `kinds` comes before L+K >= M+N, which it implies."""
     if min(n, k, m, j) < 1 or l < 0:
         raise ValueError(f"dimensions must be positive (L may be 0): "
                          f"N={n}, K={k}, M={m}, J={j}, L={l}")
@@ -62,6 +63,8 @@ def check_dimensions(n: int, k: int, m: int, j: int, l: int) -> None:
         raise ValueError(f"J={j} > N={n}: spatial subspace cannot exceed channels")
     if m > k:
         raise ValueError(f"M={m} > K={k}: waveform subspace cannot exceed pulses")
+    for kind in kinds:
+        kind.check_dims(n, k, m, l)
     if l + k < m + n:
         raise ValueError(f"L+K={l + k} < M+N={m + n}")
 
@@ -209,12 +212,16 @@ def make_signal(a, theta, alpha, c) -> np.ndarray:
 
 def snr_of(scenario: Scenario, theta, alpha) -> float:
     """Output SNR (linear): (alpha^H C C^H alpha) * (theta^H A^H R^-1 A theta)."""
+    return _snr(scenario.A, scenario.C, scenario.R, theta, alpha)
+
+
+def _snr(a, c, r, theta, alpha) -> float:
     theta = as_cvector(theta, "theta")
     alpha = as_cvector(alpha, "alpha")
-    c_alpha = scenario.C.conj().T @ alpha
+    c_alpha = c.conj().T @ alpha
     waveform = float(np.real(c_alpha.conj() @ c_alpha))
-    v = (scenario.A @ theta)[:, None]
-    spatial = float(np.real(v.conj().T @ hpd_solve(scenario.R, v, "R"))[0, 0])
+    v = (a @ theta)[:, None]
+    spatial = float(np.real(v.conj().T @ hpd_solve(r, v, "R"))[0, 0])
     return waveform * spatial
 
 
@@ -225,9 +232,15 @@ def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float)
     so how the amplitude is split between theta and alpha is immaterial and
     one convention keeps runs reproducible.
     """
+    return _scale_to_snr(scenario.A, scenario.C, scenario.R, theta_dir, alpha_dir,
+                         target_snr_db)
+
+
+def _scale_to_snr(a, c, r, theta_dir, alpha_dir, target_snr_db: float) -> SignalCoordinates:
+    """:func:`scale_to_snr` for subspaces A, C and covariance R checked elsewhere."""
     theta_dir = as_cvector(theta_dir, "theta_dir")
     alpha_dir = as_cvector(alpha_dir, "alpha_dir")
-    base = snr_of(scenario, theta_dir, alpha_dir)
+    base = _snr(a, c, r, theta_dir, alpha_dir)
     if base <= 0.0:
         raise ValueError("zero-SNR direction: theta_dir/alpha_dir give no signal power")
     gain = np.sqrt(10.0 ** (target_snr_db / 10.0) / base)

@@ -9,7 +9,9 @@ problem into a sample-abundant one: the columns of X_perp act as extra
 (virtual) training data.
 
 :func:`transform_stack` alone applies it and forms the covariance
-estimates, for the Monte Carlo engine and the per-instance API alike.
+estimates, for the Monte Carlo engine and the per-instance API alike.  It
+validates nothing: :mod:`adaptdet.detectors` checks an instance's dimensions
+and refuses a singular covariance estimate before any detector reads it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, as_cmatrix, cholesky, hermitize
+from .linalg import TOL, as_cmatrix, hermitize
 
 __all__ = ["SubspaceFactorization", "TransformedData", "factor_waveform_subspace",
-           "require_augmented_scm", "signal_coefficient", "transform_data",
-           "transform_stack"]
+           "signal_coefficient", "transform_stack"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,14 +45,13 @@ class SubspaceFactorization:
 class TransformedData:
     """Transformed test data and the covariance estimates formed from it.
 
-    x_par (N x M) carries any subspace signal, x_perp (N x (K-M)) is
-    signal-free, s_perp = x_perp x_perp^H, s_train = X_L X_L^H (the training
-    SCM) and s_plus = s_perp + s_train, Hermitian PD whenever L + K >= M + N
-    and the data are nondegenerate.  Fields may carry leading trial axes.
+    x_par (N x M) carries any subspace signal, s_perp = X_perp X_perp^H of the
+    signal-free X_perp (N x (K-M)), s_train = X_L X_L^H (the training SCM) and
+    s_plus = s_perp + s_train, Hermitian PD whenever L + K >= M + N and the
+    data are nondegenerate.  Fields may carry leading trial axes.
     """
 
     x_par: np.ndarray
-    x_perp: np.ndarray
     s_perp: np.ndarray
     s_train: np.ndarray
 
@@ -93,31 +93,4 @@ def transform_stack(x, x_l, f: SubspaceFactorization) -> TransformedData:
     x_perp = x @ f.c_perp.conj().T
     s_perp = x_perp @ np.conj(np.swapaxes(x_perp, -1, -2))
     s_train = x_l @ np.conj(np.swapaxes(x_l, -1, -2))
-    return TransformedData(x_par, x_perp, s_perp, s_train)
-
-
-def require_augmented_scm(td: TransformedData, l: int) -> None:
-    """Refuse a singular augmented SCM of `l` training columns (td.s_perp at l = 0)."""
-    n, m = td.x_par.shape[-2:]
-    s = td.s_plus if l else td.s_perp
-    cholesky(s, f"augmented SCM singular (N={n}, K={m + td.x_perp.shape[-1]}, "
-                f"M={m}, L={l}): need L+K >= M+N and nondegenerate data")
-
-
-def transform_data(x, x_l, f: SubspaceFactorization) -> TransformedData:
-    """Apply the right-unitary transformation to one instance.
-
-    x is the N x K test-data matrix, x_l the N x L training data (L may be
-    zero).  Raises SingularMatrixError rather than returning a singular
-    s_plus, which signals L + K < M + N or degenerate data.
-    """
-    x = as_cmatrix(x, "X")
-    x_l = as_cmatrix(x_l, "X_L")
-    k = f.c_par.shape[1]
-    if x.shape[1] != k:
-        raise ValueError(f"X must have {k} columns, got {x.shape[1]}")
-    if x_l.shape[0] != x.shape[0]:
-        raise ValueError(f"X_L must have {x.shape[0]} rows to match X, got {x_l.shape[0]}")
-    td = transform_stack(x, x_l, f)
-    require_augmented_scm(td, x_l.shape[1])
-    return td
+    return TransformedData(x_par, s_perp, s_train)

@@ -26,9 +26,8 @@ import numpy as np
 from .detectors import DetectorKind, appendix_identities, evaluate
 from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
-from .scenario import (Scenario, _draw_full_rank, as_generator, complex_gaussian,
-                       make_signal, random_subspaces, sample_noise, scale_to_snr,
-                       toeplitz_covariance)
+from .scenario import (_draw_full_rank, _scale_to_snr, as_generator, complex_gaussian,
+                       make_signal, random_subspaces, sample_noise, toeplitz_covariance)
 
 __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
            "CheckSuite", "VerificationReport", "run_verification"]
@@ -101,11 +100,10 @@ def random_instance(regime: str, rng, *, n_range: tuple[int, int] = (3, 8),
     if with_signal:
         # moderate SNR keeps the bounded statistics away from 1, where the
         # monotone map would amplify rounding error past the check budgets
-        scenario = Scenario(N=n, K=k, M=m, J=j, L=l, A=a, C=c, R=r)
         theta_dir = complex_gaussian(rng, j, 1).ravel()
         alpha_dir = complex_gaussian(rng, m, 1).ravel()
         snr_db = float(rng.uniform(-5.0, 15.0))
-        coords = scale_to_snr(scenario, theta_dir, alpha_dir, snr_db)
+        coords = _scale_to_snr(a, c, r, theta_dir, alpha_dir, snr_db)
         x = x + make_signal(a, coords.theta, coords.alpha, c)
     x_l = sample_noise(r, l, rng) if l > 0 else np.zeros((n, 0), dtype=np.complex128)
     return Instance(regime=regime, n=n, k=k, m=m, j=j, l=l,

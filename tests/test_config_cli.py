@@ -97,6 +97,10 @@ class TestParseConfig:
                 parse_config(text)
             assert str(raised.value) == str(expected.value)
 
+    def test_empty_output_path_names_its_line(self):
+        with pytest.raises(ConfigError, match="line 14: output_path is empty"):
+            parse_config(SMALL_CONFIG + "output_path =\n")
+
     def test_unknown_detector_lists_valid_names(self):
         with pytest.raises(ConfigError, match="unknown detector 'KELLY'"):
             parse_config(SMALL_CONFIG.replace("BOSE_GLRT", "KELLY"))
@@ -194,6 +198,16 @@ class TestCommandLine:
 
     def test_missing_config_file_exit_code(self, capsys):
         assert cli.main(["calibrate", "--config", "/nonexistent.cfg"]) == 1
+
+    @pytest.mark.parametrize("argv", [["calibrate", "--config", "{dir}"],
+                                      ["pd-curve", "--config", "{cfg}", "--out", "{dir}"]],
+                             ids=lambda argv: argv[0])
+    def test_unusable_path_exit_code(self, argv, tmp_path, capsys):
+        # a directory where a file belongs: one error line, not a traceback
+        cfg = self._write_config(tmp_path)
+        assert cli.main([arg.format(cfg=cfg, dir=tmp_path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
@@ -328,9 +342,12 @@ def test_export_list_names_resolve_once(module):
 @pytest.mark.parametrize("path", [
     "cli.main", "config.parse_config", "config.build_scenario",
     "montecarlo.simulate_statistics", "verify.instance_stream", "verify.compute",
-    "verify.appendix_identities"])
+    "verify.appendix_identities", "cli.build_scenario", "cli.run_experiment",
+    "verify.random_instance", "montecarlo.threshold_from_h0",
+    "montecarlo.calibrate_thresholds", "montecarlo.pd_curves"])
 def test_benchmark_entry_points_resolve(path):
-    # perfbench/worker.py reads these as attributes of the imported package
+    # perfbench/worker.py reads these as attributes of the imported package, and
+    # perfbench/tracer.py wraps them: a missing one zeroes a per-layer metric
     module, name = path.split(".")
     assert callable(getattr(getattr(adaptdet, module), name))
 

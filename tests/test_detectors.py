@@ -6,7 +6,7 @@ from adaptdet.detectors import (DetectorKind, Statistic, amgdd, amgdd_ru,
                                 appendix_identities, bose_glrt, compute, evaluate, glrgdd,
                                 glrgdd_ru)
 from adaptdet.errors import SingularMatrixError
-from adaptdet.transform import factor_waveform_subspace, transform_data
+from adaptdet.transform import factor_waveform_subspace, transform_stack
 from adaptdet.verify import REGIMES, instance_stream, random_instance, run_verification
 
 from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, random_cmatrix,
@@ -63,33 +63,29 @@ class TestRuFamily:
         # X built from complement rows only, so X C_par^H = 0
         x = random_cmatrix(rng, 4, 5) @ f.c_perp
         x_l = random_cmatrix(rng, 4, 6)
-        td = transform_data(x, x_l, f)
-        assert glrgdd_ru(td, random_cmatrix(rng, 4, 2)).value <= 1e-12
-        assert amgdd_ru(td, random_cmatrix(rng, 4, 2)).value <= 1e-12
+        assert glrgdd_ru(x, x_l, random_cmatrix(rng, 4, 2), c).value <= 1e-12
+        assert amgdd_ru(x, x_l, random_cmatrix(rng, 4, 2), c).value <= 1e-12
 
     def test_scalar_glr_case(self):
-        f = factor_waveform_subspace([[1.0]])
-        td = transform_data([[1.0]], [[1.0]], f)
-        assert glrgdd_ru(td, [[1.0]]).value == pytest.approx(0.5, rel=1e-12)
+        value = glrgdd_ru([[1.0]], [[1.0]], [[1.0]], [[1.0]]).value
+        assert value == pytest.approx(0.5, rel=1e-12)
 
     def test_scalar_two_step_case(self):
-        f = factor_waveform_subspace([[1.0]])
-        td = transform_data([[1.0]], [[np.sqrt(2.0)]], f)
-        assert amgdd_ru(td, [[1.0]]).value == pytest.approx(0.5, rel=1e-12)
+        value = amgdd_ru([[1.0]], [[np.sqrt(2.0)]], [[1.0]], [[1.0]]).value
+        assert value == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("regime", ["abundant", "lowsample"])
     def test_matches_explicit_inversion_oracle(self, regime):
         for inst in _instances(regime, 100, 10):
-            td = transform_data(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
-            glr = glrgdd_ru(td, inst.a).value
-            am = amgdd_ru(td, inst.a).value
+            td = transform_stack(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
+            glr = glrgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value
+            am = amgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value
             assert glr == pytest.approx(ru_glr_direct(td.x_par, td.s_plus, inst.a), rel=1e-8)
             assert am == pytest.approx(ru_am_direct(td.x_par, td.s_plus, inst.a), rel=1e-8)
 
     def test_bounded_strictly_below_one(self):
         for inst in _instances("lowsample", 101, 20):
-            td = transform_data(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
-            assert glrgdd_ru(td, inst.a).value < 1.0 - 1e-12
+            assert glrgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value < 1.0 - 1e-12
 
 
 class TestGlrgdd:
@@ -108,8 +104,7 @@ class TestGlrgdd:
     def test_monotone_map_to_ru_statistic(self):
         for inst in _instances("abundant", 104, 20):
             t_full = glrgdd(inst.x, inst.x_l, inst.a, inst.c).value
-            td = transform_data(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
-            t_ru = glrgdd_ru(td, inst.a).value
+            t_ru = glrgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value
             assert abs(t_full - t_ru / (1.0 - t_ru)) <= 1e-8 * (1.0 + t_full)
 
     def test_matches_raw_whitened_form(self):
@@ -130,7 +125,7 @@ class TestGlrgdd:
         idx = 99
         inst = random_instance(REGIMES[idx % len(REGIMES)],
                                np.random.SeedSequence(10, spawn_key=(idx,)))
-        td = transform_data(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
+        td = transform_stack(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
         t_ru, t_full = mp_glr_pair(td.x_par, td.s_plus, inst.a, np.zeros((inst.j, inst.m)))
         stats = evaluate([DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU],
                          inst.x, inst.x_l, inst.a, inst.c)
@@ -151,8 +146,7 @@ class TestAmgdd:
     def test_square_subspace_equals_ru_variant(self):
         for inst in _instances("square", 108, 10):
             classic = amgdd(inst.x, inst.x_l, inst.a, inst.c).value
-            td = transform_data(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
-            ru = amgdd_ru(td, inst.a).value
+            ru = amgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value
             assert abs(classic - ru) <= 1e-12 * max(1.0, abs(ru))
 
     def test_matches_projection_form(self):
@@ -251,17 +245,25 @@ class TestComputeDispatcher:
         with pytest.raises(ValueError, match="dimension mismatch"):
             compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c[:, 1:])
 
+    @pytest.mark.parametrize("entry", ["named", "compute", "evaluate"])
     @pytest.mark.parametrize("kind", list(DetectorKind))
-    def test_refuses_an_invalid_spatial_subspace(self, kind):
-        # every kind's own constraint holds in both cases
+    def test_refuses_an_invalid_spatial_subspace(self, kind, entry):
+        # every kind's own constraint holds in both cases, and every
+        # per-instance entry point validates
+        named = {DetectorKind.GLRGDD_RU: glrgdd_ru, DetectorKind.AMGDD_RU: amgdd_ru,
+                 DetectorKind.GLRGDD: glrgdd, DetectorKind.AMGDD: amgdd,
+                 DetectorKind.BOSE_GLRT: lambda x, x_l, a, c: bose_glrt(x, a, c)}[kind]
+        call = {"named": named,
+                "compute": lambda *data: compute(kind, *data),
+                "evaluate": lambda *data: evaluate([kind], *data)}[entry]
         rng = np.random.default_rng(23)
         x, x_l, c = (random_cmatrix(rng, *shape) for shape in ((2, 6), (2, 4), (2, 6)))
         with pytest.raises(ValueError, match="J=3 > N=2"):
-            compute(kind, x, x_l, random_cmatrix(rng, 2, 3), c)
+            call(x, x_l, random_cmatrix(rng, 2, 3), c)
         x, x_l, c = (random_cmatrix(rng, *shape) for shape in ((6, 10), (6, 8), (2, 10)))
         column = random_cmatrix(rng, 6, 1)
         with pytest.raises(ValueError, match="A must have full column rank"):
-            compute(kind, x, x_l, np.hstack([column, column]), c)
+            call(x, x_l, np.hstack([column, column]), c)
 
 
 class TestEvaluate:

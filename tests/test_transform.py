@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from adaptdet.detectors import amgdd_ru, glrgdd_ru
+from adaptdet.detectors import DetectorKind, evaluate, statistics
 from adaptdet.errors import SingularMatrixError
+from adaptdet.kernels import no_signal
 from adaptdet.scenario import make_scenario, sample_noise, as_generator
 from adaptdet.transform import (SubspaceFactorization, factor_waveform_subspace,
-                                transform_data)
+                                transform_stack)
 
 from oracles import dagger, random_cmatrix, random_semi_unitary_rows, random_unitary
 
@@ -104,40 +105,42 @@ class TestTransformData:
     def test_zero_test_data(self):
         sc, _, x_l = self._scenario_data()
         f = factor_waveform_subspace(sc.C)
-        td = transform_data(np.zeros((sc.N, sc.K)), x_l, f)
+        td = transform_stack(np.zeros((sc.N, sc.K)), x_l, f)
         assert np.all(td.x_par == 0)
-        assert np.all(td.x_perp == 0)
+        assert np.all(td.s_perp == 0)
         assert np.allclose(td.s_plus, 0.5 * (x_l @ dagger(x_l) + (x_l @ dagger(x_l)).conj().T))
 
     def test_square_waveform_subspace_reduces_to_scm(self):
         sc, x, x_l = self._scenario_data(n=4, k=3, m=3, j=2, l=6)
         f = factor_waveform_subspace(sc.C)
-        td = transform_data(x, x_l, f)
-        assert td.x_perp.shape == (4, 0)
+        td = transform_stack(x, x_l, f)
+        assert np.all(td.s_perp == 0)  # X_perp is 4 x 0
         scm = x_l @ dagger(x_l)
         assert np.allclose(td.s_plus, 0.5 * (scm + scm.conj().T), atol=1e-12)
 
     def test_no_training_data_regime(self):
         sc, x, _ = self._scenario_data(n=4, k=8, m=3, j=2, l=0)
         f = factor_waveform_subspace(sc.C)
-        td = transform_data(x, np.zeros((4, 0), complex), f)
+        td = transform_stack(x, np.zeros((4, 0), complex), f)
         np.linalg.cholesky(td.s_plus)  # nonsingular
 
     def test_rejects_singular_augmented_scm(self):
+        # L+K = M+N = 9 passes the dimension check, but a zero channel leaves
+        # S_plus singular; the per-instance API refuses it before any detector
         rng = np.random.default_rng(4)
         c = random_cmatrix(rng, 3, 5)
-        f = factor_waveform_subspace(c)
         x = random_cmatrix(rng, 6, 5)
-        x_l = random_cmatrix(rng, 6, 1)  # L+K = 6 < M+N = 9
+        x_l = random_cmatrix(rng, 6, 4)
+        x[0], x_l[0] = 0.0, 0.0
         with pytest.raises(SingularMatrixError, match="augmented SCM singular"):
-            transform_data(x, x_l, f)
+            evaluate([DetectorKind.GLRGDD_RU], x, x_l, random_cmatrix(rng, 6, 2), c)
 
     def test_energy_split(self):
         sc, x, x_l = self._scenario_data(seed=5)
         f = factor_waveform_subspace(sc.C)
-        td = transform_data(x, x_l, f)
+        td = transform_stack(x, x_l, f)
         total = x @ dagger(x)
-        split = td.x_par @ dagger(td.x_par) + td.x_perp @ dagger(td.x_perp)
+        split = td.x_par @ dagger(td.x_par) + td.s_perp
         assert np.linalg.norm(split - total) <= 1e-10 * np.linalg.norm(total)
 
     def test_noise_free_signal_is_annihilated(self):
@@ -147,8 +150,16 @@ class TestTransformData:
         alpha = random_cmatrix(rng, sc.M, 1)
         x = sc.A @ theta @ dagger(alpha) @ sc.C
         f = factor_waveform_subspace(sc.C)
-        td = transform_data(x, x_l, f)
-        assert np.linalg.norm(td.x_perp) <= 1e-10 * np.linalg.norm(x)
+        td = transform_stack(x, x_l, f)
+        # trace(S_perp) is the squared Frobenius norm of X_perp
+        assert np.sqrt(np.trace(td.s_perp).real) <= 1e-10 * np.linalg.norm(x)
+
+
+def _ru_pair(x, x_l, f, a):
+    """GLRGDD-RU and AMGDD-RU through the engine's dispatch, for a given factorization."""
+    td = transform_stack(x[None], x_l[None], f)
+    kinds = [DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU]
+    return statistics(kinds, td, a, no_signal(a.shape[1], f.c_par.shape[0]))[0, 0]
 
 
 class TestBasisIndependence:
@@ -160,13 +171,11 @@ class TestBasisIndependence:
         f = factor_waveform_subspace(sc.C)
         rot = random_unitary(np.random.default_rng(9), sc.K - sc.M)
         f_rot = SubspaceFactorization(c_par=f.c_par, c_perp=rot @ f.c_perp, d=f.d)
-        td = transform_data(x, x_l, f)
-        td_rot = transform_data(x, x_l, f_rot)
+        td = transform_stack(x, x_l, f)
+        td_rot = transform_stack(x, x_l, f_rot)
         assert np.linalg.norm(td_rot.s_plus - td.s_plus) <= 1e-10 * np.linalg.norm(td.s_plus)
-        for stat in (glrgdd_ru, amgdd_ru):
-            base = stat(td, sc.A).value
-            rotated = stat(td_rot, sc.A).value
-            assert abs(rotated - base) <= 1e-8 * (1.0 + abs(base))
+        base, rotated = _ru_pair(x, x_l, f, sc.A), _ru_pair(x, x_l, f_rot, sc.A)
+        assert np.all(np.abs(rotated - base) <= 1e-8 * (1.0 + np.abs(base)))
 
     def test_row_space_scaling_of_c(self):
         sc = make_scenario(5, 9, 3, 2, 7, rho=0.95, seed=10)
@@ -174,10 +183,8 @@ class TestBasisIndependence:
         x = sample_noise(sc.R, sc.K, rng)
         x_l = sample_noise(sc.R, sc.L, rng)
         t = random_cmatrix(np.random.default_rng(12), sc.M, sc.M) + 2 * np.eye(sc.M)
-        td = transform_data(x, x_l, factor_waveform_subspace(sc.C))
-        td_t = transform_data(x, x_l, factor_waveform_subspace(t @ sc.C))
+        f, f_t = factor_waveform_subspace(sc.C), factor_waveform_subspace(t @ sc.C)
+        td, td_t = transform_stack(x, x_l, f), transform_stack(x, x_l, f_t)
         assert np.linalg.norm(td_t.s_plus - td.s_plus) <= 1e-10 * np.linalg.norm(td.s_plus)
-        for stat in (glrgdd_ru, amgdd_ru):
-            base = stat(td, sc.A).value
-            moved = stat(td_t, sc.A).value
-            assert abs(moved - base) <= 1e-8 * (1.0 + abs(base))
+        base, moved = _ru_pair(x, x_l, f, sc.A), _ru_pair(x, x_l, f_t, sc.A)
+        assert np.all(np.abs(moved - base) <= 1e-8 * (1.0 + np.abs(base)))

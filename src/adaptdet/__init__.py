@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .detectors import (DetectorKind, Statistic, amgdd, amgdd_ru, appendix_identities,
                         bose_glrt, compute, evaluate, glrgdd, glrgdd_ru)
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
-from .linalg import TOL, hermitize, hpd_solve
+from .linalg import TOL, hermitize
 from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_threshold,
                          calibrate_thresholds, cfar_check, estimate_pd, pd_curve,
                          pd_curves, simulate_statistics, threshold_from_h0)
@@ -31,7 +31,7 @@ __all__ = [
     "TransformedData", "amgdd", "amgdd_ru", "appendix_identities", "bose_glrt",
     "build_scenario", "calibrate_threshold", "calibrate_thresholds", "cfar_check",
     "compute", "estimate_pd", "evaluate", "factor_waveform_subspace", "format_config",
-    "glrgdd", "glrgdd_ru", "hermitize", "hpd_solve", "make_scenario", "make_signal",
+    "glrgdd", "glrgdd_ru", "hermitize", "make_scenario", "make_signal",
     "parse_config", "pd_curve", "pd_curves", "random_directions", "random_subspaces",
     "run_verification", "sample_noise", "scale_to_snr", "signal_coefficient",
     "simulate_statistics", "snr_of", "threshold_from_h0", "toeplitz_covariance",

@@ -87,6 +87,7 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1,
     if path is None:
         raise ConfigError("no output path: set output_path in the config or pass --out")
     scenario = build_scenario(config)
+    _check_writable(path)
     curves = montecarlo.pd_curves(scenario, config.detectors, config.snr_grid_db,
                                   config.pfa, config.calib_trials, config.pd_trials,
                                   config.master_seed, threads=threads)
@@ -109,6 +110,12 @@ def _fmt(value: float) -> str:
     return str(float(value))
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an unusable output path before any trial is drawn, keeping what it holds."""
+    if path != "-":
+        open(path, "a", encoding="utf-8").close()
+
+
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -127,6 +134,7 @@ def _read_config(args) -> ExperimentConfig:
 def _cmd_calibrate(args) -> int:
     config = _read_config(args)
     scenario = build_scenario(config)
+    _check_writable(args.out)
     results = montecarlo.calibrate_thresholds(scenario, config.detectors, config.pfa,
                                               config.calib_trials, config.master_seed,
                                               threads=args.threads)

@@ -1,8 +1,8 @@
 """Complex-matrix kernels used by every other module.
 
-Input coercion, Hermitian parts and Hermitian positive-definite solves,
-plus the package's numerical tolerances.  All matrices are dense 2-D
-complex128 arrays in row-major (C) order, the convention used repo-wide.
+Input coercion, Hermitian parts and Cholesky factors, plus the package's
+numerical tolerances.  All matrices are dense 2-D complex128 arrays in
+row-major (C) order, the convention used repo-wide.
 Every function is pure and safe to call from any number of threads.
 """
 
@@ -20,7 +20,6 @@ __all__ = [
     "as_cmatrix",
     "cholesky",
     "hermitize",
-    "hpd_solve",
 ]
 
 
@@ -48,39 +47,12 @@ def as_cmatrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray, name: str) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-
-
 def hermitize(g, name: str = "matrix") -> np.ndarray:
     """Return the Hermitian part (G + G^H)/2 of a square matrix."""
     g = as_cmatrix(g, name)
-    _require_square(g, name)
+    if g.shape[0] != g.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {g.shape}")
     return 0.5 * (g + g.conj().T)
-
-
-def hpd_solve(s, b, name: str = "covariance") -> np.ndarray:
-    """Solve S Y = B for Hermitian positive-definite S.
-
-    Uses a Cholesky factorization S = F F^H and one solve against each
-    factor; the explicit inverse is never formed.  The solution satisfies
-    ``|S Y - B| <= 1e-10 |B|`` (Frobenius, relative) for well-conditioned S.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the factorization fails, naming the offending matrix.
-    """
-    s = as_cmatrix(s, name)
-    b = as_cmatrix(b, "right-hand side")
-    _require_square(s, name)
-    if s.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {name} is {s.shape}, right-hand side is {b.shape}"
-        )
-    factor = cholesky(s, f"singular covariance estimate: {name}")
-    return np.linalg.solve(factor.conj().T, np.linalg.solve(factor, b))
 
 
 def cholesky(s, message: str) -> np.ndarray:

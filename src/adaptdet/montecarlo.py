@@ -47,8 +47,7 @@ from . import kernels
 from .detectors import DetectorKind, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
-from .scenario import (Scenario, SignalCoordinates, check_dimensions, noise_factor,
-                       random_directions, scale_to_snr)
+from .scenario import Scenario, check_dimensions, random_directions, scale_to_snr
 from .transform import signal_coefficient, transform_stack
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
@@ -118,8 +117,12 @@ def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
     return draws.view(np.complex128)[..., 0]
 
 
-def _coefficients(scenario: Scenario, coords) -> np.ndarray:
-    """(P, J, M) signal coefficients of a sequence of signal coordinates."""
+def _coefficients(scenario: Scenario, directions, grid, seed: int) -> np.ndarray:
+    """(P, J, M) signal coefficients of the direction pair scaled to each SNR
+    (dB) of `grid`; the pair defaults to unit vectors drawn from the seed."""
+    if directions is None:
+        directions = random_directions(scenario.J, scenario.M, seed)
+    coords = (scale_to_snr(scenario, directions[0], directions[1], snr) for snr in grid)
     stack = [signal_coefficient(scenario.waveform, co.theta, co.alpha) for co in coords]
     return np.array(stack, dtype=np.complex128).reshape(-1, scenario.J, scenario.M)
 
@@ -168,13 +171,12 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         grid = (f" at grid point {names[0]}" if points == 1
                 else f" at grid points {names[0]} to {names[-1]}")
 
-    factor = noise_factor(scenario.R)
     out = np.empty((trials, points, len(kinds)), dtype=np.float64)
 
     def run_block(lo: int) -> None:
         hi = min(lo + BLOCK_TRIALS, trials)
-        colored = np.matmul(factor, _block_noise(seed, domain, lo // BLOCK_TRIALS, hi - lo,
-                                                 n, k + l))
+        colored = np.matmul(scenario.coloring,
+                            _block_noise(seed, domain, lo // BLOCK_TRIALS, hi - lo, n, k + l))
         td = transform_stack(colored[:, :, :k], colored[:, :, k:], scenario.waveform)
         del colored  # the kernels' temporaries reuse the noise's memory
         try:
@@ -258,25 +260,19 @@ def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
 
 
 def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
-                snr_db: float, trials: int, seed: int, *,
-                coords: SignalCoordinates | None = None, directions=None,
+                snr_db: float, trials: int, seed: int, *, directions=None,
                 threads: int = 1) -> float:
     """Detection probability at one SNR: count(statistic > threshold) / trials.
 
-    The signal direction pair defaults to unit vectors drawn from the seed;
-    pass `coords` to inject explicit signal coordinates (bypassing the SNR
-    scaling, e.g. for the zero-signal degenerate case).  The trials are
-    those of every grid point, so the result equals bitwise the ``pd_curves``
-    value at this SNR for the same seed, trials, directions and threshold.
+    The signal direction pair defaults to unit vectors drawn from the seed.
+    The trials are those of every grid point, so the result equals bitwise
+    the ``pd_curves`` value at this SNR for the same seed, trials,
+    directions and threshold.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if coords is None:
-        if directions is None:
-            directions = random_directions(scenario.J, scenario.M, seed)
-        coords = scale_to_snr(scenario, directions[0], directions[1], snr_db)
-    stats = simulate_statistics(scenario, [kind], trials, seed,
-                                coefficients=_coefficients(scenario, [coords]),
+    coefficients = _coefficients(scenario, directions, [snr_db], seed)
+    stats = simulate_statistics(scenario, [kind], trials, seed, coefficients=coefficients,
                                 snr_db=[snr_db], domain=DOMAIN_SIGNAL, threads=threads)
     return float(np.count_nonzero(stats[:, 0, 0] > threshold)) / trials
 
@@ -311,11 +307,8 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
     grid = _check_grid(snr_grid_db)
     cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, seed,
                                 threads=threads)
-    if directions is None:
-        directions = random_directions(scenario.J, scenario.M, seed)
-    coords = [scale_to_snr(scenario, directions[0], directions[1], snr) for snr in grid]
     stats = simulate_statistics(scenario, kinds, pd_trials, seed,
-                                coefficients=_coefficients(scenario, coords),
+                                coefficients=_coefficients(scenario, directions, grid, seed),
                                 snr_db=grid, domain=DOMAIN_SIGNAL, threads=threads)
     thresholds = np.array([cals[kind].threshold for kind in kinds])
     pd_matrix = np.count_nonzero(stats > thresholds, axis=0) / pd_trials

@@ -2,8 +2,9 @@
 
 Problem dimensions, the spatial (A) and waveform (C) subspace matrices, a
 Toeplitz noise covariance, signal construction, and SNR-calibrated
-amplitude scaling.  A scenario is immutable once built and can be shared
-freely across threads.
+amplitude scaling.  A scenario factors C (one SVD) and R (one Cholesky)
+once, when it is built; it is immutable and can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL, as_cmatrix, cholesky, hpd_solve
+from .linalg import TOL, as_cmatrix, cholesky
 from .transform import SubspaceFactorization, factor_waveform_subspace
 
 __all__ = [
@@ -59,14 +60,18 @@ def check_dimensions(n: int, k: int, m: int, j: int, l: int, kinds=()) -> None:
     if min(n, k, m, j) < 1 or l < 0:
         raise ValueError(f"dimensions must be positive (L may be 0): "
                          f"N={n}, K={k}, M={m}, J={j}, L={l}")
-    if j > n:
-        raise ValueError(f"J={j} > N={n}: spatial subspace cannot exceed channels")
-    if m > k:
-        raise ValueError(f"M={m} > K={k}: waveform subspace cannot exceed pulses")
+    _check_subspace_dimensions(n, k, m, j)
     for kind in kinds:
         kind.check_dims(n, k, m, l)
     if l + k < m + n:
         raise ValueError(f"L+K={l + k} < M+N={m + n}")
+
+
+def _check_subspace_dimensions(n: int, k: int, m: int, j: int) -> None:
+    if j > n:
+        raise ValueError(f"J={j} > N={n}: spatial subspace cannot exceed channels")
+    if m > k:
+        raise ValueError(f"M={m} > K={k}: waveform subspace cannot exceed pulses")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +80,8 @@ class Scenario:
 
     N: channels, K: test-data columns (pulses), M: waveform-subspace
     dimension, J: spatial-subspace dimension, L: training-data count.
-    ``waveform`` is the factorization of C, built once with the scenario.
+    ``waveform`` is the factorization of C and ``coloring`` the lower
+    Cholesky factor F of R = F F^H, both built once with the scenario.
     """
 
     N: int
@@ -87,6 +93,7 @@ class Scenario:
     C: np.ndarray
     R: np.ndarray
     waveform: SubspaceFactorization = field(init=False, repr=False)
+    coloring: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, k, m, j = self.N, self.K, self.M, self.J
@@ -107,13 +114,14 @@ class Scenario:
         if dev > TOL.check_rtol * max(1.0, np.linalg.norm(r)):
             raise ValueError("R is not Hermitian")
         try:
-            np.linalg.cholesky(r)
+            coloring = np.linalg.cholesky(r)
         except np.linalg.LinAlgError as exc:
             raise ValueError("R is not positive definite") from exc
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "C", c)
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "waveform", waveform)
+        object.__setattr__(self, "coloring", coloring)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +164,7 @@ def random_subspaces(n: int, j: int, m: int, k: int, seed) -> tuple[np.ndarray, 
     redrawn (up to 100 times) until its smallest singular value exceeds
     1e-8 times its largest.  Deterministic for a fixed seed.
     """
-    if j > n:
-        raise ValueError(f"J={j} > N={n}: spatial subspace cannot exceed channels")
-    if m > k:
-        raise ValueError(f"M={m} > K={k}: waveform subspace cannot exceed pulses")
+    _check_subspace_dimensions(n, k, m, j)
     rng = as_generator(seed)
     a = _draw_full_rank(rng, n, j, "A")
     c = _draw_full_rank(rng, m, k, "C")
@@ -212,16 +217,17 @@ def make_signal(a, theta, alpha, c) -> np.ndarray:
 
 def snr_of(scenario: Scenario, theta, alpha) -> float:
     """Output SNR (linear): (alpha^H C C^H alpha) * (theta^H A^H R^-1 A theta)."""
-    return _snr(scenario.A, scenario.C, scenario.R, theta, alpha)
+    return _snr(scenario.A, scenario.C, scenario.coloring, theta, alpha)
 
 
-def _snr(a, c, r, theta, alpha) -> float:
+def _snr(a, c, f, theta, alpha) -> float:
     theta = as_cvector(theta, "theta")
     alpha = as_cvector(alpha, "alpha")
     c_alpha = c.conj().T @ alpha
     waveform = float(np.real(c_alpha.conj() @ c_alpha))
     v = (a @ theta)[:, None]
-    spatial = float(np.real(v.conj().T @ hpd_solve(r, v, "R"))[0, 0])
+    r_inv_v = np.linalg.solve(f.conj().T, np.linalg.solve(f, v))
+    spatial = float(np.real(v.conj().T @ r_inv_v)[0, 0])
     return waveform * spatial
 
 
@@ -232,15 +238,15 @@ def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float)
     so how the amplitude is split between theta and alpha is immaterial and
     one convention keeps runs reproducible.
     """
-    return _scale_to_snr(scenario.A, scenario.C, scenario.R, theta_dir, alpha_dir,
+    return _scale_to_snr(scenario.A, scenario.C, scenario.coloring, theta_dir, alpha_dir,
                          target_snr_db)
 
 
-def _scale_to_snr(a, c, r, theta_dir, alpha_dir, target_snr_db: float) -> SignalCoordinates:
-    """:func:`scale_to_snr` for subspaces A, C and covariance R checked elsewhere."""
+def _scale_to_snr(a, c, f, theta_dir, alpha_dir, target_snr_db: float) -> SignalCoordinates:
+    """:func:`scale_to_snr` for A, C and the Cholesky factor F of R, checked elsewhere."""
     theta_dir = as_cvector(theta_dir, "theta_dir")
     alpha_dir = as_cvector(alpha_dir, "alpha_dir")
-    base = _snr(a, c, r, theta_dir, alpha_dir)
+    base = _snr(a, c, f, theta_dir, alpha_dir)
     if base <= 0.0:
         raise ValueError("zero-SNR direction: theta_dir/alpha_dir give no signal power")
     gain = np.sqrt(10.0 ** (target_snr_db / 10.0) / base)

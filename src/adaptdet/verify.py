@@ -27,7 +27,7 @@ from .detectors import DetectorKind, appendix_identities, evaluate
 from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
 from .scenario import (_draw_full_rank, _scale_to_snr, as_generator, complex_gaussian,
-                       make_signal, random_subspaces, sample_noise, toeplitz_covariance)
+                       make_signal, noise_factor, random_subspaces, toeplitz_covariance)
 
 __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
            "CheckSuite", "VerificationReport", "run_verification"]
@@ -59,9 +59,8 @@ class Instance:
                      if kd.is_valid(self.n, self.k, self.m, self.l))
 
 
-def random_instance(regime: str, rng, *, n_range: tuple[int, int] = (3, 8),
-                    with_signal: bool | None = None) -> Instance:
-    """Draw dimensions for the regime, then subspaces, covariance, and data.
+def random_instance(regime: str, rng) -> Instance:
+    """Draw dimensions (3 <= N <= 8) for the regime, then subspaces, covariance, data.
 
     Regimes: 'abundant' (L >= N, K > M), 'lowsample' (1 <= L < N and
     L+K >= M+N with K < M+N, so only the augmented-SCM detectors apply),
@@ -69,7 +68,7 @@ def random_instance(regime: str, rng, *, n_range: tuple[int, int] = (3, 8),
     (L >= N and K >= M+N, where every detector is valid).
     """
     rng = as_generator(rng)
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    n = int(rng.integers(3, 9))
     j = int(rng.integers(1, min(n, 3) + 1))
     m = int(rng.integers(1, 4))
     if regime == "abundant":
@@ -94,18 +93,17 @@ def random_instance(regime: str, rng, *, n_range: tuple[int, int] = (3, 8),
     a, c = random_subspaces(n, j, m, k, rng)
     rho = _RHO_CYCLE[int(rng.integers(0, len(_RHO_CYCLE)))]
     r = toeplitz_covariance(n, rho)
-    x = sample_noise(r, k, rng)
-    if with_signal is None:
-        with_signal = bool(rng.integers(0, 2))
-    if with_signal:
+    f = noise_factor(r)
+    x = f @ complex_gaussian(rng, n, k)
+    if rng.integers(0, 2):
         # moderate SNR keeps the bounded statistics away from 1, where the
         # monotone map would amplify rounding error past the check budgets
         theta_dir = complex_gaussian(rng, j, 1).ravel()
         alpha_dir = complex_gaussian(rng, m, 1).ravel()
         snr_db = float(rng.uniform(-5.0, 15.0))
-        coords = _scale_to_snr(a, c, r, theta_dir, alpha_dir, snr_db)
+        coords = _scale_to_snr(a, c, f, theta_dir, alpha_dir, snr_db)
         x = x + make_signal(a, coords.theta, coords.alpha, c)
-    x_l = sample_noise(r, l, rng) if l > 0 else np.zeros((n, 0), dtype=np.complex128)
+    x_l = f @ complex_gaussian(rng, n, l)
     return Instance(regime=regime, n=n, k=k, m=m, j=j, l=l,
                     a=a, c=c, r=r, x=x, x_l=x_l)
 

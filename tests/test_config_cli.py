@@ -200,10 +200,17 @@ class TestCommandLine:
         assert cli.main(["calibrate", "--config", "/nonexistent.cfg"]) == 1
 
     @pytest.mark.parametrize("argv", [["calibrate", "--config", "{dir}"],
-                                      ["pd-curve", "--config", "{cfg}", "--out", "{dir}"]],
-                             ids=lambda argv: argv[0])
-    def test_unusable_path_exit_code(self, argv, tmp_path, capsys):
-        # a directory where a file belongs: one error line, not a traceback
+                                      ["pd-curve", "--config", "{cfg}", "--out", "{dir}"],
+                                      ["preset", "fig1", "--out", "{dir}"],
+                                      ["calibrate", "--config", "{cfg}", "--out", "{dir}"]],
+                             ids=["calibrate", "pd-curve", "preset", "calibrate-out"])
+    def test_unusable_path_exit_code(self, argv, tmp_path, monkeypatch, capsys):
+        # a directory where a file belongs: one error line, not a traceback,
+        # and before the first trial is drawn
+        def refused(*args, **kwargs):
+            raise AssertionError("drew a trial before checking the output path")
+
+        monkeypatch.setattr(cli.montecarlo, "simulate_statistics", refused)
         cfg = self._write_config(tmp_path)
         assert cli.main([arg.format(cfg=cfg, dir=tmp_path) for arg in argv]) == 1
         err = capsys.readouterr().err
@@ -354,3 +361,11 @@ def test_benchmark_entry_points_resolve(path):
 
 def test_benchmark_reads_the_identity_budget():
     assert isinstance(adaptdet.linalg.TOL.identity_rtol, float)
+
+
+def test_readme_library_use_runs():
+    # the documented API example, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

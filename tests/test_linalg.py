@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adaptdet.errors import SingularMatrixError
-from adaptdet.linalg import hermitize, hpd_solve
+from adaptdet.linalg import cholesky, hermitize
 
 from oracles import dagger, random_cmatrix, random_hpd
 
@@ -31,28 +31,29 @@ class TestHermitize:
             hermitize([[np.nan, 0.0], [0.0, 1.0]])
 
 
-class TestHpdSolve:
+class TestCholesky:
     def test_identity(self):
-        rng = np.random.default_rng(2)
-        b = random_cmatrix(rng, 4, 2)
-        assert np.allclose(hpd_solve(np.eye(4), b), b, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(cholesky(np.eye(4, dtype=complex), "I"), np.eye(4))
 
-    def test_diagonal_scaling(self):
-        y = hpd_solve(2.0 * np.eye(2), [[4.0], [6.0]])
-        assert np.allclose(y, [[2.0], [3.0]], rtol=0, atol=1e-15)
-
-    def test_residual_budget(self):
+    def test_factor_and_solve_residual_budget(self):
+        # S = F F^H with F lower triangular; the two solves against F and
+        # F^H (how a scenario forms R^-1 v) meet |S Y - B| <= 1e-10 |B|
         rng = np.random.default_rng(3)
         s = random_hpd(rng, 6)
         b = random_cmatrix(rng, 6, 3)
-        y = hpd_solve(s, b)
+        f = cholesky(s, "S")
+        assert np.array_equal(f, np.tril(f))
+        assert np.linalg.norm(f @ dagger(f) - s) <= 1e-12 * np.linalg.norm(s)
+        y = np.linalg.solve(dagger(f), np.linalg.solve(f, b))
         assert np.linalg.norm(s @ y - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_factors_a_stack(self):
+        rng = np.random.default_rng(4)
+        stack = np.stack([random_hpd(rng, 4) for _ in range(3)])
+        factors = cholesky(stack, "stack")
+        for s, f in zip(stack, factors):
+            assert np.allclose(f, np.linalg.cholesky(s), rtol=0, atol=1e-14)
 
     def test_singular_names_matrix(self):
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
-            hpd_solve(np.zeros((3, 3)), np.eye(3), name="SCM")
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            hpd_solve(np.eye(3), np.eye(4))
-
+            cholesky(np.zeros((3, 3), complex), "singular covariance estimate: SCM")

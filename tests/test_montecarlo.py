@@ -11,9 +11,8 @@ from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_NULL_FRESH,
                                  DOMAIN_SIGNAL, calibrate_threshold, cfar_check,
                                  estimate_pd, pd_curve, pd_curves, simulate_statistics,
                                  threshold_from_h0)
-from adaptdet.scenario import (SignalCoordinates, make_scenario, make_signal,
-                               noise_factor, random_directions, scale_to_snr,
-                               toeplitz_covariance)
+from adaptdet.scenario import (make_scenario, make_signal, noise_factor,
+                               random_directions, scale_to_snr, toeplitz_covariance)
 from adaptdet.transform import factor_waveform_subspace, signal_coefficient
 
 RU = DetectorKind.GLRGDD_RU
@@ -220,11 +219,13 @@ class TestEstimatePd:
         assert estimate_pd(sc, RU, cal.threshold, 60.0, 400, seed=7) == 1.0
 
     def test_zero_signal_reduces_to_false_alarm_rate(self):
+        # the H1 noise alone, which is the zero-signal trial of every grid
+        # point (see test_grid_points_share_the_trial_noise)
         sc = _scenario()
         pfa, trials = 0.05, 4000
         cal = calibrate_threshold(sc, RU, pfa, 4000, seed=8)
-        coords = SignalCoordinates(np.zeros(sc.J, complex), np.zeros(sc.M, complex))
-        pd = estimate_pd(sc, RU, cal.threshold, 0.0, trials, seed=8, coords=coords)
+        noise = simulate_statistics(sc, [RU], trials, seed=8, domain=DOMAIN_SIGNAL)
+        pd = np.count_nonzero(noise[:, 0] > cal.threshold) / trials
         assert abs(pd - pfa) <= 4.0 * np.sqrt(pfa * (1 - pfa) / trials)
 
     def test_empirical_pfa_on_fresh_noise(self):
@@ -307,7 +308,7 @@ class TestPdCurves:
     def test_grid_costs_no_covariance_solve_per_point(self, monkeypatch):
         # fig1 dimensions, two blocks: each block makes one N x N solve per
         # covariance estimate (S_plus, S_perp, S), whatever the grid size, and
-        # the call factors R once
+        # the call colors the noise with the scenario's factor of R
         sc = make_scenario(12, 16, 3, 2, 14, rho=0.95, seed=26)
         counts = []
         for snrs in ([6.0], [float(v) for v in range(-4, 14, 2)]):
@@ -327,7 +328,7 @@ class TestPdCurves:
                 simulate_statistics(sc, ALL, BLOCK_TRIALS + 1, seed=26, coefficients=c,
                                     domain=DOMAIN_SIGNAL)
             counts.append((calls.count("solve"), calls.count("cholesky")))
-        assert counts == [(3 * 2, 1), (3 * 2, 1)]
+        assert counts == [(3 * 2, 0), (3 * 2, 0)]
 
     @pytest.mark.parametrize("j, expected", [(2, 0), (3, 4 * 2)])
     def test_grid_takes_no_eigensolver_below_three_signal_dimensions(self, monkeypatch,
@@ -350,12 +351,20 @@ class TestPdCurves:
         assert len(calls) == expected
 
     def test_pd_curves_reuse_the_scenario_factorization_of_c(self, monkeypatch):
+        # C's SVD and R's Cholesky factor both come with the scenario
         sc = _scenario()
+        cholesky = np.linalg.cholesky
 
         def refused(*args, **kwargs):
             raise AssertionError("pd_curves took an SVD")
 
+        def small_cholesky(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (sc.N, sc.N):
+                raise AssertionError("pd_curves factored an N x N matrix")
+            return cholesky(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", refused)
+        monkeypatch.setattr(np.linalg, "cholesky", small_cholesky)
         curves = pd_curves(sc, ALL, [0.0, 6.0], 0.05, 600, 100, seed=27)
         assert set(curves) == set(ALL)
 
@@ -439,14 +448,3 @@ class TestDirectionsPlumbing:
         explicit = estimate_pd(sc, RU, cal.threshold, 12.0, 300, seed=20,
                                directions=dirs)
         assert implicit == explicit
-
-    def test_coords_override_matches_scaled_directions(self):
-        sc = _scenario()
-        cal = calibrate_threshold(sc, RU, 0.05, 600, seed=21)
-        dirs = random_directions(sc.J, sc.M, 21)
-        coords = scale_to_snr(sc, dirs[0], dirs[1], 12.0)
-        via_snr = estimate_pd(sc, RU, cal.threshold, 12.0, 300, seed=21,
-                              directions=dirs)
-        via_coords = estimate_pd(sc, RU, cal.threshold, 0.0, 300, seed=21,
-                                 coords=coords)
-        assert via_snr == via_coords

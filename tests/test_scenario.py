@@ -55,6 +55,8 @@ class TestRandomSubspaces:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError, match="J=3 > N=2"):
             random_subspaces(2, 3, 1, 4, seed=0)
+        with pytest.raises(ValueError, match="M=5 > K=4"):
+            random_subspaces(2, 1, 5, 4, seed=0)
 
 
 class TestSampleNoise:
@@ -219,6 +221,9 @@ class TestScenarioValidation:
         moved = replace(sc, R=2.0 * sc.R)
         assert moved.waveform is not sc.waveform
         assert np.array_equal(moved.waveform.c_par, sc.waveform.c_par)
+        # R's Cholesky factor is carried too, and rebuilt with a new R
+        assert np.allclose(sc.coloring @ dagger(sc.coloring), sc.R, rtol=0, atol=1e-12)
+        assert np.allclose(moved.coloring, np.sqrt(2.0) * sc.coloring, rtol=0, atol=1e-12)
 
     def test_directions_are_unit_norm_and_deterministic(self):
         d1 = random_directions(3, 2, 9)

@@ -117,12 +117,11 @@ def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
     return draws.view(np.complex128)[..., 0]
 
 
-def _coefficients(scenario: Scenario, directions, grid, seed: int) -> np.ndarray:
-    """(P, J, M) signal coefficients of the direction pair scaled to each SNR
-    (dB) of `grid`; the pair defaults to unit vectors drawn from the seed."""
-    if directions is None:
-        directions = random_directions(scenario.J, scenario.M, seed)
-    coords = (scale_to_snr(scenario, directions[0], directions[1], snr) for snr in grid)
+def _coefficients(scenario: Scenario, grid, seed: int) -> np.ndarray:
+    """(P, J, M) signal coefficients of the seed's unit direction pair scaled
+    to each SNR (dB) of `grid`."""
+    theta, alpha = random_directions(scenario.J, scenario.M, seed)
+    coords = (scale_to_snr(scenario, theta, alpha, snr) for snr in grid)
     stack = [signal_coefficient(scenario.waveform, co.theta, co.alpha) for co in coords]
     return np.array(stack, dtype=np.complex128).reshape(-1, scenario.J, scenario.M)
 
@@ -153,6 +152,8 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         raise ValueError(f"threads must be >= 1, got {threads}")
     n, k, l = scenario.N, scenario.K, scenario.L
     if coefficients is None:
+        if snr_db is not None:
+            raise ValueError("snr_db given without coefficients: labels need grid points")
         c = kernels.no_signal(scenario.J, scenario.M)
     else:
         c = np.asarray(coefficients, dtype=np.complex128)
@@ -260,18 +261,17 @@ def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
 
 
 def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
-                snr_db: float, trials: int, seed: int, *, directions=None,
-                threads: int = 1) -> float:
+                snr_db: float, trials: int, seed: int, *, threads: int = 1) -> float:
     """Detection probability at one SNR: count(statistic > threshold) / trials.
 
-    The signal direction pair defaults to unit vectors drawn from the seed.
+    The signal direction pair is a pair of unit vectors drawn from the seed.
     The trials are those of every grid point, so the result equals bitwise
-    the ``pd_curves`` value at this SNR for the same seed, trials,
-    directions and threshold.
+    the ``pd_curves`` value at this SNR for the same seed, trials and
+    threshold.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    coefficients = _coefficients(scenario, directions, [snr_db], seed)
+    coefficients = _coefficients(scenario, [snr_db], seed)
     stats = simulate_statistics(scenario, [kind], trials, seed, coefficients=coefficients,
                                 snr_db=[snr_db], domain=DOMAIN_SIGNAL, threads=threads)
     return float(np.count_nonzero(stats[:, 0, 0] > threshold)) / trials
@@ -279,22 +279,20 @@ def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
 
 def _check_grid(snr_grid_db) -> tuple[float, ...]:
     grid = tuple(float(v) for v in snr_grid_db)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"SNR grid must be strictly increasing, got {grid}")
+    if not np.all(np.isfinite(grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"SNR grid must be finite and strictly increasing, got {grid}")
     return grid
 
 
 def pd_curve(scenario: Scenario, kind: DetectorKind, snr_grid_db, pfa: float,
-             calib_trials: int, pd_trials: int, seed: int, *,
-             directions=None, threads: int = 1) -> PdCurve:
+             calib_trials: int, pd_trials: int, seed: int, *, threads: int = 1) -> PdCurve:
     """Calibrate a threshold, then estimate PD over a strictly increasing grid."""
     return pd_curves(scenario, [kind], snr_grid_db, pfa, calib_trials, pd_trials,
-                     seed, directions=directions, threads=threads)[kind]
+                     seed, threads=threads)[kind]
 
 
 def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: int,
-              pd_trials: int, seed: int, *, directions=None,
-              threads: int = 1) -> dict[DetectorKind, PdCurve]:
+              pd_trials: int, seed: int, *, threads: int = 1) -> dict[DetectorKind, PdCurve]:
     """PD curves for several detectors with common random numbers.
 
     One calibration pass and one H1 pass are shared by all detectors and
@@ -308,7 +306,7 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
     cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, seed,
                                 threads=threads)
     stats = simulate_statistics(scenario, kinds, pd_trials, seed,
-                                coefficients=_coefficients(scenario, directions, grid, seed),
+                                coefficients=_coefficients(scenario, grid, seed),
                                 snr_db=grid, domain=DOMAIN_SIGNAL, threads=threads)
     thresholds = np.array([cals[kind].threshold for kind in kinds])
     pd_matrix = np.count_nonzero(stats > thresholds, axis=0) / pd_trials

@@ -4,7 +4,8 @@ Problem dimensions, the spatial (A) and waveform (C) subspace matrices, a
 Toeplitz noise covariance, signal construction, and SNR-calibrated
 amplitude scaling.  A scenario factors C (one SVD) and R (one Cholesky)
 once, when it is built; it is immutable and can be shared freely across
-threads.
+threads.  A signal enters the package only through its SNR, set by
+:func:`scale_to_snr` from a scenario's A, C and factor of R.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "random_subspaces",
     "random_directions",
     "sample_noise",
-    "noise_factor",
     "complex_gaussian",
     "make_signal",
     "snr_of",
@@ -189,16 +189,11 @@ def random_directions(j: int, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
     return theta / np.linalg.norm(theta), alpha / np.linalg.norm(alpha)
 
 
-def noise_factor(r) -> np.ndarray:
-    """Lower-triangular factor F with F F^H = R."""
-    return cholesky(as_cmatrix(r, "R"), "singular covariance estimate: R")
-
-
 def sample_noise(r, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix whose columns are IID CN(0, R), realized as F z."""
+    """Matrix whose columns are IID CN(0, R), realized as F z with F F^H = R."""
     if cols < 1:
         raise ValueError(f"cols must be >= 1, got {cols}")
-    f = noise_factor(r)
+    f = cholesky(as_cmatrix(r, "R"), "singular covariance estimate: R")
     return f @ complex_gaussian(rng, f.shape[0], cols)
 
 
@@ -217,15 +212,12 @@ def make_signal(a, theta, alpha, c) -> np.ndarray:
 
 def snr_of(scenario: Scenario, theta, alpha) -> float:
     """Output SNR (linear): (alpha^H C C^H alpha) * (theta^H A^H R^-1 A theta)."""
-    return _snr(scenario.A, scenario.C, scenario.coloring, theta, alpha)
-
-
-def _snr(a, c, f, theta, alpha) -> float:
     theta = as_cvector(theta, "theta")
     alpha = as_cvector(alpha, "alpha")
-    c_alpha = c.conj().T @ alpha
+    c_alpha = scenario.C.conj().T @ alpha
     waveform = float(np.real(c_alpha.conj() @ c_alpha))
-    v = (a @ theta)[:, None]
+    v = (scenario.A @ theta)[:, None]
+    f = scenario.coloring
     r_inv_v = np.linalg.solve(f.conj().T, np.linalg.solve(f, v))
     spatial = float(np.real(v.conj().T @ r_inv_v)[0, 0])
     return waveform * spatial
@@ -238,15 +230,9 @@ def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float)
     so how the amplitude is split between theta and alpha is immaterial and
     one convention keeps runs reproducible.
     """
-    return _scale_to_snr(scenario.A, scenario.C, scenario.coloring, theta_dir, alpha_dir,
-                         target_snr_db)
-
-
-def _scale_to_snr(a, c, f, theta_dir, alpha_dir, target_snr_db: float) -> SignalCoordinates:
-    """:func:`scale_to_snr` for A, C and the Cholesky factor F of R, checked elsewhere."""
     theta_dir = as_cvector(theta_dir, "theta_dir")
     alpha_dir = as_cvector(alpha_dir, "alpha_dir")
-    base = _snr(a, c, f, theta_dir, alpha_dir)
+    base = snr_of(scenario, theta_dir, alpha_dir)
     if base <= 0.0:
         raise ValueError("zero-SNR direction: theta_dir/alpha_dir give no signal power")
     gain = np.sqrt(10.0 ** (target_snr_db / 10.0) / base)

@@ -15,6 +15,8 @@ Each instance costs one :func:`adaptdet.detectors.evaluate` of its valid
 kinds per (A, C, data) variant, plus the identity report where GLRGDD is
 valid.  These are theorems, so any persistent failure flags an
 implementation bug; each failure records the instance index for replay.
+Each instance's own :class:`adaptdet.scenario.Scenario` colors its noise
+and scales its signal to an SNR, as the Monte Carlo engine's scenarios do.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 from .detectors import DetectorKind, appendix_identities, evaluate
 from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
-from .scenario import (_draw_full_rank, _scale_to_snr, as_generator, complex_gaussian,
-                       make_signal, noise_factor, random_subspaces, toeplitz_covariance)
+from .scenario import (Scenario, _draw_full_rank, as_generator, complex_gaussian,
+                       make_signal, random_subspaces, scale_to_snr, toeplitz_covariance)
 
 __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
            "CheckSuite", "VerificationReport", "run_verification"]
@@ -50,7 +52,6 @@ class Instance:
     l: int
     a: np.ndarray
     c: np.ndarray
-    r: np.ndarray
     x: np.ndarray
     x_l: np.ndarray
 
@@ -92,20 +93,18 @@ def random_instance(regime: str, rng) -> Instance:
 
     a, c = random_subspaces(n, j, m, k, rng)
     rho = _RHO_CYCLE[int(rng.integers(0, len(_RHO_CYCLE)))]
-    r = toeplitz_covariance(n, rho)
-    f = noise_factor(r)
-    x = f @ complex_gaussian(rng, n, k)
+    sc = Scenario(N=n, K=k, M=m, J=j, L=l, A=a, C=c, R=toeplitz_covariance(n, rho))
+    x = sc.coloring @ complex_gaussian(rng, n, k)
     if rng.integers(0, 2):
         # moderate SNR keeps the bounded statistics away from 1, where the
         # monotone map would amplify rounding error past the check budgets
         theta_dir = complex_gaussian(rng, j, 1).ravel()
         alpha_dir = complex_gaussian(rng, m, 1).ravel()
         snr_db = float(rng.uniform(-5.0, 15.0))
-        coords = _scale_to_snr(a, c, f, theta_dir, alpha_dir, snr_db)
+        coords = scale_to_snr(sc, theta_dir, alpha_dir, snr_db)
         x = x + make_signal(a, coords.theta, coords.alpha, c)
-    x_l = f @ complex_gaussian(rng, n, l)
-    return Instance(regime=regime, n=n, k=k, m=m, j=j, l=l,
-                    a=a, c=c, r=r, x=x, x_l=x_l)
+    x_l = sc.coloring @ complex_gaussian(rng, n, l)
+    return Instance(regime=regime, n=n, k=k, m=m, j=j, l=l, a=a, c=c, x=x, x_l=x_l)
 
 
 def instance_stream(seed: int, count: int, regimes=REGIMES):

@@ -24,7 +24,7 @@ from adaptdet.detectors import DetectorKind, appendix_identities, compute
 from adaptdet.errors import ConfigError
 from adaptdet.montecarlo import (calibrate_thresholds, estimate_pd, pd_curves,
                                  simulate_statistics)
-from adaptdet.scenario import make_scenario, random_directions, toeplitz_covariance
+from adaptdet.scenario import make_scenario, toeplitz_covariance
 from adaptdet.verify import instance_stream
 
 from oracles import amgdd_projection_form, glrgdd_raw_form, ru_glr_direct
@@ -218,11 +218,9 @@ def test_criterion_8_low_sample_trend_in_k():
         scenario = make_scenario(12, k, 3, 2, 11, rho=0.95, seed=SEED)
         cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, SEED,
                                     threads=THREADS)
-        directions = random_directions(scenario.J, scenario.M, SEED)
         for kind in kinds:
             pd[kind].append(estimate_pd(scenario, kind, cals[kind].threshold,
-                                        probe_snr, pd_trials, SEED,
-                                        directions=directions, threads=THREADS))
+                                        probe_snr, pd_trials, SEED, threads=THREADS))
 
     def sigma(p):
         return np.sqrt(max(p * (1.0 - p), 1e-12) / pd_trials)

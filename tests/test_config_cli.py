@@ -118,6 +118,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("old, new, message", [
         ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, 8", "strictly increasing"),
+        ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, nan", "SNR grid must be finite"),
+        ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, inf", "SNR grid must be finite"),
         ("pfa = 0.05", "pfa = 1.5", r"pfa must lie in \(0, 1\)"),
     ])
     def test_engine_run_rules_checked_at_parse_time(self, old, new, message):
@@ -357,6 +359,19 @@ def test_benchmark_entry_points_resolve(path):
     # perfbench/tracer.py wraps them: a missing one zeroes a per-layer metric
     module, name = path.split(".")
     assert callable(getattr(getattr(adaptdet, module), name))
+
+
+def test_benchmark_reads_instances_and_runs_the_engine_as_called():
+    # perfbench/worker.py reads these instance fields and calls the engine
+    # positionally: a renamed field or parameter would fail the benchmark run
+    _, inst = next(adaptdet.verify.instance_stream(0, 1))
+    for name in ("x", "x_l", "a", "c"):
+        assert isinstance(getattr(inst, name), np.ndarray)
+    assert inst.valid_kinds()
+    cfg = parse_config(SMALL_CONFIG)
+    stats = adaptdet.montecarlo.simulate_statistics(build_scenario(cfg), cfg.detectors, 2, 0,
+                                                    threads=1)
+    assert stats.shape == (2, len(cfg.detectors))
 
 
 def test_benchmark_reads_the_identity_budget():

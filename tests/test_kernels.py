@@ -9,8 +9,7 @@ from adaptdet.detectors import DetectorKind, statistics
 from adaptdet.montecarlo import simulate_statistics
 from adaptdet.scenario import (as_generator, make_scenario, make_signal, random_directions,
                                sample_noise, scale_to_snr)
-from adaptdet.transform import (TransformedData, factor_waveform_subspace,
-                                signal_coefficient, transform_stack)
+from adaptdet.transform import TransformedData, signal_coefficient, transform_stack
 
 from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, ru_am_direct,
                      ru_glr_direct)
@@ -43,9 +42,8 @@ def _signal(snr_db):
     """The signal matrix at `snr_db` and its (1, J, M) coefficient stack."""
     theta, alpha = random_directions(_SCENARIO.J, _SCENARIO.M, 7)
     coords = scale_to_snr(_SCENARIO, theta, alpha, snr_db)
-    f = factor_waveform_subspace(_SCENARIO.C)
     return (make_signal(_SCENARIO.A, coords.theta, coords.alpha, _SCENARIO.C),
-            signal_coefficient(f, coords.theta, coords.alpha)[None])
+            signal_coefficient(_SCENARIO.waveform, coords.theta, coords.alpha)[None])
 
 
 def _zero(sc):

@@ -2,18 +2,17 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from adaptdet import kernels, montecarlo
 from adaptdet.detectors import DetectorKind, compute
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
 from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_NULL_FRESH,
-                                 DOMAIN_SIGNAL, calibrate_threshold, cfar_check,
-                                 estimate_pd, pd_curve, pd_curves, simulate_statistics,
-                                 threshold_from_h0)
-from adaptdet.scenario import (make_scenario, make_signal, noise_factor,
-                               random_directions, scale_to_snr, toeplitz_covariance)
-from adaptdet.transform import factor_waveform_subspace, signal_coefficient
+                                 DOMAIN_SIGNAL, _coefficients, calibrate_threshold,
+                                 cfar_check, estimate_pd, pd_curve, pd_curves,
+                                 simulate_statistics, threshold_from_h0)
+from adaptdet.scenario import (make_scenario, make_signal, random_directions, scale_to_snr,
+                               toeplitz_covariance)
 
 RU = DetectorKind.GLRGDD_RU
 ALL = list(DetectorKind)
@@ -54,14 +53,6 @@ class TestThresholdRule:
             threshold_from_h0(stats, 0.01)
 
 
-def _grid(sc, snrs, seed):
-    """(P, J, M) signal coefficients of the seed's directions over `snrs`."""
-    theta, alpha = random_directions(sc.J, sc.M, seed)
-    f = factor_waveform_subspace(sc.C)
-    return np.array([signal_coefficient(f, co.theta, co.alpha) for co in
-                     (scale_to_snr(sc, theta, alpha, snr) for snr in snrs)])
-
-
 class TestNonFiniteTrials:
     @pytest.mark.parametrize("name, kinds", [
         ("glr", [RU, DetectorKind.BOSE_GLRT]),
@@ -84,7 +75,7 @@ class TestNonFiniteTrials:
                    rf"of stream version {montecarlo.STREAM_VERSION}")
         with pytest.raises(NonFiniteStatisticError, match=pattern):
             simulate_statistics(sc, kinds, 2 * BLOCK_TRIALS + 5, seed=9,
-                                coefficients=_grid(sc, snrs, 9), snr_db=snrs,
+                                coefficients=_coefficients(sc, snrs, 9), snr_db=snrs,
                                 domain=DOMAIN_SIGNAL, threads=2)
 
     def test_replay_key_reproduces_the_trial(self):
@@ -96,13 +87,13 @@ class TestNonFiniteTrials:
         theta, alpha = random_directions(sc.J, sc.M, 11)
         replayed = [1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1]
         stats = simulate_statistics(sc, ALL, BLOCK_TRIALS + 2, seed=11,
-                                    coefficients=_grid(sc, snrs, 11), snr_db=snrs,
+                                    coefficients=_coefficients(sc, snrs, 11), snr_db=snrs,
                                     domain=DOMAIN_SIGNAL)
         for trial in replayed:
             block, row = divmod(trial, BLOCK_TRIALS)
             white = montecarlo._block_noise(11, DOMAIN_SIGNAL, block, row + 1,
                                             sc.N, sc.K + sc.L)[row]
-            data = np.linalg.cholesky(sc.R) @ white
+            data = sc.coloring @ white
             for p, snr in enumerate(snrs):
                 coords = scale_to_snr(sc, theta, alpha, snr)
                 x = data[:, :sc.K] + make_signal(sc.A, coords.theta, coords.alpha, sc.C)
@@ -119,12 +110,11 @@ class TestNonFiniteTrials:
         # replayed noise-only trial gives the engine's value to the last bit
         sc = make_scenario(*dims, seed=21)
         stats = simulate_statistics(sc, kinds, BLOCK_TRIALS + 2, seed=11)
-        factor = noise_factor(sc.R)
         for trial in (0, 1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1):
             block, row = divmod(trial, BLOCK_TRIALS)
             white = montecarlo._block_noise(11, DOMAIN_NULL, block, row + 1,
                                             sc.N, sc.K + sc.L)[row]
-            data = factor @ white
+            data = sc.coloring @ white
             for col, kind in enumerate(kinds):
                 value = compute(kind, data[:, :sc.K], data[:, sc.K:], sc.A, sc.C).value
                 assert value == stats[trial, col], (trial, kind)
@@ -151,7 +141,8 @@ class TestNonFiniteTrials:
                    rf"{montecarlo.STREAM_VERSION}, \(seed, domain\) = \(9, 1\) "
                    r"at grid points 0 \(0\.0 dB\) to 1 \(6\.0 dB\)")
         with pytest.raises(SingularMatrixError, match=pattern):
-            simulate_statistics(sc, [RU], trials, seed=9, coefficients=_grid(sc, snrs, 9),
+            simulate_statistics(sc, [RU], trials, seed=9,
+                                coefficients=_coefficients(sc, snrs, 9),
                                 snr_db=snrs, domain=DOMAIN_SIGNAL, threads=2)
 
 
@@ -247,6 +238,10 @@ class TestPdCurves:
         sc = _scenario()
         with pytest.raises(ValueError, match="strictly increasing"):
             pd_curve(sc, RU, [3.0, 3.0], 0.05, 600, 100, seed=11)
+        # refused before any draw, not as non-finite coefficients after calibration
+        for grid in ([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="SNR grid must be finite"):
+                pd_curve(sc, RU, grid, 0.05, 600, 100, seed=11)
 
     def test_rejects_empty_pd_budget(self):
         with pytest.raises(ValueError, match="pd_trials must be >= 1, got 0"):
@@ -293,11 +288,13 @@ class TestPdCurves:
     def test_grid_points_share_the_trial_noise(self):
         sc = _scenario()
         snrs = [-3.0, 0.0, 3.0, 6.0]
-        full = simulate_statistics(sc, ALL, 300, seed=25, coefficients=_grid(sc, snrs, 25),
+        full = simulate_statistics(sc, ALL, 300, seed=25,
+                                   coefficients=_coefficients(sc, snrs, 25),
                                    domain=DOMAIN_SIGNAL)
         assert full.shape == (300, len(snrs), len(ALL))
         sub = simulate_statistics(sc, ALL, 300, seed=25,
-                                  coefficients=_grid(sc, snrs[1::2], 25), domain=DOMAIN_SIGNAL)
+                                  coefficients=_coefficients(sc, snrs[1::2], 25),
+                                  domain=DOMAIN_SIGNAL)
         assert np.array_equal(sub, full[:, 1::2])
         # a zero coefficient gives the noise-only statistics of the H1 stream
         zero = np.zeros((1, sc.J, sc.M), dtype=complex)
@@ -312,7 +309,7 @@ class TestPdCurves:
         sc = make_scenario(12, 16, 3, 2, 14, rho=0.95, seed=26)
         counts = []
         for snrs in ([6.0], [float(v) for v in range(-4, 14, 2)]):
-            c = _grid(sc, snrs, 26)
+            c = _coefficients(sc, snrs, 26)
             calls = []
 
             def counted(fn):
@@ -337,7 +334,7 @@ class TestPdCurves:
         # eigenvalue in closed form; J = 3 calls eigvalsh once per statistic
         # (GLRGDD and AMGDD-RU on S_plus, Bose, AMGDD) and block
         sc = make_scenario(12, 16, 3, j, 14, rho=0.95, seed=26)
-        c = _grid(sc, [float(v) for v in range(-4, 14, 2)], 26)
+        c = _coefficients(sc, [float(v) for v in range(-4, 14, 2)], 26)
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -375,6 +372,10 @@ class TestPdCurves:
         with pytest.raises(ValueError, match="1 SNR labels for 2 grid points"):
             simulate_statistics(sc, [RU], 10, seed=0, coefficients=np.zeros((2, 2, 2)),
                                 snr_db=[0.0])
+        # labels without a grid would be dropped, giving noise-only statistics
+        for labels in ([30.0], [0.0, 6.0]):
+            with pytest.raises(ValueError, match="snr_db given without coefficients"):
+                simulate_statistics(sc, [RU], 10, seed=0, snr_db=labels, domain=DOMAIN_SIGNAL)
 
 
 class TestExactNullLaw:
@@ -417,6 +418,58 @@ class TestExactNullLaw:
         assert lo <= threshold <= hi
 
 
+class TestExactSignalLaw:
+    """J = M = 1 under H1: the engine's signal path against Kelly's law.
+
+    A kind's covariance estimate holds n white samples: L + K - M for the RU
+    pair and GLRGDD, K - M for Bose, L for AMGDD.  With nu = n - N + 1 the
+    loss factor rho ~ Beta(n - N + 2, N - 1) and, given rho, nu * mu follows
+    the noncentral F(2, 2 nu) law of noncentrality 2 rho a at output SNR a,
+    where mu = GLRGDD is Kelly's GLR value, mu / (1 + mu) the bounded one
+    and the two-step statistic is mu / rho (Kelly 1986; Robey et al. 1992).
+    This checks the SNR scaling, the signal coefficients and the kernels'
+    signal path against theory, not against a second formula for them.
+    """
+
+    CASES = ([((4, 8, 1, 1, 6), kind) for kind in ALL]
+             + [((4, 4, 1, 1, 2), kind) for kind in (RU, DetectorKind.AMGDD_RU)])
+    SNRS_DB, TRIALS, SEED = (2.0, 8.0), 4_000, 17
+    NODES = 64
+
+    @classmethod
+    def _cdf(cls, dims, kind, snr_db):
+        n, k, m, _, l = dims
+        samples = {DetectorKind.BOSE_GLRT: k - m, DetectorKind.AMGDD: l}.get(kind, l + k - m)
+        nu = samples - n + 1
+        x, w = special.roots_legendre(cls.NODES)
+        rho = 0.5 * (x + 1.0)
+        weight = 0.5 * w * stats.beta(samples - n + 2, n - 1).pdf(rho)
+        nc = 2.0 * rho * 10.0 ** (snr_db / 10.0)
+
+        def cdf(t):
+            t = np.asarray(t, dtype=float)[..., None]
+            if kind.bounded_below_one:
+                f = nu * t / (1.0 - t)
+            elif kind is DetectorKind.GLRGDD:
+                f = nu * t
+            else:
+                f = nu * rho * t
+            return stats.ncf.cdf(f, 2, 2 * nu, nc) @ weight
+
+        return cdf
+
+    @pytest.mark.parametrize("dims, kind", CASES)
+    def test_signal_draws_follow_the_noncentral_law(self, dims, kind):
+        sc = make_scenario(*dims, rho=0.9, seed=5)
+        draws = simulate_statistics(sc, [kind], self.TRIALS, self.SEED,
+                                    coefficients=_coefficients(sc, self.SNRS_DB, self.SEED),
+                                    domain=DOMAIN_SIGNAL)[:, :, 0]
+        # level fixed before the first run, as for the null law
+        for p, snr in enumerate(self.SNRS_DB):
+            pvalue = stats.kstest(draws[:, p], self._cdf(dims, kind, snr)).pvalue
+            assert pvalue > 1e-3, (snr, pvalue)
+
+
 class TestCfar:
     def test_same_covariance_hits_target_exactly(self):
         sc = _scenario()
@@ -437,14 +490,3 @@ class TestCfar:
         for kind in ALL:
             report = cfar_check(sc, r_alt, kind, 1e-2, 20_000, seed=19)
             assert report.passed, (kind, report)
-
-
-class TestDirectionsPlumbing:
-    def test_directions_default_matches_explicit(self):
-        sc = _scenario()
-        cal = calibrate_threshold(sc, RU, 0.05, 600, seed=20)
-        dirs = random_directions(sc.J, sc.M, 20)
-        implicit = estimate_pd(sc, RU, cal.threshold, 12.0, 300, seed=20)
-        explicit = estimate_pd(sc, RU, cal.threshold, 12.0, 300, seed=20,
-                               directions=dirs)
-        assert implicit == explicit

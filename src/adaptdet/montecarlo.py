@@ -32,12 +32,21 @@ its trial and grid point instead of being counted as a miss or sorted into
 a threshold; a LAPACK failure stops it with ``SingularMatrixError`` naming
 the stream, the grid and the trial range of the earliest failing block.
 
+Each engine thread allocates one workspace per call, at its first block,
+and every block it runs draws, colors and transforms into it (a short last
+block uses its leading rows): one arena receives the white noise, a second
+the colored noise, and the transformed data then overwrites the first.
+New arrays per block would be handed back to the kernel by the allocator
+and faulted in again by the next block.  :func:`replay_trial` draws a
+trial's noise through the same block code.
+
 Detectors requested together share the same draws per trial (common random
 numbers), which sharpens PD comparisons between detectors.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -48,11 +57,11 @@ from .detectors import DetectorKind, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
 from .scenario import Scenario, check_dimensions, random_directions, scale_to_snr
-from .transform import signal_coefficient, transform_stack
+from .transform import signal_coefficient, transform_size, transform_stack
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
-           "estimate_pd", "pd_curve", "pd_curves", "cfar_check"]
+           "estimate_pd", "pd_curve", "pd_curves", "cfar_check", "replay_trial"]
 
 STREAM_VERSION = 3
 BLOCK_TRIALS = 256
@@ -105,16 +114,56 @@ class CfarReport:
 
 
 def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
-                 cols: int) -> np.ndarray:
+                 cols: int, out: np.ndarray) -> np.ndarray:
     """White CN(0, I) noise (count, n, cols) of the first `count` trials of
-    block `block`, i.e. trials from block * BLOCK_TRIALS, of its stream."""
+    block `block`, i.e. trials from block * BLOCK_TRIALS, of its stream,
+    drawn into the head of the complex128 buffer `out`."""
     # The middle 0 is the grid-point slot of layout 2, where H1 drew one stream
     # per point; keeping it leaves the H0 draws and layout 2's first point as they were.
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=(int(domain), 0, int(block)))
-    draws = np.random.Generator(np.random.Philox(ss)).standard_normal((count, n, cols, 2))
+    draws = out[:count * n * cols].view(np.float64).reshape(count, n, cols, 2)
+    np.random.Generator(np.random.Philox(ss)).standard_normal(out=draws)
     draws *= _SQRT_HALF
     return draws.view(np.complex128)[..., 0]
+
+
+def _workspace(scenario: Scenario, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arenas (white, colored) for blocks of up to `trials` trials.  `white`
+    receives a block's white noise and, once that is colored into `colored`,
+    the block's transformed data, which overwrites it."""
+    n, k, l = scenario.N, scenario.K, scenario.L
+    per_trial = max(n * (k + l), transform_size(n, k))
+    return (np.empty(trials * per_trial, dtype=np.complex128),
+            np.empty((trials, n, k + l), dtype=np.complex128))
+
+
+def _noise_block(scenario: Scenario, seed: int, domain: int, block: int, count: int,
+                 white: np.ndarray, colored: np.ndarray) -> np.ndarray:
+    """Colored noise [X, X_L] (count, N, K + L) of the first `count` trials
+    of block `block` of the stream (seed, domain), drawn into the arena
+    `white` and colored into `colored`: the one code that fills a block, for
+    the engine and :func:`replay_trial` alike."""
+    noise = _block_noise(seed, domain, block, count, scenario.N, scenario.K + scenario.L,
+                         white)
+    return np.matmul(scenario.coloring, noise, out=colored[:count])
+
+
+def replay_trial(scenario: Scenario, seed: int, domain: int,
+                 trial: int) -> tuple[np.ndarray, np.ndarray]:
+    """Noise (X, X_L), N x K and N x L, of the trial with replay key
+    (seed, domain, trial), drawn and colored by the engine's own block code.
+
+    :func:`adaptdet.detectors.evaluate` on it gives bitwise the engine's
+    noise-only statistics of that trial.  A signal trial (DOMAIN_SIGNAL) is
+    this noise at every grid point, with the point's signal added to X.
+    """
+    if trial < 0:
+        raise ValueError(f"trial must be >= 0, got {trial}")
+    block, row = divmod(int(trial), BLOCK_TRIALS)
+    noise = _noise_block(scenario, seed, domain, block, row + 1,
+                         *_workspace(scenario, row + 1))[row]
+    return noise[:, :scenario.K].copy(), noise[:, scenario.K:].copy()
 
 
 def _coefficients(scenario: Scenario, grid, seed: int) -> np.ndarray:
@@ -150,7 +199,7 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         raise ValueError(f"trials must be >= 0, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    n, k, l = scenario.N, scenario.K, scenario.L
+    k = scenario.K
     if coefficients is None:
         if snr_db is not None:
             raise ValueError("snr_db given without coefficients: labels need grid points")
@@ -173,13 +222,18 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
                 else f" at grid points {names[0]} to {names[-1]}")
 
     out = np.empty((trials, points, len(kinds)), dtype=np.float64)
+    # one workspace per engine thread, reused by every block it runs
+    local = threading.local()
 
     def run_block(lo: int) -> None:
         hi = min(lo + BLOCK_TRIALS, trials)
-        colored = np.matmul(scenario.coloring,
-                            _block_noise(seed, domain, lo // BLOCK_TRIALS, hi - lo, n, k + l))
-        td = transform_stack(colored[:, :, :k], colored[:, :, k:], scenario.waveform)
-        del colored  # the kernels' temporaries reuse the noise's memory
+        if not hasattr(local, "workspace"):
+            local.workspace = _workspace(scenario, min(trials, BLOCK_TRIALS))
+        white, colored = local.workspace
+        noise = _noise_block(scenario, seed, domain, lo // BLOCK_TRIALS, hi - lo,
+                             white, colored)
+        # the white noise is colored by now: its arena takes the transformed data
+        td = transform_stack(noise[:, :, :k], noise[:, :, k:], scenario.waveform, out=white)
         try:
             block = statistics(kinds, td, scenario.A, c)
         except np.linalg.LinAlgError as exc:

@@ -9,13 +9,16 @@ problem into a sample-abundant one: the columns of X_perp act as extra
 (virtual) training data.
 
 :func:`transform_stack` alone applies it and forms the covariance
-estimates, for the Monte Carlo engine and the per-instance API alike.  It
-validates nothing: :mod:`adaptdet.detectors` checks an instance's dimensions
+estimates, for the Monte Carlo engine and the per-instance API alike; the
+engine passes each block a buffer that its thread reuses.  It validates
+nothing: :mod:`adaptdet.detectors` checks an instance's dimensions
 and refuses a singular covariance estimate before any detector reads it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from .linalg import TOL, as_cmatrix, hermitize
 
 __all__ = ["SubspaceFactorization", "TransformedData", "factor_waveform_subspace",
-           "signal_coefficient", "transform_stack"]
+           "signal_coefficient", "transform_size", "transform_stack"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,12 +88,33 @@ def signal_coefficient(f: SubspaceFactorization, theta, alpha) -> np.ndarray:
     return np.outer(theta, np.conj(alpha)) @ f.d
 
 
-def transform_stack(x, x_l, f: SubspaceFactorization) -> TransformedData:
+def transform_size(n: int, k: int) -> int:
+    """complex128 elements per trial that :func:`transform_stack` writes."""
+    return n * (k + 2 * n)
+
+
+def transform_stack(x, x_l, f: SubspaceFactorization, out=None) -> TransformedData:
     """Unvalidated transformation of test data x (..., N, K) and training
     data x_l (..., N, L) with any leading trial axes.  A trial's values do
-    not depend on the other trials of its stack."""
-    x_par = x @ f.c_par.conj().T
-    x_perp = x @ f.c_perp.conj().T
-    s_perp = x_perp @ np.conj(np.swapaxes(x_perp, -1, -2))
-    s_train = x_l @ np.conj(np.swapaxes(x_l, -1, -2))
+    not depend on the other trials of its stack.
+
+    X_par, X_perp and the two Grams are written into `out`, a contiguous
+    complex128 buffer of at least ``transform_size(N, K)`` elements per
+    trial (a new one when None), and the results are views of it.
+    """
+    *lead, n, k = x.shape
+    m = f.c_par.shape[0]
+    rows = math.prod(lead) * n
+    if out is None:
+        out = np.empty(math.prod(lead) * transform_size(n, k), dtype=np.complex128)
+    x_par, x_perp, s_perp, s_train = (
+        out[lo * rows:hi * rows].reshape(*lead, n, hi - lo)
+        for lo, hi in itertools.pairwise((0, m, k, k + n, k + 2 * n)))
+    # one GEMM over all rows of the stack: merging the trial axes of a block
+    # slice is a view, and a row's product does not depend on the others
+    x = x.reshape(rows, k)
+    np.matmul(x, f.c_par.conj().T, out=x_par.reshape(rows, m))
+    np.matmul(x, f.c_perp.conj().T, out=x_perp.reshape(rows, k - m))
+    np.matmul(x_perp, np.conj(np.swapaxes(x_perp, -1, -2)), out=s_perp)
+    np.matmul(x_l, np.conj(np.swapaxes(x_l, -1, -2)), out=s_train)
     return TransformedData(x_par, s_perp, s_train)

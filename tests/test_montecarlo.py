@@ -5,14 +5,15 @@ import pytest
 from scipy import special, stats
 
 from adaptdet import kernels, montecarlo
-from adaptdet.detectors import DetectorKind, compute
+from adaptdet.detectors import DetectorKind, compute, evaluate, statistics
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
 from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_NULL_FRESH,
                                  DOMAIN_SIGNAL, _coefficients, calibrate_threshold,
                                  cfar_check, estimate_pd, pd_curve, pd_curves,
-                                 simulate_statistics, threshold_from_h0)
+                                 replay_trial, simulate_statistics, threshold_from_h0)
 from adaptdet.scenario import (make_scenario, make_signal, random_directions, scale_to_snr,
                                toeplitz_covariance)
+from adaptdet.transform import transform_stack
 
 RU = DetectorKind.GLRGDD_RU
 ALL = list(DetectorKind)
@@ -80,8 +81,8 @@ class TestNonFiniteTrials:
 
     def test_replay_key_reproduces_the_trial(self):
         # the (seed, domain, trial) key and the grid point's signal are enough
-        # to recompute a value: the trial is row trial % BLOCK_TRIALS of its
-        # block's noise, shared by every grid point
+        # to recompute a value: replay_trial draws the trial's noise, shared by
+        # every grid point
         sc = _scenario()
         snrs = [-3.0, 6.0, 15.0]
         theta, alpha = random_directions(sc.J, sc.M, 11)
@@ -90,15 +91,12 @@ class TestNonFiniteTrials:
                                     coefficients=_coefficients(sc, snrs, 11), snr_db=snrs,
                                     domain=DOMAIN_SIGNAL)
         for trial in replayed:
-            block, row = divmod(trial, BLOCK_TRIALS)
-            white = montecarlo._block_noise(11, DOMAIN_SIGNAL, block, row + 1,
-                                            sc.N, sc.K + sc.L)[row]
-            data = sc.coloring @ white
+            noise, x_l = replay_trial(sc, 11, DOMAIN_SIGNAL, trial)
             for p, snr in enumerate(snrs):
                 coords = scale_to_snr(sc, theta, alpha, snr)
-                x = data[:, :sc.K] + make_signal(sc.A, coords.theta, coords.alpha, sc.C)
+                x = noise + make_signal(sc.A, coords.theta, coords.alpha, sc.C)
                 for col, kind in enumerate(ALL):
-                    value = compute(kind, x, data[:, sc.K:], sc.A, sc.C).value
+                    value = compute(kind, x, x_l, sc.A, sc.C).value
                     assert value == pytest.approx(stats[trial, p, col], rel=1e-10)
 
     @pytest.mark.parametrize("dims, kinds", [
@@ -111,12 +109,9 @@ class TestNonFiniteTrials:
         sc = make_scenario(*dims, seed=21)
         stats = simulate_statistics(sc, kinds, BLOCK_TRIALS + 2, seed=11)
         for trial in (0, 1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1):
-            block, row = divmod(trial, BLOCK_TRIALS)
-            white = montecarlo._block_noise(11, DOMAIN_NULL, block, row + 1,
-                                            sc.N, sc.K + sc.L)[row]
-            data = sc.coloring @ white
+            x, x_l = replay_trial(sc, 11, DOMAIN_NULL, trial)
             for col, kind in enumerate(kinds):
-                value = compute(kind, data[:, :sc.K], data[:, sc.K:], sc.A, sc.C).value
+                value = compute(kind, x, x_l, sc.A, sc.C).value
                 assert value == stats[trial, col], (trial, kind)
 
     @pytest.mark.parametrize("failing, trials, named", [
@@ -144,6 +139,53 @@ class TestNonFiniteTrials:
             simulate_statistics(sc, [RU], trials, seed=9,
                                 coefficients=_coefficients(sc, snrs, 9),
                                 snr_db=snrs, domain=DOMAIN_SIGNAL, threads=2)
+
+
+class TestBlockWorkspace:
+    TRIALS = 2 * BLOCK_TRIALS + 17  # two full blocks and a short one
+
+    @pytest.mark.parametrize("snrs", [None, [0.0, 9.0, 18.0]])
+    def test_reused_buffers_leak_nothing_into_a_short_block(self, snrs):
+        # each engine thread reuses one workspace for all its blocks: the short
+        # last block, whichever thread runs it, must read none of the rows a
+        # full block left behind
+        sc = _scenario()
+        kw = {"domain": DOMAIN_NULL}
+        if snrs is not None:
+            kw = {"coefficients": _coefficients(sc, snrs, 13), "snr_db": snrs,
+                  "domain": DOMAIN_SIGNAL}
+        runs = [simulate_statistics(sc, ALL, self.TRIALS, seed=13, threads=threads, **kw)
+                for threads in (1, 2, 4)]
+        for other in runs[1:]:
+            assert np.array_equal(other, runs[0])
+        for trial in range(2 * BLOCK_TRIALS, self.TRIALS):
+            x, x_l = replay_trial(sc, 13, kw["domain"], trial)
+            if snrs is None:
+                values = evaluate(ALL, x, x_l, sc.A, sc.C)
+                assert [values[kind].value for kind in ALL] == list(runs[0][trial]), trial
+            else:
+                td = transform_stack(x[None], x_l[None], sc.waveform)
+                values = statistics(ALL, td, sc.A, kw["coefficients"])[0]
+                assert np.array_equal(values, runs[0][trial]), trial
+
+    def test_every_block_draws_into_one_buffer(self, monkeypatch):
+        # a thread's blocks draw into the memory of its first block rather
+        # than into new arrays that the allocator hands back and faults in again
+        draws = []
+        block_noise = montecarlo._block_noise
+
+        def recorded(*args, **kwargs):
+            draws.append(block_noise(*args, **kwargs))
+            return draws[-1]
+
+        monkeypatch.setattr(montecarlo, "_block_noise", recorded)
+        simulate_statistics(_scenario(), [RU], 10 * BLOCK_TRIALS, seed=3, threads=1)
+        assert len(draws) == 10
+        assert all(np.shares_memory(draw, draws[0]) for draw in draws[1:])
+
+    def test_replay_refuses_a_negative_trial(self):
+        with pytest.raises(ValueError, match="trial must be >= 0"):
+            replay_trial(_scenario(), 1, DOMAIN_NULL, -1)
 
 
 class TestCalibration:

@@ -86,6 +86,8 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1,
     path = out_path if out_path is not None else config.output_path
     if path is None:
         raise ConfigError("no output path: set output_path in the config or pass --out")
+    if not config.snr_grid_db:
+        raise ConfigError("snr_grid_db is empty: a PD curve needs at least one SNR point")
     scenario = build_scenario(config)
     _check_writable(path)
     curves = montecarlo.pd_curves(scenario, config.detectors, config.snr_grid_db,

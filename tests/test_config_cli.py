@@ -218,6 +218,22 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_pd_curve_refuses_an_empty_grid(self, tmp_path, monkeypatch, capsys):
+        # an empty grid spent the whole calibration budget on a header-only CSV
+        def refused(*args, **kwargs):
+            raise AssertionError("drew a trial for an empty SNR grid")
+
+        path = tmp_path / "empty.cfg"
+        path.write_text(SMALL_CONFIG.replace("snr_grid_db = 0, 8, 16", "snr_grid_db ="))
+        out = tmp_path / "out.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.montecarlo, "simulate_statistics", refused)
+            assert cli.main(["pd-curve", "--config", str(path), "--out", str(out)]) == 1
+        assert "config error: snr_grid_db is empty" in capsys.readouterr().err
+        assert not out.exists()
+        # calibration reads no grid
+        assert cli.main(["calibrate", "--config", str(path)]) == 0
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["no-such-command"])
@@ -384,3 +400,13 @@ def test_readme_library_use_runs():
     section = readme.split("\n## Library use\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_output_row_is_what_preset_fig1_writes(tmp_path):
+    # the example row of README's Output section, against a real run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Output\n", 1)[1]
+    example = section.split("```\n", 1)[1].split("\n```", 1)[0].splitlines()
+    out = tmp_path / "fig1.csv"
+    assert cli.main(["preset", "fig1", "--threads", "2", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[:2] == example[:2]

@@ -16,8 +16,8 @@ from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_thres
                          calibrate_thresholds, cfar_check, estimate_pd, pd_curve,
                          pd_curves, simulate_statistics, threshold_from_h0)
 from .scenario import (Scenario, SignalCoordinates, make_scenario, make_signal,
-                       random_directions, random_subspaces, sample_noise, scale_to_snr,
-                       snr_of, toeplitz_covariance)
+                       random_directions, random_subspaces, scale_to_snr, snr_of,
+                       toeplitz_covariance)
 from .transform import (SubspaceFactorization, TransformedData,
                         factor_waveform_subspace, signal_coefficient)
 from .config import ExperimentConfig, build_scenario, format_config, parse_config
@@ -33,6 +33,6 @@ __all__ = [
     "compute", "estimate_pd", "evaluate", "factor_waveform_subspace", "format_config",
     "glrgdd", "glrgdd_ru", "hermitize", "make_scenario", "make_signal",
     "parse_config", "pd_curve", "pd_curves", "random_directions", "random_subspaces",
-    "run_verification", "sample_noise", "scale_to_snr", "signal_coefficient",
+    "run_verification", "scale_to_snr", "signal_coefficient",
     "simulate_statistics", "snr_of", "threshold_from_h0", "toeplitz_covariance",
 ]

@@ -15,6 +15,12 @@ layout 4 is SFC64, the fastest of numpy's seeded bit generators here, where
 layouts 2 and 3 drew from Philox with the same key and layout 1 one stream
 per trial.  The scenario's own draws stay on Philox.
 
+The stream domain follows from whether a grid is given: a
+:func:`simulate_statistics` call without ``snr_db`` draws H0 trials from
+``DOMAIN_NULL``, one with an SNR grid draws H1 trials from
+``DOMAIN_SIGNAL`` and scales the seed's direction pair to each point
+itself, so a signal enters the engine only through its SNR.
+
 An H1 trial's noise is drawn once and evaluated at every point of the SNR
 grid: the signal only moves X_par (see :mod:`adaptdet.kernels`), so each
 point costs small matrix products on the trial's reductions of its
@@ -59,7 +65,8 @@ from . import kernels
 from .detectors import DetectorKind, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
-from .scenario import Scenario, check_dimensions, random_directions, scale_to_snr
+from .scenario import (Scenario, check_dimensions, check_seed, random_directions,
+                       scale_to_snr)
 from .transform import signal_coefficient, transform_size, transform_stack
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
@@ -71,9 +78,8 @@ BLOCK_TRIALS = 256
 _SQRT_HALF = np.sqrt(0.5)
 
 # Stream domains keep draws from different purposes disjoint.
-DOMAIN_NULL = 0        # H0 draws: calibration (and CFAR re-measurement, by design)
-DOMAIN_SIGNAL = 1      # H1 draws, one per trial, shared by every SNR grid point
-DOMAIN_NULL_FRESH = 2  # independent H0 draws for re-measuring an empirical PFA
+DOMAIN_NULL = 0    # H0 draws: calibration (and CFAR re-measurement, by design)
+DOMAIN_SIGNAL = 1  # H1 draws, one per trial, shared by every SNR grid point
 
 
 @dataclass(frozen=True)
@@ -131,14 +137,6 @@ def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
     return draws.view(np.complex128)[..., 0]
 
 
-def _check_stream(seed: int, domain: int) -> None:
-    """Refuse a stream key that SeedSequence would reject inside the first
-    block, i.e. in a worker thread."""
-    for name, value in (("seed", seed), ("domain", domain)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 def _workspace(scenario: Scenario, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Arenas (white, colored) for blocks of up to `trials` trials.  `white`
     receives a block's white noise and, once that is colored into `colored`,
@@ -169,9 +167,10 @@ def replay_trial(scenario: Scenario, seed: int, domain: int,
     noise-only statistics of that trial.  A signal trial (DOMAIN_SIGNAL) is
     this noise at every grid point, with the point's signal added to X.
     """
-    _check_stream(seed, domain)
-    if trial < 0:
-        raise ValueError(f"trial must be >= 0, got {trial}")
+    check_seed(seed)
+    for name, value in (("domain", domain), ("trial", trial)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     block, row = divmod(int(trial), BLOCK_TRIALS)
     noise = _noise_block(scenario, seed, domain, block, row + 1,
                          *_workspace(scenario, row + 1))[row]
@@ -188,16 +187,15 @@ def _coefficients(scenario: Scenario, grid, seed: int) -> np.ndarray:
 
 
 def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
-                        coefficients=None, snr_db=None, domain: int = DOMAIN_NULL,
-                        threads: int = 1) -> np.ndarray:
+                        snr_db=None, threads: int = 1) -> np.ndarray:
     """Statistics of `kinds` over `trials` independent realizations.
 
-    Without `coefficients` the trials are noise only and the result is
-    (trials, len(kinds)) float64; column j holds kinds[j].  With a (P, J, M)
-    stack of signal coefficients c (the signal A theta alpha^H C has
-    c = theta alpha^H D, see :func:`adaptdet.transform.signal_coefficient`)
-    each trial's noise is evaluated at all P points and the result is
-    (trials, P, len(kinds)).  `snr_db` labels the points in error messages.
+    Without `snr_db` the trials are noise only, drawn from the H0 stream
+    (DOMAIN_NULL), and the result is (trials, len(kinds)) float64; column j
+    holds kinds[j].  With a strictly increasing grid of P output SNRs (dB)
+    the trials are drawn from the H1 stream (DOMAIN_SIGNAL), each trial's
+    noise is evaluated with the seed's direction pair scaled to every point,
+    and the result is (trials, P, len(kinds)); an empty grid draws nothing.
     All kinds and points are evaluated on the same noise per trial.
 
     Raises NonFiniteStatisticError naming the replay key of the first
@@ -209,32 +207,22 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     check_dimensions(scenario.N, scenario.K, scenario.M, scenario.J, scenario.L, kinds)
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    _check_stream(seed, domain)
+    check_seed(seed)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     k = scenario.K
-    if coefficients is None:
-        if snr_db is not None:
-            raise ValueError("snr_db given without coefficients: labels need grid points")
-        c = kernels.no_signal(scenario.J, scenario.M)
+    if snr_db is None:
+        domain, c, names = DOMAIN_NULL, kernels.no_signal(scenario.J, scenario.M), []
     else:
-        c = np.asarray(coefficients, dtype=np.complex128)
-        if c.ndim != 3 or c.shape[1:] != (scenario.J, scenario.M):
-            raise ValueError(f"coefficients must be (P, {scenario.J}, {scenario.M}), "
-                             f"got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients contain non-finite entries")
-    points = c.shape[0]
-    names = ([f"{p} ({float(v)} dB)" for p, v in enumerate(snr_db)] if snr_db is not None
-             else [str(p) for p in range(points)])
-    if len(names) != points:
-        raise ValueError(f"{len(names)} SNR labels for {points} grid points")
+        snrs = _check_grid(snr_db)
+        domain, c = DOMAIN_SIGNAL, _coefficients(scenario, snrs, seed)
+        names = [f"{p} ({v} dB)" for p, v in enumerate(snrs)]
     grid = ""
-    if coefficients is not None and points:
-        grid = (f" at grid point {names[0]}" if points == 1
+    if names:
+        grid = (f" at grid point {names[0]}" if len(names) == 1
                 else f" at grid points {names[0]} to {names[-1]}")
 
-    out = np.empty((trials, points, len(kinds)), dtype=np.float64)
+    out = np.empty((trials, len(c), len(kinds)), dtype=np.float64)
     # one workspace per engine thread, reused by every block it runs
     local = threading.local()
 
@@ -260,17 +248,17 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
             raise NonFiniteStatisticError(
                 f"non-finite statistic in trial (seed, domain, trial) = "
                 f"({seed}, {domain}, {lo + trial})"
-                + (f" at grid point {names[p]}" if coefficients is not None else "")
+                + (f" at grid point {names[p]}" if names else "")
                 + f" of stream version {STREAM_VERSION}")
 
-    starts = range(0, trials, BLOCK_TRIALS)
+    starts = range(0, trials, BLOCK_TRIALS) if len(c) else ()  # an empty grid draws nothing
     if threads == 1 or trials <= BLOCK_TRIALS:
         for lo in starts:
             run_block(lo)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_block, starts))
-    return out if coefficients is not None else out[:, 0]
+    return out if snr_db is not None else out[:, 0]
 
 
 def threshold_from_h0(stats, pfa: float) -> float:
@@ -319,8 +307,7 @@ def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
     """Thresholds for several detectors from one shared set of H0 draws."""
     _check_calibration_budget(pfa, trials)
     kinds = list(kinds)
-    stats = simulate_statistics(scenario, kinds, trials, seed,
-                                domain=DOMAIN_NULL, threads=threads)
+    stats = simulate_statistics(scenario, kinds, trials, seed, threads=threads)
     return {
         kind: CalibrationResult(kind, pfa, trials, threshold_from_h0(stats[:, j], pfa), seed)
         for j, kind in enumerate(kinds)
@@ -341,10 +328,8 @@ def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    _check_stream(seed, DOMAIN_SIGNAL)
-    coefficients = _coefficients(scenario, [snr_db], seed)
-    stats = simulate_statistics(scenario, [kind], trials, seed, coefficients=coefficients,
-                                snr_db=[snr_db], domain=DOMAIN_SIGNAL, threads=threads)
+    stats = simulate_statistics(scenario, [kind], trials, seed, snr_db=[snr_db],
+                                threads=threads)
     return float(np.count_nonzero(stats[:, 0, 0] > threshold)) / trials
 
 
@@ -376,9 +361,8 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
     grid = _check_grid(snr_grid_db)
     cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, seed,
                                 threads=threads)
-    stats = simulate_statistics(scenario, kinds, pd_trials, seed,
-                                coefficients=_coefficients(scenario, grid, seed),
-                                snr_db=grid, domain=DOMAIN_SIGNAL, threads=threads)
+    stats = simulate_statistics(scenario, kinds, pd_trials, seed, snr_db=grid,
+                                threads=threads)
     thresholds = np.array([cals[kind].threshold for kind in kinds])
     pd_matrix = np.count_nonzero(stats > thresholds, axis=0) / pd_trials
     return {
@@ -407,8 +391,7 @@ def cfar_check(scenario: Scenario, r_alt, kind: DetectorKind, pfa: float,
     """
     cal = calibrate_threshold(scenario, kind, pfa, trials, seed, threads=threads)
     alt = replace(scenario, R=as_cmatrix(r_alt, "r_alt"))
-    stats = simulate_statistics(alt, [kind], trials, seed,
-                                domain=DOMAIN_NULL, threads=threads)
+    stats = simulate_statistics(alt, [kind], trials, seed, threads=threads)
     pfa_emp = float(np.count_nonzero(stats[:, 0] > cal.threshold)) / trials
     sigma = float(np.sqrt(pfa * (1.0 - pfa) / trials))
     return CfarReport(kind=kind, pfa_target=pfa, pfa_empirical=pfa_emp,

@@ -14,17 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TOL, as_cmatrix, cholesky
+from .linalg import TOL, as_cmatrix
 from .transform import SubspaceFactorization, factor_waveform_subspace
 
 __all__ = [
     "Scenario",
     "SignalCoordinates",
     "check_dimensions",
+    "check_seed",
     "toeplitz_covariance",
     "random_subspaces",
     "random_directions",
-    "sample_noise",
     "complex_gaussian",
     "make_signal",
     "snr_of",
@@ -44,7 +44,7 @@ def as_generator(seed) -> np.random.Generator:
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
 
 
 def as_cvector(x, name: str = "vector") -> np.ndarray:
@@ -65,6 +65,14 @@ def check_dimensions(n: int, k: int, m: int, j: int, l: int, kinds=()) -> None:
         kind.check_dims(n, k, m, l)
     if l + k < m + n:
         raise ValueError(f"L+K={l + k} < M+N={m + n}")
+
+
+def check_seed(seed) -> int:
+    """An int seed of a public entry; refused here when negative, since numpy's
+    SeedSequence refuses it without naming the argument."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
 
 
 def _check_subspace_dimensions(n: int, k: int, m: int, j: int) -> None:
@@ -182,19 +190,11 @@ def _draw_full_rank(rng, rows, cols, name, rtol=TOL.rank_sv_rtol):
 def random_directions(j: int, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm direction vectors (theta_dir, alpha_dir) from the complex sphere."""
     if isinstance(seed, (int, np.integer)):
-        seed = np.random.SeedSequence(int(seed), spawn_key=(_DIRECTION_STREAM,))
+        seed = np.random.SeedSequence(check_seed(seed), spawn_key=(_DIRECTION_STREAM,))
     rng = as_generator(seed)
     theta = as_cvector(complex_gaussian(rng, j, 1), "theta_dir")
     alpha = as_cvector(complex_gaussian(rng, m, 1), "alpha_dir")
     return theta / np.linalg.norm(theta), alpha / np.linalg.norm(alpha)
-
-
-def sample_noise(r, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix whose columns are IID CN(0, R), realized as F z with F F^H = R."""
-    if cols < 1:
-        raise ValueError(f"cols must be >= 1, got {cols}")
-    f = cholesky(as_cmatrix(r, "R"), "singular covariance estimate: R")
-    return f @ complex_gaussian(rng, f.shape[0], cols)
 
 
 def make_signal(a, theta, alpha, c) -> np.ndarray:
@@ -242,6 +242,6 @@ def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float)
 def make_scenario(n: int, k: int, m: int, j: int, l: int, *, rho: float = 0.95,
                   seed: int = 0) -> Scenario:
     """Build a scenario with random fixed subspaces and a Toeplitz covariance."""
-    sub = np.random.SeedSequence(int(seed), spawn_key=(_SUBSPACE_STREAM,))
+    sub = np.random.SeedSequence(check_seed(seed), spawn_key=(_SUBSPACE_STREAM,))
     a, c = random_subspaces(n, j, m, k, sub)
     return Scenario(N=n, K=k, M=m, J=j, L=l, A=a, C=c, R=toeplitz_covariance(n, rho))

@@ -28,7 +28,7 @@ import numpy as np
 from .detectors import DetectorKind, appendix_identities, evaluate
 from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
-from .scenario import (Scenario, _draw_full_rank, as_generator, complex_gaussian,
+from .scenario import (Scenario, _draw_full_rank, as_generator, check_seed, complex_gaussian,
                        make_signal, random_subspaces, scale_to_snr, toeplitz_covariance)
 
 __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
@@ -111,7 +111,7 @@ def instance_stream(seed: int, count: int, regimes=REGIMES):
     """Yield (index, Instance) pairs cycling through the regimes."""
     for idx in range(count):
         regime = regimes[idx % len(regimes)]
-        rng = np.random.SeedSequence(int(seed), spawn_key=(idx,))
+        rng = np.random.SeedSequence(check_seed(seed), spawn_key=(idx,))
         yield idx, random_instance(regime, rng)
 
 
@@ -168,6 +168,7 @@ class VerificationReport:
 
 def run_verification(seed: int = 20260810, instance_count: int = 500) -> VerificationReport:
     """Run every check suite over `instance_count` random instances."""
+    check_seed(seed)
     if instance_count < 0:
         raise ValueError(f"instance_count must be >= 0, got {instance_count}")
     suites = {

@@ -321,6 +321,13 @@ class TestCommandLine:
         with pytest.raises(ValueError, match="instance_count must be >= 0"):
             run_verification(instance_count=-1)
 
+    def test_verify_refuses_a_negative_seed(self):
+        # the command line's --seed check does not guard the library entry
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_verification(seed=-1, instance_count=1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            next(adaptdet.verify.instance_stream(-1, 1))
+
     def test_preset_print_config_is_parseable(self, capsys):
         assert cli.main(["preset", "fig1", "--print-config"]) == 0
         cfg = parse_config(capsys.readouterr().out)

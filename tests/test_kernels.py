@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from adaptdet import kernels
 from adaptdet.detectors import DetectorKind, statistics
 from adaptdet.montecarlo import simulate_statistics
-from adaptdet.scenario import (as_generator, make_scenario, make_signal, random_directions,
-                               sample_noise, scale_to_snr)
+from adaptdet.scenario import (as_generator, complex_gaussian, make_scenario, make_signal,
+                               random_directions, scale_to_snr)
 from adaptdet.transform import TransformedData, signal_coefficient, transform_stack
 
 from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, ru_am_direct,
@@ -20,8 +20,8 @@ def _batch(scenario, trials, seed):
     xb = np.empty((trials, scenario.N, scenario.K), dtype=np.complex128)
     xlb = np.empty((trials, scenario.N, scenario.L), dtype=np.complex128)
     for t in range(trials):
-        xb[t] = sample_noise(scenario.R, scenario.K, rng)
-        xlb[t] = sample_noise(scenario.R, scenario.L, rng)
+        xb[t] = scenario.coloring @ complex_gaussian(rng, scenario.N, scenario.K)
+        xlb[t] = scenario.coloring @ complex_gaussian(rng, scenario.N, scenario.L)
     return xb, xlb
 
 
@@ -183,10 +183,9 @@ def test_bounded_column_alone_is_bitwise_the_pair_column(estimate):
     # GLRT on S_perp, or GLRGDD-RU requested by itself) or next to the other
     # statistics of the same reduction; either way it is the same column.
     kind = {"s_plus": DetectorKind.GLRGDD_RU, "s_perp": DetectorKind.BOSE_GLRT}[estimate]
-    c = np.concatenate([_signal(snr)[1] for snr in _SNRS_DB])
     kinds = list(DetectorKind)
-    every = simulate_statistics(_SCENARIO, kinds, 40, 3, coefficients=c)
-    alone = simulate_statistics(_SCENARIO, [kind], 40, 3, coefficients=c)
+    every = simulate_statistics(_SCENARIO, kinds, 40, 3, snr_db=_SNRS_DB)
+    alone = simulate_statistics(_SCENARIO, [kind], 40, 3, snr_db=_SNRS_DB)
     assert np.array_equal(alone[..., 0], every[..., kinds.index(kind)])
 
 

@@ -7,10 +7,10 @@ from scipy import special, stats
 from adaptdet import kernels, montecarlo
 from adaptdet.detectors import DetectorKind, compute, evaluate, statistics
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
-from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_NULL_FRESH,
-                                 DOMAIN_SIGNAL, _coefficients, calibrate_threshold,
-                                 cfar_check, estimate_pd, pd_curve, pd_curves,
-                                 replay_trial, simulate_statistics, threshold_from_h0)
+from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_SIGNAL, _coefficients,
+                                 calibrate_threshold, cfar_check, estimate_pd, pd_curve,
+                                 pd_curves, replay_trial, simulate_statistics,
+                                 threshold_from_h0)
 from adaptdet.scenario import (make_scenario, make_signal, random_directions, scale_to_snr,
                                toeplitz_covariance)
 from adaptdet.transform import transform_stack
@@ -75,9 +75,8 @@ class TestNonFiniteTrials:
         pattern = (r"\(seed, domain, trial\) = \(9, 1, 3\) at grid point 1 \(6\.0 dB\) "
                    rf"of stream version {montecarlo.STREAM_VERSION}")
         with pytest.raises(NonFiniteStatisticError, match=pattern):
-            simulate_statistics(sc, kinds, 2 * BLOCK_TRIALS + 5, seed=9,
-                                coefficients=_coefficients(sc, snrs, 9), snr_db=snrs,
-                                domain=DOMAIN_SIGNAL, threads=2)
+            simulate_statistics(sc, kinds, 2 * BLOCK_TRIALS + 5, seed=9, snr_db=snrs,
+                                threads=2)
 
     def test_replay_key_reproduces_the_trial(self):
         # the (seed, domain, trial) key and the grid point's signal are enough
@@ -87,9 +86,7 @@ class TestNonFiniteTrials:
         snrs = [-3.0, 6.0, 15.0]
         theta, alpha = random_directions(sc.J, sc.M, 11)
         replayed = [1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1]
-        stats = simulate_statistics(sc, ALL, BLOCK_TRIALS + 2, seed=11,
-                                    coefficients=_coefficients(sc, snrs, 11), snr_db=snrs,
-                                    domain=DOMAIN_SIGNAL)
+        stats = simulate_statistics(sc, ALL, BLOCK_TRIALS + 2, seed=11, snr_db=snrs)
         for trial in replayed:
             noise, x_l = replay_trial(sc, 11, DOMAIN_SIGNAL, trial)
             for p, snr in enumerate(snrs):
@@ -136,9 +133,7 @@ class TestNonFiniteTrials:
                    rf"{montecarlo.STREAM_VERSION}, \(seed, domain\) = \(9, 1\) "
                    r"at grid points 0 \(0\.0 dB\) to 1 \(6\.0 dB\)")
         with pytest.raises(SingularMatrixError, match=pattern):
-            simulate_statistics(sc, [RU], trials, seed=9,
-                                coefficients=_coefficients(sc, snrs, 9),
-                                snr_db=snrs, domain=DOMAIN_SIGNAL, threads=2)
+            simulate_statistics(sc, [RU], trials, seed=9, snr_db=snrs, threads=2)
 
 
 class TestBlockWorkspace:
@@ -150,22 +145,19 @@ class TestBlockWorkspace:
         # last block, whichever thread runs it, must read none of the rows a
         # full block left behind
         sc = _scenario()
-        kw = {"domain": DOMAIN_NULL}
-        if snrs is not None:
-            kw = {"coefficients": _coefficients(sc, snrs, 13), "snr_db": snrs,
-                  "domain": DOMAIN_SIGNAL}
-        runs = [simulate_statistics(sc, ALL, self.TRIALS, seed=13, threads=threads, **kw)
+        runs = [simulate_statistics(sc, ALL, self.TRIALS, seed=13, snr_db=snrs, threads=threads)
                 for threads in (1, 2, 4)]
         for other in runs[1:]:
             assert np.array_equal(other, runs[0])
+        domain = DOMAIN_NULL if snrs is None else DOMAIN_SIGNAL
         for trial in range(2 * BLOCK_TRIALS, self.TRIALS):
-            x, x_l = replay_trial(sc, 13, kw["domain"], trial)
+            x, x_l = replay_trial(sc, 13, domain, trial)
             if snrs is None:
                 values = evaluate(ALL, x, x_l, sc.A, sc.C)
                 assert [values[kind].value for kind in ALL] == list(runs[0][trial]), trial
             else:
                 td = transform_stack(x[None], x_l[None], sc.waveform)
-                values = statistics(ALL, td, sc.A, kw["coefficients"])[0]
+                values = statistics(ALL, td, sc.A, _coefficients(sc, snrs, 13))[0]
                 assert np.array_equal(values, runs[0][trial]), trial
 
     def test_every_block_draws_into_one_buffer(self, monkeypatch):
@@ -192,7 +184,7 @@ class TestStreamLayout:
     @pytest.mark.parametrize("seed, domain, block, count", [
         (11, DOMAIN_NULL, 0, BLOCK_TRIALS),
         (11, DOMAIN_SIGNAL, 3, BLOCK_TRIALS),
-        (20260810, DOMAIN_NULL_FRESH, 3, 7),  # a short block: the head of the same draw
+        (20260810, DOMAIN_NULL, 3, 7),  # a short block: the head of the same draw
     ])
     def test_block_draws_are_sfc64_keyed_by_seed_domain_and_block(self, seed, domain,
                                                                    block, count):
@@ -211,14 +203,17 @@ class TestStreamLayout:
         assert drawn.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("snrs", [None, [0.0, 6.0]], ids=["noise", "grid"])
+    def test_refuses_a_negative_seed_before_any_block(self, threads, snrs):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            simulate_statistics(_scenario(), [RU], 2 * BLOCK_TRIALS + 1, -5, snr_db=snrs,
+                                threads=threads)
+
     @pytest.mark.parametrize("seed, domain, message", [
         (-5, DOMAIN_NULL, "seed must be >= 0, got -5"),
         (5, -1, "domain must be >= 0, got -1"),
     ], ids=["seed", "domain"])
-    def test_refuses_a_negative_key_before_any_block(self, threads, seed, domain, message):
-        with pytest.raises(ValueError, match=message):
-            simulate_statistics(_scenario(), [RU], 2 * BLOCK_TRIALS + 1, seed,
-                                domain=domain, threads=threads)
+    def test_replay_refuses_a_negative_key(self, seed, domain, message):
         with pytest.raises(ValueError, match=message):
             replay_trial(_scenario(), seed, domain, BLOCK_TRIALS)
 
@@ -299,28 +294,47 @@ class TestEstimatePd:
 
     def test_zero_signal_reduces_to_false_alarm_rate(self):
         # the H1 noise alone, which is the zero-signal trial of every grid
-        # point (see test_grid_points_share_the_trial_noise)
+        # point, evaluated block by block through the engine's own block code
         sc = _scenario()
         pfa, trials = 0.05, 4000
         cal = calibrate_threshold(sc, RU, pfa, 4000, seed=8)
-        noise = simulate_statistics(sc, [RU], trials, seed=8, domain=DOMAIN_SIGNAL)
-        pd = np.count_nonzero(noise[:, 0] > cal.threshold) / trials
+        workspace = montecarlo._workspace(sc, BLOCK_TRIALS)
+        noise = []
+        for block, lo in enumerate(range(0, trials, BLOCK_TRIALS)):
+            x = montecarlo._noise_block(sc, 8, DOMAIN_SIGNAL, block,
+                                        min(BLOCK_TRIALS, trials - lo), *workspace)
+            td = transform_stack(x[:, :, :sc.K], x[:, :, sc.K:], sc.waveform)
+            noise.append(statistics([RU], td, sc.A, kernels.no_signal(sc.J, sc.M))[:, 0, 0])
+        pd = np.count_nonzero(np.concatenate(noise) > cal.threshold) / trials
         assert abs(pd - pfa) <= 4.0 * np.sqrt(pfa * (1 - pfa) / trials)
 
     def test_empirical_pfa_on_fresh_noise(self):
         sc = _scenario()
         pfa, trials = 0.05, 4000
         cal = calibrate_threshold(sc, RU, pfa, trials, seed=9)
-        fresh = simulate_statistics(sc, [RU], trials, seed=9, domain=DOMAIN_NULL_FRESH)
+        # independent H0 draws: those of another seed
+        fresh = simulate_statistics(sc, [RU], trials, seed=10)
         pfa_emp = np.count_nonzero(fresh[:, 0] > cal.threshold) / trials
         assert abs(pfa_emp - pfa) <= 4.0 * np.sqrt(pfa * (1 - pfa) / trials)
 
 
 class TestPdCurves:
-    def test_empty_grid_gives_empty_curve(self):
-        sc = _scenario()
-        curve = pd_curve(sc, RU, [], 0.05, 600, 100, seed=10)
-        assert curve.points == ()
+    def test_empty_grid_gives_empty_curve(self, monkeypatch):
+        # and draws nothing for it: calibration draws its 600 trials in 3
+        # blocks, the H1 pass none
+        blocks = []
+        block_noise = montecarlo._block_noise
+
+        def counted(seed, domain, *args):
+            blocks.append(domain)
+            return block_noise(seed, domain, *args)
+
+        monkeypatch.setattr(montecarlo, "_block_noise", counted)
+        assert pd_curve(_scenario(), RU, [], 0.05, 600, 1000, seed=1).points == ()
+        assert blocks == [DOMAIN_NULL] * 3
+        stats = simulate_statistics(_scenario(), ALL, 1000, seed=1, snr_db=())
+        assert stats.shape == (1000, 0, len(ALL))
+        assert len(blocks) == 3
 
     def test_rejects_non_increasing_grid(self):
         sc = _scenario()
@@ -376,44 +390,35 @@ class TestPdCurves:
     def test_grid_points_share_the_trial_noise(self):
         sc = _scenario()
         snrs = [-3.0, 0.0, 3.0, 6.0]
-        full = simulate_statistics(sc, ALL, 300, seed=25,
-                                   coefficients=_coefficients(sc, snrs, 25),
-                                   domain=DOMAIN_SIGNAL)
+        full = simulate_statistics(sc, ALL, 300, seed=25, snr_db=snrs)
         assert full.shape == (300, len(snrs), len(ALL))
-        sub = simulate_statistics(sc, ALL, 300, seed=25,
-                                  coefficients=_coefficients(sc, snrs[1::2], 25),
-                                  domain=DOMAIN_SIGNAL)
+        sub = simulate_statistics(sc, ALL, 300, seed=25, snr_db=snrs[1::2])
         assert np.array_equal(sub, full[:, 1::2])
-        # a zero coefficient gives the noise-only statistics of the H1 stream
-        zero = np.zeros((1, sc.J, sc.M), dtype=complex)
-        noise = simulate_statistics(sc, ALL, 300, seed=25, domain=DOMAIN_SIGNAL)
-        assert np.array_equal(simulate_statistics(sc, ALL, 300, seed=25, coefficients=zero,
-                                                  domain=DOMAIN_SIGNAL)[:, 0], noise)
 
     def test_grid_costs_no_covariance_solve_per_point(self, monkeypatch):
-        # fig1 dimensions, two blocks: each block makes one N x N solve per
-        # covariance estimate (S_plus, S_perp, S), whatever the grid size, and
-        # the call colors the noise with the scenario's factor of R
+        # fig1 dimensions, two blocks: each block makes one stacked N x N solve
+        # per covariance estimate (S_plus, S_perp, S), whatever the grid size;
+        # the SNR scaling makes two single N x N solves per grid point against
+        # the scenario's factor of R, which also colors the noise
         sc = make_scenario(12, 16, 3, 2, 14, rho=0.95, seed=26)
         counts = []
         for snrs in ([6.0], [float(v) for v in range(-4, 14, 2)]):
-            c = _coefficients(sc, snrs, 26)
             calls = []
 
             def counted(fn):
                 def wrapper(a, *args, **kwargs):
                     if np.shape(a)[-2:] == (sc.N, sc.N):
-                        calls.append(fn.__name__)
+                        calls.append((fn.__name__, np.ndim(a)))
                     return fn(a, *args, **kwargs)
                 return wrapper
 
             with monkeypatch.context() as patch:
                 for name in ("solve", "cholesky"):
                     patch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-                simulate_statistics(sc, ALL, BLOCK_TRIALS + 1, seed=26, coefficients=c,
-                                    domain=DOMAIN_SIGNAL)
-            counts.append((calls.count("solve"), calls.count("cholesky")))
-        assert counts == [(3 * 2, 0), (3 * 2, 0)]
+                simulate_statistics(sc, ALL, BLOCK_TRIALS + 1, seed=26, snr_db=snrs)
+            counts.append((calls.count(("solve", 3)), calls.count(("solve", 2)),
+                           [name for name, _ in calls].count("cholesky")))
+        assert counts == [(3 * 2, 2 * 1, 0), (3 * 2, 2 * 9, 0)]
 
     @pytest.mark.parametrize("j, expected", [(2, 0), (3, 4 * 2)])
     def test_grid_takes_no_eigensolver_below_three_signal_dimensions(self, monkeypatch,
@@ -422,7 +427,6 @@ class TestPdCurves:
         # eigenvalue in closed form; J = 3 calls eigvalsh once per statistic
         # (GLRGDD and AMGDD-RU on S_plus, Bose, AMGDD) and block
         sc = make_scenario(12, 16, 3, j, 14, rho=0.95, seed=26)
-        c = _coefficients(sc, [float(v) for v in range(-4, 14, 2)], 26)
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -431,8 +435,8 @@ class TestPdCurves:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        simulate_statistics(sc, ALL, BLOCK_TRIALS + 1, seed=26, coefficients=c,
-                            domain=DOMAIN_SIGNAL)
+        simulate_statistics(sc, ALL, BLOCK_TRIALS + 1, seed=26,
+                            snr_db=[float(v) for v in range(-4, 14, 2)])
         assert len(calls) == expected
 
     def test_pd_curves_reuse_the_scenario_factorization_of_c(self, monkeypatch):
@@ -453,17 +457,34 @@ class TestPdCurves:
         curves = pd_curves(sc, ALL, [0.0, 6.0], 0.05, 600, 100, seed=27)
         assert set(curves) == set(ALL)
 
-    def test_rejects_misshapen_coefficients(self):
+    def test_refuses_a_bad_grid_before_any_draw(self, monkeypatch):
+        # neither the seed's direction pair nor a block of noise is drawn
+        def refused(*args, **kwargs):
+            raise AssertionError("drew before checking the grid")
+
+        monkeypatch.setattr(montecarlo, "random_directions", refused)
+        monkeypatch.setattr(montecarlo, "_block_noise", refused)
         sc = _scenario()
-        with pytest.raises(ValueError, match=r"coefficients must be \(P, 2, 2\)"):
-            simulate_statistics(sc, [RU], 10, seed=0, coefficients=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="1 SNR labels for 2 grid points"):
-            simulate_statistics(sc, [RU], 10, seed=0, coefficients=np.zeros((2, 2, 2)),
-                                snr_db=[0.0])
-        # labels without a grid would be dropped, giving noise-only statistics
-        for labels in ([30.0], [0.0, 6.0]):
-            with pytest.raises(ValueError, match="snr_db given without coefficients"):
-                simulate_statistics(sc, [RU], 10, seed=0, snr_db=labels, domain=DOMAIN_SIGNAL)
+        for grid in ([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0], [3.0, 3.0], [6.0, 0.0]):
+            with pytest.raises(ValueError, match="SNR grid must be finite"):
+                simulate_statistics(sc, [RU], 10, seed=0, snr_db=grid)
+        for snr in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="SNR grid must be finite"):
+                estimate_pd(sc, RU, 0.5, snr, 10, seed=0)
+
+    def test_pd_curve_calls_the_engine_through_its_module_attribute(self, monkeypatch):
+        # a wrapper on montecarlo.simulate_statistics (as a benchmark installs
+        # to time each call) sees the calibration pass and the H1 pass
+        calls = []
+        engine = montecarlo.simulate_statistics
+
+        def observed(*args, **kwargs):
+            calls.append(kwargs.get("snr_db"))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_statistics", observed)
+        pd_curve(_scenario(), RU, [0.0, 6.0], 0.05, 600, 100, seed=2)
+        assert calls == [None, (0.0, 6.0)]
 
 
 class TestExactNullLaw:
@@ -550,8 +571,7 @@ class TestExactSignalLaw:
     def test_signal_draws_follow_the_noncentral_law(self, dims, kind):
         sc = make_scenario(*dims, rho=0.9, seed=5)
         draws = simulate_statistics(sc, [kind], self.TRIALS, self.SEED,
-                                    coefficients=_coefficients(sc, self.SNRS_DB, self.SEED),
-                                    domain=DOMAIN_SIGNAL)[:, :, 0]
+                                    snr_db=self.SNRS_DB)[:, :, 0]
         # level fixed before the first run, as for the null law
         for p, snr in enumerate(self.SNRS_DB):
             pvalue = stats.kstest(draws[:, p], self._cdf(dims, kind, snr)).pvalue

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adaptdet.scenario import (Scenario, make_scenario, make_signal, random_directions,
-                               random_subspaces, sample_noise, scale_to_snr, snr_of,
-                               toeplitz_covariance, as_generator)
+from adaptdet.scenario import (Scenario, as_generator, complex_gaussian, make_scenario,
+                               make_signal, random_directions, random_subspaces, scale_to_snr,
+                               snr_of, toeplitz_covariance)
 
 from oracles import dagger, random_cmatrix
 
@@ -58,30 +58,19 @@ class TestRandomSubspaces:
         with pytest.raises(ValueError, match="M=5 > K=4"):
             random_subspaces(2, 1, 5, 4, seed=0)
 
+    def test_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            random_subspaces(2, 1, 1, 4, seed=-1)
 
-class TestSampleNoise:
-    def test_deterministic_for_fixed_seed(self):
-        r = toeplitz_covariance(4, 0.5)
-        x1 = sample_noise(r, 10, as_generator(7))
-        x2 = sample_noise(r, 10, as_generator(7))
-        assert np.array_equal(x1, x2)
 
+class TestComplexGaussian:
     def test_zero_mean_white(self):
+        # circular CN(0, I): zero mean, identity covariance, zero pseudo-covariance
         cols = 100_000
-        x = sample_noise(np.eye(4), cols, as_generator(1))
-        means = np.abs(x.mean(axis=1))
-        assert np.all(means <= 4.0 / np.sqrt(cols))
-
-    def test_sample_covariance_converges(self):
-        r = toeplitz_covariance(4, 0.95)
-        cols = 200_000
-        x = sample_noise(r, cols, as_generator(2))
-        scm = (x @ dagger(x)) / cols
-        assert np.linalg.norm(scm - r) <= 0.02 * np.linalg.norm(r)
-
-    def test_rejects_zero_columns(self):
-        with pytest.raises(ValueError, match="cols"):
-            sample_noise(np.eye(3), 0, as_generator(0))
+        z = complex_gaussian(as_generator(1), 4, cols)
+        assert np.all(np.abs(z.mean(axis=1)) <= 4.0 / np.sqrt(cols))
+        assert np.allclose(z @ dagger(z) / cols, np.eye(4), rtol=0, atol=0.02)
+        assert np.allclose(z @ z.T / cols, 0, rtol=0, atol=0.02)
 
 
 class TestMakeSignal:
@@ -224,6 +213,15 @@ class TestScenarioValidation:
         # R's Cholesky factor is carried too, and rebuilt with a new R
         assert np.allclose(sc.coloring @ dagger(sc.coloring), sc.R, rtol=0, atol=1e-12)
         assert np.allclose(moved.coloring, np.sqrt(2.0) * sc.coloring, rtol=0, atol=1e-12)
+
+    def test_make_scenario_refuses_a_negative_seed(self):
+        # numpy's own refusal ("expected non-negative integer") names no argument
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            make_scenario(4, 8, 2, 2, 6, seed=-1)
+
+    def test_random_directions_refuse_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            random_directions(2, 2, -1)
 
     def test_directions_are_unit_norm_and_deterministic(self):
         d1 = random_directions(3, 2, 9)

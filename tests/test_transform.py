@@ -4,7 +4,7 @@ import pytest
 from adaptdet.detectors import DetectorKind, evaluate, statistics
 from adaptdet.errors import SingularMatrixError
 from adaptdet.kernels import no_signal
-from adaptdet.scenario import make_scenario, sample_noise, as_generator
+from adaptdet.scenario import as_generator, complex_gaussian, make_scenario
 from adaptdet.transform import (SubspaceFactorization, factor_waveform_subspace,
                                 transform_stack)
 
@@ -98,8 +98,8 @@ class TestTransformData:
     def _scenario_data(self, seed=3, n=5, k=9, m=3, j=2, l=7):
         sc = make_scenario(n, k, m, j, l, rho=0.5, seed=seed)
         rng = as_generator(seed + 100)
-        x = sample_noise(sc.R, k, rng)
-        x_l = sample_noise(sc.R, l, rng) if l else np.zeros((n, 0), complex)
+        x = sc.coloring @ complex_gaussian(rng, n, k)
+        x_l = sc.coloring @ complex_gaussian(rng, n, l)
         return sc, x, x_l
 
     def test_zero_test_data(self):
@@ -166,8 +166,8 @@ class TestBasisIndependence:
     def test_complement_choice_does_not_matter(self):
         sc = make_scenario(5, 9, 3, 2, 7, rho=0.95, seed=7)
         rng = as_generator(8)
-        x = sample_noise(sc.R, sc.K, rng)
-        x_l = sample_noise(sc.R, sc.L, rng)
+        x = sc.coloring @ complex_gaussian(rng, sc.N, sc.K)
+        x_l = sc.coloring @ complex_gaussian(rng, sc.N, sc.L)
         f = factor_waveform_subspace(sc.C)
         rot = random_unitary(np.random.default_rng(9), sc.K - sc.M)
         f_rot = SubspaceFactorization(c_par=f.c_par, c_perp=rot @ f.c_perp, d=f.d)
@@ -180,8 +180,8 @@ class TestBasisIndependence:
     def test_row_space_scaling_of_c(self):
         sc = make_scenario(5, 9, 3, 2, 7, rho=0.95, seed=10)
         rng = as_generator(11)
-        x = sample_noise(sc.R, sc.K, rng)
-        x_l = sample_noise(sc.R, sc.L, rng)
+        x = sc.coloring @ complex_gaussian(rng, sc.N, sc.K)
+        x_l = sc.coloring @ complex_gaussian(rng, sc.N, sc.L)
         t = random_cmatrix(np.random.default_rng(12), sc.M, sc.M) + 2 * np.eye(sc.M)
         f, f_t = factor_waveform_subspace(sc.C), factor_waveform_subspace(t @ sc.C)
         td, td_t = transform_stack(x, x_l, f), transform_stack(x, x_l, f_t)

@@ -32,46 +32,33 @@ from .detectors import DetectorKind
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
 from .verify import run_verification
 
-_CSV_HEADER = ("detector", "snr_db", "pd", "trials", "threshold", "pfa", "seed")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 EXIT_NUMERICAL = 3
 
 
-def _preset_fig1(paper_scale: bool, seed: int) -> ExperimentConfig:
-    """All five detectors, sample-abundant regime (L >= N, K >= M+N)."""
-    scale = PAPER_SCALE if paper_scale else DESK_SCALE
-    return ExperimentConfig(
-        N=12, K=16, M=3, J=2, L=14, rho=0.95,
-        pfa=scale["pfa"],
-        snr_grid_db=tuple(float(v) for v in range(6, 31, 3)),
-        calib_trials=scale["calib_trials"],
-        pd_trials=scale["pd_trials"],
-        detectors=(DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU, DetectorKind.GLRGDD,
-                   DetectorKind.AMGDD, DetectorKind.BOSE_GLRT),
-        master_seed=seed,
-    )
-
-
-# Low-sample preset: L < N and K < M+N, where only the augmented-SCM
-# detectors remain valid.  K is swept over a fixed documented grid to show
-# PD improving with the number of virtual training columns.
+# K values (one config each), L and detectors of each preset.  fig1 is the
+# sample-abundant regime (L >= N, K >= M+N) with all five detectors.  fig2 is
+# the low-sample one (L < N and K < M+N), where only the augmented-SCM
+# detectors remain valid; K is swept over a fixed documented grid to show PD
+# improving with the number of virtual training columns.
 FIG2_K_GRID = (6, 10, 14)
+_PRESETS = {"fig1": ((16,), 14, tuple(DetectorKind)),
+            "fig2": (FIG2_K_GRID, 11, (DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU))}
 
 
-def _preset_fig2(paper_scale: bool, seed: int, k: int) -> ExperimentConfig:
+def _preset(name: str, paper_scale: bool, seed: int) -> list[tuple[str, ExperimentConfig]]:
+    """A preset's (output-name suffix, config) pairs: N=12, M=3, J=2, rho=0.95
+    and the 6..30 dB grid at the desk or paper trial budget; a K sweep names
+    each output after its K."""
+    k_grid, l, kinds = _PRESETS[name]
     scale = PAPER_SCALE if paper_scale else DESK_SCALE
-    return ExperimentConfig(
-        N=12, K=k, M=3, J=2, L=11, rho=0.95,
-        pfa=scale["pfa"],
-        snr_grid_db=tuple(float(v) for v in range(6, 31, 3)),
-        calib_trials=scale["calib_trials"],
-        pd_trials=scale["pd_trials"],
-        detectors=(DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU),
-        master_seed=seed,
-    )
+    return [(f"_K{k}" if len(k_grid) > 1 else "",
+             ExperimentConfig(N=12, K=k, M=3, J=2, L=l, rho=0.95,
+                              snr_grid_db=tuple(float(v) for v in range(6, 31, 3)),
+                              detectors=kinds, master_seed=seed, **scale))
+            for k in k_grid]
 
 
 def run_experiment(config: ExperimentConfig, *, threads: int = 1,
@@ -93,16 +80,10 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1,
     curves = montecarlo.pd_curves(scenario, config.detectors, config.snr_grid_db,
                                   config.pfa, config.calib_trials, config.pd_trials,
                                   config.master_seed, threads=threads)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for kind in config.detectors:
-        curve = curves[kind]
-        for snr_db, pd in curve.points:
-            writer.writerow([kind.name, _fmt(snr_db), _fmt(pd), curve.trials_per_point,
-                             _fmt(curve.threshold_used), _fmt(config.pfa),
-                             config.master_seed])
-    _write_text(path, buffer.getvalue())
+    rows = [[kind.name, _fmt(snr_db), _fmt(pd), curves[kind].trials_per_point,
+             _fmt(curves[kind].threshold_used), _fmt(config.pfa), config.master_seed]
+            for kind in config.detectors for snr_db, pd in curves[kind].points]
+    _write_csv(path, ("detector", "snr_db", "pd", "trials", "threshold", "pfa", "seed"), rows)
     return path
 
 
@@ -118,11 +99,16 @@ def _check_writable(path: str) -> None:
         open(path, "a", encoding="utf-8").close()
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_csv(path: str, header, rows) -> None:
+    """Write a header and rows as CSV with LF line ends to `path`, or to stdout for '-'."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(buffer.getvalue())
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+        Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
 def _read_config(args) -> ExperimentConfig:
@@ -140,14 +126,9 @@ def _cmd_calibrate(args) -> int:
     results = montecarlo.calibrate_thresholds(scenario, config.detectors, config.pfa,
                                               config.calib_trials, config.master_seed,
                                               threads=args.threads)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("detector", "threshold", "pfa", "trials", "seed"))
-    for kind in config.detectors:
-        cal = results[kind]
-        writer.writerow([kind.name, _fmt(cal.threshold), _fmt(cal.pfa_target),
-                         cal.trials, cal.seed])
-    _write_text(args.out, buffer.getvalue())
+    rows = [[cal.kind.name, _fmt(cal.threshold), _fmt(cal.pfa_target), cal.trials, cal.seed]
+            for cal in (results[kind] for kind in config.detectors)]
+    _write_csv(args.out, ("detector", "threshold", "pfa", "trials", "seed"), rows)
     return EXIT_OK
 
 
@@ -168,11 +149,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_preset(args) -> int:
     seed = args.seed if args.seed is not None else 20260810
-    if args.name == "fig1":
-        configs = [("", _preset_fig1(args.paper_scale, seed))]
-    else:
-        configs = [(f"_K{k}", _preset_fig2(args.paper_scale, seed, k))
-                   for k in FIG2_K_GRID]
+    configs = _preset(args.name, args.paper_scale, seed)
     if args.print_config:
         for suffix, config in configs:
             if suffix:
@@ -181,11 +158,10 @@ def _cmd_preset(args) -> int:
         return EXIT_OK
     base = args.out if args.out is not None else f"{args.name}.csv"
     for suffix, config in configs:
-        if base == "-":
-            path = "-"
-        else:
+        path = base
+        if suffix and base != "-":
             root = Path(base)
-            path = str(root.with_name(root.stem + suffix + root.suffix)) if suffix else base
+            path = str(root.with_name(root.stem + suffix + root.suffix))
         run_experiment(config, threads=args.threads, out_path=path)
         if path != "-":
             print(f"wrote {path}")
@@ -243,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("preset", help="run a bundled experiment preset")
-    p.add_argument("name", choices=("fig1", "fig2"))
+    p.add_argument("name", choices=tuple(_PRESETS))
     add_common(p, config=False)
     p.add_argument("--out", default=None, help="output CSV path (fig2 writes one "
                                                "file per K, suffixed _K<k>)")

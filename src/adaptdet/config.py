@@ -10,6 +10,7 @@ the violated inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .detectors import DetectorKind
 from .errors import ConfigError
@@ -23,11 +24,6 @@ __all__ = ["ExperimentConfig", "parse_config", "format_config", "build_scenario"
 # the published protocol (PFA 1e-3, 1e5 calibration / 1e4 PD realizations).
 DESK_SCALE = {"pfa": 1e-2, "calib_trials": 5_000, "pd_trials": 2_000}
 PAPER_SCALE = {"pfa": 1e-3, "calib_trials": 100_000, "pd_trials": 10_000}
-
-_INT_KEYS = ("N", "K", "M", "J", "L", "calib_trials", "pd_trials", "master_seed")
-_FLOAT_KEYS = ("rho", "pfa")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + ("snr_grid_db", "detectors", "output_path")
-_REQUIRED_KEYS = tuple(k for k in _ALL_KEYS if k != "output_path")
 
 
 @dataclass(frozen=True)
@@ -50,6 +46,66 @@ class ExperimentConfig:
         return replace(self, master_seed=int(seed))
 
 
+class _Key(NamedTuple):
+    """How one config key's value is read from and written to its line."""
+
+    parse: Callable[[str], object]  # a ValueError reads "<key> must be <expected>"
+    format: Callable[[object], str]
+    expected: str | None = None  # None: `parse` raises a ConfigError naming the fault
+    required: bool = True
+
+
+def _split_list(value: str) -> list[str]:
+    return [item.strip() for item in value.split(",") if item.strip()]
+
+
+def _parse_detectors(value: str) -> tuple[DetectorKind, ...]:
+    kinds = []
+    for name in _split_list(value):
+        if name not in DetectorKind.__members__:
+            valid = ", ".join(k.name for k in DetectorKind)
+            raise ConfigError(f"unknown detector {name!r} (valid: {valid})")
+        kinds.append(DetectorKind[name])
+    return tuple(kinds)
+
+
+def _path(path: str) -> str:
+    """An output_path as a config line holds it: parse_config cuts a line at
+    '#', splits lines and strips each value, so a path must be non-empty,
+    without '#' or a line break and without whitespace at either end."""
+    if not path:
+        raise ConfigError("output_path is empty")
+    if "#" in path or path.strip() != path or path.splitlines() != [path]:
+        raise ConfigError(f"output_path {path!r} cannot be read back from a config: it "
+                          f"must have no '#', line break or whitespace at either end")
+    return path
+
+
+_INT = _Key(int, str, "an integer")
+# repr of a Python float reads back exactly; a numpy float's repr does not parse
+_FLOAT = _Key(float, lambda value: repr(float(value)), "a number")
+
+# Every config key, in ExperimentConfig field order: the order in which
+# format_config writes them and messages list them.
+_KEYS = {
+    "N": _INT,
+    "K": _INT,
+    "M": _INT,
+    "J": _INT,
+    "L": _INT,
+    "rho": _FLOAT,
+    "pfa": _FLOAT,
+    "snr_grid_db": _Key(lambda value: tuple(float(v) for v in _split_list(value)),
+                        lambda grid: ", ".join(_FLOAT.format(v) for v in grid),
+                        "a comma-separated list of numbers"),
+    "calib_trials": _INT,
+    "pd_trials": _INT,
+    "detectors": _Key(_parse_detectors, lambda kinds: ", ".join(k.name for k in kinds)),
+    "master_seed": _INT,
+    "output_path": _Key(_path, _path, required=False),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a configuration; raises ConfigError."""
     parsed: dict[str, object] = {}
@@ -63,60 +119,28 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} "
-                              f"(known keys: {', '.join(_ALL_KEYS)})")
+                              f"(known keys: {', '.join(_KEYS)})")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} "
                               f"(first set on line {seen[key]})")
         seen[key] = lineno
-        parsed[key] = _parse_value(key, value, lineno)
+        try:
+            parsed[key] = _KEYS[key].parse(value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} must be {_KEYS[key].expected}, "
+                              f"got {value!r}") from None
 
-    missing = [k for k in _REQUIRED_KEYS if k not in parsed]
+    missing = [k for k, spec in _KEYS.items() if spec.required and k not in parsed]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     config = ExperimentConfig(**parsed)  # type: ignore[arg-type]
     _validate(config)
     return config
-
-
-def _parse_value(key: str, value: str, lineno: int):
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} must be an integer, "
-                              f"got {value!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} must be a number, "
-                              f"got {value!r}") from None
-    if key == "snr_grid_db":
-        try:
-            return tuple(float(v) for v in _split_list(value))
-        except ValueError:
-            raise ConfigError(f"line {lineno}: snr_grid_db must be a "
-                              f"comma-separated list of numbers, got {value!r}") from None
-    if key == "detectors":
-        kinds = []
-        for name in _split_list(value):
-            try:
-                kinds.append(DetectorKind[name])
-            except KeyError:
-                valid = ", ".join(k.name for k in DetectorKind)
-                raise ConfigError(f"line {lineno}: unknown detector {name!r} "
-                                  f"(valid: {valid})") from None
-        return tuple(kinds)
-    if not value:
-        raise ConfigError(f"line {lineno}: output_path is empty")
-    return value
-
-
-def _split_list(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -139,23 +163,11 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config back to the ``key = value`` format (round-trips)."""
-    lines = [
-        f"N = {cfg.N}",
-        f"K = {cfg.K}",
-        f"M = {cfg.M}",
-        f"J = {cfg.J}",
-        f"L = {cfg.L}",
-        f"rho = {cfg.rho!r}",
-        f"pfa = {cfg.pfa!r}",
-        "snr_grid_db = " + ", ".join(repr(v) for v in cfg.snr_grid_db),
-        f"calib_trials = {cfg.calib_trials}",
-        f"pd_trials = {cfg.pd_trials}",
-        "detectors = " + ", ".join(kind.name for kind in cfg.detectors),
-        f"master_seed = {cfg.master_seed}",
-    ]
-    if cfg.output_path is not None:
-        lines.append(f"output_path = {cfg.output_path}")
+    """Serialize a config to the ``key = value`` format, one line per set field
+    in field order, which parse_config reads back to an equal config; raises
+    ConfigError for an output_path that would not read back."""
+    lines = [f"{key} = {spec.format(getattr(cfg, key))}"
+             for key, spec in _KEYS.items() if getattr(cfg, key) is not None]
     return "\n".join(lines) + "\n"
 
 

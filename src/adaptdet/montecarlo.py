@@ -103,7 +103,7 @@ class PdCurve:
     seed: int
 
     def __post_init__(self):
-        _check_grid(snr for snr, _ in self.points)
+        _check_grid([snr for snr, _ in self.points])
         if any(not 0.0 <= pd <= 1.0 for _, pd in self.points):
             raise ValueError("pd values must lie in [0, 1]")
 
@@ -334,7 +334,13 @@ def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
 
 
 def _check_grid(snr_grid_db) -> tuple[float, ...]:
-    grid = tuple(float(v) for v in snr_grid_db)
+    try:
+        grid = tuple(float(v) for v in snr_grid_db)
+    except (TypeError, ValueError):
+        grid = None
+    # a string iterates as characters, so "69" would read as 6 and 9 dB
+    if grid is None or isinstance(snr_grid_db, str):
+        raise TypeError(f"SNR grid must be a sequence of numbers, got {snr_grid_db!r}")
     if not np.all(np.isfinite(grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"SNR grid must be finite and strictly increasing, got {grid}")
     return grid

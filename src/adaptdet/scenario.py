@@ -56,12 +56,16 @@ def as_cvector(x, name: str = "vector") -> np.ndarray:
 
 def check_dimensions(n: int, k: int, m: int, j: int, l: int, kinds=()) -> None:
     """Raise ValueError naming the violated dimension constraint, if any; the
-    rule of each detector kind in `kinds` comes before L+K >= M+N, which it implies."""
+    rule of each detector kind in `kinds` comes before L+K >= M+N, which it implies;
+    raises TypeError for an entry of `kinds` that is not a DetectorKind."""
+    from .detectors import DetectorKind  # detectors imports this module
     if min(n, k, m, j) < 1 or l < 0:
         raise ValueError(f"dimensions must be positive (L may be 0): "
                          f"N={n}, K={k}, M={m}, J={j}, L={l}")
     _check_subspace_dimensions(n, k, m, j)
     for kind in kinds:
+        if not isinstance(kind, DetectorKind):
+            raise TypeError(f"detector kinds must be DetectorKind members, got {kind!r}")
         kind.check_dims(n, k, m, l)
     if l + k < m + n:
         raise ValueError(f"L+K={l + k} < M+N={m + n}")

@@ -5,6 +5,7 @@ import pkgutil
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,38 @@ detectors = GLRGDD_RU, AMGDD_RU, GLRGDD, AMGDD, BOSE_GLRT
 master_seed = 7
 """
 
+FIG1_PRINT_CONFIG = """\
+N = 12
+K = 16
+M = 3
+J = 2
+L = 14
+rho = 0.95
+pfa = 0.01
+snr_grid_db = 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0
+calib_trials = 5000
+pd_trials = 2000
+detectors = GLRGDD_RU, AMGDD_RU, GLRGDD, AMGDD, BOSE_GLRT
+master_seed = 20260810
+"""
+
+# one block per K, at K = 6, 10 and 14
+FIG2_PRINT_CONFIG = """\
+# fig2_K{k}
+N = 12
+K = {k}
+M = 3
+J = 2
+L = 11
+rho = 0.95
+pfa = 0.01
+snr_grid_db = 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0
+calib_trials = 5000
+pd_trials = 2000
+detectors = GLRGDD_RU, AMGDD_RU
+master_seed = 20260810
+"""
+
 
 class TestParseConfig:
     def test_small_config_round_trips(self):
@@ -42,14 +75,32 @@ class TestParseConfig:
         assert cfg.snr_grid_db == (0.0, 8.0, 16.0)
         assert cfg.detectors == tuple(DetectorKind)
         assert parse_config(format_config(cfg)) == cfg
+        cfg = replace(cfg, output_path="runs/a b.csv")
+        assert parse_config(format_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("field, value", [("rho", np.float64(0.5)),
+                                              ("snr_grid_db", tuple(np.array([0.0, 8.0, 16.0])))])
+    def test_numpy_values_format_as_python_floats(self, field, value):
+        cfg = parse_config(SMALL_CONFIG)
+        assert getattr(cfg, field) == value
+        numpy_cfg = replace(cfg, **{field: value})
+        assert format_config(numpy_cfg) == format_config(cfg)
+        assert parse_config(format_config(numpy_cfg)) == numpy_cfg
+
+    @pytest.mark.parametrize("path", ["", "runs/a#1.csv", "runs/a\n.csv", "runs/a\r.csv",
+                                      " runs/a.csv", "runs/a.csv\t"])
+    def test_format_refuses_an_output_path_that_would_not_read_back(self, path):
+        cfg = replace(parse_config(SMALL_CONFIG), output_path=path)
+        with pytest.raises(ValueError, match="output_path"):
+            format_config(cfg)
 
     def test_fig1_preset_dimensions(self):
-        cfg = cli._preset_fig1(paper_scale=False, seed=1)
+        [(_, cfg)] = cli._preset("fig1", paper_scale=False, seed=1)
         assert (cfg.N, cfg.J, cfg.M, cfg.K, cfg.L) == (12, 2, 3, 16, 14)
         assert parse_config(format_config(cfg)) == cfg
 
     def test_paper_scale_budgets(self):
-        cfg = cli._preset_fig1(paper_scale=True, seed=1)
+        [(_, cfg)] = cli._preset("fig1", paper_scale=True, seed=1)
         assert cfg.pfa == 1e-3
         assert cfg.calib_trials == 100_000
         assert cfg.pd_trials == 10_000
@@ -339,6 +390,14 @@ class TestCommandLine:
             runpy.run_module("adaptdet", run_name="__main__")
         assert exc.value.code == 0
         assert parse_config(capsys.readouterr().out).N == 12
+
+    def test_preset_print_config_text_is_pinned(self, capsys):
+        # the benchmark's setup parses exactly this text
+        assert cli.main(["preset", "fig1", "--print-config"]) == 0
+        assert capsys.readouterr().out == FIG1_PRINT_CONFIG
+        assert cli.main(["preset", "fig2", "--print-config"]) == 0
+        assert capsys.readouterr().out == "".join(FIG2_PRINT_CONFIG.format(k=k)
+                                                  for k in (6, 10, 14))
 
     def test_preset_fig2_prints_three_configs(self, capsys):
         assert cli.main(["preset", "fig2", "--print-config"]) == 0

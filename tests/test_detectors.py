@@ -284,6 +284,11 @@ class TestEvaluate:
             evaluate([DetectorKind.GLRGDD_RU, DetectorKind.BOSE_GLRT],
                      inst.x, inst.x_l, inst.a, inst.c)
 
+    def test_refuses_a_kind_given_by_name(self):
+        inst = next(_instances("full", 126, 1))
+        with pytest.raises(TypeError, match="DetectorKind members, got 'GLRGDD_RU'"):
+            evaluate([DetectorKind.AMGDD_RU, "GLRGDD_RU"], inst.x, inst.x_l, inst.a, inst.c)
+
     def test_checks_the_estimate_each_kind_reads(self):
         # zero test data: S_perp = 0, while S_plus = S is PD
         inst = next(_instances("full", 125, 1))

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -258,6 +259,10 @@ class TestCalibration:
         with pytest.raises(ValueError, match="empty detector list"):
             simulate_statistics(_scenario(), [], 10, seed=0)
 
+    def test_refuses_a_detector_kind_given_by_name(self):
+        with pytest.raises(TypeError, match="DetectorKind members, got 'GLRGDD_RU'"):
+            pd_curves(_scenario(), ["GLRGDD_RU"], [0.0], 0.05, 600, 100, seed=0)
+
     @pytest.mark.parametrize("threads", [0, -4])
     def test_rejects_thread_count_below_one(self, threads):
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
@@ -471,6 +476,13 @@ class TestPdCurves:
         for snr in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="SNR grid must be finite"):
                 estimate_pd(sc, RU, 0.5, snr, 10, seed=0)
+        # a single SNR where a grid is expected
+        for snr in (6.0, "69", ["6 dB"]):
+            with pytest.raises(TypeError, match="SNR grid must be a sequence of numbers, got "
+                                                + re.escape(repr(snr))):
+                simulate_statistics(sc, [RU], 10, seed=0, snr_db=snr)
+        with pytest.raises(TypeError, match=r"SNR grid must be a sequence of numbers, got 6\.0"):
+            pd_curve(sc, RU, 6.0, 0.05, 600, 100, seed=0)
 
     def test_pd_curve_calls_the_engine_through_its_module_attribute(self, monkeypatch):
         # a wrapper on montecarlo.simulate_statistics (as a benchmark installs

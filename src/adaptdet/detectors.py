@@ -94,28 +94,40 @@ class Statistic:
                              f"got {self.value}")
 
 
-def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def kind_list(kinds) -> list[DetectorKind]:
+    """The `kinds` argument of an entry that takes several, as a list."""
+    if isinstance(kinds, DetectorKind):
+        raise TypeError(f"kinds must be a list of detector kinds, got {kinds} alone: "
+                        f"pass [{kinds}]")
+    return list(kinds)
+
+
+def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray,
+               out=None) -> np.ndarray:
     """(trials, P, len(kinds)) statistics of `kinds` from stacked transformed data
-    at (P, J, M) signal coefficients c; unvalidated, LAPACK errors propagate."""
+    at (P, J, M) signal coefficients c; unvalidated, LAPACK errors propagate.
+    Each reduction builds its bordered matrix in `out` (see ``kernels.reduce``)."""
     glrgdd, glrgdd_ru = DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU
     want = set(kinds)
     columns = {}
-    # one reduction per covariance estimate: S_plus, S_perp and S
+
+    def reduced(s, plus=None):
+        red = kernels.reduce(td.x_par, s, a, plus=plus, out=out)
+        return red, kernels.at_signals(red, c)
+
+    # one reduction per covariance estimate, S_perp, S and then S_plus, so that
+    # no reduction's arrays are held while the next estimate is factored
+    if DetectorKind.BOSE_GLRT in want:
+        columns[DetectorKind.BOSE_GLRT] = kernels.bounded(kernels.glr(*reduced(td.s_perp)))
+    if DetectorKind.AMGDD in want:
+        columns[DetectorKind.AMGDD] = kernels.am(reduced(td.s_train)[1])
     if want & {glrgdd, glrgdd_ru, DetectorKind.AMGDD_RU}:
-        plus = kernels.reduce(td.x_par, td.s_plus, a)
-        v = kernels.at_signals(plus, c)
+        plus, v = reduced(td.s_perp, td.s_train)
         if want & {glrgdd, glrgdd_ru}:
             columns[glrgdd] = kernels.glr(plus, v)
             columns[glrgdd_ru] = kernels.bounded(columns[glrgdd])
         if DetectorKind.AMGDD_RU in want:
             columns[DetectorKind.AMGDD_RU] = kernels.am(v)
-    if DetectorKind.BOSE_GLRT in want:
-        bose = kernels.reduce(td.x_par, td.s_perp, a)
-        columns[DetectorKind.BOSE_GLRT] = kernels.bounded(
-            kernels.glr(bose, kernels.at_signals(bose, c)))
-    if DetectorKind.AMGDD in want:
-        train = kernels.reduce(td.x_par, td.s_train, a)
-        columns[DetectorKind.AMGDD] = kernels.am(kernels.at_signals(train, c))
     return np.stack([columns[kind] for kind in kinds], axis=-1)
 
 
@@ -175,6 +187,7 @@ def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, Statistic]:
     """Evaluate several statistics of one instance from raw data matrices:
     one validation, one transform and one :func:`statistics` call on a stack
     of one trial at c = 0, the instance's data taken as noise."""
+    kinds = kind_list(kinds)
     _, a, f, td = _prepared(kinds, x, x_l, a, c)
     one = TransformedData(**{name: value[None] for name, value in vars(td).items()})
     values = statistics(kinds, one, a, kernels.no_signal(a.shape[1], f.c_par.shape[0]))

@@ -15,15 +15,16 @@ c = theta alpha^H D, to X_par and nothing to X_perp, so the covariance
 estimates S_plus, S_perp and S do not depend on it.  A noise-only trial is
 the single point c = 0, which gives bitwise the values of the noise alone.
 
-``reduce`` takes what a covariance estimate S contributes, from one N x N
-solve of S against [A, X_par] and the Gram Phi_A = A^H S^-1 A,
-Phi_AX = A^H S^-1 X_par, Psi = X_par^H S^-1 X_par: the Cholesky factor L of
-Phi_A = L L^H, V = L^-1 Phi_AX and the Cholesky factor R of I + W,
-W = Psi - V^H V, all three from one Cholesky factorization of the Gram.  W is
-X_par^H S^-1 X_par with the span of A projected out in the whitened space,
-so it does not depend on the signal; at X_par + A c only V moves, to
-V(c) = V + L^H c (``at_signals``).  Every grid point then costs small
-products on V(c) and R:
+``reduce`` reads what a covariance estimate S contributes from one stacked
+Cholesky factorization of the bordered matrix [[S, B], [B^H, t I]],
+B = [A, X_par].  Its factor holds Z^H, Z = F^-1 B with S = F F^H, so
+Z^H Z = B^H S^-1 B is the Gram of Phi_A = A^H S^-1 A, Phi_AX = A^H S^-1 X_par
+and Psi = X_par^H S^-1 X_par.  One Cholesky factorization of the Gram plus
+diag(0, I) then gives the factor L of Phi_A = L L^H, V = L^-1 Phi_AX and the factor R of
+I + W, W = Psi - V^H V.  W is X_par^H S^-1 X_par with the span of A
+projected out in the whitened space, so it does not depend on the signal;
+at X_par + A c only V moves, to V(c) = V + L^H c (``at_signals``).  Every
+grid point then costs small products on V(c) and R:
 
 * ``am`` gives lambda_max(V(c) V(c)^H): AMGDD-RU on S_plus, AMGDD on S.
 * ``glr`` gives mu = lambda_max(V(c) (I + W)^-1 V(c)^H) as ``am`` of Y,
@@ -55,7 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Reduction", "no_signal", "reduce", "at_signals", "glr", "am", "bounded"]
+__all__ = ["Reduction", "bordered_size", "no_signal", "reduce", "at_signals", "glr", "am",
+           "bounded"]
 
 
 class Reduction(NamedTuple):
@@ -84,21 +86,48 @@ def no_signal(j: int, m: int) -> np.ndarray:
     return np.zeros((1, j, m), dtype=np.complex128)
 
 
-def reduce(x_par, s, a) -> Reduction:
-    """Reduction of the estimate S from one solve against [A, X_par].
+def bordered_size(n: int, j: int, m: int) -> int:
+    """complex128 elements per trial of the matrix that :func:`reduce` factors."""
+    return (n + j + m) ** 2
 
-    x_par: (trials, N, M) noise block; s: (trials, N, N) covariance
-    estimate; a: (N, J) spatial subspace.
+
+def reduce(x_par, s, a, *, plus=None, out=None) -> Reduction:
+    """Reduction of the estimate S = s (+ plus) from one bordered Cholesky factorization.
+
+    x_par: (trials, N, M) noise block; s, plus: (trials, N, N) stacks;
+    a: (N, J) spatial subspace.  The bordered matrix is built in `out`, a
+    contiguous complex128 buffer of ``bordered_size(N, J, M)`` elements per
+    trial or more (a new one when None).
     """
+    trials, n, m = x_par.shape
     j = a.shape[-1]
-    b = np.concatenate([np.broadcast_to(a, x_par.shape[:-1] + a.shape[-1:]), x_par],
-                       axis=-1)
-    g = _ct(b) @ np.linalg.solve(s, b)
-    g = 0.5 * (g + _ct(g))  # Cholesky reads one triangle of G
-    # the Cholesky factor of G + diag(0, I) is [[L, 0], [V^H, R]]
-    g[..., j:, j:] += np.eye(x_par.shape[-1])
+    size = n + j + m
+    if out is None:
+        out = np.empty(trials * size * size, dtype=np.complex128)
+    # H = [[S, B], [B^H, t I]] with B = [A 2^e, X_par] has the factor
+    # [[F, 0], [Z^H, *]]; numpy reads H's lower triangle only
+    h = out[:trials * size * size].reshape(trials, size, size)
+    np.add(s, 0.0 if plus is None else plus, out=h[:, :n, :n])
+    mean = np.diagonal(h[:, :n, :n], axis1=1, axis2=2).real.sum(axis=1) / n
+    # powers of two per trial, so exact: 2^e brings A's columns to the scale of
+    # S, and t exceeds every eigenvalue of B^H S^-1 B while cond(S) < ~2^256
+    e = np.frexp(mean * (j / np.vdot(a, a).real))[1] // 2
+    np.multiply(a.conj().T, np.ldexp(1.0, e)[:, None, None], out=h[:, n:n + j, :n])
+    np.conjugate(np.swapaxes(x_par, 1, 2), out=h[:, n + j:, :n])
+    border = h[:, n:, :n].view(np.float64)
+    t = np.frexp(np.einsum("tij,tij->t", border, border) / mean)[1] + 256
+    np.multiply(np.eye(j + m), np.ldexp(1.0, np.minimum(t, 1023))[:, None, None],
+                out=h[:, n:, n:])
+    zh = np.linalg.cholesky(h)[:, n:, :n]
+    # the Gram Z^H Z, Hermitian by construction, and conj(Z^H) go where H was
+    zc = np.conjugate(zh, out=out[:trials * (j + m) * n].reshape(trials, j + m, n))
+    g = np.matmul(zh, np.swapaxes(zc, 1, 2),
+                  out=out[zc.size:zc.size + trials * (j + m) ** 2].reshape(trials, j + m, j + m))
+    # the Cholesky factor of G + diag(0, I) is [[2^e L, 0], [V^H, R]]
+    g[:, j:, j:] += np.eye(m)
     f = np.linalg.cholesky(g)
-    return Reduction(f[..., :j, :j], _ct(f[..., j:, :j]), f[..., j:, j:])
+    return Reduction(f[:, :j, :j] * np.ldexp(1.0, -e)[:, None, None], _ct(f[:, j:, :j]),
+                     f[:, j:, j:])
 
 
 def at_signals(red: Reduction, c) -> np.ndarray:

@@ -24,7 +24,7 @@ itself, so a signal enters the engine only through its SNR.
 An H1 trial's noise is drawn once and evaluated at every point of the SNR
 grid: the signal only moves X_par (see :mod:`adaptdet.kernels`), so each
 point costs small matrix products on the trial's reductions of its
-covariance estimates, one N x N solve each for the whole grid.  The grid
+covariance estimates, one factorization each for the whole grid.  The grid
 points of a trial share its noise (common random numbers across SNR), a
 point's value does not depend on which other points are evaluated with it,
 and a grid can therefore be extended or cut without changing the points it
@@ -39,12 +39,15 @@ order-sensitive reductions (sorting, counting) happen on the full array in
 trial order.  A non-finite statistic stops the run with the replay key of
 its trial and grid point instead of being counted as a miss or sorted into
 a threshold; a LAPACK failure stops it with ``SingularMatrixError`` naming
-the stream, the grid and the trial range of the earliest failing block.
+the stream, the grid and the replay key of the earliest failing trial, found
+by re-running the failing block one trial at a time.
 
 Each engine thread allocates one workspace per call, at its first block,
 and every block it runs draws, colors and transforms into it (a short last
 block uses its leading rows): one arena receives the white noise, a second
-the colored noise, and the transformed data then overwrites the first.
+the colored noise, and the transformed data then overwrites the first; the
+second then takes the bordered matrices that :func:`adaptdet.kernels.reduce`
+factors.
 New arrays per block would be handed back to the kernel by the allocator
 and faulted in again by the next block.  :func:`replay_trial` draws a
 trial's noise through the same block code.
@@ -62,12 +65,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .detectors import DetectorKind, statistics
+from .detectors import DetectorKind, kind_list, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
 from .scenario import (Scenario, check_dimensions, check_seed, random_directions,
                        scale_to_snr)
-from .transform import signal_coefficient, transform_size, transform_stack
+from .transform import (TransformedData, signal_coefficient, transform_size,
+                        transform_stack)
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
@@ -140,11 +144,12 @@ def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
 def _workspace(scenario: Scenario, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Arenas (white, colored) for blocks of up to `trials` trials.  `white`
     receives a block's white noise and, once that is colored into `colored`,
-    the block's transformed data, which overwrites it."""
+    the block's transformed data, which overwrites it; `colored` then takes
+    the bordered matrices of the block's reductions."""
     n, k, l = scenario.N, scenario.K, scenario.L
-    per_trial = max(n * (k + l), transform_size(n, k))
-    return (np.empty(trials * per_trial, dtype=np.complex128),
-            np.empty((trials, n, k + l), dtype=np.complex128))
+    return (np.empty(trials * max(n * (k + l), transform_size(n, k)), dtype=np.complex128),
+            np.empty(trials * max(n * (k + l), kernels.bordered_size(n, scenario.J, scenario.M)),
+                     dtype=np.complex128))
 
 
 def _noise_block(scenario: Scenario, seed: int, domain: int, block: int, count: int,
@@ -153,9 +158,10 @@ def _noise_block(scenario: Scenario, seed: int, domain: int, block: int, count: 
     of block `block` of the stream (seed, domain), drawn into the arena
     `white` and colored into `colored`: the one code that fills a block, for
     the engine and :func:`replay_trial` alike."""
-    noise = _block_noise(seed, domain, block, count, scenario.N, scenario.K + scenario.L,
-                         white)
-    return np.matmul(scenario.coloring, noise, out=colored[:count])
+    n, cols = scenario.N, scenario.K + scenario.L
+    noise = _block_noise(seed, domain, block, count, n, cols, white)
+    return np.matmul(scenario.coloring, noise,
+                     out=colored[:count * n * cols].reshape(count, n, cols))
 
 
 def replay_trial(scenario: Scenario, seed: int, domain: int,
@@ -175,6 +181,18 @@ def replay_trial(scenario: Scenario, seed: int, domain: int,
     noise = _noise_block(scenario, seed, domain, block, row + 1,
                          *_workspace(scenario, row + 1))[row]
     return noise[:, :scenario.K].copy(), noise[:, scenario.K:].copy()
+
+
+def _first_failure(kinds, td: TransformedData, a, c) -> int | None:
+    """Row of the first trial of a block whose statistics raise LinAlgError
+    alone; a stack of one gives bitwise the block's values."""
+    for row in range(len(td.x_par)):
+        try:
+            statistics(kinds, TransformedData(*(v[row:row + 1] for v in vars(td).values())),
+                       a, c)
+        except np.linalg.LinAlgError:
+            return row
+    return None
 
 
 def _coefficients(scenario: Scenario, grid, seed: int) -> np.ndarray:
@@ -201,7 +219,7 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     Raises NonFiniteStatisticError naming the replay key of the first
     trial whose statistics are not all finite.
     """
-    kinds = list(kinds)
+    kinds = kind_list(kinds)
     if not kinds:
         raise ValueError("empty detector list")
     check_dimensions(scenario.N, scenario.K, scenario.M, scenario.J, scenario.L, kinds)
@@ -236,11 +254,14 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
         # the white noise is colored by now: its arena takes the transformed data
         td = transform_stack(noise[:, :, :k], noise[:, :, k:], scenario.waveform, out=white)
         try:
-            block = statistics(kinds, td, scenario.A, c)
+            block = statistics(kinds, td, scenario.A, c, out=colored)
         except np.linalg.LinAlgError as exc:
+            row = _first_failure(kinds, td, scenario.A, c)
+            where = (f"trials {lo}..{hi - 1} of (seed, domain) = ({seed}, {domain})"
+                     if row is None else
+                     f"trial (seed, domain, trial) = ({seed}, {domain}, {lo + row})")
             raise SingularMatrixError(
-                f"{exc} in trials {lo}..{hi - 1} of stream version {STREAM_VERSION}, "
-                f"(seed, domain) = ({seed}, {domain}){grid}") from exc
+                f"{exc} in {where}{grid} of stream version {STREAM_VERSION}") from exc
         out[lo:hi] = block
         bad = np.argwhere(~np.isfinite(block).all(axis=-1))
         if bad.size:
@@ -306,7 +327,7 @@ def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
                          seed: int, *, threads: int = 1) -> dict[DetectorKind, CalibrationResult]:
     """Thresholds for several detectors from one shared set of H0 draws."""
     _check_calibration_budget(pfa, trials)
-    kinds = list(kinds)
+    kinds = kind_list(kinds)
     stats = simulate_statistics(scenario, kinds, trials, seed, threads=threads)
     return {
         kind: CalibrationResult(kind, pfa, trials, threshold_from_h0(stats[:, j], pfa), seed)
@@ -363,7 +384,7 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
     """
     if pd_trials < 1:
         raise ValueError(f"pd_trials must be >= 1, got {pd_trials}")
-    kinds = list(kinds)
+    kinds = kind_list(kinds)
     grid = _check_grid(snr_grid_db)
     cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, seed,
                                 threads=threads)

@@ -60,7 +60,7 @@ class TransformedData:
 
     @property
     def s_plus(self) -> np.ndarray:
-        """Formed on each access, so a block of trials holds no third N x N stack."""
+        """Formed on each access; the engine adds the two into each bordered matrix."""
         return self.s_perp + self.s_train
 
 

@@ -84,6 +84,23 @@ def glrgdd_raw_form(x, x_l, a, c):
     return general_max_eig(x_b @ p_cb @ dagger(x_b) @ a_t @ gram @ dagger(a_t))
 
 
+def _mp_core_psi(xs, s, a_mp):
+    """X^H S^-1 A (A^H S^-1 A)^-1 A^H S^-1 X and X^H S^-1 X, in mpmath."""
+    si = s ** -1
+    core = xs.H * si * a_mp * (a_mp.H * si * a_mp) ** -1 * a_mp.H * si * xs
+    return core, xs.H * si * xs
+
+
+def _mp_top_eig(m):
+    return max(mpmath.re(e) for e in mpmath.eig(m, left=False, right=False))
+
+
+def _mp_signal_data(x_par, a, c):
+    """A and X_par + A c in mpmath, the float inputs taken as exact."""
+    a_mp = mpmath.matrix(a.tolist())
+    return a_mp, mpmath.matrix(x_par.tolist()) + a_mp * mpmath.matrix(c.tolist())
+
+
 def mp_glr_pair(x_par, s_plus, a, c, dps=60):
     """GLRGDD-RU and GLRGDD at X_par + A c, in mpmath at `dps` digits.
 
@@ -93,20 +110,19 @@ def mp_glr_pair(x_par, s_plus, a, c, dps=60):
     mapped from the other.  Returns mpmath numbers.
     """
     with mpmath.workdps(dps):
-        a_mp = mpmath.matrix(a.tolist())
-        xs = mpmath.matrix(x_par.tolist()) + a_mp * mpmath.matrix(c.tolist())
+        a_mp, xs = _mp_signal_data(x_par, a, c)
         eye = mpmath.eye(x_par.shape[1])
-
-        def core_psi(s):
-            si = s ** -1
-            core = xs.H * si * a_mp * (a_mp.H * si * a_mp) ** -1 * a_mp.H * si * xs
-            return core, xs.H * si * xs
-
-        def top_eig(m):
-            return max(mpmath.re(e) for e in mpmath.eig(m, left=False, right=False))
-
         s = mpmath.matrix(s_plus.tolist())
-        core, psi = core_psi(s)
-        t_ru = top_eig((eye + psi) ** -1 * core)
-        core, psi = core_psi(s + xs * xs.H)
-        return t_ru, top_eig((eye - psi) ** -1 * core)
+        core, psi = _mp_core_psi(xs, s, a_mp)
+        t_ru = _mp_top_eig((eye + psi) ** -1 * core)
+        core, psi = _mp_core_psi(xs, s + xs * xs.H, a_mp)
+        return t_ru, _mp_top_eig((eye - psi) ** -1 * core)
+
+
+def mp_two_step(x_par, s, a, c, dps=60):
+    """The two-step statistic on the estimate S at X_par + A c, in mpmath:
+    the top eigenvalue of X^H S^-1 A (A^H S^-1 A)^-1 A^H S^-1 X, by explicit
+    inverses.  AMGDD-RU on S_plus, AMGDD on the training SCM."""
+    with mpmath.workdps(dps):
+        a_mp, xs = _mp_signal_data(x_par, a, c)
+        return _mp_top_eig(_mp_core_psi(xs, mpmath.matrix(s.tolist()), a_mp)[0])

@@ -6,6 +6,8 @@ from adaptdet.detectors import (DetectorKind, Statistic, amgdd, amgdd_ru,
                                 appendix_identities, bose_glrt, compute, evaluate, glrgdd,
                                 glrgdd_ru)
 from adaptdet.errors import SingularMatrixError
+from adaptdet.montecarlo import DOMAIN_SIGNAL, replay_trial
+from adaptdet.scenario import make_scenario, make_signal, random_directions, scale_to_snr
 from adaptdet.transform import factor_waveform_subspace, transform_stack
 from adaptdet.verify import REGIMES, instance_stream, random_instance, run_verification
 
@@ -278,6 +280,22 @@ class TestEvaluate:
                 alone = compute(kind, inst.x, inst.x_l, inst.a, inst.c)
                 assert stats[kind].kind is kind and stats[kind].value == alone.value
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    def test_every_kind_keeps_its_value_at_extreme_data_scales(self, scale):
+        # the five statistics do not depend on a common scale of X and X_L, and
+        # the reductions scale their bordered matrices per trial to match
+        sc = make_scenario(12, 16, 3, 2, 14, rho=0.95, seed=26)
+        noise, x_l = replay_trial(sc, 31, DOMAIN_SIGNAL, 7)
+        theta, alpha = random_directions(sc.J, sc.M, 31)
+        coords = scale_to_snr(sc, theta, alpha, 12.0)
+        x = noise + make_signal(sc.A, coords.theta, coords.alpha, sc.C)
+        kinds = list(DetectorKind)
+        ref = evaluate(kinds, x, x_l, sc.A, sc.C)
+        scaled = evaluate(kinds, scale * x, scale * x_l, sc.A, sc.C)
+        for kind in kinds:
+            assert scaled[kind].value == pytest.approx(ref[kind].value, rel=1e-12, abs=0.0)
+
     def test_checks_every_kind(self):
         inst = next(_instances("lowsample", 124, 1))
         with pytest.raises(ValueError, match=r"BOSE_GLRT requires K >= M\+N"):
@@ -288,6 +306,13 @@ class TestEvaluate:
         inst = next(_instances("full", 126, 1))
         with pytest.raises(TypeError, match="DetectorKind members, got 'GLRGDD_RU'"):
             evaluate([DetectorKind.AMGDD_RU, "GLRGDD_RU"], inst.x, inst.x_l, inst.a, inst.c)
+
+    def test_refuses_a_lone_kind_where_a_list_is_expected(self):
+        inst = next(_instances("full", 126, 1))
+        with pytest.raises(TypeError, match=r"kinds must be a list of detector kinds, got "
+                                            r"DetectorKind\.AMGDD alone: pass "
+                                            r"\[DetectorKind\.AMGDD\]"):
+            evaluate(DetectorKind.AMGDD, inst.x, inst.x_l, inst.a, inst.c)
 
     def test_checks_the_estimate_each_kind_reads(self):
         # zero test data: S_perp = 0, while S_plus = S is PD

@@ -11,8 +11,8 @@ from adaptdet.scenario import (as_generator, complex_gaussian, make_scenario, ma
                                random_directions, scale_to_snr)
 from adaptdet.transform import TransformedData, signal_coefficient, transform_stack
 
-from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, ru_am_direct,
-                     ru_glr_direct)
+from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, mp_two_step,
+                     ru_am_direct, ru_glr_direct)
 
 
 def _batch(scenario, trials, seed):
@@ -104,8 +104,9 @@ def test_kernels_match_oracles_on_signal_data(signal_values, snr_db):
 @pytest.mark.parametrize("snr_db", [60.0, 90.0, 120.0])
 def test_glr_statistics_stay_accurate_near_their_bound(snr_db):
     # Against mpmath on the same float noise and estimates, with X_par + A c
-    # formed in mpmath: GLRGDD keeps its relative accuracy and the bounded
-    # statistics their absolute accuracy, although 1 - t falls to ~1e-12.
+    # formed in mpmath: GLRGDD and the two-step statistics keep their relative
+    # accuracy and the bounded statistics their absolute accuracy, although
+    # 1 - t falls to ~1e-12.
     st = _engine_stacks(_SCENARIO, 3, 13)
     hermitian = {key: 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
                  for key, s in vars(st["td"]).items() if key.startswith("s_")}
@@ -116,9 +117,13 @@ def test_glr_statistics_stay_accurate_near_their_bound(snr_db):
     for t in range(values.shape[0]):
         t_ru, glrgdd = mp_glr_pair(td.x_par[t], td.s_plus[t], _SCENARIO.A, c[0])
         t_bose, _ = mp_glr_pair(td.x_par[t], td.s_perp[t], _SCENARIO.A, c[0])
+        amgdd_ru = mp_two_step(td.x_par[t], td.s_plus[t], _SCENARIO.A, c[0])
+        amgdd = mp_two_step(td.x_par[t], td.s_train[t], _SCENARIO.A, c[0])
         assert abs(values[t, 0] - t_ru) <= 2 * ulp
         assert abs(values[t, 2] - t_bose) <= 2 * ulp
         assert abs(values[t, 3] - glrgdd) <= 1e-12 * glrgdd
+        assert abs(values[t, 1] - amgdd_ru) <= 1e-12 * amgdd_ru
+        assert abs(values[t, 4] - amgdd) <= 1e-12 * amgdd
 
 
 @pytest.mark.parametrize("j", [1, 3])
@@ -175,6 +180,30 @@ def test_zero_column_training_batch(stacks):
     out = np.stack([kernels.bounded(kernels.glr(red, v)), kernels.am(v)], axis=-1)
     assert out.shape == (stacks["x"].shape[0], 1, 2)
     assert np.all((out[..., 0] >= 0) & (out[..., 0] < 1))
+
+
+def test_reduction_reads_no_entry_above_the_diagonal(stacks, monkeypatch):
+    # reduce leaves the block above the border unset: numpy's Cholesky reads
+    # the lower triangle only, so NaN there gives bitwise the same reduction
+    td, a = stacks["td"], stacks["scenario"].A
+    trials, n, m = td.x_par.shape
+    size = kernels.bordered_size(n, a.shape[1], m)
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def recorded(h):
+        factored.append(h.copy())
+        return cholesky(h)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    zero = kernels.reduce(td.x_par, td.s_perp, a, plus=td.s_train,
+                          out=np.zeros(trials * size, dtype=np.complex128))
+    nan = kernels.reduce(td.x_par, td.s_perp, a, plus=td.s_train,
+                         out=np.full(trials * size, np.nan, dtype=np.complex128))
+    above = factored[2][:, :n, n:]
+    assert above.size and np.isnan(above).all()
+    for got, expected in zip(nan, zero):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("estimate", ["s_plus", "s_perp"])

@@ -115,11 +115,11 @@ class TestNonFiniteTrials:
     @pytest.mark.parametrize("failing, trials, named", [
         # every block fails, the short last one at once and the full first one
         # late: the earliest block in trial order is named, not the first to fail
-        ("every block", BLOCK_TRIALS + 5, f"trials 0..{BLOCK_TRIALS - 1} "),
-        ("last block", 2 * BLOCK_TRIALS + 5,
-         f"trials {2 * BLOCK_TRIALS}..{2 * BLOCK_TRIALS + 4} "),
+        ("every block", BLOCK_TRIALS + 5, 0),
+        ("last block", 2 * BLOCK_TRIALS + 5, 2 * BLOCK_TRIALS),
     ])
     def test_lapack_failure_names_the_block(self, monkeypatch, failing, trials, named):
+        # the failing block is re-run one trial at a time, which names its trial
         def singular(red, v):
             if v.shape[0] == BLOCK_TRIALS:
                 if failing == "last block":
@@ -130,11 +130,31 @@ class TestNonFiniteTrials:
         monkeypatch.setattr(kernels, "glr", singular)
         sc = _scenario()
         snrs = [0.0, 6.0]
-        pattern = (f"Singular matrix in {named}of stream version "
-                   rf"{montecarlo.STREAM_VERSION}, \(seed, domain\) = \(9, 1\) "
-                   r"at grid points 0 \(0\.0 dB\) to 1 \(6\.0 dB\)")
+        pattern = (rf"Singular matrix in trial \(seed, domain, trial\) = \(9, 1, {named}\) "
+                   r"at grid points 0 \(0\.0 dB\) to 1 \(6\.0 dB\) of stream version "
+                   rf"{montecarlo.STREAM_VERSION}$")
         with pytest.raises(SingularMatrixError, match=pattern):
             simulate_statistics(sc, [RU], trials, seed=9, snr_db=snrs, threads=2)
+
+    def test_lapack_failure_names_its_trial_inside_the_block(self, monkeypatch):
+        # a reduction that fails on one trial's data alone, in the middle of the
+        # second block: that trial is named, not the first trial of its block
+        sc = _scenario()
+        x, x_l = replay_trial(sc, 9, DOMAIN_NULL, BLOCK_TRIALS + 44)
+        target = transform_stack(x, x_l, sc.waveform).x_par
+        reduce = kernels.reduce
+
+        def singular_at_target(x_par, *args, **kwargs):
+            if any(np.array_equal(trial, target) for trial in x_par):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return reduce(x_par, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "reduce", singular_at_target)
+        pattern = (r"Matrix is not positive definite in trial \(seed, domain, trial\) = "
+                   rf"\(9, 0, {BLOCK_TRIALS + 44}\) of stream version "
+                   rf"{montecarlo.STREAM_VERSION}$")
+        with pytest.raises(SingularMatrixError, match=pattern):
+            simulate_statistics(sc, ALL, 3 * BLOCK_TRIALS, seed=9, threads=2)
 
 
 class TestBlockWorkspace:
@@ -258,6 +278,17 @@ class TestCalibration:
     def test_rejects_empty_detector_list(self):
         with pytest.raises(ValueError, match="empty detector list"):
             simulate_statistics(_scenario(), [], 10, seed=0)
+
+    @pytest.mark.parametrize("entry", [
+        lambda sc, kinds: simulate_statistics(sc, kinds, 10, seed=0),
+        lambda sc, kinds: montecarlo.calibrate_thresholds(sc, kinds, 0.05, 600, seed=0),
+        lambda sc, kinds: pd_curves(sc, kinds, [0.0], 0.05, 600, 100, seed=0),
+    ], ids=["simulate_statistics", "calibrate_thresholds", "pd_curves"])
+    def test_refuses_a_lone_detector_kind_where_a_list_is_expected(self, entry):
+        with pytest.raises(TypeError, match=r"kinds must be a list of detector kinds, got "
+                                            r"DetectorKind\.GLRGDD_RU alone: pass "
+                                            r"\[DetectorKind\.GLRGDD_RU\]"):
+            entry(_scenario(), RU)
 
     def test_refuses_a_detector_kind_given_by_name(self):
         with pytest.raises(TypeError, match="DetectorKind members, got 'GLRGDD_RU'"):
@@ -401,19 +432,20 @@ class TestPdCurves:
         assert np.array_equal(sub, full[:, 1::2])
 
     def test_grid_costs_no_covariance_solve_per_point(self, monkeypatch):
-        # fig1 dimensions, two blocks: each block makes one stacked N x N solve
-        # per covariance estimate (S_plus, S_perp, S), whatever the grid size;
-        # the SNR scaling makes two single N x N solves per grid point against
-        # the scenario's factor of R, which also colors the noise
+        # fig1 dimensions, two blocks: each block makes one stacked bordered
+        # Cholesky factorization per covariance estimate (S_plus, S_perp, S),
+        # whatever the grid size, and no stacked solve; the SNR scaling makes two
+        # single N x N solves per grid point against the scenario's factor of R,
+        # which also colors the noise, so no N x N matrix is factored
         sc = make_scenario(12, 16, 3, 2, 14, rho=0.95, seed=26)
+        bordered = sc.N + sc.J + sc.M
         counts = []
         for snrs in ([6.0], [float(v) for v in range(-4, 14, 2)]):
             calls = []
 
             def counted(fn):
                 def wrapper(a, *args, **kwargs):
-                    if np.shape(a)[-2:] == (sc.N, sc.N):
-                        calls.append((fn.__name__, np.ndim(a)))
+                    calls.append((fn.__name__, np.ndim(a), np.shape(a)[-1]))
                     return fn(a, *args, **kwargs)
                 return wrapper
 
@@ -421,9 +453,11 @@ class TestPdCurves:
                 for name in ("solve", "cholesky"):
                     patch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
                 simulate_statistics(sc, ALL, BLOCK_TRIALS + 1, seed=26, snr_db=snrs)
-            counts.append((calls.count(("solve", 3)), calls.count(("solve", 2)),
-                           [name for name, _ in calls].count("cholesky")))
-        assert counts == [(3 * 2, 2 * 1, 0), (3 * 2, 2 * 9, 0)]
+            counts.append((calls.count(("cholesky", 3, bordered)),
+                           sum(name == "solve" and ndim == 3 for name, ndim, _ in calls),
+                           calls.count(("solve", 2, sc.N)),
+                           sum(name == "cholesky" and size == sc.N for name, _, size in calls)))
+        assert counts == [(3 * 2, 0, 2 * 1, 0), (3 * 2, 0, 2 * 9, 0)]
 
     @pytest.mark.parametrize("j, expected", [(2, 0), (3, 4 * 2)])
     def test_grid_takes_no_eigensolver_below_three_signal_dimensions(self, monkeypatch,

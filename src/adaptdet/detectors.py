@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .errors import SingularMatrixError
 from .linalg import as_cmatrix, cholesky, hermitize
 from .scenario import _full_rank, check_dimensions
 from .transform import TransformedData, factor_waveform_subspace, transform_stack
@@ -186,11 +187,16 @@ def bose_glrt(x, a, c) -> Statistic:
 def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, Statistic]:
     """Evaluate several statistics of one instance from raw data matrices:
     one validation, one transform and one :func:`statistics` call on a stack
-    of one trial at c = 0, the instance's data taken as noise."""
+    of one trial at c = 0, the instance's data taken as noise; a LAPACK
+    failure there raises SingularMatrixError naming the kinds."""
     kinds = kind_list(kinds)
     _, a, f, td = _prepared(kinds, x, x_l, a, c)
     one = TransformedData(**{name: value[None] for name, value in vars(td).items()})
-    values = statistics(kinds, one, a, kernels.no_signal(a.shape[1], f.c_par.shape[0]))
+    try:
+        values = statistics(kinds, one, a, kernels.no_signal(a.shape[1], f.c_par.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        names = ", ".join(kind.name for kind in kinds)
+        raise SingularMatrixError(f"{exc}: ill-conditioned covariance estimate for {names}") from exc
     return {kind: Statistic(float(value), kind) for kind, value in zip(kinds, values[0, 0])}
 
 

@@ -5,15 +5,13 @@ probability over SNR grids, and empirical CFAR verification.
 
 Reproducibility contract (stream layout ``STREAM_VERSION``): block b of
 ``BLOCK_TRIALS`` trials draws its white noise, trial by trial, in one call
-from its own SFC64 stream seeded by ``SeedSequence(seed, spawn_key=(domain,
-0, b))``.  A trial's draws thus depend only on its key (seed, domain, trial)
-and the block size, not on the trial count, the worker-thread count or the
-scheduling: results are bitwise identical for any thread count and a
-shorter run is a prefix of a longer one.  Changing the bit generator, the
-block size or the key changes the draws and bumps ``STREAM_VERSION``:
-layout 4 is SFC64, the fastest of numpy's seeded bit generators here, where
-layouts 2 and 3 drew from Philox with the same key and layout 1 one stream
-per trial.  The scenario's own draws stay on Philox.
+from its own stream, ``scenario.stream(seed, domain, b)``, the registry
+every seeded draw of the package comes from.  A trial's draws thus depend
+only on its key (seed, domain, trial) and the block size, not on the trial
+count, the worker-thread count or the scheduling: results are bitwise
+identical for any thread count and a shorter run is a prefix of a longer
+one.  Changing the block size bumps ``STREAM_VERSION`` as a change of the
+registry's bit generator or keys does.
 
 The stream domain follows from whether a grid is given: a
 :func:`simulate_statistics` call without ``snr_db`` draws H0 trials from
@@ -28,8 +26,7 @@ covariance estimates, one factorization each for the whole grid.  The grid
 points of a trial share its noise (common random numbers across SNR), a
 point's value does not depend on which other points are evaluated with it,
 and a grid can therefore be extended or cut without changing the points it
-keeps.  Layout 3 keys the H1 stream as layout 2 keyed its first grid point;
-the H0 streams are unchanged.
+keeps.
 
 Each block, run by a thread pool, transforms the noise of all its trials
 at once and evaluates it with :func:`adaptdet.detectors.statistics`, as the
@@ -68,8 +65,9 @@ from . import kernels
 from .detectors import DetectorKind, kind_list, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
-from .scenario import (Scenario, check_dimensions, check_seed, random_directions,
-                       scale_to_snr)
+from .scenario import (DOMAIN_NULL, DOMAIN_SIGNAL, STREAM_VERSION, Scenario,
+                       check_dimensions, check_seed, random_directions, scale_to_snr,
+                       stream)
 from .transform import (TransformedData, signal_coefficient, transform_size,
                         transform_stack)
 
@@ -77,13 +75,8 @@ __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
            "estimate_pd", "pd_curve", "pd_curves", "cfar_check", "replay_trial"]
 
-STREAM_VERSION = 4
 BLOCK_TRIALS = 256
 _SQRT_HALF = np.sqrt(0.5)
-
-# Stream domains keep draws from different purposes disjoint.
-DOMAIN_NULL = 0    # H0 draws: calibration (and CFAR re-measurement, by design)
-DOMAIN_SIGNAL = 1  # H1 draws, one per trial, shared by every SNR grid point
 
 
 @dataclass(frozen=True)
@@ -131,12 +124,8 @@ def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
     """White CN(0, I) noise (count, n, cols) of the first `count` trials of
     block `block`, i.e. trials from block * BLOCK_TRIALS, of its stream,
     drawn into the head of the complex128 buffer `out`."""
-    # The middle 0 is the grid-point slot of layout 2, where H1 drew one stream
-    # per point; keeping it leaves the H0 draws and layout 2's first point as they were.
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(int(domain), 0, int(block)))
     draws = out[:count * n * cols].view(np.float64).reshape(count, n, cols, 2)
-    np.random.Generator(np.random.SFC64(ss)).standard_normal(out=draws)
+    stream(seed, domain, block).standard_normal(out=draws)
     draws *= _SQRT_HALF
     return draws.view(np.complex128)[..., 0]
 
@@ -173,7 +162,6 @@ def replay_trial(scenario: Scenario, seed: int, domain: int,
     noise-only statistics of that trial.  A signal trial (DOMAIN_SIGNAL) is
     this noise at every grid point, with the point's signal added to X.
     """
-    check_seed(seed)
     for name, value in (("domain", domain), ("trial", trial)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")

@@ -6,6 +6,10 @@ amplitude scaling.  A scenario factors C (one SVD) and R (one Cholesky)
 once, when it is built; it is immutable and can be shared freely across
 threads.  A signal enters the package only through its SNR, set by
 :func:`scale_to_snr` from a scenario's A, C and factor of R.
+
+Every seeded draw of the package is SFC64 from one registry, :func:`stream`,
+keyed ``SeedSequence(seed, spawn_key=(purpose, *index))`` with disjoint
+purposes; a change of generator or key bumps ``STREAM_VERSION``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "SignalCoordinates",
     "check_dimensions",
     "check_seed",
+    "stream",
     "toeplitz_covariance",
     "random_subspaces",
     "random_directions",
@@ -33,18 +38,21 @@ __all__ = [
 ]
 
 _SQRT_HALF = np.sqrt(0.5)
-_SUBSPACE_STREAM = 1000
-_DIRECTION_STREAM = 1001
 _MAX_RANK_RETRIES = 100
 
+STREAM_VERSION = 5
+DOMAIN_NULL = 0       # engine H0 block b: calibration (and CFAR re-measurement)
+DOMAIN_SIGNAL = 1     # engine H1 block b, shared by every SNR grid point
+SUBSPACES = 2         # random_subspaces, so make_scenario's A and C
+DIRECTIONS = 3        # random_directions, the engine's signal direction pair
+VERIFY_INSTANCE = 4   # verify instance i
+VERIFY_TRANSFORM = 5  # verify instance i's invariance transforms
 
-def as_generator(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
+
+def stream(seed: int, purpose: int, *index: int) -> np.random.Generator:
+    """The stream of (seed, purpose, *index): the one place that seeds a draw."""
+    key = np.random.SeedSequence(check_seed(seed), spawn_key=(purpose, *index))
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def as_cvector(x, name: str = "vector") -> np.ndarray:
@@ -169,18 +177,19 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
     return (z[0] + 1j * z[1]) * _SQRT_HALF
 
 
-def random_subspaces(n: int, j: int, m: int, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
+def random_subspaces(n: int, j: int, m: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Random full-rank subspace matrices A (N x J) and C (M x K).
 
     Entries are IID standard circular complex Gaussian; each matrix is
     redrawn (up to 100 times) until its smallest singular value exceeds
-    1e-8 times its largest.  Deterministic for a fixed seed.
+    1e-8 times its largest.  They are :func:`make_scenario`'s for the seed.
     """
     _check_subspace_dimensions(n, k, m, j)
-    rng = as_generator(seed)
-    a = _draw_full_rank(rng, n, j, "A")
-    c = _draw_full_rank(rng, m, k, "C")
-    return a, c
+    return _draw_subspaces(stream(seed, SUBSPACES), n, j, m, k)
+
+
+def _draw_subspaces(rng, n, j, m, k):
+    return _draw_full_rank(rng, n, j, "A"), _draw_full_rank(rng, m, k, "C")
 
 
 def _draw_full_rank(rng, rows, cols, name, rtol=TOL.rank_sv_rtol):
@@ -191,11 +200,9 @@ def _draw_full_rank(rng, rows, cols, name, rtol=TOL.rank_sv_rtol):
     raise RuntimeError(f"could not draw a full-rank {name} in {_MAX_RANK_RETRIES} tries")
 
 
-def random_directions(j: int, m: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm direction vectors (theta_dir, alpha_dir) from the complex sphere."""
-    if isinstance(seed, (int, np.integer)):
-        seed = np.random.SeedSequence(check_seed(seed), spawn_key=(_DIRECTION_STREAM,))
-    rng = as_generator(seed)
+def random_directions(j: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm (theta_dir, alpha_dir) on the complex sphere, from the DIRECTIONS stream."""
+    rng = stream(seed, DIRECTIONS)
     theta = as_cvector(complex_gaussian(rng, j, 1), "theta_dir")
     alpha = as_cvector(complex_gaussian(rng, m, 1), "alpha_dir")
     return theta / np.linalg.norm(theta), alpha / np.linalg.norm(alpha)
@@ -246,6 +253,5 @@ def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float)
 def make_scenario(n: int, k: int, m: int, j: int, l: int, *, rho: float = 0.95,
                   seed: int = 0) -> Scenario:
     """Build a scenario with random fixed subspaces and a Toeplitz covariance."""
-    sub = np.random.SeedSequence(check_seed(seed), spawn_key=(_SUBSPACE_STREAM,))
-    a, c = random_subspaces(n, j, m, k, sub)
+    a, c = random_subspaces(n, j, m, k, seed)
     return Scenario(N=n, K=k, M=m, J=j, L=l, A=a, C=c, R=toeplitz_covariance(n, rho))

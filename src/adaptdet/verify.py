@@ -28,8 +28,9 @@ import numpy as np
 from .detectors import DetectorKind, appendix_identities, evaluate
 from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
-from .scenario import (Scenario, _draw_full_rank, as_generator, check_seed, complex_gaussian,
-                       make_signal, random_subspaces, scale_to_snr, toeplitz_covariance)
+from .scenario import (VERIFY_INSTANCE, VERIFY_TRANSFORM, Scenario, _draw_full_rank,
+                       _draw_subspaces, check_seed, complex_gaussian, make_signal,
+                       scale_to_snr, stream, toeplitz_covariance)
 
 __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
            "CheckSuite", "VerificationReport", "run_verification"]
@@ -60,7 +61,7 @@ class Instance:
                      if kd.is_valid(self.n, self.k, self.m, self.l))
 
 
-def random_instance(regime: str, rng) -> Instance:
+def random_instance(regime: str, rng: np.random.Generator) -> Instance:
     """Draw dimensions (3 <= N <= 8) for the regime, then subspaces, covariance, data.
 
     Regimes: 'abundant' (L >= N, K > M), 'lowsample' (1 <= L < N and
@@ -68,7 +69,6 @@ def random_instance(regime: str, rng) -> Instance:
     'notraining' (L = 0, K >= M+N), 'square' (K = M, L >= N), and 'full'
     (L >= N and K >= M+N, where every detector is valid).
     """
-    rng = as_generator(rng)
     n = int(rng.integers(3, 9))
     j = int(rng.integers(1, min(n, 3) + 1))
     m = int(rng.integers(1, 4))
@@ -91,7 +91,7 @@ def random_instance(regime: str, rng) -> Instance:
     else:
         raise ValueError(f"unknown regime {regime!r}")
 
-    a, c = random_subspaces(n, j, m, k, rng)
+    a, c = _draw_subspaces(rng, n, j, m, k)
     rho = _RHO_CYCLE[int(rng.integers(0, len(_RHO_CYCLE)))]
     sc = Scenario(N=n, K=k, M=m, J=j, L=l, A=a, C=c, R=toeplitz_covariance(n, rho))
     x = sc.coloring @ complex_gaussian(rng, n, k)
@@ -108,11 +108,11 @@ def random_instance(regime: str, rng) -> Instance:
 
 
 def instance_stream(seed: int, count: int, regimes=REGIMES):
-    """Yield (index, Instance) pairs cycling through the regimes."""
+    """Yield (index, Instance) pairs cycling through the regimes; instance i
+    is drawn from ``stream(seed, VERIFY_INSTANCE, i)``."""
     for idx in range(count):
-        regime = regimes[idx % len(regimes)]
-        rng = np.random.SeedSequence(check_seed(seed), spawn_key=(idx,))
-        yield idx, random_instance(regime, rng)
+        yield idx, random_instance(regimes[idx % len(regimes)],
+                                   stream(seed, VERIFY_INSTANCE, idx))
 
 
 @dataclass
@@ -162,7 +162,7 @@ class VerificationReport:
             out.append("WARNING: 0 instances requested, vacuous pass")
         verdict = "PASS" if self.passed else "FAIL"
         out.append(f"{verdict}: verification over {self.instance_count} instances "
-                   f"(seed {self.seed}; replay any instance i with spawn_key=(i,))")
+                   f"(seed {self.seed}; replay instance i from stream(seed, VERIFY_INSTANCE, i))")
         return out
 
 
@@ -180,8 +180,7 @@ def run_verification(seed: int = 20260810, instance_count: int = 500) -> Verific
         "boundedness": CheckSuite("bounded statistics stay below 1"),
     }
     for idx, inst in instance_stream(seed, instance_count):
-        rng = as_generator(np.random.SeedSequence(int(seed), spawn_key=(idx, 1)))
-        _check_instance(idx, inst, rng, suites)
+        _check_instance(idx, inst, stream(seed, VERIFY_TRANSFORM, idx), suites)
     return VerificationReport(seed=seed, instance_count=instance_count,
                               suites=list(suites.values()))
 

@@ -7,7 +7,8 @@ from adaptdet.detectors import (DetectorKind, Statistic, amgdd, amgdd_ru,
                                 glrgdd_ru)
 from adaptdet.errors import SingularMatrixError
 from adaptdet.montecarlo import DOMAIN_SIGNAL, replay_trial
-from adaptdet.scenario import make_scenario, make_signal, random_directions, scale_to_snr
+from adaptdet.scenario import (make_scenario, make_signal, random_directions, scale_to_snr,
+                               toeplitz_covariance)
 from adaptdet.transform import factor_waveform_subspace, transform_stack
 from adaptdet.verify import REGIMES, instance_stream, random_instance, run_verification
 
@@ -16,8 +17,13 @@ from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, random
 
 
 def _instances(regime, seed, count):
-    for idx in range(count):
-        yield random_instance(regime, np.random.SeedSequence(seed, spawn_key=(idx,)))
+    return (inst for _, inst in instance_stream(seed, count, regimes=(regime,)))
+
+
+def _philox_instance(regime, seed, *key):
+    """An instance pinned by its data: drawn as stream layout 4 drew it."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    return random_instance(regime, rng)
 
 
 def _zero_training_row(inst):
@@ -121,12 +127,11 @@ class TestGlrgdd:
             glrgdd(inst.x, inst.x_l, inst.a, inst.c)
 
     def test_ill_conditioned_square_instance_matches_mpmath(self):
-        # `adaptdet verify --seed 10`, instance 99: square, L = N = 3, cond(S) 1.8e6.
-        # Cholesky reads one triangle of the Gram, so an unsymmetrized Gram put
-        # GLRGDD 3.3e-8 off here.
+        # `adaptdet verify --seed 10` instance 99 of stream layout 4: square,
+        # L = N = 3, cond(S) 1.8e6.  Cholesky reads one triangle of the Gram, so
+        # an unsymmetrized Gram put GLRGDD 3.3e-8 off here.
         idx = 99
-        inst = random_instance(REGIMES[idx % len(REGIMES)],
-                               np.random.SeedSequence(10, spawn_key=(idx,)))
+        inst = _philox_instance(REGIMES[idx % len(REGIMES)], 10, idx)
         td = transform_stack(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
         t_ru, t_full = mp_glr_pair(td.x_par, td.s_plus, inst.a, np.zeros((inst.j, inst.m)))
         stats = evaluate([DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU],
@@ -186,7 +191,7 @@ class TestBoseGlrt:
 
     def test_boundary_dimension_is_finite(self):
         # K = M + N exactly: the virtual SCM has just enough columns
-        inst = random_instance("notraining", np.random.SeedSequence(112))
+        inst = _philox_instance("notraining", 112)
         x = inst.x[:, :inst.m + inst.n]
         c = inst.c[:, :inst.m + inst.n]
         value = bose_glrt(x, inst.a, c).value
@@ -222,7 +227,7 @@ class TestAppendixIdentities:
             appendix_identities(inst.x, inst.x_l, inst.a, inst.c)
 
     def test_zero_training_row_is_a_singular_scm(self):
-        inst = random_instance("abundant", np.random.SeedSequence(120))
+        inst = _philox_instance("abundant", 120)
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
             appendix_identities(inst.x, _zero_training_row(inst), inst.a, inst.c)
 
@@ -295,6 +300,22 @@ class TestEvaluate:
         scaled = evaluate(kinds, scale * x, scale * x_l, sc.A, sc.C)
         for kind in kinds:
             assert scaled[kind].value == pytest.approx(ref[kind].value, rel=1e-12, abs=0.0)
+
+    def test_a_lapack_failure_names_the_kinds(self):
+        # data built here, not drawn from a package stream: one channel 1e-10
+        # below the others passes the check of each estimate, then fails the
+        # Cholesky factorization of its bordered matrix
+        rng = np.random.default_rng(0)
+        a, c = random_cmatrix(rng, 12, 2), random_cmatrix(rng, 3, 16)
+        coloring = np.linalg.cholesky(toeplitz_covariance(12, 0.95))
+        x, x_l = coloring @ random_cmatrix(rng, 12, 16), coloring @ random_cmatrix(rng, 12, 14)
+        x[0] *= 1e-10
+        x_l[0] *= 1e-10
+        kinds = [DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU, DetectorKind.GLRGDD,
+                 DetectorKind.AMGDD]
+        with pytest.raises(SingularMatrixError, match="ill-conditioned covariance estimate "
+                                                      "for GLRGDD_RU, AMGDD_RU, GLRGDD, AMGDD$"):
+            evaluate(kinds, x, x_l, a, c)
 
     def test_checks_every_kind(self):
         inst = next(_instances("lowsample", 124, 1))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from adaptdet import kernels
 from adaptdet.detectors import DetectorKind, statistics
 from adaptdet.montecarlo import simulate_statistics
-from adaptdet.scenario import (as_generator, complex_gaussian, make_scenario, make_signal,
-                               random_directions, scale_to_snr)
+from adaptdet.scenario import (complex_gaussian, make_scenario, make_signal, random_directions,
+                               scale_to_snr)
 from adaptdet.transform import TransformedData, signal_coefficient, transform_stack
 
 from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, mp_two_step,
@@ -16,7 +16,7 @@ from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, mp_two
 
 
 def _batch(scenario, trials, seed):
-    rng = as_generator(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
     xb = np.empty((trials, scenario.N, scenario.K), dtype=np.complex128)
     xlb = np.empty((trials, scenario.N, scenario.L), dtype=np.complex128)
     for t in range(trials):

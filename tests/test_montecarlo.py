@@ -1,3 +1,5 @@
+import copy
+import itertools
 import re
 import time
 
@@ -5,19 +7,29 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from adaptdet import kernels, montecarlo
+from adaptdet import kernels, montecarlo, scenario, verify
 from adaptdet.detectors import DetectorKind, compute, evaluate, statistics
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
 from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_SIGNAL, _coefficients,
                                  calibrate_threshold, cfar_check, estimate_pd, pd_curve,
                                  pd_curves, replay_trial, simulate_statistics,
                                  threshold_from_h0)
-from adaptdet.scenario import (make_scenario, make_signal, random_directions, scale_to_snr,
-                               toeplitz_covariance)
+from adaptdet.scenario import (make_scenario, make_signal, random_directions, random_subspaces,
+                               scale_to_snr, toeplitz_covariance)
 from adaptdet.transform import transform_stack
 
 RU = DetectorKind.GLRGDD_RU
 ALL = list(DetectorKind)
+
+
+def _numpy_stream(seed, *key):
+    """A stream of layout 5 rebuilt from numpy alone."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _numpy_cn(rng, rows, cols):
+    z = rng.standard_normal((2, rows, cols))
+    return (z[0] + 1j * z[1]) * np.sqrt(0.5)
 
 
 def _scenario(seed=17, **kw):
@@ -202,6 +214,10 @@ class TestBlockWorkspace:
 
 
 class TestStreamLayout:
+    # Each purpose's layout rebuilt from numpy alone: the replay tests go through
+    # the package's own stream code, so only these tests see a change of
+    # generator, key, draw order or scaling.
+
     @pytest.mark.parametrize("seed, domain, block, count", [
         (11, DOMAIN_NULL, 0, BLOCK_TRIALS),
         (11, DOMAIN_SIGNAL, 3, BLOCK_TRIALS),
@@ -209,19 +225,76 @@ class TestStreamLayout:
     ])
     def test_block_draws_are_sfc64_keyed_by_seed_domain_and_block(self, seed, domain,
                                                                    block, count):
-        # the layout rebuilt from numpy alone: the replay tests go through the
-        # engine's own block code, so only this test sees a change of generator,
-        # key, draw order or scaling
-        assert montecarlo.STREAM_VERSION == 4
+        assert montecarlo.STREAM_VERSION == 5
         assert BLOCK_TRIALS == 256
+        assert (DOMAIN_NULL, DOMAIN_SIGNAL) == (0, 1)
         n, cols = 5, 14
-        ss = np.random.SeedSequence(seed, spawn_key=(domain, 0, block))
-        pairs = np.random.Generator(np.random.SFC64(ss)).standard_normal((count, n, cols, 2))
+        pairs = _numpy_stream(seed, domain, block).standard_normal((count, n, cols, 2))
         expected = (pairs * np.sqrt(0.5)).view(np.complex128)[..., 0]
         out = np.empty(BLOCK_TRIALS * n * cols, dtype=np.complex128)
         drawn = montecarlo._block_noise(seed, domain, block, count, n, cols, out)
         assert drawn.shape == (count, n, cols)
         assert drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_subspaces_are_sfc64_keyed_by_seed_and_purpose_2(self, seed):
+        a, c = random_subspaces(6, 2, 3, 9, seed)
+        rng = _numpy_stream(seed, 2)
+        assert a.tobytes() == _numpy_cn(rng, 6, 2).tobytes()
+        assert c.tobytes() == _numpy_cn(rng, 3, 9).tobytes()
+        sc = make_scenario(6, 9, 3, 2, 8, seed=seed)
+        assert sc.A.tobytes() == a.tobytes() and sc.C.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_directions_are_sfc64_keyed_by_seed_and_purpose_3(self, seed):
+        theta, alpha = random_directions(2, 3, seed)
+        rng = _numpy_stream(seed, 3)
+        for drawn, size in ((theta, 2), (alpha, 3)):
+            expected = _numpy_cn(rng, size, 1).ravel()
+            assert drawn.tobytes() == (expected / np.linalg.norm(expected)).tobytes()
+
+    def test_verify_draws_are_sfc64_keyed_by_seed_purpose_and_instance(self, monkeypatch):
+        seed, count = 11, 6
+        for idx, inst in verify.instance_stream(seed, count):
+            again = verify.random_instance(verify.REGIMES[idx % len(verify.REGIMES)],
+                                           _numpy_stream(seed, 4, idx))
+            for name in ("a", "c", "x", "x_l"):
+                assert getattr(inst, name).tobytes() == getattr(again, name).tobytes()
+        heads, check = [], verify._check_instance
+
+        def recorded(idx, inst, rng, suites):
+            heads.append((idx, copy.deepcopy(rng).standard_normal(8).tobytes()))
+            check(idx, inst, rng, suites)
+
+        monkeypatch.setattr(verify, "_check_instance", recorded)
+        verify.run_verification(seed, count)
+        assert heads == [(idx, _numpy_stream(seed, 5, idx).standard_normal(8).tobytes())
+                         for idx in range(count)]
+
+    def test_verify_instances_share_no_stream_with_the_scenario_draws(self, monkeypatch):
+        # Instances 1000 and 1001 once drew exactly the streams of make_scenario's
+        # subspaces and of random_directions at the same seed.
+        seed, seen = 3, []
+        draw = scenario.complex_gaussian
+
+        def fingerprinted(rng, rows, cols):
+            # the first draws of a fresh copy of the stream behind `rng`
+            bg = rng.bit_generator
+            seen.append(np.random.Generator(type(bg)(bg.seed_seq)).standard_normal(8).tobytes())
+            return draw(rng, rows, cols)
+
+        def streams(run):
+            seen.clear()
+            run()
+            return set(seen)
+
+        monkeypatch.setattr(scenario, "complex_gaussian", fingerprinted)
+        subspaces = streams(lambda: make_scenario(12, 16, 3, 2, 14, seed=seed))
+        directions = streams(lambda: random_directions(2, 3, seed))
+        instances = streams(lambda: list(
+            itertools.islice(verify.instance_stream(seed, 1002), 1000, None)))
+        assert subspaces and directions and instances
+        assert not instances & (subspaces | directions)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("snrs", [None, [0.0, 6.0]], ids=["noise", "grid"])

@@ -1,11 +1,14 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptdet.scenario import (Scenario, as_generator, complex_gaussian, make_scenario,
-                               make_signal, random_directions, random_subspaces, scale_to_snr,
-                               snr_of, toeplitz_covariance)
+import adaptdet
+from adaptdet.scenario import (Scenario, complex_gaussian, make_scenario, make_signal,
+                               random_directions, random_subspaces, scale_to_snr, snr_of,
+                               toeplitz_covariance)
 
 from oracles import dagger, random_cmatrix
 
@@ -67,7 +70,7 @@ class TestComplexGaussian:
     def test_zero_mean_white(self):
         # circular CN(0, I): zero mean, identity covariance, zero pseudo-covariance
         cols = 100_000
-        z = complex_gaussian(as_generator(1), 4, cols)
+        z = complex_gaussian(np.random.Generator(np.random.Philox(1)), 4, cols)
         assert np.all(np.abs(z.mean(axis=1)) <= 4.0 / np.sqrt(cols))
         assert np.allclose(z @ dagger(z) / cols, np.eye(4), rtol=0, atol=0.02)
         assert np.allclose(z @ z.T / cols, 0, rtol=0, atol=0.02)
@@ -229,3 +232,39 @@ class TestScenarioValidation:
         assert np.linalg.norm(d1[0]) == pytest.approx(1.0)
         assert np.linalg.norm(d1[1]) == pytest.approx(1.0)
         assert np.array_equal(d1[0], d2[0])
+
+
+class TestStreamRegistry:
+    # numpy's seeding constructors, plus the bit generators and the legacy state
+    _BUILDERS = {"SeedSequence", "SFC64", "Philox", "default_rng", "Generator", "PCG64",
+                 "PCG64DXSM", "MT19937", "RandomState"}
+
+    @classmethod
+    def _sites(cls, node, owner, found):
+        """(enclosing function, constructor) of every call that builds a seed
+        stream below `node`, and every import from numpy.random."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cls._sites(child, child.name, found)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in cls._BUILDERS:
+                    found.add((owner, name))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                modules = ([child.module or ""] if isinstance(child, ast.ImportFrom)
+                           else [alias.name for alias in child.names])
+                found.update((owner, f"import {m}") for m in modules
+                             if m.startswith("numpy.random"))
+            cls._sites(child, owner, found)
+        return found
+
+    def test_only_stream_builds_a_seeded_generator(self):
+        sites = set()
+        for path in sorted(Path(adaptdet.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            sites |= {(path.name, *site) for site in self._sites(tree, None, set())}
+        assert sites == {("scenario.py", "stream", "SeedSequence"),
+                         ("scenario.py", "stream", "SFC64"),
+                         ("scenario.py", "stream", "Generator")}

@@ -4,7 +4,7 @@ import pytest
 from adaptdet.detectors import DetectorKind, evaluate, statistics
 from adaptdet.errors import SingularMatrixError
 from adaptdet.kernels import no_signal
-from adaptdet.scenario import as_generator, complex_gaussian, make_scenario
+from adaptdet.scenario import complex_gaussian, make_scenario
 from adaptdet.transform import (SubspaceFactorization, factor_waveform_subspace,
                                 transform_stack)
 
@@ -97,7 +97,7 @@ class TestFactorWaveformSubspace:
 class TestTransformData:
     def _scenario_data(self, seed=3, n=5, k=9, m=3, j=2, l=7):
         sc = make_scenario(n, k, m, j, l, rho=0.5, seed=seed)
-        rng = as_generator(seed + 100)
+        rng = np.random.Generator(np.random.Philox(seed + 100))
         x = sc.coloring @ complex_gaussian(rng, n, k)
         x_l = sc.coloring @ complex_gaussian(rng, n, l)
         return sc, x, x_l
@@ -165,7 +165,7 @@ def _ru_pair(x, x_l, f, a):
 class TestBasisIndependence:
     def test_complement_choice_does_not_matter(self):
         sc = make_scenario(5, 9, 3, 2, 7, rho=0.95, seed=7)
-        rng = as_generator(8)
+        rng = np.random.Generator(np.random.Philox(8))
         x = sc.coloring @ complex_gaussian(rng, sc.N, sc.K)
         x_l = sc.coloring @ complex_gaussian(rng, sc.N, sc.L)
         f = factor_waveform_subspace(sc.C)
@@ -179,7 +179,7 @@ class TestBasisIndependence:
 
     def test_row_space_scaling_of_c(self):
         sc = make_scenario(5, 9, 3, 2, 7, rho=0.95, seed=10)
-        rng = as_generator(11)
+        rng = np.random.Generator(np.random.Philox(11))
         x = sc.coloring @ complex_gaussian(rng, sc.N, sc.K)
         x_l = sc.coloring @ complex_gaussian(rng, sc.N, sc.L)
         t = random_cmatrix(np.random.default_rng(12), sc.M, sc.M) + 2 * np.eye(sc.M)

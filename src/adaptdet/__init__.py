@@ -8,13 +8,12 @@ experiments, and empirical CFAR checks.
 
 __version__ = "0.1.0"
 
-from .detectors import (DetectorKind, Statistic, amgdd, amgdd_ru, appendix_identities,
-                        bose_glrt, compute, evaluate, glrgdd, glrgdd_ru)
+from .detectors import DetectorKind, Statistic, appendix_identities, compute, evaluate
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
 from .linalg import TOL, hermitize
-from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_threshold,
-                         calibrate_thresholds, cfar_check, estimate_pd, pd_curve,
-                         pd_curves, simulate_statistics, threshold_from_h0)
+from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_thresholds,
+                         cfar_check, estimate_pd, pd_curves, simulate_statistics,
+                         threshold_from_h0)
 from .scenario import (Scenario, SignalCoordinates, make_scenario, make_signal,
                        random_directions, random_subspaces, scale_to_snr, snr_of,
                        toeplitz_covariance)
@@ -28,11 +27,10 @@ __all__ = [
     "CalibrationResult", "CfarReport", "ConfigError", "DetectorKind",
     "ExperimentConfig", "NonFiniteStatisticError", "PdCurve", "Scenario",
     "SignalCoordinates", "SingularMatrixError", "Statistic", "SubspaceFactorization", "TOL",
-    "TransformedData", "amgdd", "amgdd_ru", "appendix_identities", "bose_glrt",
-    "build_scenario", "calibrate_threshold", "calibrate_thresholds", "cfar_check",
-    "compute", "estimate_pd", "evaluate", "factor_waveform_subspace", "format_config",
-    "glrgdd", "glrgdd_ru", "hermitize", "make_scenario", "make_signal",
-    "parse_config", "pd_curve", "pd_curves", "random_directions", "random_subspaces",
-    "run_verification", "scale_to_snr", "signal_coefficient",
-    "simulate_statistics", "snr_of", "threshold_from_h0", "toeplitz_covariance",
+    "TransformedData", "appendix_identities", "build_scenario", "calibrate_thresholds",
+    "cfar_check", "compute", "estimate_pd", "evaluate", "factor_waveform_subspace",
+    "format_config", "hermitize", "make_scenario", "make_signal", "parse_config",
+    "pd_curves", "random_directions", "random_subspaces", "run_verification",
+    "scale_to_snr", "signal_coefficient", "simulate_statistics", "snr_of",
+    "threshold_from_h0", "toeplitz_covariance",
 ]

@@ -17,11 +17,13 @@ Bose's GLRT uses no training data at all and requires K >= M + N; it is
 GLRGDD-RU with an empty training set.
 
 :func:`statistics` maps each kind to its covariance estimate and kernels;
-the Monte Carlo engine calls it on blocks of trials.  Every per-instance
-entry takes raw data (X, X_L, A, C) and is :func:`evaluate` of one or more
-kinds, which validates the instance once, transforms it as the engine does,
-checks once each covariance estimate the kinds read and reads them all from
-one :func:`statistics` call on a stack of one at c = 0: the engine's value, bitwise.
+the Monte Carlo engine calls it on blocks of trials.  The per-instance
+entry takes raw data (X, X_L, A, C): :func:`evaluate` of several kinds, or
+:func:`compute` of one, validates the instance once, transforms it as the
+engine does, checks once each covariance estimate the kinds read and reads
+them all from one :func:`statistics` call on a stack of one at c = 0: the
+engine's value, bitwise.  Bose's GLRT reads no X_L, so an empty N x 0 one
+will do.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .linalg import as_cmatrix, cholesky, hermitize
 from .scenario import _full_rank, check_dimensions
 from .transform import TransformedData, factor_waveform_subspace, transform_stack
 
-__all__ = ["DetectorKind", "Statistic", "statistics", "glrgdd_ru", "amgdd_ru", "glrgdd",
-           "amgdd", "bose_glrt", "appendix_identities", "evaluate", "compute"]
+__all__ = ["DetectorKind", "Statistic", "statistics", "appendix_identities", "evaluate",
+           "compute"]
 
 
 class DetectorKind(enum.Enum):
@@ -108,7 +110,7 @@ def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray,
     """(trials, P, len(kinds)) statistics of `kinds` from stacked transformed data
     at (P, J, M) signal coefficients c; unvalidated, LAPACK errors propagate.
     Each reduction builds its bordered matrix in `out` (see ``kernels.reduce``)."""
-    glrgdd, glrgdd_ru = DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU
+    glr_full, glr_ru = DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU
     want = set(kinds)
     columns = {}
 
@@ -122,11 +124,11 @@ def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray,
         columns[DetectorKind.BOSE_GLRT] = kernels.bounded(kernels.glr(*reduced(td.s_perp)))
     if DetectorKind.AMGDD in want:
         columns[DetectorKind.AMGDD] = kernels.am(reduced(td.s_train)[1])
-    if want & {glrgdd, glrgdd_ru, DetectorKind.AMGDD_RU}:
+    if want & {glr_full, glr_ru, DetectorKind.AMGDD_RU}:
         plus, v = reduced(td.s_perp, td.s_train)
-        if want & {glrgdd, glrgdd_ru}:
-            columns[glrgdd] = kernels.glr(plus, v)
-            columns[glrgdd_ru] = kernels.bounded(columns[glrgdd])
+        if want & {glr_full, glr_ru}:
+            columns[glr_full] = kernels.glr(plus, v)
+            columns[glr_ru] = kernels.bounded(columns[glr_full])
         if DetectorKind.AMGDD_RU in want:
             columns[DetectorKind.AMGDD_RU] = kernels.am(v)
     return np.stack([columns[kind] for kind in kinds], axis=-1)
@@ -157,31 +159,6 @@ def _prepared(kinds, x, x_l, a, c):
     if DetectorKind.BOSE_GLRT in kinds:
         cholesky(td.s_perp, singular.format(0))  # S_perp: S_plus of no training data
     return x, a, f, td
-
-
-def glrgdd_ru(x, x_l, a, c) -> Statistic:
-    """GLR statistic on the augmented SCM; value in [0, 1)."""
-    return compute(DetectorKind.GLRGDD_RU, x, x_l, a, c)
-
-
-def amgdd_ru(x, x_l, a, c) -> Statistic:
-    """Two-step statistic on the augmented SCM; nonnegative, unbounded."""
-    return compute(DetectorKind.AMGDD_RU, x, x_l, a, c)
-
-
-def glrgdd(x, x_l, a, c) -> Statistic:
-    """GLR statistic on S + X X^H, computed as mu on the augmented SCM."""
-    return compute(DetectorKind.GLRGDD, x, x_l, a, c)
-
-
-def amgdd(x, x_l, a, c) -> Statistic:
-    """Two-step statistic on the training-only SCM."""
-    return compute(DetectorKind.AMGDD, x, x_l, a, c)
-
-
-def bose_glrt(x, a, c) -> Statistic:
-    """Training-free GLRT: GLRGDD-RU with an empty training set."""
-    return compute(DetectorKind.BOSE_GLRT, x, np.zeros(np.shape(x)[:1] + (0,)), a, c)
 
 
 def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, Statistic]:

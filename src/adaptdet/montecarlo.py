@@ -72,8 +72,8 @@ from .transform import (TransformedData, signal_coefficient, transform_size,
                         transform_stack)
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
-           "threshold_from_h0", "calibrate_threshold", "calibrate_thresholds",
-           "estimate_pd", "pd_curve", "pd_curves", "cfar_check", "replay_trial"]
+           "threshold_from_h0", "calibrate_thresholds", "estimate_pd", "pd_curves",
+           "cfar_check", "replay_trial"]
 
 BLOCK_TRIALS = 256
 _SQRT_HALF = np.sqrt(0.5)
@@ -161,10 +161,13 @@ def replay_trial(scenario: Scenario, seed: int, domain: int,
     :func:`adaptdet.detectors.evaluate` on it gives bitwise the engine's
     noise-only statistics of that trial.  A signal trial (DOMAIN_SIGNAL) is
     this noise at every grid point, with the point's signal added to X.
+    Another domain is another purpose's stream, not engine noise: refused.
     """
-    for name, value in (("domain", domain), ("trial", trial)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    if domain not in (DOMAIN_NULL, DOMAIN_SIGNAL):
+        raise ValueError(f"domain must be DOMAIN_NULL ({DOMAIN_NULL}) or "
+                         f"DOMAIN_SIGNAL ({DOMAIN_SIGNAL}), got {domain}")
+    if trial < 0:
+        raise ValueError(f"trial must be >= 0, got {trial}")
     block, row = divmod(int(trial), BLOCK_TRIALS)
     noise = _noise_block(scenario, seed, domain, block, row + 1,
                          *_workspace(scenario, row + 1))[row]
@@ -304,13 +307,6 @@ def _check_calibration_budget(pfa: float, trials: int) -> None:
         )
 
 
-def calibrate_threshold(scenario: Scenario, kind: DetectorKind, pfa: float,
-                        trials: int, seed: int, *, threads: int = 1) -> CalibrationResult:
-    """Calibrate one detector's threshold from `trials` noise-only realizations."""
-    return calibrate_thresholds(scenario, [kind], pfa, trials, seed,
-                                threads=threads)[kind]
-
-
 def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
                          seed: int, *, threads: int = 1) -> dict[DetectorKind, CalibrationResult]:
     """Thresholds for several detectors from one shared set of H0 draws."""
@@ -355,13 +351,6 @@ def _check_grid(snr_grid_db) -> tuple[float, ...]:
     return grid
 
 
-def pd_curve(scenario: Scenario, kind: DetectorKind, snr_grid_db, pfa: float,
-             calib_trials: int, pd_trials: int, seed: int, *, threads: int = 1) -> PdCurve:
-    """Calibrate a threshold, then estimate PD over a strictly increasing grid."""
-    return pd_curves(scenario, [kind], snr_grid_db, pfa, calib_trials, pd_trials,
-                     seed, threads=threads)[kind]
-
-
 def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: int,
               pd_trials: int, seed: int, *, threads: int = 1) -> dict[DetectorKind, PdCurve]:
     """PD curves for several detectors with common random numbers.
@@ -404,7 +393,7 @@ def cfar_check(scenario: Scenario, r_alt, kind: DetectorKind, pfa: float,
     of scenario.R the statistics are identical up to rounding and the check
     is near-deterministic.
     """
-    cal = calibrate_threshold(scenario, kind, pfa, trials, seed, threads=threads)
+    cal = calibrate_thresholds(scenario, [kind], pfa, trials, seed, threads=threads)[kind]
     alt = replace(scenario, R=as_cmatrix(r_alt, "r_alt"))
     stats = simulate_statistics(alt, [kind], trials, seed, threads=threads)
     pfa_emp = float(np.count_nonzero(stats[:, 0] > cal.threshold)) / trials

@@ -14,6 +14,7 @@ purposes; a change of generator or key bumps ``STREAM_VERSION``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +82,15 @@ def check_dimensions(n: int, k: int, m: int, j: int, l: int, kinds=()) -> None:
 
 def check_seed(seed) -> int:
     """An int seed of a public entry; refused here when negative, since numpy's
-    SeedSequence refuses it without naming the argument."""
+    SeedSequence refuses it without naming the argument, and when not an
+    integer, which would otherwise be truncated to another seed's stream."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return int(seed)
+    return seed
 
 
 def _check_subspace_dimensions(n: int, k: int, m: int, j: int) -> None:

@@ -444,12 +444,16 @@ def test_benchmark_entry_points_resolve(path):
 
 
 def test_benchmark_reads_instances_and_runs_the_engine_as_called():
-    # perfbench/worker.py reads these instance fields and calls the engine
-    # positionally: a renamed field or parameter would fail the benchmark run
+    # perfbench/worker.py reads these instance fields, calls the engine
+    # positionally and reads .value of verify.compute: compute and Statistic
+    # stay until the benchmark's per-instance probe stops calling them
     _, inst = next(adaptdet.verify.instance_stream(0, 1))
     for name in ("x", "x_l", "a", "c"):
         assert isinstance(getattr(inst, name), np.ndarray)
     assert inst.valid_kinds()
+    for kind in inst.valid_kinds():
+        value = adaptdet.verify.compute(kind, inst.x, inst.x_l, inst.a, inst.c).value
+        assert isinstance(value, float) and np.isfinite(value)
     cfg = parse_config(SMALL_CONFIG)
     stats = adaptdet.montecarlo.simulate_statistics(build_scenario(cfg), cfg.detectors, 2, 0,
                                                     threads=1)

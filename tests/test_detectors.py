@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 import adaptdet.detectors
-from adaptdet.detectors import (DetectorKind, Statistic, amgdd, amgdd_ru,
-                                appendix_identities, bose_glrt, compute, evaluate, glrgdd,
-                                glrgdd_ru)
+from adaptdet.detectors import DetectorKind, Statistic, appendix_identities, compute, evaluate
 from adaptdet.errors import SingularMatrixError
 from adaptdet.montecarlo import DOMAIN_SIGNAL, replay_trial
 from adaptdet.scenario import (make_scenario, make_signal, random_directions, scale_to_snr,
@@ -71,60 +69,61 @@ class TestRuFamily:
         # X built from complement rows only, so X C_par^H = 0
         x = random_cmatrix(rng, 4, 5) @ f.c_perp
         x_l = random_cmatrix(rng, 4, 6)
-        assert glrgdd_ru(x, x_l, random_cmatrix(rng, 4, 2), c).value <= 1e-12
-        assert amgdd_ru(x, x_l, random_cmatrix(rng, 4, 2), c).value <= 1e-12
+        for kind in (DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU):
+            assert compute(kind, x, x_l, random_cmatrix(rng, 4, 2), c).value <= 1e-12
 
     def test_scalar_glr_case(self):
-        value = glrgdd_ru([[1.0]], [[1.0]], [[1.0]], [[1.0]]).value
+        value = compute(DetectorKind.GLRGDD_RU, [[1.0]], [[1.0]], [[1.0]], [[1.0]]).value
         assert value == pytest.approx(0.5, rel=1e-12)
 
     def test_scalar_two_step_case(self):
-        value = amgdd_ru([[1.0]], [[np.sqrt(2.0)]], [[1.0]], [[1.0]]).value
+        value = compute(DetectorKind.AMGDD_RU, [[1.0]], [[np.sqrt(2.0)]], [[1.0]], [[1.0]]).value
         assert value == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("regime", ["abundant", "lowsample"])
     def test_matches_explicit_inversion_oracle(self, regime):
         for inst in _instances(regime, 100, 10):
             td = transform_stack(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
-            glr = glrgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value
-            am = amgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value
+            glr = compute(DetectorKind.GLRGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
+            am = compute(DetectorKind.AMGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
             assert glr == pytest.approx(ru_glr_direct(td.x_par, td.s_plus, inst.a), rel=1e-8)
             assert am == pytest.approx(ru_am_direct(td.x_par, td.s_plus, inst.a), rel=1e-8)
 
     def test_bounded_strictly_below_one(self):
         for inst in _instances("lowsample", 101, 20):
-            assert glrgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value < 1.0 - 1e-12
+            value = compute(DetectorKind.GLRGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
+            assert value < 1.0 - 1e-12
 
 
 class TestGlrgdd:
     def test_zero_test_data_gives_zero(self):
         inst = next(_instances("abundant", 102, 1))
-        value = glrgdd(np.zeros_like(inst.x), inst.x_l, inst.a, inst.c).value
+        value = compute(DetectorKind.GLRGDD, np.zeros_like(inst.x), inst.x_l, inst.a, inst.c).value
         assert value <= 1e-12
 
     def test_scale_invariance(self):
         inst = next(_instances("abundant", 103, 1))
-        base = glrgdd(inst.x, inst.x_l, inst.a, inst.c).value
+        base = compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c).value
         for c in (0.5, 2.0 + 1.0j, 300.0):
-            scaled = glrgdd(c * inst.x, c * inst.x_l, inst.a, inst.c).value
+            scaled = compute(DetectorKind.GLRGDD, c * inst.x, c * inst.x_l, inst.a, inst.c).value
             assert abs(scaled - base) <= 1e-10 * (1.0 + abs(base))
 
     def test_monotone_map_to_ru_statistic(self):
         for inst in _instances("abundant", 104, 20):
-            t_full = glrgdd(inst.x, inst.x_l, inst.a, inst.c).value
-            t_ru = glrgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value
+            t_full = compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c).value
+            t_ru = compute(DetectorKind.GLRGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
             assert abs(t_full - t_ru / (1.0 - t_ru)) <= 1e-8 * (1.0 + t_full)
 
     def test_matches_raw_whitened_form(self):
         for inst in _instances("abundant", 105, 10):
-            ours = glrgdd(inst.x, inst.x_l, inst.a, inst.c).value
+            ours = compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c).value
             reference = glrgdd_raw_form(inst.x, inst.x_l, inst.a, inst.c)
             assert ours == pytest.approx(reference, rel=1e-8)
 
     def test_requires_sample_abundance(self):
         inst = next(_instances("lowsample", 106, 1))
         with pytest.raises(ValueError, match="GLRGDD requires L >= N"):
-            glrgdd(inst.x, inst.x_l, inst.a, inst.c)
+            compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c)
 
     def test_ill_conditioned_square_instance_matches_mpmath(self):
         # `adaptdet verify --seed 10` instance 99 of stream layout 4: square,
@@ -142,41 +141,43 @@ class TestGlrgdd:
     def test_zero_training_row_is_a_singular_scm(self):
         inst = next(_instances("abundant", 120, 1))
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
-            glrgdd(inst.x, _zero_training_row(inst), inst.a, inst.c)
+            compute(DetectorKind.GLRGDD, inst.x, _zero_training_row(inst), inst.a, inst.c)
 
 
 class TestAmgdd:
     def test_zero_test_data_gives_zero(self):
         inst = next(_instances("abundant", 107, 1))
-        assert amgdd(np.zeros_like(inst.x), inst.x_l, inst.a, inst.c).value <= 1e-12
+        value = compute(DetectorKind.AMGDD, np.zeros_like(inst.x), inst.x_l, inst.a, inst.c).value
+        assert value <= 1e-12
 
     def test_square_subspace_equals_ru_variant(self):
         for inst in _instances("square", 108, 10):
-            classic = amgdd(inst.x, inst.x_l, inst.a, inst.c).value
-            ru = amgdd_ru(inst.x, inst.x_l, inst.a, inst.c).value
+            classic = compute(DetectorKind.AMGDD, inst.x, inst.x_l, inst.a, inst.c).value
+            ru = compute(DetectorKind.AMGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
             assert abs(classic - ru) <= 1e-12 * max(1.0, abs(ru))
 
     def test_matches_projection_form(self):
         for inst in _instances("abundant", 109, 10):
-            ours = amgdd(inst.x, inst.x_l, inst.a, inst.c).value
+            ours = compute(DetectorKind.AMGDD, inst.x, inst.x_l, inst.a, inst.c).value
             reference = amgdd_projection_form(inst.x, inst.x_l, inst.a, inst.c)
             assert ours == pytest.approx(reference, rel=1e-8)
 
     def test_requires_sample_abundance(self):
         inst = next(_instances("lowsample", 110, 1))
         with pytest.raises(ValueError, match="AMGDD requires L >= N"):
-            amgdd(inst.x, inst.x_l, inst.a, inst.c)
+            compute(DetectorKind.AMGDD, inst.x, inst.x_l, inst.a, inst.c)
 
     def test_zero_training_row_is_a_singular_scm(self):
         inst = next(_instances("abundant", 121, 1))
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
-            amgdd(inst.x, _zero_training_row(inst), inst.a, inst.c)
+            compute(DetectorKind.AMGDD, inst.x, _zero_training_row(inst), inst.a, inst.c)
 
 
 class TestBoseGlrt:
     def test_equals_ru_statistic_without_training_data(self):
         for inst in _instances("notraining", 111, 10):
-            direct = bose_glrt(inst.x, inst.a, inst.c).value
+            direct = compute(DetectorKind.BOSE_GLRT, inst.x, np.zeros((inst.n, 0)),
+                             inst.a, inst.c).value
             via_ru = compute(DetectorKind.GLRGDD_RU, inst.x,
                              np.zeros((inst.n, 0), complex), inst.a, inst.c).value
             assert abs(direct - via_ru) <= 1e-12 * max(1.0, via_ru)
@@ -187,20 +188,20 @@ class TestBoseGlrt:
         f = factor_waveform_subspace(c)
         x = random_cmatrix(rng, 3, 6) @ f.c_perp
         a = random_cmatrix(rng, 3, 2)
-        assert bose_glrt(x, a, c).value <= 1e-12
+        assert compute(DetectorKind.BOSE_GLRT, x, np.zeros((3, 0)), a, c).value <= 1e-12
 
     def test_boundary_dimension_is_finite(self):
         # K = M + N exactly: the virtual SCM has just enough columns
         inst = _philox_instance("notraining", 112)
         x = inst.x[:, :inst.m + inst.n]
         c = inst.c[:, :inst.m + inst.n]
-        value = bose_glrt(x, inst.a, c).value
+        value = compute(DetectorKind.BOSE_GLRT, x, np.zeros((inst.n, 0)), inst.a, c).value
         assert np.isfinite(value) and 0.0 <= value < 1.0
 
     def test_rejects_small_test_data(self):
         inst = next(_instances("square", 113, 1))
         with pytest.raises(ValueError, match=r"BOSE_GLRT requires K >= M\+N"):
-            bose_glrt(inst.x, inst.a, inst.c)
+            compute(DetectorKind.BOSE_GLRT, inst.x, np.zeros((inst.n, 0)), inst.a, inst.c)
 
 
 class TestAppendixIdentities:
@@ -252,16 +253,12 @@ class TestComputeDispatcher:
         with pytest.raises(ValueError, match="dimension mismatch"):
             compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c[:, 1:])
 
-    @pytest.mark.parametrize("entry", ["named", "compute", "evaluate"])
+    @pytest.mark.parametrize("entry", ["compute", "evaluate"])
     @pytest.mark.parametrize("kind", list(DetectorKind))
     def test_refuses_an_invalid_spatial_subspace(self, kind, entry):
-        # every kind's own constraint holds in both cases, and every
-        # per-instance entry point validates
-        named = {DetectorKind.GLRGDD_RU: glrgdd_ru, DetectorKind.AMGDD_RU: amgdd_ru,
-                 DetectorKind.GLRGDD: glrgdd, DetectorKind.AMGDD: amgdd,
-                 DetectorKind.BOSE_GLRT: lambda x, x_l, a, c: bose_glrt(x, a, c)}[kind]
-        call = {"named": named,
-                "compute": lambda *data: compute(kind, *data),
+        # every kind's own constraint holds in both cases, and both
+        # per-instance entry points validate
+        call = {"compute": lambda *data: compute(kind, *data),
                 "evaluate": lambda *data: evaluate([kind], *data)}[entry]
         rng = np.random.default_rng(23)
         x, x_l, c = (random_cmatrix(rng, *shape) for shape in ((2, 6), (2, 4), (2, 6)))
@@ -357,6 +354,6 @@ class TestEvaluate:
 
         monkeypatch.setattr(adaptdet.detectors, "transform_stack", counted)
         assert run_verification(seed=seed, instance_count=count).passed
-        glrgdd = sum(DetectorKind.GLRGDD in inst.valid_kinds()
-                     for _, inst in instance_stream(seed, count))
-        assert 0 < len(calls) <= 4 * count + glrgdd
+        classic = sum(DetectorKind.GLRGDD in inst.valid_kinds()
+                      for _, inst in instance_stream(seed, count))
+        assert 0 < len(calls) <= 4 * count + classic

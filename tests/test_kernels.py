@@ -115,15 +115,15 @@ def test_glr_statistics_stay_accurate_near_their_bound(snr_db):
     values = _kernel_values(st, c)[:, 0]
     ulp = 2.0 ** -52
     for t in range(values.shape[0]):
-        t_ru, glrgdd = mp_glr_pair(td.x_par[t], td.s_plus[t], _SCENARIO.A, c[0])
+        t_ru, t_full = mp_glr_pair(td.x_par[t], td.s_plus[t], _SCENARIO.A, c[0])
         t_bose, _ = mp_glr_pair(td.x_par[t], td.s_perp[t], _SCENARIO.A, c[0])
-        amgdd_ru = mp_two_step(td.x_par[t], td.s_plus[t], _SCENARIO.A, c[0])
-        amgdd = mp_two_step(td.x_par[t], td.s_train[t], _SCENARIO.A, c[0])
+        t_am_ru = mp_two_step(td.x_par[t], td.s_plus[t], _SCENARIO.A, c[0])
+        t_am = mp_two_step(td.x_par[t], td.s_train[t], _SCENARIO.A, c[0])
         assert abs(values[t, 0] - t_ru) <= 2 * ulp
         assert abs(values[t, 2] - t_bose) <= 2 * ulp
-        assert abs(values[t, 3] - glrgdd) <= 1e-12 * glrgdd
-        assert abs(values[t, 1] - amgdd_ru) <= 1e-12 * amgdd_ru
-        assert abs(values[t, 4] - amgdd) <= 1e-12 * amgdd
+        assert abs(values[t, 3] - t_full) <= 1e-12 * t_full
+        assert abs(values[t, 1] - t_am_ru) <= 1e-12 * t_am_ru
+        assert abs(values[t, 4] - t_am) <= 1e-12 * t_am
 
 
 @pytest.mark.parametrize("j", [1, 3])

@@ -11,9 +11,8 @@ from adaptdet import kernels, montecarlo, scenario, verify
 from adaptdet.detectors import DetectorKind, compute, evaluate, statistics
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
 from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_SIGNAL, _coefficients,
-                                 calibrate_threshold, cfar_check, estimate_pd, pd_curve,
-                                 pd_curves, replay_trial, simulate_statistics,
-                                 threshold_from_h0)
+                                 calibrate_thresholds, cfar_check, estimate_pd, pd_curves,
+                                 replay_trial, simulate_statistics, threshold_from_h0)
 from adaptdet.scenario import (make_scenario, make_signal, random_directions, random_subspaces,
                                scale_to_snr, toeplitz_covariance)
 from adaptdet.transform import transform_stack
@@ -305,23 +304,31 @@ class TestStreamLayout:
 
     @pytest.mark.parametrize("seed, domain, message", [
         (-5, DOMAIN_NULL, "seed must be >= 0, got -5"),
-        (5, -1, "domain must be >= 0, got -1"),
+        (5, -1, r"domain must be DOMAIN_NULL \(0\) or DOMAIN_SIGNAL \(1\), got -1"),
     ], ids=["seed", "domain"])
     def test_replay_refuses_a_negative_key(self, seed, domain, message):
         with pytest.raises(ValueError, match=message):
             replay_trial(_scenario(), seed, domain, BLOCK_TRIALS)
+
+    @pytest.mark.parametrize("domain", [scenario.SUBSPACES, scenario.DIRECTIONS,
+                                        scenario.VERIFY_INSTANCE, scenario.VERIFY_TRANSFORM])
+    def test_replay_refuses_a_domain_the_engine_does_not_draw(self, domain):
+        # another purpose's stream colored as noise would pass for an engine trial
+        with pytest.raises(ValueError, match=r"domain must be DOMAIN_NULL \(0\) or "
+                                             rf"DOMAIN_SIGNAL \(1\), got {domain}$"):
+            replay_trial(make_scenario(12, 16, 3, 2, 14, seed=1), 5, domain, 0)
 
 
 class TestCalibration:
     def test_refuses_tiny_false_alarm_budget(self):
         sc = _scenario()
         with pytest.raises(ValueError, match="calibration refused"):
-            calibrate_threshold(sc, RU, 1e-3, 1000, seed=1)
+            calibrate_thresholds(sc, [RU], 1e-3, 1000, seed=1)
 
     def test_bitwise_deterministic(self):
         sc = _scenario()
-        first = calibrate_threshold(sc, RU, 0.05, 600, seed=2)
-        second = calibrate_threshold(sc, RU, 0.05, 600, seed=2)
+        first = calibrate_thresholds(sc, [RU], 0.05, 600, seed=2)[RU]
+        second = calibrate_thresholds(sc, [RU], 0.05, 600, seed=2)[RU]
         assert first.threshold == second.threshold
 
     def test_threads_do_not_change_results(self):
@@ -375,7 +382,7 @@ class TestCalibration:
     def test_exactly_m_calibration_exceedances(self):
         sc = _scenario()
         trials, pfa = 500, 0.08
-        cal = calibrate_threshold(sc, RU, pfa, trials, seed=5)
+        cal = calibrate_thresholds(sc, [RU], pfa, trials, seed=5)[RU]
         stats = simulate_statistics(sc, [RU], trials, seed=5)[:, 0]
         assert np.count_nonzero(stats > cal.threshold) == round(trials * pfa)
 
@@ -398,7 +405,7 @@ class TestEstimatePd:
 
     def test_saturates_at_high_snr(self):
         sc = _scenario()
-        cal = calibrate_threshold(sc, RU, 0.05, 600, seed=7)
+        cal = calibrate_thresholds(sc, [RU], 0.05, 600, seed=7)[RU]
         assert estimate_pd(sc, RU, cal.threshold, 60.0, 400, seed=7) == 1.0
 
     def test_zero_signal_reduces_to_false_alarm_rate(self):
@@ -406,7 +413,7 @@ class TestEstimatePd:
         # point, evaluated block by block through the engine's own block code
         sc = _scenario()
         pfa, trials = 0.05, 4000
-        cal = calibrate_threshold(sc, RU, pfa, 4000, seed=8)
+        cal = calibrate_thresholds(sc, [RU], pfa, 4000, seed=8)[RU]
         workspace = montecarlo._workspace(sc, BLOCK_TRIALS)
         noise = []
         for block, lo in enumerate(range(0, trials, BLOCK_TRIALS)):
@@ -420,7 +427,7 @@ class TestEstimatePd:
     def test_empirical_pfa_on_fresh_noise(self):
         sc = _scenario()
         pfa, trials = 0.05, 4000
-        cal = calibrate_threshold(sc, RU, pfa, trials, seed=9)
+        cal = calibrate_thresholds(sc, [RU], pfa, trials, seed=9)[RU]
         # independent H0 draws: those of another seed
         fresh = simulate_statistics(sc, [RU], trials, seed=10)
         pfa_emp = np.count_nonzero(fresh[:, 0] > cal.threshold) / trials
@@ -439,7 +446,7 @@ class TestPdCurves:
             return block_noise(seed, domain, *args)
 
         monkeypatch.setattr(montecarlo, "_block_noise", counted)
-        assert pd_curve(_scenario(), RU, [], 0.05, 600, 1000, seed=1).points == ()
+        assert pd_curves(_scenario(), [RU], [], 0.05, 600, 1000, seed=1)[RU].points == ()
         assert blocks == [DOMAIN_NULL] * 3
         stats = simulate_statistics(_scenario(), ALL, 1000, seed=1, snr_db=())
         assert stats.shape == (1000, 0, len(ALL))
@@ -448,19 +455,19 @@ class TestPdCurves:
     def test_rejects_non_increasing_grid(self):
         sc = _scenario()
         with pytest.raises(ValueError, match="strictly increasing"):
-            pd_curve(sc, RU, [3.0, 3.0], 0.05, 600, 100, seed=11)
+            pd_curves(sc, [RU], [3.0, 3.0], 0.05, 600, 100, seed=11)
         # refused before any draw, not as non-finite coefficients after calibration
         for grid in ([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]):
             with pytest.raises(ValueError, match="SNR grid must be finite"):
-                pd_curve(sc, RU, grid, 0.05, 600, 100, seed=11)
+                pd_curves(sc, [RU], grid, 0.05, 600, 100, seed=11)
 
     def test_rejects_empty_pd_budget(self):
         with pytest.raises(ValueError, match="pd_trials must be >= 1, got 0"):
-            pd_curve(_scenario(), RU, [0.0], 0.05, 600, 0, seed=11)
+            pd_curves(_scenario(), [RU], [0.0], 0.05, 600, 0, seed=11)
 
     def test_pd_values_are_exact_trial_ratios(self):
         sc = _scenario()
-        curve = pd_curve(sc, RU, [0.0, 8.0, 16.0], 0.05, 600, 250, seed=12)
+        curve = pd_curves(sc, [RU], [0.0, 8.0, 16.0], 0.05, 600, 250, seed=12)[RU]
         for _, pd in curve.points:
             assert pd * 250 == pytest.approx(round(pd * 250), abs=1e-9)
 
@@ -469,7 +476,7 @@ class TestPdCurves:
         grid = [-5.0, 5.0, 15.0, 25.0]
         total = np.zeros(len(grid))
         for seed in (13, 14, 15):
-            curve = pd_curve(sc, RU, grid, 0.05, 800, 400, seed=seed)
+            curve = pd_curves(sc, [RU], grid, 0.05, 800, 400, seed=seed)[RU]
             total += [pd for _, pd in curve.points]
         averaged = total / 3
         assert np.all(np.diff(averaged) >= 0.0)
@@ -478,12 +485,13 @@ class TestPdCurves:
         sc = _scenario()
         grid = [5.0, 15.0]
         joint = pd_curves(sc, ALL, grid, 0.05, 600, 300, seed=16)
-        single = pd_curve(sc, DetectorKind.BOSE_GLRT, grid, 0.05, 600, 300, seed=16)
-        assert joint[DetectorKind.BOSE_GLRT].points == single.points
+        bose = DetectorKind.BOSE_GLRT
+        single = pd_curves(sc, [bose], grid, 0.05, 600, 300, seed=16)[bose]
+        assert joint[bose].points == single.points
 
     def test_estimate_pd_is_the_curve_value_at_its_snr(self):
         sc = _scenario()
-        curve = pd_curve(sc, RU, [0.0, 6.0, 12.0], 0.05, 600, 600, seed=23)
+        curve = pd_curves(sc, [RU], [0.0, 6.0, 12.0], 0.05, 600, 600, seed=23)[RU]
         for snr, pd in curve.points:
             assert estimate_pd(sc, RU, curve.threshold_used, snr, 600, seed=23) == pd
 
@@ -589,9 +597,9 @@ class TestPdCurves:
                                                 + re.escape(repr(snr))):
                 simulate_statistics(sc, [RU], 10, seed=0, snr_db=snr)
         with pytest.raises(TypeError, match=r"SNR grid must be a sequence of numbers, got 6\.0"):
-            pd_curve(sc, RU, 6.0, 0.05, 600, 100, seed=0)
+            pd_curves(sc, [RU], 6.0, 0.05, 600, 100, seed=0)
 
-    def test_pd_curve_calls_the_engine_through_its_module_attribute(self, monkeypatch):
+    def test_pd_curves_calls_the_engine_through_its_module_attribute(self, monkeypatch):
         # a wrapper on montecarlo.simulate_statistics (as a benchmark installs
         # to time each call) sees the calibration pass and the H1 pass
         calls = []
@@ -602,7 +610,7 @@ class TestPdCurves:
             return engine(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "simulate_statistics", observed)
-        pd_curve(_scenario(), RU, [0.0, 6.0], 0.05, 600, 100, seed=2)
+        pd_curves(_scenario(), [RU], [0.0, 6.0], 0.05, 600, 100, seed=2)
         assert calls == [None, (0.0, 6.0)]
 
 
@@ -642,7 +650,7 @@ class TestExactNullLaw:
         sc = make_scenario(*dims, rho=0.9, seed=31)
         law = self._law(dims, kind)
         lo, hi = law.ppf(stats.beta(n - m, m + 1).ppf([0.0005, 0.9995]))
-        threshold = calibrate_threshold(sc, kind, self.PFA, n, self.SEED).threshold
+        threshold = calibrate_thresholds(sc, [kind], self.PFA, n, self.SEED)[kind].threshold
         assert lo <= threshold <= hi
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 
 import adaptdet
-from adaptdet.scenario import (Scenario, complex_gaussian, make_scenario, make_signal,
-                               random_directions, random_subspaces, scale_to_snr, snr_of,
-                               toeplitz_covariance)
+from adaptdet.detectors import DetectorKind
+from adaptdet.montecarlo import replay_trial, simulate_statistics
+from adaptdet.scenario import (DOMAIN_NULL, Scenario, complex_gaussian, make_scenario,
+                               make_signal, random_directions, random_subspaces, scale_to_snr,
+                               snr_of, toeplitz_covariance)
+from adaptdet.verify import instance_stream
 
 from oracles import dagger, random_cmatrix
 
@@ -225,6 +229,25 @@ class TestScenarioValidation:
     def test_random_directions_refuse_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             random_directions(2, 2, -1)
+
+    @pytest.mark.parametrize("entry", [
+        lambda seed: make_scenario(4, 8, 2, 2, 6, seed=seed),
+        lambda seed: random_subspaces(2, 1, 1, 4, seed=seed),
+        lambda seed: random_directions(2, 2, seed),
+        lambda seed: simulate_statistics(_small_scenario(), [DetectorKind.GLRGDD_RU], 10, seed),
+        lambda seed: simulate_statistics(_small_scenario(), [DetectorKind.GLRGDD_RU], 10, seed,
+                                         snr_db=[6.0]),
+        lambda seed: replay_trial(_small_scenario(), seed, DOMAIN_NULL, 3),
+        lambda seed: next(instance_stream(seed, 1)),
+    ], ids=["make_scenario", "random_subspaces", "random_directions", "simulate_statistics",
+            "simulate_statistics_grid", "replay_trial", "instance_stream"])
+    def test_seeded_entries_refuse_a_non_integer_seed(self, entry):
+        # int() would truncate 2.9 to seed 2 and run seed 2's streams
+        for seed in (2.9, 1.0, np.float64(1.7)):
+            message = re.escape(f"seed must be an integer, got {seed!r}")
+            with pytest.raises(TypeError, match=message):
+                entry(seed)
+        entry(np.int64(2))
 
     def test_directions_are_unit_norm_and_deterministic(self):
         d1 = random_directions(3, 2, 9)

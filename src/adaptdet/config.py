@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .detectors import DetectorKind
+from .detectors import DetectorKind, kind_list
 from .errors import ConfigError
 from .montecarlo import _check_calibration_budget, _check_grid
-from .scenario import Scenario, check_dimensions, make_scenario
+from .scenario import Scenario, check_dimensions, check_integer, make_scenario
 
 __all__ = ["ExperimentConfig", "parse_config", "format_config", "build_scenario",
            "DESK_SCALE", "PAPER_SCALE"]
@@ -43,7 +43,7 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, master_seed=int(seed))
+        return replace(self, master_seed=check_integer(seed, "seed"))
 
 
 class _Key(NamedTuple):
@@ -145,21 +145,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig) -> None:
     try:
-        check_dimensions(cfg.N, cfg.K, cfg.M, cfg.J, cfg.L, cfg.detectors)
+        check_dimensions(cfg.N, cfg.K, cfg.M, cfg.J, cfg.L, kind_list(cfg.detectors))
         _check_grid(cfg.snr_grid_db)
-        _check_calibration_budget(cfg.pfa, cfg.calib_trials)
+        _check_calibration_budget(cfg.pfa, cfg.calib_trials)  # implies calib_trials > 20
+        check_integer(cfg.pd_trials, "pd_trials", 1)
+        check_integer(cfg.master_seed, "master_seed")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not 0.0 <= cfg.rho < 1.0:
         raise ConfigError(f"rho must lie in [0, 1), got {cfg.rho}")
-    if cfg.calib_trials < 1 or cfg.pd_trials < 1:
-        raise ConfigError("calib_trials and pd_trials must be positive")
-    if cfg.master_seed < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
-    if not cfg.detectors:
-        raise ConfigError("empty detector list")
-    if len(set(cfg.detectors)) != len(cfg.detectors):
-        raise ConfigError("duplicate detector in list")
 
 
 def format_config(cfg: ExperimentConfig) -> str:

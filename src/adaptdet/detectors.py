@@ -98,11 +98,17 @@ class Statistic:
 
 
 def kind_list(kinds) -> list[DetectorKind]:
-    """The `kinds` argument of an entry that takes several, as a list."""
+    """The one kinds-list rule: `kinds` as a list; a lone kind, [] or a repeat is refused."""
     if isinstance(kinds, DetectorKind):
         raise TypeError(f"kinds must be a list of detector kinds, got {kinds} alone: "
                         f"pass [{kinds}]")
-    return list(kinds)
+    kinds = list(kinds)
+    if not kinds:
+        raise ValueError("empty detector list")
+    # compared, not hashed: an entry that is no kind is left to check_dimensions
+    if any(kind in kinds[:i] for i, kind in enumerate(kinds)):
+        raise ValueError("duplicate detector in list")
+    return kinds
 
 
 def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray,

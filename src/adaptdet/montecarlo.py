@@ -65,8 +65,8 @@ from . import kernels
 from .detectors import DetectorKind, kind_list, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
-from .scenario import (DOMAIN_NULL, DOMAIN_SIGNAL, STREAM_VERSION, Scenario,
-                       check_dimensions, check_seed, random_directions, scale_to_snr,
+from .scenario import (_SQRT_HALF, DOMAIN_NULL, DOMAIN_SIGNAL, STREAM_VERSION, Scenario,
+                       check_dimensions, check_integer, random_directions, scale_to_snr,
                        stream)
 from .transform import (TransformedData, signal_coefficient, transform_size,
                         transform_stack)
@@ -76,7 +76,6 @@ __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
            "cfar_check", "replay_trial"]
 
 BLOCK_TRIALS = 256
-_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,6 @@ class CalibrationResult:
     threshold: float
     seed: int
 
-    def __post_init__(self):
-        _check_calibration_budget(self.pfa_target, self.trials)
-
 
 @dataclass(frozen=True)
 class PdCurve:
@@ -98,11 +94,6 @@ class PdCurve:
     trials_per_point: int
     threshold_used: float
     seed: int
-
-    def __post_init__(self):
-        _check_grid([snr for snr, _ in self.points])
-        if any(not 0.0 <= pd <= 1.0 for _, pd in self.points):
-            raise ValueError("pd values must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -163,12 +154,14 @@ def replay_trial(scenario: Scenario, seed: int, domain: int,
     this noise at every grid point, with the point's signal added to X.
     Another domain is another purpose's stream, not engine noise: refused.
     """
-    if domain not in (DOMAIN_NULL, DOMAIN_SIGNAL):
+    try:  # 1.0 == DOMAIN_SIGNAL, but is no stream key
+        engine = check_integer(domain, "domain") in (DOMAIN_NULL, DOMAIN_SIGNAL)
+    except (TypeError, ValueError):
+        engine = False
+    if not engine:
         raise ValueError(f"domain must be DOMAIN_NULL ({DOMAIN_NULL}) or "
                          f"DOMAIN_SIGNAL ({DOMAIN_SIGNAL}), got {domain}")
-    if trial < 0:
-        raise ValueError(f"trial must be >= 0, got {trial}")
-    block, row = divmod(int(trial), BLOCK_TRIALS)
+    block, row = divmod(check_integer(trial, "trial"), BLOCK_TRIALS)
     noise = _noise_block(scenario, seed, domain, block, row + 1,
                          *_workspace(scenario, row + 1))[row]
     return noise[:, :scenario.K].copy(), noise[:, scenario.K:].copy()
@@ -211,14 +204,10 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     trial whose statistics are not all finite.
     """
     kinds = kind_list(kinds)
-    if not kinds:
-        raise ValueError("empty detector list")
     check_dimensions(scenario.N, scenario.K, scenario.M, scenario.J, scenario.L, kinds)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    check_seed(seed)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    trials = check_integer(trials, "trials")
+    check_integer(seed, "seed")
+    threads = check_integer(threads, "threads", 1)
     k = scenario.K
     if snr_db is None:
         domain, c, names = DOMAIN_NULL, kernels.no_signal(scenario.J, scenario.M), []
@@ -329,8 +318,7 @@ def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
     threshold.  A non-finite threshold is refused, since a NaN one would
     read as pd 0.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = check_integer(trials, "trials", 1)
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     stats = simulate_statistics(scenario, [kind], trials, seed, snr_db=[snr_db],
@@ -359,8 +347,7 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
     all grid points, so curve differences reflect the detectors rather than
     the draws, and each point's pd is that of :func:`estimate_pd` at its SNR.
     """
-    if pd_trials < 1:
-        raise ValueError(f"pd_trials must be >= 1, got {pd_trials}")
+    pd_trials = check_integer(pd_trials, "pd_trials", 1)
     kinds = kind_list(kinds)
     grid = _check_grid(snr_grid_db)
     cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, seed,
@@ -393,8 +380,8 @@ def cfar_check(scenario: Scenario, r_alt, kind: DetectorKind, pfa: float,
     of scenario.R the statistics are identical up to rounding and the check
     is near-deterministic.
     """
+    alt = replace(scenario, R=as_cmatrix(r_alt, "r_alt"))  # refused before calibrating
     cal = calibrate_thresholds(scenario, [kind], pfa, trials, seed, threads=threads)[kind]
-    alt = replace(scenario, R=as_cmatrix(r_alt, "r_alt"))
     stats = simulate_statistics(alt, [kind], trials, seed, threads=threads)
     pfa_emp = float(np.count_nonzero(stats[:, 0] > cal.threshold)) / trials
     sigma = float(np.sqrt(pfa * (1.0 - pfa) / trials))

@@ -26,7 +26,7 @@ __all__ = [
     "Scenario",
     "SignalCoordinates",
     "check_dimensions",
-    "check_seed",
+    "check_integer",
     "stream",
     "toeplitz_covariance",
     "random_subspaces",
@@ -38,7 +38,7 @@ __all__ = [
     "make_scenario",
 ]
 
-_SQRT_HALF = np.sqrt(0.5)
+_SQRT_HALF = np.sqrt(0.5)  # CN(0, 1) scaling of complex_gaussian and the engine's block draw
 _MAX_RANK_RETRIES = 100
 
 STREAM_VERSION = 5
@@ -52,7 +52,7 @@ VERIFY_TRANSFORM = 5  # verify instance i's invariance transforms
 
 def stream(seed: int, purpose: int, *index: int) -> np.random.Generator:
     """The stream of (seed, purpose, *index): the one place that seeds a draw."""
-    key = np.random.SeedSequence(check_seed(seed), spawn_key=(purpose, *index))
+    key = np.random.SeedSequence(check_integer(seed, "seed"), spawn_key=(purpose, *index))
     return np.random.Generator(np.random.SFC64(key))
 
 
@@ -80,17 +80,17 @@ def check_dimensions(n: int, k: int, m: int, j: int, l: int, kinds=()) -> None:
         raise ValueError(f"L+K={l + k} < M+N={m + n}")
 
 
-def check_seed(seed) -> int:
-    """An int seed of a public entry; refused here when negative, since numpy's
-    SeedSequence refuses it without naming the argument, and when not an
-    integer, which would otherwise be truncated to another seed's stream."""
+def check_integer(value, name: str, low: int = 0) -> int:
+    """The one rule for a seed, count or index of a public entry: refused,
+    naming it, when below `low` or not an integer, which would otherwise be
+    truncated (seed 2.9 to seed 2's stream, trial 2.9 to trial 2)."""
     try:
-        seed = operator.index(seed)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _check_subspace_dimensions(n: int, k: int, m: int, j: int) -> None:

@@ -29,7 +29,7 @@ from .detectors import DetectorKind, appendix_identities, evaluate
 from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
 from .scenario import (VERIFY_INSTANCE, VERIFY_TRANSFORM, Scenario, _draw_full_rank,
-                       _draw_subspaces, check_seed, complex_gaussian, make_signal,
+                       _draw_subspaces, check_integer, complex_gaussian, make_signal,
                        scale_to_snr, stream, toeplitz_covariance)
 
 __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
@@ -110,7 +110,7 @@ def random_instance(regime: str, rng: np.random.Generator) -> Instance:
 def instance_stream(seed: int, count: int, regimes=REGIMES):
     """Yield (index, Instance) pairs cycling through the regimes; instance i
     is drawn from ``stream(seed, VERIFY_INSTANCE, i)``."""
-    for idx in range(count):
+    for idx in range(check_integer(count, "count")):
         yield idx, random_instance(regimes[idx % len(regimes)],
                                    stream(seed, VERIFY_INSTANCE, idx))
 
@@ -168,9 +168,8 @@ class VerificationReport:
 
 def run_verification(seed: int = 20260810, instance_count: int = 500) -> VerificationReport:
     """Run every check suite over `instance_count` random instances."""
-    check_seed(seed)
-    if instance_count < 0:
-        raise ValueError(f"instance_count must be >= 0, got {instance_count}")
+    check_integer(seed, "seed")
+    instance_count = check_integer(instance_count, "instance_count")
     suites = {
         "identities": CheckSuite("identities"),
         "monotone_map": CheckSuite("monotone map GLRGDD = t/(1-t) of GLRGDD-RU"),

@@ -172,6 +172,13 @@ class TestParseConfig:
         ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, nan", "SNR grid must be finite"),
         ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, inf", "SNR grid must be finite"),
         ("pfa = 0.05", "pfa = 1.5", r"pfa must lie in \(0, 1\)"),
+        # the library's own rules (check_integer, kind_list), as config errors
+        ("pd_trials = 200", "pd_trials = 0", "pd_trials must be >= 1, got 0"),
+        ("pd_trials = 200", "pd_trials = 2.9", "pd_trials must be an integer, got '2.9'"),
+        ("master_seed = 7", "master_seed = -1", "master_seed must be >= 0, got -1"),
+        ("master_seed = 7", "master_seed = 1.0", "master_seed must be an integer, got '1.0'"),
+        ("calib_trials = 600", "calib_trials = 0", "calibration refused"),
+        ("BOSE_GLRT", "GLRGDD_RU", "duplicate detector in list"),
     ])
     def test_engine_run_rules_checked_at_parse_time(self, old, new, message):
         with pytest.raises(ConfigError, match=message):

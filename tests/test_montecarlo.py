@@ -318,6 +318,14 @@ class TestStreamLayout:
                                              rf"DOMAIN_SIGNAL \(1\), got {domain}$"):
             replay_trial(make_scenario(12, 16, 3, 2, 14, seed=1), 5, domain, 0)
 
+    @pytest.mark.parametrize("domain", [1.0, 0.0, np.float64(1.0), 2.9, "1"],
+                             ids=["1.0", "0.0", "float64", "2.9", "str"])
+    def test_replay_refuses_a_non_integer_domain(self, domain):
+        # 1.0 == DOMAIN_SIGNAL, but numpy would refuse it as a spawn key
+        with pytest.raises(ValueError, match=r"domain must be DOMAIN_NULL \(0\) or "
+                                             rf"DOMAIN_SIGNAL \(1\), got {domain}$"):
+            replay_trial(_scenario(), 5, domain, 0)
+
 
 class TestCalibration:
     def test_refuses_tiny_false_alarm_budget(self):
@@ -370,9 +378,34 @@ class TestCalibration:
                                             r"\[DetectorKind\.GLRGDD_RU\]"):
             entry(_scenario(), RU)
 
+    @pytest.mark.parametrize("kinds, message", [
+        ([], "empty detector list"),
+        ([RU, DetectorKind.AMGDD_RU, RU], "duplicate detector in list"),
+    ], ids=["empty", "repeated"])
+    @pytest.mark.parametrize("entry", [
+        lambda sc, data, kinds: evaluate(kinds, *data, sc.A, sc.C),
+        lambda sc, data, kinds: simulate_statistics(sc, kinds, 10, seed=0),
+        lambda sc, data, kinds: montecarlo.calibrate_thresholds(sc, kinds, 0.05, 600, seed=0),
+        lambda sc, data, kinds: pd_curves(sc, kinds, [0.0], 0.05, 600, 100, seed=0),
+    ], ids=["evaluate", "simulate_statistics", "calibrate_thresholds", "pd_curves"])
+    def test_one_kinds_list_rule(self, monkeypatch, entry, kinds, message):
+        # detectors.kind_list is the one place for it, and it refuses before any draw
+        sc = _scenario()
+        data = replay_trial(sc, 0, DOMAIN_NULL, 0)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("drew a block before checking the kinds")
+
+        monkeypatch.setattr(montecarlo, "_block_noise", refused)
+        with pytest.raises(ValueError, match=message):
+            entry(sc, data, kinds)
+
     def test_refuses_a_detector_kind_given_by_name(self):
         with pytest.raises(TypeError, match="DetectorKind members, got 'GLRGDD_RU'"):
             pd_curves(_scenario(), ["GLRGDD_RU"], [0.0], 0.05, 600, 100, seed=0)
+        # the repeat check must not hash an entry before the type check sees it
+        with pytest.raises(TypeError, match=r"DetectorKind members, got \['GLRGDD_RU'\]"):
+            pd_curves(_scenario(), [["GLRGDD_RU"]], [0.0], 0.05, 600, 100, seed=0)
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_rejects_thread_count_below_one(self, threads):
@@ -667,8 +700,14 @@ class TestExactSignalLaw:
     signal path against theory, not against a second formula for them.
     """
 
+    # nu = 1 is each kind's minimum sample support: (4, 4, 1, 1, 1) and
+    # (8, 8, 1, 1, 1) for the RU pair, K = M + N for Bose and L = N for the
+    # classical pair
     CASES = ([((4, 8, 1, 1, 6), kind) for kind in ALL]
-             + [((4, 4, 1, 1, 2), kind) for kind in (RU, DetectorKind.AMGDD_RU)])
+             + [(dims, kind) for dims in ((4, 4, 1, 1, 2), (4, 4, 1, 1, 1), (8, 8, 1, 1, 1))
+                for kind in (RU, DetectorKind.AMGDD_RU)]
+             + [((4, 5, 1, 1, 0), DetectorKind.BOSE_GLRT)]
+             + [((4, 5, 1, 1, 4), kind) for kind in (DetectorKind.AMGDD, DetectorKind.GLRGDD)])
     SNRS_DB, TRIALS, SEED = (2.0, 8.0), 4_000, 17
     NODES = 64
 
@@ -706,6 +745,19 @@ class TestExactSignalLaw:
 
 
 class TestCfar:
+    def test_refuses_a_bad_alternative_covariance_before_calibrating(self, monkeypatch):
+        calls = []
+        simulate = montecarlo.simulate_statistics
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_statistics", counted)
+        with pytest.raises(ValueError, match="R is not positive definite"):
+            cfar_check(_scenario(), np.ones((5, 5)), RU, 0.005, 4000, seed=17)
+        assert calls == []
+
     def test_same_covariance_hits_target_exactly(self):
         sc = _scenario()
         trials, pfa = 2000, 0.05

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import adaptdet
+from adaptdet import montecarlo, verify
+from adaptdet.config import ExperimentConfig
 from adaptdet.detectors import DetectorKind
-from adaptdet.montecarlo import replay_trial, simulate_statistics
+from adaptdet.montecarlo import estimate_pd, pd_curves, replay_trial, simulate_statistics
 from adaptdet.scenario import (DOMAIN_NULL, Scenario, complex_gaussian, make_scenario,
                                make_signal, random_directions, random_subspaces, scale_to_snr,
-                               snr_of, toeplitz_covariance)
-from adaptdet.verify import instance_stream
+                               snr_of, stream, toeplitz_covariance)
+from adaptdet.verify import instance_stream, run_verification
 
 from oracles import dagger, random_cmatrix
 
@@ -115,6 +117,32 @@ class TestMakeSignal:
 
 def _small_scenario(seed=5):
     return make_scenario(4, 6, 2, 2, 5, rho=0.5, seed=seed)
+
+
+_RU = DetectorKind.GLRGDD_RU
+_CONFIG = ExperimentConfig(N=4, K=6, M=2, J=2, L=5, rho=0.5, pfa=0.05, snr_grid_db=(6.0,),
+                           calib_trials=600, pd_trials=200, detectors=(_RU,), master_seed=7)
+
+# every integer argument of a public entry: (the entry called with it, its name, its least value)
+_INTEGER_ARGUMENTS = {
+    "stream_seed": (lambda v: stream(v, DOMAIN_NULL, 0), "seed", 0),
+    "simulate_statistics_seed": (lambda v: simulate_statistics(_small_scenario(), [_RU], 10, v),
+                                 "seed", 0),
+    "simulate_statistics_trials": (lambda v: simulate_statistics(_small_scenario(), [_RU], v, 1),
+                                   "trials", 0),
+    "simulate_statistics_threads": (
+        lambda v: simulate_statistics(_small_scenario(), [_RU], 10, 1, threads=v), "threads", 1),
+    "estimate_pd_trials": (lambda v: estimate_pd(_small_scenario(), _RU, 0.5, 6.0, v, 1),
+                           "trials", 1),
+    "pd_curves_pd_trials": (lambda v: pd_curves(_small_scenario(), [_RU], [6.0], 0.05, 600, v, 1),
+                            "pd_trials", 1),
+    "run_verification_seed": (lambda v: run_verification(v, 1), "seed", 0),
+    "run_verification_instance_count": (lambda v: run_verification(1, v), "instance_count", 0),
+    "instance_stream_count": (lambda v: list(instance_stream(1, v)), "count", 0),
+    "replay_trial_trial": (lambda v: replay_trial(_small_scenario(), 1, DOMAIN_NULL, v),
+                           "trial", 0),
+    "with_seed": (lambda v: _CONFIG.with_seed(v), "seed", 0),
+}
 
 
 class TestSnr:
@@ -249,6 +277,27 @@ class TestScenarioValidation:
                 entry(seed)
         entry(np.int64(2))
 
+    @pytest.mark.parametrize("case", list(_INTEGER_ARGUMENTS))
+    def test_integer_arguments_follow_one_rule(self, monkeypatch, case):
+        # truncation would run trial 2.9 as trial 2 and threads=2.5 as a thread
+        # count; each refusal comes before the first block or instance is drawn
+        entry, name, low = _INTEGER_ARGUMENTS[case]
+        draws = []
+        for module, attr in ((montecarlo, "_block_noise"), (verify, "random_instance")):
+            def counted(*args, _draw=getattr(module, attr), **kwargs):
+                draws.append(args)
+                return _draw(*args, **kwargs)
+            monkeypatch.setattr(module, attr, counted)
+        for value in (2.9, 1.0, np.float64(1.7)):
+            with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, "
+                                                          f"got {value!r}")):
+                entry(value)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {low}, "
+                                                       f"got {low - 1}")):
+            entry(low - 1)
+        assert draws == []
+        entry(np.int64(low))
+
     def test_directions_are_unit_norm_and_deterministic(self):
         d1 = random_directions(3, 2, 9)
         d2 = random_directions(3, 2, 9)
@@ -291,3 +340,37 @@ class TestStreamRegistry:
         assert sites == {("scenario.py", "stream", "SeedSequence"),
                          ("scenario.py", "stream", "SFC64"),
                          ("scenario.py", "stream", "Generator")}
+
+    @classmethod
+    def _integer_reads(cls, node, owner, params, found):
+        """(enclosing function, call) of every operator.index call below
+        `node`, and of every int() applied to a parameter of its function."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = child.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                name = getattr(child, "name", "<lambda>")
+                cls._integer_reads(child, f"{owner}.{name}" if owner else name, names, found)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr == "index"
+                        and getattr(func.value, "id", None) == "operator"):
+                    found.add((owner, "operator.index"))
+                if getattr(func, "id", None) == "int" and any(
+                        isinstance(arg, ast.Name) and arg.id in params for arg in child.args):
+                    found.add((owner, "int"))
+            elif isinstance(child, ast.ImportFrom) and child.module == "operator":
+                found.add((owner, "from operator import"))
+            cls._integer_reads(child, owner, params, found)
+        return found
+
+    def test_only_check_integer_reads_an_integer_argument(self):
+        # int() truncates: trial 2.9 would replay trial 2 and seed 2.9 run seed 2;
+        # the command line's parser alone reads decimal text
+        sites = set()
+        for path in sorted(Path(adaptdet.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            sites |= {(path.name, *site) for site in self._integer_reads(tree, None, set(), set())}
+        assert sites == {("scenario.py", "check_integer", "operator.index"),
+                         ("cli.py", "_int_at_least.parse", "int")}

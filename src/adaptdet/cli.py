@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage, config or file error, 2 verification failure,
 3 runtime numerical error (a singular covariance estimate or a non-finite
-statistic).  ``ADAPTDET_THREADS`` sets the default worker count.  Timing
-lives outside the package, in ``perfbench/``.
+statistic).  The output path and worker count come only from ``--out`` and
+``--threads``; nothing is read from the environment.  Timing lives outside
+the package, in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -61,30 +61,26 @@ def _preset(name: str, paper_scale: bool, seed: int) -> list[tuple[str, Experime
             for k in k_grid]
 
 
-def run_experiment(config: ExperimentConfig, *, threads: int = 1,
-                   out_path: str | None = None) -> str:
-    """Run the configured experiment and write one CSV.
+def run_experiment(config: ExperimentConfig, *, threads: int = 1, out_path: str) -> None:
+    """Run the configured experiment and write one CSV to `out_path` ('-' for stdout).
 
     Header: ``detector,snr_db,pd,trials,threshold,pfa,seed``; one row per
     (detector, SNR point).  Output is byte-identical for a fixed config and
     seed, independent of the worker-thread count; each ``pd`` field is an
     exact count/trials ratio printed with full precision.
     """
-    path = out_path if out_path is not None else config.output_path
-    if path is None:
-        raise ConfigError("no output path: set output_path in the config or pass --out")
     if not config.snr_grid_db:
         raise ConfigError("snr_grid_db is empty: a PD curve needs at least one SNR point")
     scenario = build_scenario(config)
-    _check_writable(path)
+    _check_writable(out_path)
     curves = montecarlo.pd_curves(scenario, config.detectors, config.snr_grid_db,
                                   config.pfa, config.calib_trials, config.pd_trials,
                                   config.master_seed, threads=threads)
     rows = [[kind.name, _fmt(snr_db), _fmt(pd), curves[kind].trials_per_point,
              _fmt(curves[kind].threshold_used), _fmt(config.pfa), config.master_seed]
             for kind in config.detectors for snr_db, pd in curves[kind].points]
-    _write_csv(path, ("detector", "snr_db", "pd", "trials", "threshold", "pfa", "seed"), rows)
-    return path
+    _write_csv(out_path, ("detector", "snr_db", "pd", "trials", "threshold", "pfa", "seed"),
+               rows)
 
 
 def _fmt(value: float) -> str:
@@ -133,10 +129,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_pd_curve(args) -> int:
-    config = _read_config(args)
-    path = run_experiment(config, threads=args.threads, out_path=args.out)
-    if path != "-":
-        print(f"wrote {path}")
+    run_experiment(_read_config(args), threads=args.threads, out_path=args.out)
+    if args.out != "-":
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -184,7 +179,6 @@ def _int_at_least(low: int):
     return parse
 
 
-_thread_count = _int_at_least(1)
 _seed = _int_at_least(0)
 
 
@@ -199,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--seed", type=_seed, default=None, help="override master_seed")
-        p.add_argument("--threads", type=_thread_count, default=None,
-                       help="worker threads (default: ADAPTDET_THREADS or 1)")
+        p.add_argument("--threads", type=_int_at_least(1), default=1,
+                       help="worker threads (default: 1); output does not depend on it")
 
     p = sub.add_parser("calibrate", help="calibrate detection thresholds")
     add_common(p, config=True)
@@ -209,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pd-curve", help="run the PD-versus-SNR experiment")
     add_common(p, config=True)
-    p.add_argument("--out", default=None, help="output CSV path ('-' for stdout; "
-                                               "default: output_path from the config)")
+    p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     p.set_defaults(func=_cmd_pd_curve)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
@@ -234,12 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is None:
-        try:
-            args.threads = _thread_count(os.environ.get("ADAPTDET_THREADS", "").strip() or "1")
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: ADAPTDET_THREADS {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except ConfigError as exc:

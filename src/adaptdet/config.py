@@ -40,7 +40,6 @@ class ExperimentConfig:
     pd_trials: int
     detectors: tuple[DetectorKind, ...]
     master_seed: int
-    output_path: str | None = None
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, master_seed=check_integer(seed, "seed"))
@@ -52,7 +51,6 @@ class _Key(NamedTuple):
     parse: Callable[[str], object]  # a ValueError reads "<key> must be <expected>"
     format: Callable[[object], str]
     expected: str | None = None  # None: `parse` raises a ConfigError naming the fault
-    required: bool = True
 
 
 def _split_list(value: str) -> list[str]:
@@ -67,18 +65,6 @@ def _parse_detectors(value: str) -> tuple[DetectorKind, ...]:
             raise ConfigError(f"unknown detector {name!r} (valid: {valid})")
         kinds.append(DetectorKind[name])
     return tuple(kinds)
-
-
-def _path(path: str) -> str:
-    """An output_path as a config line holds it: parse_config cuts a line at
-    '#', splits lines and strips each value, so a path must be non-empty,
-    without '#' or a line break and without whitespace at either end."""
-    if not path:
-        raise ConfigError("output_path is empty")
-    if "#" in path or path.strip() != path or path.splitlines() != [path]:
-        raise ConfigError(f"output_path {path!r} cannot be read back from a config: it "
-                          f"must have no '#', line break or whitespace at either end")
-    return path
 
 
 _INT = _Key(int, str, "an integer")
@@ -102,7 +88,6 @@ _KEYS = {
     "pd_trials": _INT,
     "detectors": _Key(_parse_detectors, lambda kinds: ", ".join(k.name for k in kinds)),
     "master_seed": _INT,
-    "output_path": _Key(_path, _path, required=False),
 }
 
 
@@ -134,7 +119,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: {key} must be {_KEYS[key].expected}, "
                               f"got {value!r}") from None
 
-    missing = [k for k, spec in _KEYS.items() if spec.required and k not in parsed]
+    missing = [k for k in _KEYS if k not in parsed]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
@@ -157,11 +142,9 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config to the ``key = value`` format, one line per set field
-    in field order, which parse_config reads back to an equal config; raises
-    ConfigError for an output_path that would not read back."""
-    lines = [f"{key} = {spec.format(getattr(cfg, key))}"
-             for key, spec in _KEYS.items() if getattr(cfg, key) is not None]
+    """Serialize a config to the ``key = value`` format, one line per field in
+    field order, which parse_config reads back to an equal config."""
+    lines = [f"{key} = {spec.format(getattr(cfg, key))}" for key, spec in _KEYS.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -299,6 +299,7 @@ def _check_calibration_budget(pfa: float, trials: int) -> None:
 def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
                          seed: int, *, threads: int = 1) -> dict[DetectorKind, CalibrationResult]:
     """Thresholds for several detectors from one shared set of H0 draws."""
+    trials = check_integer(trials, "trials")  # first: a str count would fail trials * pfa unnamed
     _check_calibration_budget(pfa, trials)
     kinds = kind_list(kinds)
     stats = simulate_statistics(scenario, kinds, trials, seed, threads=threads)
@@ -331,8 +332,9 @@ def _check_grid(snr_grid_db) -> tuple[float, ...]:
         grid = tuple(float(v) for v in snr_grid_db)
     except (TypeError, ValueError):
         grid = None
-    # a string iterates as characters, so "69" would read as 6 and 9 dB
-    if grid is None or isinstance(snr_grid_db, str):
+    # a string iterates as characters and bytes as integers, so "69" would
+    # read as 6 and 9 dB and b"69" as 54 and 57 dB
+    if grid is None or isinstance(snr_grid_db, (str, bytes, bytearray)):
         raise TypeError(f"SNR grid must be a sequence of numbers, got {snr_grid_db!r}")
     if not np.all(np.isfinite(grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"SNR grid must be finite and strictly increasing, got {grid}")

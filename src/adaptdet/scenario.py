@@ -66,12 +66,10 @@ def as_cvector(x, name: str = "vector") -> np.ndarray:
 def check_dimensions(n: int, k: int, m: int, j: int, l: int, kinds=()) -> None:
     """Raise ValueError naming the violated dimension constraint, if any; the
     rule of each detector kind in `kinds` comes before L+K >= M+N, which it implies;
-    raises TypeError for an entry of `kinds` that is not a DetectorKind."""
+    raises TypeError for a dimension that is not an integer or an entry of
+    `kinds` that is not a DetectorKind."""
     from .detectors import DetectorKind  # detectors imports this module
-    if min(n, k, m, j) < 1 or l < 0:
-        raise ValueError(f"dimensions must be positive (L may be 0): "
-                         f"N={n}, K={k}, M={m}, J={j}, L={l}")
-    _check_subspace_dimensions(n, k, m, j)
+    _check_subspace_dimensions(n, k, m, j, l)
     for kind in kinds:
         if not isinstance(kind, DetectorKind):
             raise TypeError(f"detector kinds must be DetectorKind members, got {kind!r}")
@@ -80,20 +78,28 @@ def check_dimensions(n: int, k: int, m: int, j: int, l: int, kinds=()) -> None:
         raise ValueError(f"L+K={l + k} < M+N={m + n}")
 
 
-def check_integer(value, name: str, low: int = 0) -> int:
-    """The one rule for a seed, count or index of a public entry: refused,
-    naming it, when below `low` or not an integer, which would otherwise be
-    truncated (seed 2.9 to seed 2's stream, trial 2.9 to trial 2)."""
+def check_integer(value, name: str, low: int | None = 0) -> int:
+    """The one rule for a seed, count, dimension or index of a public entry:
+    refused, naming it, when below `low` (None: no bound) or not an integer,
+    which would otherwise be truncated (seed 2.9 to seed 2's stream, trial
+    2.9 to trial 2)."""
     try:
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
 
 
-def _check_subspace_dimensions(n: int, k: int, m: int, j: int) -> None:
+def _check_subspace_dimensions(n: int, k: int, m: int, j: int, l: int = 0) -> None:
+    """The half of check_dimensions that random_subspaces shares: each
+    dimension an integer, all positive (L may be 0), J <= N and M <= K."""
+    for name, value in zip("NKMJL", (n, k, m, j, l)):
+        check_integer(value, name, None)  # a non-positive one gets the message below
+    if min(n, k, m, j) < 1 or l < 0:
+        raise ValueError(f"dimensions must be positive (L may be 0): "
+                         f"N={n}, K={k}, M={m}, J={j}, L={l}")
     if j > n:
         raise ValueError(f"J={j} > N={n}: spatial subspace cannot exceed channels")
     if m > k:

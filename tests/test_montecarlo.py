@@ -625,7 +625,7 @@ class TestPdCurves:
             with pytest.raises(ValueError, match="SNR grid must be finite"):
                 estimate_pd(sc, RU, 0.5, snr, 10, seed=0)
         # a single SNR where a grid is expected
-        for snr in (6.0, "69", ["6 dB"]):
+        for snr in (6.0, "69", b"69", bytearray(b"69"), ["6 dB"]):
             with pytest.raises(TypeError, match="SNR grid must be a sequence of numbers, got "
                                                 + re.escape(repr(snr))):
                 simulate_statistics(sc, [RU], 10, seed=0, snr_db=snr)

@@ -10,7 +10,8 @@ import adaptdet
 from adaptdet import montecarlo, verify
 from adaptdet.config import ExperimentConfig
 from adaptdet.detectors import DetectorKind
-from adaptdet.montecarlo import estimate_pd, pd_curves, replay_trial, simulate_statistics
+from adaptdet.montecarlo import (calibrate_thresholds, cfar_check, estimate_pd, pd_curves,
+                                 replay_trial, simulate_statistics)
 from adaptdet.scenario import (DOMAIN_NULL, Scenario, complex_gaussian, make_scenario,
                                make_signal, random_directions, random_subspaces, scale_to_snr,
                                snr_of, stream, toeplitz_covariance)
@@ -123,7 +124,16 @@ _RU = DetectorKind.GLRGDD_RU
 _CONFIG = ExperimentConfig(N=4, K=6, M=2, J=2, L=5, rho=0.5, pfa=0.05, snr_grid_db=(6.0,),
                            calib_trials=600, pd_trials=200, detectors=(_RU,), master_seed=7)
 
-# every integer argument of a public entry: (the entry called with it, its name, its least value)
+_DIMS = {"N": 12, "K": 16, "M": 3, "J": 2, "L": 14}
+
+
+def _scenario_of(**dims):
+    a, c = random_subspaces(12, 2, 3, 16, seed=1)
+    return Scenario(**{**_DIMS, **dims}, A=a, C=c, R=np.eye(12))
+
+
+# every integer argument of a public entry: (the entry called with it, its name,
+# its least value[, a value it runs with, the refusal of one below the least])
 _INTEGER_ARGUMENTS = {
     "stream_seed": (lambda v: stream(v, DOMAIN_NULL, 0), "seed", 0),
     "simulate_statistics_seed": (lambda v: simulate_statistics(_small_scenario(), [_RU], 10, v),
@@ -142,7 +152,24 @@ _INTEGER_ARGUMENTS = {
     "replay_trial_trial": (lambda v: replay_trial(_small_scenario(), 1, DOMAIN_NULL, v),
                            "trial", 0),
     "with_seed": (lambda v: _CONFIG.with_seed(v), "seed", 0),
+    # read before the budget's trials * pfa; 0 keeps the budget's refusal
+    "calibrate_thresholds_trials": (
+        lambda v: calibrate_thresholds(_small_scenario(), [_RU], 0.05, v, 0), "trials", 0,
+        600, "trials must be >= 0, got -1"),
+    "cfar_check_trials": (
+        lambda v: cfar_check(_small_scenario(), np.eye(4), _RU, 0.05, v, 0), "trials", 0,
+        600, "trials must be >= 0, got -1"),
 }
+# the dimensions, through make_scenario (random_subspaces' half of the check)
+# and Scenario (check_dimensions); a non-positive one keeps the dimension rule
+for _name, _value in _DIMS.items():
+    _low = 0 if _name == "L" else 1
+    _INTEGER_ARGUMENTS[f"make_scenario_{_name}"] = (
+        lambda v, name=_name: make_scenario(*{**_DIMS, name: v}.values()), _name, _low,
+        _value, "dimensions must be positive")
+    _INTEGER_ARGUMENTS[f"Scenario_{_name}"] = (
+        lambda v, name=_name: _scenario_of(**{name: v}), _name, _low,
+        _value, "dimensions must be positive")
 
 
 class TestSnr:
@@ -228,6 +255,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="dimensions must be positive"):
             Scenario(N=3, K=4, M=1, J=1, L=-1, A=a, C=c, R=np.eye(3))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("A", np.ones((3, 1)), r"A must be 3x2, got \(3, 1\)"),
+        ("C", np.ones((1, 3)), r"C must be 1x4, got \(1, 3\)"),
+        ("R", np.eye(4), r"R must be 3x3, got \(4, 4\)"),
+        ("R", np.eye(3) + np.diag([0.5, 0.0], 1), "R is not Hermitian"),
+        ("A", np.ones((3, 2)), "A must have full column rank"),
+    ], ids=["A_shape", "C_shape", "R_shape", "R_not_hermitian", "A_rank_deficient"])
+    def test_refuses_a_bad_matrix(self, field, value, message):
+        a, c = random_subspaces(3, 2, 1, 4, seed=1)
+        matrices = {"A": a, "C": c, "R": np.eye(3), field: value}
+        with pytest.raises(ValueError, match=message):
+            Scenario(N=3, K=4, M=1, J=2, L=3, **matrices)
+
     def test_rejects_indefinite_covariance(self):
         a, c = random_subspaces(3, 1, 1, 4, seed=1)
         with pytest.raises(ValueError, match="positive definite"):
@@ -281,22 +321,22 @@ class TestScenarioValidation:
     def test_integer_arguments_follow_one_rule(self, monkeypatch, case):
         # truncation would run trial 2.9 as trial 2 and threads=2.5 as a thread
         # count; each refusal comes before the first block or instance is drawn
-        entry, name, low = _INTEGER_ARGUMENTS[case]
+        entry, name, low, *exception = _INTEGER_ARGUMENTS[case]
+        accepted, below = exception or (low, f"{name} must be >= {low}, got {low - 1}")
         draws = []
         for module, attr in ((montecarlo, "_block_noise"), (verify, "random_instance")):
             def counted(*args, _draw=getattr(module, attr), **kwargs):
                 draws.append(args)
                 return _draw(*args, **kwargs)
             monkeypatch.setattr(module, attr, counted)
-        for value in (2.9, 1.0, np.float64(1.7)):
+        for value in (2.9, 1.0, np.float64(1.7), "7"):
             with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, "
                                                           f"got {value!r}")):
                 entry(value)
-        with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {low}, "
-                                                       f"got {low - 1}")):
+        with pytest.raises(ValueError, match=re.escape(below)):
             entry(low - 1)
         assert draws == []
-        entry(np.int64(low))
+        entry(np.int64(accepted))
 
     def test_directions_are_unit_norm_and_deterministic(self):
         d1 = random_directions(3, 2, 9)
@@ -340,6 +380,33 @@ class TestStreamRegistry:
         assert sites == {("scenario.py", "stream", "SeedSequence"),
                          ("scenario.py", "stream", "SFC64"),
                          ("scenario.py", "stream", "Generator")}
+
+    _ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+    @classmethod
+    def _environment_reads(cls, node, owner, found):
+        """(enclosing function, name) of every os.environ or os.getenv read
+        below `node`, and of every import of one from os."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cls._environment_reads(child, child.name, found)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in cls._ENVIRONMENT:
+                found.add((owner, child.attr))
+            elif isinstance(child, ast.ImportFrom) and child.module == "os":
+                found.update((owner, f"from os import {alias.name}") for alias in child.names
+                             if alias.name in cls._ENVIRONMENT)
+            cls._environment_reads(child, owner, found)
+        return found
+
+    def test_nothing_reads_the_environment(self):
+        # a run's settings come from its config and command line alone, so a
+        # stale variable cannot change a run that its command does not show
+        sites = set()
+        for path in sorted(Path(adaptdet.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            sites |= {(path.name, *site) for site in self._environment_reads(tree, None, set())}
+        assert sites == set()
 
     @classmethod
     def _integer_reads(cls, node, owner, params, found):

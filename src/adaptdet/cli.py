@@ -30,6 +30,7 @@ from .config import (DESK_SCALE, PAPER_SCALE, ExperimentConfig, build_scenario,
                      format_config, parse_config)
 from .detectors import DetectorKind
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
+from .scenario import DEFAULT_SEED
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -143,7 +144,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    seed = args.seed if args.seed is not None else 20260810
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
     configs = _preset(args.name, args.paper_scale, seed)
     if args.print_config:
         for suffix, config in configs:
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pd_curve)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--seed", type=_seed, default=20260810)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--instances", type=_int_at_least(0), default=500)
     p.set_defaults(func=_cmd_verify)
 

@@ -119,21 +119,18 @@ def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray,
     glr_full, glr_ru = DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU
     want = set(kinds)
     columns = {}
-
-    def reduced(s, plus=None):
-        red = kernels.reduce(td.x_par, s, a, plus=plus, out=out)
-        return red, kernels.at_signals(red, c)
-
     # one reduction per covariance estimate, S_perp, S and then S_plus, so that
     # no reduction's arrays are held while the next estimate is factored
     if DetectorKind.BOSE_GLRT in want:
-        columns[DetectorKind.BOSE_GLRT] = kernels.bounded(kernels.glr(*reduced(td.s_perp)))
+        columns[DetectorKind.BOSE_GLRT] = kernels.bounded(
+            kernels.glr(*kernels.reduce(td.x_par, td.s_perp, a, c, out=out)))
     if DetectorKind.AMGDD in want:
-        columns[DetectorKind.AMGDD] = kernels.am(reduced(td.s_train)[1])
+        columns[DetectorKind.AMGDD] = kernels.am(
+            kernels.reduce(td.x_par, td.s_train, a, c, out=out)[0])
     if want & {glr_full, glr_ru, DetectorKind.AMGDD_RU}:
-        plus, v = reduced(td.s_perp, td.s_train)
+        v, r = kernels.reduce(td.x_par, td.s_perp, a, c, plus=td.s_train, out=out)
         if want & {glr_full, glr_ru}:
-            columns[glr_full] = kernels.glr(plus, v)
+            columns[glr_full] = kernels.glr(v, r)
             columns[glr_ru] = kernels.bounded(columns[glr_full])
         if DetectorKind.AMGDD_RU in want:
             columns[DetectorKind.AMGDD_RU] = kernels.am(v)

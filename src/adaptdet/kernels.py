@@ -15,16 +15,18 @@ c = theta alpha^H D, to X_par and nothing to X_perp, so the covariance
 estimates S_plus, S_perp and S do not depend on it.  A noise-only trial is
 the single point c = 0, which gives bitwise the values of the noise alone.
 
-``reduce`` reads what a covariance estimate S contributes from one stacked
-Cholesky factorization of the bordered matrix [[S, B], [B^H, t I]],
-B = [A, X_par].  Its factor holds Z^H, Z = F^-1 B with S = F F^H, so
+A statistic takes two calls: ``reduce`` once per covariance estimate S,
+then ``glr`` or ``am`` on what it returns.  ``reduce`` reads what S
+contributes from one stacked Cholesky factorization of the bordered matrix
+[[S, B], [B^H, t I]], B = [A, X_par].  Its factor holds Z^H, Z = F^-1 B with S = F F^H, so
 Z^H Z = B^H S^-1 B is the Gram of Phi_A = A^H S^-1 A, Phi_AX = A^H S^-1 X_par
 and Psi = X_par^H S^-1 X_par.  One Cholesky factorization of the Gram plus
 diag(0, I) then gives the factor L of Phi_A = L L^H, V = L^-1 Phi_AX and the factor R of
 I + W, W = Psi - V^H V.  W is X_par^H S^-1 X_par with the span of A
 projected out in the whitened space, so it does not depend on the signal;
-at X_par + A c only V moves, to V(c) = V + L^H c (``at_signals``).  Every
-grid point then costs small products on V(c) and R:
+at X_par + A c only V moves, to V(c) = V + L^H c.  ``reduce`` returns
+V(c) at every point of the stack c, (trials, P, J, M), and R, (trials, M, M);
+every grid point then costs small products on them:
 
 * ``am`` gives lambda_max(V(c) V(c)^H): AMGDD-RU on S_plus, AMGDD on S.
 * ``glr`` gives mu = lambda_max(V(c) (I + W)^-1 V(c)^H) as ``am`` of Y,
@@ -52,20 +54,9 @@ the one caller.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-__all__ = ["Reduction", "bordered_size", "no_signal", "reduce", "at_signals", "glr", "am",
-           "bounded"]
-
-
-class Reduction(NamedTuple):
-    """Per-trial reduction of one covariance estimate (see the module docstring)."""
-
-    l: np.ndarray  # (trials, J, J), Phi_A = L L^H
-    v: np.ndarray  # (trials, J, M), L^-1 Phi_AX
-    r: np.ndarray  # (trials, M, M), I + W = R R^H with W = Psi - V^H V
+__all__ = ["bordered_size", "no_signal", "reduce", "glr", "am", "bounded"]
 
 
 def _ct(m):
@@ -91,13 +82,15 @@ def bordered_size(n: int, j: int, m: int) -> int:
     return (n + j + m) ** 2
 
 
-def reduce(x_par, s, a, *, plus=None, out=None) -> Reduction:
-    """Reduction of the estimate S = s (+ plus) from one bordered Cholesky factorization.
+def reduce(x_par, s, a, c, *, plus=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(V(c), R) of the estimate S = s (+ plus) from one bordered Cholesky factorization:
+    V(c) = V + L^H c, (trials, P, J, M), and R, (trials, M, M), with I + W = R R^H.
 
     x_par: (trials, N, M) noise block; s, plus: (trials, N, N) stacks;
-    a: (N, J) spatial subspace.  The bordered matrix is built in `out`, a
-    contiguous complex128 buffer of ``bordered_size(N, J, M)`` elements per
-    trial or more (a new one when None).
+    a: (N, J) spatial subspace; c: (P, J, M) signal coefficients.  The
+    bordered matrix is built in `out`, a contiguous complex128 buffer of
+    ``bordered_size(N, J, M)`` elements per trial or more (a new one when
+    None).
     """
     trials, n, m = x_par.shape
     j = a.shape[-1]
@@ -123,28 +116,24 @@ def reduce(x_par, s, a, *, plus=None, out=None) -> Reduction:
     zc = np.conjugate(zh, out=out[:trials * (j + m) * n].reshape(trials, j + m, n))
     g = np.matmul(zh, np.swapaxes(zc, 1, 2),
                   out=out[zc.size:zc.size + trials * (j + m) ** 2].reshape(trials, j + m, j + m))
+    del zh  # H's factor, the largest array here, is not held while V(c) is built
     # the Cholesky factor of G + diag(0, I) is [[2^e L, 0], [V^H, R]]
     g[:, j:, j:] += np.eye(m)
     f = np.linalg.cholesky(g)
-    return Reduction(f[:, :j, :j] * np.ldexp(1.0, -e)[:, None, None], _ct(f[:, j:, :j]),
-                     f[:, j:, j:])
+    # V(c) = V + L^H c with L = 2^-e f[:j, :j] and V = f[j:, :j]^H
+    lh = _ct(f[:, :j, :j] * np.ldexp(1.0, -e)[:, None, None])[:, None]
+    v = lh[..., :1] * c[:, :1]
+    for k in range(1, j):
+        v += lh[..., k:k + 1] * c[:, k:k + 1]
+    v += _ct(f[:, j:, :j])[:, None]
+    return v, f[:, j:, j:]
 
 
-def at_signals(red: Reduction, c) -> np.ndarray:
-    """V(c) = V + L^H c for each coefficient of the stack c: (trials, P, J, M)."""
-    lh = _ct(red.l)[:, None]
-    out = lh[..., :1] * c[:, :1]
-    for k in range(1, c.shape[-2]):
-        out += lh[..., k:k + 1] * c[:, k:k + 1]
-    out += red.v[:, None]
-    return out
-
-
-def glr(red: Reduction, v) -> np.ndarray:
-    """(trials, P) mu = lambda_max(V(c) (I + W)^-1 V(c)^H) of v = at_signals(red, c)."""
+def glr(v, r) -> np.ndarray:
+    """(trials, P) mu = lambda_max(V(c) (I + W)^-1 V(c)^H) of (v, r) = reduce(...)."""
     # V(c) (I + W)^-1 V(c)^H = Y Y^H with Y R^H = V(c): R is lower triangular,
     # so column m of Y is (V(c)_m - sum_{n<m} Y_n conj(R_mn)) / R_mm
-    r = red.r[:, None, None]
+    r = r[:, None, None]
     inv_diag = 1.0 / np.diagonal(r, axis1=-2, axis2=-1).real
     y = np.empty_like(v)
     for m in range(v.shape[-1]):
@@ -156,7 +145,7 @@ def glr(red: Reduction, v) -> np.ndarray:
 
 
 def am(v) -> np.ndarray:
-    """(trials, P) lambda_max(V(c) V(c)^H) of v = at_signals(red, c), clamped at 0.
+    """(trials, P) lambda_max(V(c) V(c)^H) of v, V(c) from reduce, clamped at 0.
 
     In closed form for J <= 2, with no cancellation: ||v||^2 at J = 1, and
     (a + d)/2 + hypot((a - d)/2, |b|) for the Gram [[a, conj(b)], [b, d]]

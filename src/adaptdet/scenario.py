@@ -48,6 +48,7 @@ SUBSPACES = 2         # random_subspaces, so make_scenario's A and C
 DIRECTIONS = 3        # random_directions, the engine's signal direction pair
 VERIFY_INSTANCE = 4   # verify instance i
 VERIFY_TRANSFORM = 5  # verify instance i's invariance transforms
+DEFAULT_SEED = 20260810  # of `adaptdet preset` and `adaptdet verify` when none is given
 
 
 def stream(seed: int, purpose: int, *index: int) -> np.random.Generator:

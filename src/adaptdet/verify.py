@@ -28,9 +28,9 @@ import numpy as np
 from .detectors import DetectorKind, appendix_identities, evaluate
 from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
-from .scenario import (VERIFY_INSTANCE, VERIFY_TRANSFORM, Scenario, _draw_full_rank,
-                       _draw_subspaces, check_integer, complex_gaussian, make_signal,
-                       scale_to_snr, stream, toeplitz_covariance)
+from .scenario import (DEFAULT_SEED, VERIFY_INSTANCE, VERIFY_TRANSFORM, Scenario,
+                       _draw_full_rank, _draw_subspaces, check_integer, complex_gaussian,
+                       make_signal, scale_to_snr, stream, toeplitz_covariance)
 
 __all__ = ["Instance", "REGIMES", "random_instance", "instance_stream",
            "CheckSuite", "VerificationReport", "run_verification"]
@@ -124,7 +124,8 @@ class CheckSuite:
 
     def record(self, idx: int, residual: float, budget: float, detail: str) -> None:
         self.instances += 1
-        self.max_residual = max(self.max_residual, residual)
+        # np.maximum, unlike max, keeps a NaN residual: the FAIL line shows it
+        self.max_residual = float(np.maximum(self.max_residual, residual))
         if not residual <= budget:
             self.failures.append((idx, f"{detail}: residual {residual:.3e} > {budget:.1e}"))
 
@@ -166,7 +167,7 @@ class VerificationReport:
         return out
 
 
-def run_verification(seed: int = 20260810, instance_count: int = 500) -> VerificationReport:
+def run_verification(seed: int = DEFAULT_SEED, instance_count: int = 500) -> VerificationReport:
     """Run every check suite over `instance_count` random instances."""
     check_integer(seed, "seed")
     instance_count = check_integer(instance_count, "instance_count")

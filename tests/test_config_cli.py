@@ -365,6 +365,10 @@ class TestCommandLine:
         unknown = CheckSuite("NaN")
         unknown.record(0, float("nan"), 1e-10, "eq. (27)")
         assert not unknown.passed
+        # a NaN residual shows as the maximum and stays there: max(x, nan) is x
+        unknown.record(1, 1e-14, 1e-10, "eq. (28)")
+        assert unknown.line() == ("FAIL NaN: 2 instances, max residual nan "
+                                  "[instance 0 (eq. (27): residual nan > 1.0e-10)]")
         report = VerificationReport(seed=3, instance_count=7, suites=[clean, identities])
         assert not report.passed
         shown = "; ".join(f"instance {i} (eq. ({i}): residual {i}.000e-09 > 1.0e-10)"

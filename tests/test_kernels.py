@@ -175,11 +175,33 @@ def test_top_eigenvalue_matches_eigvalsh(y):
 def test_zero_column_training_batch(stacks):
     # Bose's GLRT: the augmented SCM built from the virtual training data alone
     sc = stacks["scenario"]
-    red = kernels.reduce(stacks["td"].x_par, stacks["td"].s_perp, sc.A)
-    v = kernels.at_signals(red, _zero(sc))
-    out = np.stack([kernels.bounded(kernels.glr(red, v)), kernels.am(v)], axis=-1)
+    v, r = kernels.reduce(stacks["td"].x_par, stacks["td"].s_perp, sc.A, _zero(sc))
+    out = np.stack([kernels.bounded(kernels.glr(v, r)), kernels.am(v)], axis=-1)
     assert out.shape == (stacks["x"].shape[0], 1, 2)
     assert np.all((out[..., 0] >= 0) & (out[..., 0] < 1))
+
+
+@pytest.mark.parametrize("kinds, calls", [
+    (_KINDS, 3),
+    ([DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU, DetectorKind.GLRGDD], 1),
+    ([DetectorKind.BOSE_GLRT], 1),
+    ([DetectorKind.AMGDD], 1),
+    ([DetectorKind.AMGDD, DetectorKind.AMGDD_RU], 2),
+])
+def test_one_reduction_per_covariance_estimate(stacks, monkeypatch, kinds, calls):
+    # S_perp, S and S_plus are each factored once per statistics call, however
+    # many kinds and grid points read them
+    reduce, seen = kernels.reduce, []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "reduce", counted)
+    c = np.concatenate([_zero(_SCENARIO)] + [_signal(snr)[1] for snr in _SNRS_DB])
+    values = statistics(kinds, stacks["td"], _SCENARIO.A, c)
+    assert values.shape == (stacks["x"].shape[0], c.shape[0], len(kinds))
+    assert len(seen) == calls
 
 
 def test_reduction_reads_no_entry_above_the_diagonal(stacks, monkeypatch):
@@ -196,9 +218,10 @@ def test_reduction_reads_no_entry_above_the_diagonal(stacks, monkeypatch):
         return cholesky(h)
 
     monkeypatch.setattr(np.linalg, "cholesky", recorded)
-    zero = kernels.reduce(td.x_par, td.s_perp, a, plus=td.s_train,
+    c = kernels.no_signal(a.shape[1], m)
+    zero = kernels.reduce(td.x_par, td.s_perp, a, c, plus=td.s_train,
                           out=np.zeros(trials * size, dtype=np.complex128))
-    nan = kernels.reduce(td.x_par, td.s_perp, a, plus=td.s_train,
+    nan = kernels.reduce(td.x_par, td.s_perp, a, c, plus=td.s_train,
                          out=np.full(trials * size, np.nan, dtype=np.complex128))
     above = factored[2][:, :n, n:]
     assert above.size and np.isnan(above).all()

@@ -648,7 +648,8 @@ class TestPdCurves:
 
 
 class TestExactNullLaw:
-    """J = 1 under H0: GLRGDD-RU ~ Beta(M, L + K - M - N + 1), Bose ~ Beta(M, K - M - N + 1).
+    """J = 1 under H0: GLRGDD-RU ~ Beta(M, L + K - M - N + 1), Bose ~ Beta(M, K - M - N + 1);
+    at J = 2 the largest root of a complex matrix-beta matrix.
 
     The statistics are CFAR, so with R = I and A rotated onto the first
     coordinate, S_plus ~ CW_N(L + K - M, I) and the reduced statistic is a
@@ -685,6 +686,43 @@ class TestExactNullLaw:
         lo, hi = law.ppf(stats.beta(n - m, m + 1).ppf([0.0005, 0.9995]))
         threshold = calibrate_thresholds(sc, [kind], self.PFA, n, self.SEED)[kind].threshold
         assert lo <= threshold <= hi
+
+    @staticmethod
+    def _largest_root_cdf(p, m, n):
+        """CDF of the largest eigenvalue of a p x p complex matrix-beta matrix,
+        density prod lambda^(m-p) (1-lambda)^(n-p) prod (lambda_i-lambda_j)^2
+        (Khatri 1964; Chiani 2016): by Andreief's identity
+        det[I_x(a+i+j+1, b+1) B(a+i+j+1, b+1)] / det[B(a+i+j+1, b+1)],
+        with a = m - p and b = n - p."""
+        alpha = np.add.outer(np.arange(p), np.arange(p)) + m - p + 1
+        full = special.beta(alpha, n - p + 1)
+
+        def cdf(x):
+            x = np.asarray(x, dtype=float)[..., None, None]
+            return np.linalg.det(special.betainc(alpha, n - p + 1, x) * full) / np.linalg.det(full)
+
+        return cdf
+
+    # J = 2, M = 3 at the presets' dimensions (N = 12): fig1 (K = 16, L = 14)
+    # and fig2's K = 6, 10 and 14 (L = 11); n = samples - N + J, with L + K - M
+    # samples for the RU pair and GLRGDD, K - M for Bose
+    @pytest.mark.parametrize("dims, kinds", [
+        ((12, 16, 3, 2, 14), [RU, DetectorKind.GLRGDD, DetectorKind.BOSE_GLRT]),
+        ((12, 6, 3, 2, 11), [RU]), ((12, 10, 3, 2, 11), [RU]), ((12, 14, 3, 2, 11), [RU])])
+    def test_null_draws_follow_the_largest_root_law(self, dims, kinds):
+        n_dim, k, m, j, l = dims
+        sc = make_scenario(*dims, rho=0.9, seed=31)
+        draws = simulate_statistics(sc, kinds, self.TRIALS, seed=self.SEED)
+        for kind, column in zip(kinds, draws.T):
+            samples = k - m if kind is DetectorKind.BOSE_GLRT else l + k - m
+            # GLRGDD = mu is t / (1 - t) of the largest root t = mu / (1 + mu)
+            roots = column / (1.0 + column) if kind is DetectorKind.GLRGDD else column
+            n = samples - n_dim + j
+            # level fixed before the first run; one degree of freedom off is
+            # refused at the same level
+            pvalues = [stats.kstest(roots, self._largest_root_cdf(j, m, n + dn)).pvalue
+                       for dn in (0, -1, 1)]
+            assert pvalues[0] > 1e-3 and max(pvalues[1:]) < 1e-3, (kind, n, pvalues)
 
 
 class TestExactSignalLaw:

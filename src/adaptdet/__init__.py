@@ -8,6 +8,8 @@ experiments, and empirical CFAR checks.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .detectors import DetectorKind, Statistic, appendix_identities, compute, evaluate
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
 from .linalg import TOL, hermitize
@@ -20,7 +22,6 @@ from .scenario import (Scenario, SignalCoordinates, make_scenario, make_signal,
 from .transform import (SubspaceFactorization, TransformedData,
                         factor_waveform_subspace, signal_coefficient)
 from .config import ExperimentConfig, build_scenario, format_config, parse_config
-from .verify import run_verification
 
 __all__ = [
     "__version__",
@@ -34,3 +35,12 @@ __all__ = [
     "scale_to_snr", "signal_coefficient", "simulate_statistics", "snr_of",
     "threshold_from_h0", "toeplitz_covariance",
 ]
+
+
+def __getattr__(name):
+    # adaptdet.verify serves only `adaptdet verify`: it loads on first use
+    # (PEP 562), so a run that never verifies does not pay for its import
+    if name in ("verify", "run_verification"):
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else verify.run_verification
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,7 +31,6 @@ from .config import (DESK_SCALE, PAPER_SCALE, ExperimentConfig, build_scenario,
 from .detectors import DetectorKind
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
 from .scenario import DEFAULT_SEED
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,6 +136,8 @@ def _cmd_pd_curve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     report = run_verification(seed=args.seed, instance_count=args.instances)
     for line in report.lines():
         print(line)

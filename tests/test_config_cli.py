@@ -437,16 +437,23 @@ class TestCommandLine:
             assert f"K = {k}" in out
 
 
-def test_package_and_command_line_import_without_scipy():
-    # scipy serves only the test oracles; importing it would cost most of the
-    # package's start-up time
+def test_start_up_loads_only_what_the_command_runs():
+    # scipy serves only the test oracles, adaptdet.verify only `adaptdet verify`
+    # and concurrent.futures (which pulls in logging) only an engine call with
+    # threads > 1: a 1-thread run must import none of them, and the lazy
+    # adaptdet.verify must still resolve to the module's own names
     src = str(Path(adaptdet.__file__).resolve().parents[1])
-    probe = ("import adaptdet, adaptdet.cli, sys; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    probe = (
+        "import adaptdet, adaptdet.cli, sys; "
+        "from adaptdet import DetectorKind, make_scenario, simulate_statistics; "
+        "simulate_statistics(make_scenario(5, 8, 2, 2, 6), [DetectorKind.GLRGDD_RU], 300, 0); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent') "
+        "or m == 'adaptdet.verify')); "
+        "print(adaptdet.run_verification is adaptdet.verify.run_verification)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "True"]
 
 
 @pytest.mark.parametrize("module", ["adaptdet"] + [

@@ -16,9 +16,8 @@ from .linalg import TOL, hermitize
 from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_thresholds,
                          cfar_check, estimate_pd, pd_curves, simulate_statistics,
                          threshold_from_h0)
-from .scenario import (Scenario, SignalCoordinates, make_scenario, make_signal,
-                       random_directions, random_subspaces, scale_to_snr, snr_of,
-                       toeplitz_covariance)
+from .scenario import (Scenario, make_scenario, make_signal, random_directions,
+                       random_subspaces, scale_to_snr, snr_of, toeplitz_covariance)
 from .transform import (SubspaceFactorization, TransformedData,
                         factor_waveform_subspace, signal_coefficient)
 from .config import ExperimentConfig, build_scenario, format_config, parse_config
@@ -27,7 +26,7 @@ __all__ = [
     "__version__",
     "CalibrationResult", "CfarReport", "ConfigError", "DetectorKind",
     "ExperimentConfig", "NonFiniteStatisticError", "PdCurve", "Scenario",
-    "SignalCoordinates", "SingularMatrixError", "Statistic", "SubspaceFactorization", "TOL",
+    "SingularMatrixError", "Statistic", "SubspaceFactorization", "TOL",
     "TransformedData", "appendix_identities", "build_scenario", "calibrate_thresholds",
     "cfar_check", "compute", "estimate_pd", "evaluate", "factor_waveform_subspace",
     "format_config", "hermitize", "make_scenario", "make_signal", "parse_config",

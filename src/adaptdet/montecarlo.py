@@ -182,8 +182,8 @@ def _coefficients(scenario: Scenario, grid, seed: int) -> np.ndarray:
     """(P, J, M) signal coefficients of the seed's unit direction pair scaled
     to each SNR (dB) of `grid`."""
     theta, alpha = random_directions(scenario.J, scenario.M, seed)
-    coords = (scale_to_snr(scenario, theta, alpha, snr) for snr in grid)
-    stack = [signal_coefficient(scenario.waveform, co.theta, co.alpha) for co in coords]
+    thetas = (scale_to_snr(scenario, theta, alpha, snr) for snr in grid)
+    stack = [signal_coefficient(scenario.waveform, t, alpha) for t in thetas]
     return np.array(stack, dtype=np.complex128).reshape(-1, scenario.J, scenario.M)
 
 

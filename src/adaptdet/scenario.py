@@ -1,11 +1,11 @@
 """Detection scenarios.
 
-Problem dimensions, the spatial (A) and waveform (C) subspace matrices, a
-Toeplitz noise covariance, signal construction, and SNR-calibrated
-amplitude scaling.  A scenario factors C (one SVD) and R (one Cholesky)
-once, when it is built; it is immutable and can be shared freely across
-threads.  A signal enters the package only through its SNR, set by
-:func:`scale_to_snr` from a scenario's A, C and factor of R.
+The spatial (A) and waveform (C) subspace matrices, whose shapes are the
+problem dimensions, a Toeplitz noise covariance, signal construction, and
+SNR-calibrated amplitude scaling.  A scenario factors C (one SVD) and R
+(one Cholesky) once, when it is built; it is immutable and can be shared
+freely across threads.  A signal enters the package only through its SNR,
+set by :func:`scale_to_snr` from a scenario's A, C and factor of R.
 
 Every seeded draw of the package is SFC64 from one registry, :func:`stream`,
 keyed ``SeedSequence(seed, spawn_key=(purpose, *index))`` with disjoint
@@ -24,7 +24,6 @@ from .transform import SubspaceFactorization, factor_waveform_subspace
 
 __all__ = [
     "Scenario",
-    "SignalCoordinates",
     "check_dimensions",
     "check_integer",
     "stream",
@@ -83,8 +82,10 @@ def check_integer(value, name: str, low: int | None = 0) -> int:
     """The one rule for a seed, count, dimension or index of a public entry:
     refused, naming it, when below `low` (None: no bound) or not an integer,
     which would otherwise be truncated (seed 2.9 to seed 2's stream, trial
-    2.9 to trial 2)."""
+    2.9 to trial 2, True to dimension 1)."""
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1 (numpy's bool it refuses)
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
@@ -109,60 +110,48 @@ def _check_subspace_dimensions(n: int, k: int, m: int, j: int, l: int = 0) -> No
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One detection problem: dimensions, subspaces, and noise covariance.
+    """One detection problem: the spatial subspace A (N x J), the waveform
+    subspace C (M x K), the noise covariance R (N x N) and the training-data
+    count L.
 
     N: channels, K: test-data columns (pulses), M: waveform-subspace
-    dimension, J: spatial-subspace dimension, L: training-data count.
-    ``waveform`` is the factorization of C and ``coloring`` the lower
-    Cholesky factor F of R = F F^H, both built once with the scenario.
+    dimension, J: spatial-subspace dimension; all four are read from the
+    shapes of A and C.  ``waveform`` is the factorization of C and
+    ``coloring`` the lower Cholesky factor F of R = F F^H, both built once
+    with the scenario.
     """
 
-    N: int
-    K: int
-    M: int
-    J: int
-    L: int
     A: np.ndarray
     C: np.ndarray
     R: np.ndarray
+    L: int
+    N: int = field(init=False)
+    K: int = field(init=False)
+    M: int = field(init=False)
+    J: int = field(init=False)
     waveform: SubspaceFactorization = field(init=False, repr=False)
     coloring: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, k, m, j = self.N, self.K, self.M, self.J
-        check_dimensions(n, k, m, j, self.L)
         a = as_cmatrix(self.A, "A")
         c = as_cmatrix(self.C, "C")
         r = as_cmatrix(self.R, "R")
-        if a.shape != (n, j):
-            raise ValueError(f"A must be {n}x{j}, got {a.shape}")
-        if c.shape != (m, k):
-            raise ValueError(f"C must be {m}x{k}, got {c.shape}")
+        (n, j), (m, k) = a.shape, c.shape
+        check_dimensions(n, k, m, j, self.L)
         if r.shape != (n, n):
             raise ValueError(f"R must be {n}x{n}, got {r.shape}")
         if not _full_rank(a):
             raise ValueError("A must have full column rank")
         waveform = factor_waveform_subspace(c)
-        dev = np.linalg.norm(r - r.conj().T)
-        if dev > TOL.check_rtol * max(1.0, np.linalg.norm(r)):
+        if np.linalg.norm(r - r.conj().T) > TOL.check_rtol * np.linalg.norm(r):
             raise ValueError("R is not Hermitian")
         try:
             coloring = np.linalg.cholesky(r)
         except np.linalg.LinAlgError as exc:
             raise ValueError("R is not positive definite") from exc
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "R", r)
-        object.__setattr__(self, "waveform", waveform)
-        object.__setattr__(self, "coloring", coloring)
-
-
-@dataclass(frozen=True, eq=False)
-class SignalCoordinates:
-    """Unknown signal coordinates: theta (length J), alpha (length M)."""
-
-    theta: np.ndarray
-    alpha: np.ndarray
+        for name, value in (("A", a), ("C", c), ("R", r), ("N", n), ("K", k), ("M", m),
+                            ("J", j), ("waveform", waveform), ("coloring", coloring)):
+            object.__setattr__(self, name, value)
 
 
 def _full_rank(a: np.ndarray, rtol: float = TOL.rank_sv_rtol) -> bool:
@@ -172,8 +161,7 @@ def _full_rank(a: np.ndarray, rtol: float = TOL.rank_sv_rtol) -> bool:
 
 def toeplitz_covariance(n: int, rho: float) -> np.ndarray:
     """N x N covariance with entries rho^|i-j| (real symmetric Toeplitz, PD)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = check_integer(n, "n", low=1)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     idx = np.arange(n)
@@ -215,6 +203,7 @@ def _draw_full_rank(rng, rows, cols, name, rtol=TOL.rank_sv_rtol):
 
 def random_directions(j: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm (theta_dir, alpha_dir) on the complex sphere, from the DIRECTIONS stream."""
+    j, m = check_integer(j, "J", low=1), check_integer(m, "M", low=1)
     rng = stream(seed, DIRECTIONS)
     theta = as_cvector(complex_gaussian(rng, j, 1), "theta_dir")
     alpha = as_cvector(complex_gaussian(rng, m, 1), "alpha_dir")
@@ -247,24 +236,26 @@ def snr_of(scenario: Scenario, theta, alpha) -> float:
     return waveform * spatial
 
 
-def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float) -> SignalCoordinates:
-    """Scale theta_dir so the pair hits the target SNR (dB) exactly.
+def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float) -> np.ndarray:
+    """theta_dir scaled so that (theta, alpha_dir) hits the target SNR (dB) exactly.
 
-    Only theta is scaled; the statistic depends on the signal matrix alone,
-    so how the amplitude is split between theta and alpha is immaterial and
-    one convention keeps runs reproducible.
+    Only theta is scaled and returned; alpha_dir stays the caller's.  The
+    statistic depends on the signal matrix alone, so how the amplitude is
+    split between theta and alpha is immaterial and one convention keeps
+    runs reproducible.  A non-finite target is refused.
     """
+    if not np.isfinite(target_snr_db):
+        raise ValueError(f"target_snr_db must be finite, got {target_snr_db!r}")
     theta_dir = as_cvector(theta_dir, "theta_dir")
     alpha_dir = as_cvector(alpha_dir, "alpha_dir")
     base = snr_of(scenario, theta_dir, alpha_dir)
     if base <= 0.0:
         raise ValueError("zero-SNR direction: theta_dir/alpha_dir give no signal power")
-    gain = np.sqrt(10.0 ** (target_snr_db / 10.0) / base)
-    return SignalCoordinates(gain * theta_dir, alpha_dir)
+    return np.sqrt(10.0 ** (target_snr_db / 10.0) / base) * theta_dir
 
 
 def make_scenario(n: int, k: int, m: int, j: int, l: int, *, rho: float = 0.95,
                   seed: int = 0) -> Scenario:
     """Build a scenario with random fixed subspaces and a Toeplitz covariance."""
     a, c = random_subspaces(n, j, m, k, seed)
-    return Scenario(N=n, K=k, M=m, J=j, L=l, A=a, C=c, R=toeplitz_covariance(n, rho))
+    return Scenario(A=a, C=c, R=toeplitz_covariance(n, rho), L=l)

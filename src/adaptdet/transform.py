@@ -68,8 +68,9 @@ def factor_waveform_subspace(c) -> SubspaceFactorization:
     """Factor a full-row-rank M x K matrix C into (c_par, c_perp, d) by one SVD."""
     c = as_cmatrix(c, "C")
     m, k = c.shape
-    if m > k:
-        raise ValueError(f"C must have at most as many rows as columns, got {c.shape}")
+    if not 0 < m <= k:
+        raise ValueError(f"C must have at least one row and at most as many rows as "
+                         f"columns, got {c.shape}")
     u, sv, vh = np.linalg.svd(c, full_matrices=True)
     if sv[-1] <= TOL.rank_sv_rtol * sv[0]:
         raise ValueError("C must have full row rank; this C is rank deficient")

@@ -93,7 +93,7 @@ def random_instance(regime: str, rng: np.random.Generator) -> Instance:
 
     a, c = _draw_subspaces(rng, n, j, m, k)
     rho = _RHO_CYCLE[int(rng.integers(0, len(_RHO_CYCLE)))]
-    sc = Scenario(N=n, K=k, M=m, J=j, L=l, A=a, C=c, R=toeplitz_covariance(n, rho))
+    sc = Scenario(A=a, C=c, R=toeplitz_covariance(n, rho), L=l)
     x = sc.coloring @ complex_gaussian(rng, n, k)
     if rng.integers(0, 2):
         # moderate SNR keeps the bounded statistics away from 1, where the
@@ -101,8 +101,8 @@ def random_instance(regime: str, rng: np.random.Generator) -> Instance:
         theta_dir = complex_gaussian(rng, j, 1).ravel()
         alpha_dir = complex_gaussian(rng, m, 1).ravel()
         snr_db = float(rng.uniform(-5.0, 15.0))
-        coords = scale_to_snr(sc, theta_dir, alpha_dir, snr_db)
-        x = x + make_signal(a, coords.theta, coords.alpha, c)
+        theta = scale_to_snr(sc, theta_dir, alpha_dir, snr_db)
+        x = x + make_signal(a, theta, alpha_dir, c)
     x_l = sc.coloring @ complex_gaussian(rng, n, l)
     return Instance(regime=regime, n=n, k=k, m=m, j=j, l=l, a=a, c=c, x=x, x_l=x_l)
 

@@ -290,8 +290,7 @@ class TestEvaluate:
         sc = make_scenario(12, 16, 3, 2, 14, rho=0.95, seed=26)
         noise, x_l = replay_trial(sc, 31, DOMAIN_SIGNAL, 7)
         theta, alpha = random_directions(sc.J, sc.M, 31)
-        coords = scale_to_snr(sc, theta, alpha, 12.0)
-        x = noise + make_signal(sc.A, coords.theta, coords.alpha, sc.C)
+        x = noise + make_signal(sc.A, scale_to_snr(sc, theta, alpha, 12.0), alpha, sc.C)
         kinds = list(DetectorKind)
         ref = evaluate(kinds, x, x_l, sc.A, sc.C)
         scaled = evaluate(kinds, scale * x, scale * x_l, sc.A, sc.C)

@@ -40,10 +40,10 @@ _SNRS_DB = (0.0, 20.0, 40.0, 60.0)
 
 def _signal(snr_db):
     """The signal matrix at `snr_db` and its (1, J, M) coefficient stack."""
-    theta, alpha = random_directions(_SCENARIO.J, _SCENARIO.M, 7)
-    coords = scale_to_snr(_SCENARIO, theta, alpha, snr_db)
-    return (make_signal(_SCENARIO.A, coords.theta, coords.alpha, _SCENARIO.C),
-            signal_coefficient(_SCENARIO.waveform, coords.theta, coords.alpha)[None])
+    theta_dir, alpha = random_directions(_SCENARIO.J, _SCENARIO.M, 7)
+    theta = scale_to_snr(_SCENARIO, theta_dir, alpha, snr_db)
+    return (make_signal(_SCENARIO.A, theta, alpha, _SCENARIO.C),
+            signal_coefficient(_SCENARIO.waveform, theta, alpha)[None])
 
 
 def _zero(sc):
@@ -131,12 +131,12 @@ def test_kernels_match_oracles_at_other_subspace_ranks(j):
     # J = 1 takes the closed-form norm and J = 3 the eigvalsh path; both on a
     # two-point grid, against the same oracles as the J = 2 tests above
     sc = make_scenario(6, 10, 2, j, 8, rho=0.95, seed=21)
-    theta, alpha = random_directions(j, sc.M, 7)
-    coords = [scale_to_snr(sc, theta, alpha, snr) for snr in (0.0, 20.0)]
-    c = np.array([signal_coefficient(sc.waveform, co.theta, co.alpha) for co in coords])
+    theta_dir, alpha = random_directions(j, sc.M, 7)
+    thetas = [scale_to_snr(sc, theta_dir, alpha, snr) for snr in (0.0, 20.0)]
+    c = np.array([signal_coefficient(sc.waveform, theta, alpha) for theta in thetas])
     values = _kernel_values(_engine_stacks(sc, 6, 9), c)
-    for p, co in enumerate(coords):
-        signal = make_signal(sc.A, co.theta, co.alpha, sc.C)
+    for p, theta in enumerate(thetas):
+        signal = make_signal(sc.A, theta, alpha, sc.C)
         _assert_match_oracles(values[:, p], _engine_stacks(sc, 6, 9, signal))
 
 

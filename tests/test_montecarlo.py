@@ -102,8 +102,7 @@ class TestNonFiniteTrials:
         for trial in replayed:
             noise, x_l = replay_trial(sc, 11, DOMAIN_SIGNAL, trial)
             for p, snr in enumerate(snrs):
-                coords = scale_to_snr(sc, theta, alpha, snr)
-                x = noise + make_signal(sc.A, coords.theta, coords.alpha, sc.C)
+                x = noise + make_signal(sc.A, scale_to_snr(sc, theta, alpha, snr), alpha, sc.C)
                 for col, kind in enumerate(ALL):
                     value = compute(kind, x, x_l, sc.A, sc.C).value
                     assert value == pytest.approx(stats[trial, p, col], rel=1e-10)

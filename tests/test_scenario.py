@@ -125,11 +125,7 @@ _CONFIG = ExperimentConfig(N=4, K=6, M=2, J=2, L=5, rho=0.5, pfa=0.05, snr_grid_
                            calib_trials=600, pd_trials=200, detectors=(_RU,), master_seed=7)
 
 _DIMS = {"N": 12, "K": 16, "M": 3, "J": 2, "L": 14}
-
-
-def _scenario_of(**dims):
-    a, c = random_subspaces(12, 2, 3, 16, seed=1)
-    return Scenario(**{**_DIMS, **dims}, A=a, C=c, R=np.eye(12))
+_A, _C = random_subspaces(12, 2, 3, 16, seed=1)
 
 
 # every integer argument of a public entry: (the entry called with it, its name,
@@ -159,17 +155,19 @@ _INTEGER_ARGUMENTS = {
     "cfar_check_trials": (
         lambda v: cfar_check(_small_scenario(), np.eye(4), _RU, 0.05, v, 0), "trials", 0,
         600, "trials must be >= 0, got -1"),
+    "toeplitz_covariance_n": (lambda v: toeplitz_covariance(v, 0.5), "n", 1),
+    "random_directions_J": (lambda v: random_directions(v, 2, 1), "J", 1),
+    "random_directions_M": (lambda v: random_directions(2, v, 1), "M", 1),
+    # a Scenario reads N, K, M and J from A and C; its L goes through check_dimensions
+    "Scenario_L": (lambda v: Scenario(A=_A, C=_C, R=np.eye(12), L=v), "L", 0,
+                   14, "dimensions must be positive"),
 }
-# the dimensions, through make_scenario (random_subspaces' half of the check)
-# and Scenario (check_dimensions); a non-positive one keeps the dimension rule
+# the dimensions, through make_scenario (random_subspaces' half of the check);
+# a non-positive one keeps the dimension rule
 for _name, _value in _DIMS.items():
-    _low = 0 if _name == "L" else 1
     _INTEGER_ARGUMENTS[f"make_scenario_{_name}"] = (
-        lambda v, name=_name: make_scenario(*{**_DIMS, name: v}.values()), _name, _low,
-        _value, "dimensions must be positive")
-    _INTEGER_ARGUMENTS[f"Scenario_{_name}"] = (
-        lambda v, name=_name: _scenario_of(**{name: v}), _name, _low,
-        _value, "dimensions must be positive")
+        lambda v, name=_name: make_scenario(*{**_DIMS, name: v}.values()), _name,
+        0 if _name == "L" else 1, _value, "dimensions must be positive")
 
 
 class TestSnr:
@@ -178,7 +176,7 @@ class TestSnr:
         assert snr_of(sc, np.zeros(2), np.ones(2)) == 0.0
 
     def test_scalar_case(self):
-        sc = Scenario(N=1, K=1, M=1, J=1, L=1, A=[[1.0]], C=[[1.0]], R=[[1.0]])
+        sc = Scenario(A=[[1.0]], C=[[1.0]], R=[[1.0]], L=1)
         root2 = np.sqrt(2.0)
         assert snr_of(sc, [root2], [root2]) == pytest.approx(4.0, rel=1e-12)
 
@@ -199,8 +197,7 @@ class TestSnr:
         theta = random_cmatrix(rng, 2, 1).ravel()
         alpha = random_cmatrix(rng, 2, 1).ravel()
         t = random_cmatrix(rng, 2, 2) + 2 * np.eye(2)
-        moved = Scenario(N=sc.N, K=sc.K, M=sc.M, J=sc.J, L=sc.L,
-                         A=sc.A @ t, C=sc.C, R=sc.R)
+        moved = replace(sc, A=sc.A @ t)
         assert snr_of(moved, np.linalg.solve(t, theta), alpha) == pytest.approx(
             snr_of(sc, theta, alpha), rel=1e-10)
 
@@ -210,23 +207,21 @@ class TestScaleToSnr:
         sc = _small_scenario()
         theta, alpha = random_directions(sc.J, sc.M, 1)
         current_db = 10.0 * np.log10(snr_of(sc, theta, alpha))
-        coords = scale_to_snr(sc, theta, alpha, current_db)
-        assert np.allclose(coords.theta, theta, rtol=1e-12)
+        assert np.allclose(scale_to_snr(sc, theta, alpha, current_db), theta, rtol=1e-12)
 
     def test_doubling_scales_theta_by_sqrt2(self):
         sc = _small_scenario()
         theta, alpha = random_directions(sc.J, sc.M, 2)
         base_db = 10.0 * np.log10(snr_of(sc, theta, alpha))
         doubled = scale_to_snr(sc, theta, alpha, base_db + 10.0 * np.log10(2.0))
-        gain = np.linalg.norm(doubled.theta) / np.linalg.norm(theta)
+        gain = np.linalg.norm(doubled) / np.linalg.norm(theta)
         assert gain == pytest.approx(np.sqrt(2.0), rel=1e-10)
 
     @pytest.mark.parametrize("target_db", [-10.0, 0.0, 13.0, 30.0])
     def test_self_consistency(self, target_db):
         sc = _small_scenario()
         theta, alpha = random_directions(sc.J, sc.M, 3)
-        coords = scale_to_snr(sc, theta, alpha, target_db)
-        achieved = snr_of(sc, coords.theta, coords.alpha)
+        achieved = snr_of(sc, scale_to_snr(sc, theta, alpha, target_db), alpha)
         assert achieved == pytest.approx(10.0 ** (target_db / 10.0), rel=1e-12)
 
     def test_rejects_zero_direction(self):
@@ -234,13 +229,20 @@ class TestScaleToSnr:
         with pytest.raises(ValueError, match="zero-SNR direction"):
             scale_to_snr(sc, np.zeros(2), np.ones(2), 10.0)
 
+    @pytest.mark.parametrize("target_db", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_target(self, target_db):
+        # unrefused, NaN gives a NaN theta without a word and inf a non-finite one
+        sc = _small_scenario()
+        theta, alpha = random_directions(sc.J, sc.M, 4)
+        with pytest.raises(ValueError, match="target_snr_db must be finite"):
+            scale_to_snr(sc, theta, alpha, target_db)
+
 
 class TestScenarioValidation:
     def test_training_constraint_message(self):
         a, c = random_subspaces(12, 2, 3, 3, seed=0)
         with pytest.raises(ValueError, match=r"L\+K=14 < M\+N=15"):
-            Scenario(N=12, K=3, M=3, J=2, L=11, A=a, C=c,
-                     R=toeplitz_covariance(12, 0.95))
+            Scenario(A=a, C=c, R=toeplitz_covariance(12, 0.95), L=11)
 
     def test_rejects_spatial_subspace_too_large(self):
         with pytest.raises(ValueError, match="J=5 > N=4"):
@@ -253,31 +255,37 @@ class TestScenarioValidation:
     def test_rejects_nonpositive_dimensions(self):
         a, c = random_subspaces(3, 1, 1, 4, seed=1)
         with pytest.raises(ValueError, match="dimensions must be positive"):
-            Scenario(N=3, K=4, M=1, J=1, L=-1, A=a, C=c, R=np.eye(3))
+            Scenario(A=a, C=c, R=np.eye(3), L=-1)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("A", np.ones((3, 1)), r"A must be 3x2, got \(3, 1\)"),
-        ("C", np.ones((1, 3)), r"C must be 1x4, got \(1, 3\)"),
         ("R", np.eye(4), r"R must be 3x3, got \(4, 4\)"),
         ("R", np.eye(3) + np.diag([0.5, 0.0], 1), "R is not Hermitian"),
+        # the check is relative to R's norm: no floor lets a tiny R through
+        ("R", 1e-12 * np.array([[1, .5, 0], [.1, 1, 0], [0, 0, 1]]), "R is not Hermitian"),
         ("A", np.ones((3, 2)), "A must have full column rank"),
-    ], ids=["A_shape", "C_shape", "R_shape", "R_not_hermitian", "A_rank_deficient"])
+    ], ids=["R_shape", "R_not_hermitian", "R_not_hermitian_tiny", "A_rank_deficient"])
     def test_refuses_a_bad_matrix(self, field, value, message):
         a, c = random_subspaces(3, 2, 1, 4, seed=1)
         matrices = {"A": a, "C": c, "R": np.eye(3), field: value}
         with pytest.raises(ValueError, match=message):
-            Scenario(N=3, K=4, M=1, J=2, L=3, **matrices)
+            Scenario(L=3, **matrices)
+
+    def test_dimensions_are_the_shapes_of_a_and_c(self):
+        a, c = random_subspaces(5, 2, 3, 7, seed=1)
+        sc = Scenario(A=a, C=c, R=np.eye(5), L=6)
+        assert (sc.N, sc.J, sc.M, sc.K, sc.L) == (5, 2, 3, 7, 6)
+        wider = replace(sc, A=random_subspaces(5, 3, 3, 7, seed=2)[0])
+        assert (wider.N, wider.J, wider.M, wider.K) == (5, 3, 3, 7)
 
     def test_rejects_indefinite_covariance(self):
         a, c = random_subspaces(3, 1, 1, 4, seed=1)
         with pytest.raises(ValueError, match="positive definite"):
-            Scenario(N=3, K=4, M=1, J=1, L=3, A=a, C=c, R=-np.eye(3))
+            Scenario(A=a, C=c, R=-np.eye(3), L=3)
 
     def test_rank_deficient_waveform_subspace_message(self):
         a, c = random_subspaces(3, 1, 2, 4, seed=1)
         with pytest.raises(ValueError, match="C must have full row rank"):
-            Scenario(N=3, K=4, M=2, J=1, L=3, A=a, C=np.vstack([c[0], 2 * c[0]]),
-                     R=np.eye(3))
+            Scenario(A=a, C=np.vstack([c[0], 2 * c[0]]), R=np.eye(3), L=3)
 
     def test_carries_the_factorization_of_c(self):
         sc = _small_scenario()
@@ -329,7 +337,7 @@ class TestScenarioValidation:
                 draws.append(args)
                 return _draw(*args, **kwargs)
             monkeypatch.setattr(module, attr, counted)
-        for value in (2.9, 1.0, np.float64(1.7), "7"):
+        for value in (2.9, 1.0, np.float64(1.7), "7", True):
             with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, "
                                                           f"got {value!r}")):
                 entry(value)

@@ -54,6 +54,11 @@ class TestFactorWaveformSubspace:
         with pytest.raises(ValueError, match="at most as many rows as columns"):
             factor_waveform_subspace(np.ones((3, 2)))
 
+    def test_rejects_a_c_without_rows(self):
+        # its singular values are empty, so the rank test has none to index
+        with pytest.raises(ValueError, match="at least one row"):
+            factor_waveform_subspace(np.ones((0, 3)))
+
     # A C with repeated singular values has no unique U, but d and c_par are unique.
     @pytest.mark.parametrize("repeated", [False, True], ids=["random", "repeated_sv"])
     def test_d_is_the_square_root_and_c_par_its_solve(self, repeated):

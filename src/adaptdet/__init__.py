@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .detectors import DetectorKind, Statistic, appendix_identities, compute, evaluate
+from .detectors import DetectorKind, appendix_identities, evaluate
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
 from .linalg import TOL, hermitize
 from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_thresholds,
@@ -26,13 +26,12 @@ __all__ = [
     "__version__",
     "CalibrationResult", "CfarReport", "ConfigError", "DetectorKind",
     "ExperimentConfig", "NonFiniteStatisticError", "PdCurve", "Scenario",
-    "SingularMatrixError", "Statistic", "SubspaceFactorization", "TOL",
-    "TransformedData", "appendix_identities", "build_scenario", "calibrate_thresholds",
-    "cfar_check", "compute", "estimate_pd", "evaluate", "factor_waveform_subspace",
-    "format_config", "hermitize", "make_scenario", "make_signal", "parse_config",
-    "pd_curves", "random_directions", "random_subspaces", "run_verification",
-    "scale_to_snr", "signal_coefficient", "simulate_statistics", "snr_of",
-    "threshold_from_h0", "toeplitz_covariance",
+    "SingularMatrixError", "SubspaceFactorization", "TOL", "TransformedData",
+    "appendix_identities", "build_scenario", "calibrate_thresholds", "cfar_check",
+    "estimate_pd", "evaluate", "factor_waveform_subspace", "format_config", "hermitize",
+    "make_scenario", "make_signal", "parse_config", "pd_curves", "random_directions",
+    "random_subspaces", "run_verification", "scale_to_snr", "signal_coefficient",
+    "simulate_statistics", "snr_of", "threshold_from_h0", "toeplitz_covariance",
 ]
 
 

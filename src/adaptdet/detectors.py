@@ -18,18 +18,17 @@ GLRGDD-RU with an empty training set.
 
 :func:`statistics` maps each kind to its covariance estimate and kernels;
 the Monte Carlo engine calls it on blocks of trials.  The per-instance
-entry takes raw data (X, X_L, A, C): :func:`evaluate` of several kinds, or
-:func:`compute` of one, validates the instance once, transforms it as the
-engine does, checks once each covariance estimate the kinds read and reads
-them all from one :func:`statistics` call on a stack of one at c = 0: the
-engine's value, bitwise.  Bose's GLRT reads no X_L, so an empty N x 0 one
-will do.
+entry is :func:`evaluate`: it takes raw data (X, X_L, A, C) and a list of
+kinds, validates the instance once, transforms it as the engine does,
+checks once each covariance estimate the kinds read, reads them all from
+one :func:`statistics` call on a stack of one at c = 0 (the engine's value,
+bitwise) and returns each as a float.  Bose's GLRT reads no X_L, so an
+empty N x 0 one will do.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .linalg import as_cmatrix, cholesky, hermitize
 from .scenario import _full_rank, check_dimensions
 from .transform import TransformedData, factor_waveform_subspace, transform_stack
 
-__all__ = ["DetectorKind", "Statistic", "statistics", "appendix_identities", "evaluate",
-           "compute"]
+__all__ = ["DetectorKind", "statistics", "appendix_identities", "evaluate"]
 
 
 class DetectorKind(enum.Enum):
@@ -79,22 +77,6 @@ class DetectorKind(enum.Enum):
         except ValueError:
             return False
         return True
-
-
-@dataclass(frozen=True)
-class Statistic:
-    """A detector output: nonnegative, and below 1 for the bounded kinds."""
-
-    value: float
-    kind: DetectorKind
-
-    def __post_init__(self):
-        if not np.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"{self.kind.name} statistic must be finite and >= 0, "
-                             f"got {self.value}")
-        if self.kind.bounded_below_one and self.value >= 1.0:
-            raise ValueError(f"{self.kind.name} statistic must lie in [0, 1), "
-                             f"got {self.value}")
 
 
 def kind_list(kinds) -> list[DetectorKind]:
@@ -164,11 +146,12 @@ def _prepared(kinds, x, x_l, a, c):
     return x, a, f, td
 
 
-def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, Statistic]:
+def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, float]:
     """Evaluate several statistics of one instance from raw data matrices:
     one validation, one transform and one :func:`statistics` call on a stack
     of one trial at c = 0, the instance's data taken as noise; a LAPACK
-    failure there raises SingularMatrixError naming the kinds."""
+    failure there raises SingularMatrixError naming the kinds.  Each value
+    must be finite and >= 0, and below 1 for the bounded kinds."""
     kinds = kind_list(kinds)
     _, a, f, td = _prepared(kinds, x, x_l, a, c)
     one = TransformedData(**{name: value[None] for name, value in vars(td).items()})
@@ -177,12 +160,13 @@ def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, Statistic]:
     except np.linalg.LinAlgError as exc:
         names = ", ".join(kind.name for kind in kinds)
         raise SingularMatrixError(f"{exc}: ill-conditioned covariance estimate for {names}") from exc
-    return {kind: Statistic(float(value), kind) for kind, value in zip(kinds, values[0, 0])}
-
-
-def compute(kind: DetectorKind, x, x_l, a, c) -> Statistic:
-    """Evaluate any of the five statistics from raw data matrices."""
-    return evaluate([kind], x, x_l, a, c)[kind]
+    out = {kind: float(value) for kind, value in zip(kinds, values[0, 0])}
+    for kind, value in out.items():
+        if not np.isfinite(value) or value < 0.0:
+            raise ValueError(f"{kind.name} statistic must be finite and >= 0, got {value}")
+        if kind.bounded_below_one and value >= 1.0:
+            raise ValueError(f"{kind.name} statistic must lie in [0, 1), got {value}")
+    return out
 
 
 def appendix_identities(x, x_l, a, c) -> dict[str, float]:

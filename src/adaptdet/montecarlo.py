@@ -65,8 +65,8 @@ from .detectors import DetectorKind, kind_list, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
 from .scenario import (_SQRT_HALF, DOMAIN_NULL, DOMAIN_SIGNAL, STREAM_VERSION, Scenario,
-                       check_dimensions, check_integer, random_directions, scale_to_snr,
-                       stream)
+                       _snr_power, check_dimensions, check_integer, random_directions,
+                       scale_to_snr, stream)
 from .transform import (TransformedData, signal_coefficient, transform_size,
                         transform_stack)
 
@@ -340,6 +340,8 @@ def _check_grid(snr_grid_db) -> tuple[float, ...]:
         raise TypeError(f"SNR grid must be a sequence of numbers, got {snr_grid_db!r}")
     if not np.all(np.isfinite(grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"SNR grid must be finite and strictly increasing, got {grid}")
+    for snr in grid:
+        _snr_power(snr, "SNR grid point")
     return grid
 
 
@@ -360,16 +362,10 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
                                 threads=threads)
     thresholds = np.array([cals[kind].threshold for kind in kinds])
     pd_matrix = np.count_nonzero(stats > thresholds, axis=0) / pd_trials
-    return {
-        kind: PdCurve(
-            kind=kind,
-            points=tuple((snr, float(pd_matrix[i, j])) for i, snr in enumerate(grid)),
-            trials_per_point=pd_trials,
-            threshold_used=cals[kind].threshold,
-            seed=seed,
-        )
-        for j, kind in enumerate(kinds)
-    }
+    return {kind: PdCurve(kind=kind, points=tuple(zip(grid, pd_matrix[:, j].tolist())),
+                          trials_per_point=pd_trials, threshold_used=cals[kind].threshold,
+                          seed=seed)
+            for j, kind in enumerate(kinds)}
 
 
 def cfar_check(scenario: Scenario, r_alt, kind: DetectorKind, pfa: float,

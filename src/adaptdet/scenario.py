@@ -240,18 +240,28 @@ def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float)
     """theta_dir scaled so that (theta, alpha_dir) hits the target SNR (dB) exactly.
 
     Only theta is scaled and returned; alpha_dir stays the caller's.  The
-    statistic depends on the signal matrix alone, so how the amplitude is
-    split between theta and alpha is immaterial and one convention keeps
-    runs reproducible.  A non-finite target is refused.
+    statistic depends on the signal matrix alone, so how the amplitude is split
+    between theta and alpha is immaterial and one convention keeps runs
+    reproducible.  A non-finite target, or one whose power overflows, is refused.
     """
     if not np.isfinite(target_snr_db):
         raise ValueError(f"target_snr_db must be finite, got {target_snr_db!r}")
+    power = _snr_power(target_snr_db, "target_snr_db")
     theta_dir = as_cvector(theta_dir, "theta_dir")
     alpha_dir = as_cvector(alpha_dir, "alpha_dir")
     base = snr_of(scenario, theta_dir, alpha_dir)
     if base <= 0.0:
         raise ValueError("zero-SNR direction: theta_dir/alpha_dir give no signal power")
-    return np.sqrt(10.0 ** (target_snr_db / 10.0) / base) * theta_dir
+    return np.sqrt(power / base) * theta_dir
+
+
+def _snr_power(snr_db, name: str) -> float:
+    """10^(snr_db/10) of a finite SNR (dB); refused above ~3082.5 dB, where it overflows."""
+    try:
+        return 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{name} {float(snr_db)!r} dB has a linear power 10^(snr/10) "
+                         "beyond the float range") from None
 
 
 def make_scenario(n: int, k: int, m: int, j: int, l: int, *, rho: float = 0.95,

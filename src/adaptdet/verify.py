@@ -22,11 +22,11 @@ and scales its signal to an SNR, as the Monte Carlo engine's scenarios do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .detectors import DetectorKind, appendix_identities, evaluate
-from .detectors import compute  # noqa: F401  perfbench traces verify.compute
 from .linalg import TOL
 from .scenario import (DEFAULT_SEED, VERIFY_INSTANCE, VERIFY_TRANSFORM, Scenario,
                        _draw_full_rank, _draw_subspaces, check_integer, complex_gaussian,
@@ -185,6 +185,13 @@ def run_verification(seed: int = DEFAULT_SEED, instance_count: int = 500) -> Ver
                               suites=list(suites.values()))
 
 
+def compute(kind, x, x_l, a, c):
+    """One statistic with ``.value``, for the benchmark's per-instance probe and
+    test_benchmark_reads_instances_and_runs_the_engine_as_called, its only
+    callers; ROADMAP item 14B deletes it."""
+    return SimpleNamespace(value=evaluate([kind], x, x_l, a, c)[kind])
+
+
 def _check_instance(idx: int, inst: Instance, rng, suites: dict[str, CheckSuite]) -> None:
     kinds = inst.valid_kinds()
     base = evaluate(kinds, inst.x, inst.x_l, inst.a, inst.c)
@@ -194,20 +201,20 @@ def _check_instance(idx: int, inst: Instance, rng, suites: dict[str, CheckSuite]
         worst = max(residuals.values())
         suites["identities"].record(idx, worst, TOL.identity_rtol,
                                     f"{inst.regime}, worst of {len(residuals)} identities")
-        t_ru = base[DetectorKind.GLRGDD_RU].value
-        t_full = base[DetectorKind.GLRGDD].value
+        t_ru = base[DetectorKind.GLRGDD_RU]
+        t_full = base[DetectorKind.GLRGDD]
         mapped = t_ru / (1.0 - t_ru)
         res = abs(t_full - mapped) / (1.0 + t_full)
         suites["monotone_map"].record(idx, res, TOL.identity_rtol, inst.regime)
 
     if inst.l == 0:
-        ru = base[DetectorKind.GLRGDD_RU].value
-        res = abs(base[DetectorKind.BOSE_GLRT].value - ru) / max(1.0, abs(ru))
+        ru = base[DetectorKind.GLRGDD_RU]
+        res = abs(base[DetectorKind.BOSE_GLRT] - ru) / max(1.0, abs(ru))
         suites["no_training_agreement"].record(idx, res, TOL.degenerate_rtol, inst.regime)
 
     if inst.k == inst.m and DetectorKind.AMGDD in kinds:
-        ru = base[DetectorKind.AMGDD_RU].value
-        res = abs(base[DetectorKind.AMGDD].value - ru) / max(1.0, abs(ru))
+        ru = base[DetectorKind.AMGDD_RU]
+        res = abs(base[DetectorKind.AMGDD] - ru) / max(1.0, abs(ru))
         suites["square_agreement"].record(idx, res, TOL.degenerate_rtol, inst.regime)
 
     t_a = _draw_full_rank(rng, inst.j, inst.j, "T", _TRANSFORM_RTOL)
@@ -220,9 +227,9 @@ def _check_instance(idx: int, inst: Instance, rng, suites: dict[str, CheckSuite]
          evaluate(kinds, scale * inst.x, scale * inst.x_l, inst.a, inst.c)),
     )
     for kind in kinds:
-        value = base[kind].value
+        value = base[kind]
         for label, stats in variants:
-            res = abs(stats[kind].value - value) / (1.0 + abs(value))
+            res = abs(stats[kind] - value) / (1.0 + abs(value))
             suites["invariance"].record(idx, res, TOL.identity_rtol, f"{kind.name} {label}")
         if kind.bounded_below_one:
             overshoot = value - (1.0 - TOL.stat_unit_margin)

@@ -20,7 +20,7 @@ import pytest
 
 from adaptdet import cli
 from adaptdet.config import parse_config
-from adaptdet.detectors import DetectorKind, appendix_identities, compute
+from adaptdet.detectors import DetectorKind, appendix_identities, evaluate
 from adaptdet.errors import ConfigError
 from adaptdet.montecarlo import (calibrate_thresholds, estimate_pd, pd_curves,
                                  simulate_statistics)
@@ -59,8 +59,8 @@ def test_criterion_1_identity_suite():
 def test_criterion_2_monotone_map_equivalence():
     worst = 0.0
     for _, inst in instance_stream(SEED + 2, 500, regimes=("abundant", "square")):
-        t_full = compute(GLR, inst.x, inst.x_l, inst.a, inst.c).value
-        t_ru = compute(RU_GLR, inst.x, inst.x_l, inst.a, inst.c).value
+        t_full = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
+        t_ru = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
         residual = abs(t_full - t_ru / (1.0 - t_ru)) / (1.0 + t_full)
         worst = max(worst, residual)
     passed = worst <= 1e-8
@@ -76,13 +76,13 @@ def test_criterion_2_holds_against_independent_oracles():
     worst_glr = 0.0
     worst_ru = 0.0
     for _, inst in instance_stream(SEED + 2, 500, regimes=("abundant", "square")):
-        glr = compute(GLR, inst.x, inst.x_l, inst.a, inst.c).value
+        glr = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
         glr_ref = glrgdd_raw_form(inst.x, inst.x_l, inst.a, inst.c)
         worst_glr = max(worst_glr, abs(glr - glr_ref) / abs(glr_ref))
         _, _, vh = np.linalg.svd(inst.c)
         x_par, x_perp = inst.x @ vh[:inst.m].conj().T, inst.x @ vh[inst.m:].conj().T
         s_plus = inst.x_l @ inst.x_l.conj().T + x_perp @ x_perp.conj().T
-        t_ru = compute(RU_GLR, inst.x, inst.x_l, inst.a, inst.c).value
+        t_ru = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
         t_ref = ru_glr_direct(x_par, s_plus, inst.a)
         worst_ru = max(worst_ru, abs(t_ru - t_ref) / abs(t_ref))
     passed = worst_glr <= 1e-8 and worst_ru <= 1e-8
@@ -95,13 +95,13 @@ def test_criterion_2_holds_against_independent_oracles():
 def test_criterion_3_degenerate_agreements():
     worst_bose = 0.0
     for _, inst in instance_stream(SEED + 3, 200, regimes=("notraining",)):
-        ru = compute(RU_GLR, inst.x, inst.x_l, inst.a, inst.c).value
-        bose = compute(BOSE, inst.x, inst.x_l, inst.a, inst.c).value
+        ru = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
+        bose = evaluate([BOSE], inst.x, inst.x_l, inst.a, inst.c)[BOSE]
         worst_bose = max(worst_bose, abs(bose - ru) / max(1.0, abs(ru)))
     worst_square = 0.0
     for _, inst in instance_stream(SEED + 4, 200, regimes=("square",)):
-        am_ru = compute(RU_AM, inst.x, inst.x_l, inst.a, inst.c).value
-        am = compute(AM, inst.x, inst.x_l, inst.a, inst.c).value
+        am_ru = evaluate([RU_AM], inst.x, inst.x_l, inst.a, inst.c)[RU_AM]
+        am = evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)[AM]
         worst_square = max(worst_square, abs(am - am_ru) / max(1.0, abs(am_ru)))
     passed = worst_bose <= 1e-12 and worst_square <= 1e-12
     _report(3, "degenerate agreements", passed,
@@ -114,10 +114,10 @@ def test_criterion_4_dual_formula_oracles():
     worst_am = 0.0
     worst_glr = 0.0
     for _, inst in instance_stream(SEED + 5, 200, regimes=("abundant",)):
-        am = compute(AM, inst.x, inst.x_l, inst.a, inst.c).value
+        am = evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)[AM]
         am_ref = amgdd_projection_form(inst.x, inst.x_l, inst.a, inst.c)
         worst_am = max(worst_am, abs(am - am_ref) / (1.0 + abs(am_ref)))
-        glr = compute(GLR, inst.x, inst.x_l, inst.a, inst.c).value
+        glr = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
         glr_ref = glrgdd_raw_form(inst.x, inst.x_l, inst.a, inst.c)
         worst_glr = max(worst_glr, abs(glr - glr_ref) / (1.0 + abs(glr_ref)))
     passed = worst_am <= 1e-8 and worst_glr <= 1e-8
@@ -137,14 +137,14 @@ def test_criterion_5_invariance_suite():
             (inst.m, inst.m)) + 2 * np.eye(inst.m)
         c_scale = complex(rng.uniform(0.3, 3.0), rng.uniform(-1.0, 1.0))
         for kind in DetectorKind:
-            base = compute(kind, inst.x, inst.x_l, inst.a, inst.c).value
+            base = evaluate([kind], inst.x, inst.x_l, inst.a, inst.c)[kind]
             denom = 1.0 + abs(base)
-            moved = compute(kind, inst.x, inst.x_l, inst.a @ t_a, inst.c).value
+            moved = evaluate([kind], inst.x, inst.x_l, inst.a @ t_a, inst.c)[kind]
             worst["A -> A T"] = max(worst["A -> A T"], abs(moved - base) / denom)
-            moved = compute(kind, inst.x, inst.x_l, inst.a, t_c @ inst.c).value
+            moved = evaluate([kind], inst.x, inst.x_l, inst.a, t_c @ inst.c)[kind]
             worst["C -> T C"] = max(worst["C -> T C"], abs(moved - base) / denom)
-            moved = compute(kind, c_scale * inst.x, c_scale * inst.x_l,
-                            inst.a, inst.c).value
+            moved = evaluate([kind], c_scale * inst.x, c_scale * inst.x_l,
+                             inst.a, inst.c)[kind]
             worst["scale"] = max(worst["scale"], abs(moved - base) / denom)
     passed = all(v <= 1e-8 for v in worst.values())
     _report(5, "invariance suite", passed,

@@ -103,6 +103,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 14: unknown key 'output_path'"):
             parse_config(SMALL_CONFIG + "output_path = x.csv\n")
 
+    def test_line_without_a_key_value_pair(self):
+        with pytest.raises(ConfigError, match=r"^line 2: expected 'key = value', got 'K 6'$"):
+            parse_config("N = 4\nK 6\n")
+
     def test_duplicate_key_reports_both_lines(self):
         with pytest.raises(ConfigError, match="line 3: duplicate key 'N'"):
             parse_config("N = 4\nK = 6\nN = 5\n")
@@ -161,6 +165,10 @@ class TestParseConfig:
         ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, 8", "strictly increasing"),
         ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, nan", "SNR grid must be finite"),
         ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, inf", "SNR grid must be finite"),
+        ("snr_grid_db = 0, 8, 16", "snr_grid_db = 0, 8, 4000",
+         r"SNR grid point 4000\.0 dB has a linear power 10\^\(snr/10\) beyond the float"),
+        ("rho = 0.5", "rho = 1.0", r"rho must lie in \[0, 1\), got 1\.0"),
+        ("rho = 0.5", "rho = -0.1", r"rho must lie in \[0, 1\), got -0\.1"),
         ("pfa = 0.05", "pfa = 1.5", r"pfa must lie in \(0, 1\)"),
         # the library's own rules (check_integer, kind_list), as config errors
         ("pd_trials = 200", "pd_trials = 0", "pd_trials must be >= 1, got 0"),
@@ -398,6 +406,10 @@ class TestCommandLine:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             next(adaptdet.verify.instance_stream(-1, 1))
 
+    def test_verify_refuses_an_unknown_regime(self):
+        with pytest.raises(ValueError, match="^unknown regime 'dense'$"):
+            next(adaptdet.verify.instance_stream(0, 1, regimes=("dense",)))
+
     def test_preset_print_config_is_parseable(self, capsys):
         assert cli.main(["preset", "fig1", "--print-config"]) == 0
         cfg = parse_config(capsys.readouterr().out)
@@ -482,8 +494,9 @@ def test_benchmark_entry_points_resolve(path):
 
 def test_benchmark_reads_instances_and_runs_the_engine_as_called():
     # perfbench/worker.py reads these instance fields, calls the engine
-    # positionally and reads .value of verify.compute: compute and Statistic
-    # stay until the benchmark's per-instance probe stops calling them
+    # positionally and reads .value of verify.compute, a private adapter over
+    # detectors.evaluate that goes when the benchmark's per-instance probe
+    # stops calling it (ROADMAP item 14B)
     _, inst = next(adaptdet.verify.instance_stream(0, 1))
     for name in ("x", "x_l", "a", "c"):
         assert isinstance(getattr(inst, name), np.ndarray)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import adaptdet.detectors
-from adaptdet.detectors import DetectorKind, Statistic, appendix_identities, compute, evaluate
+from adaptdet.detectors import DetectorKind, appendix_identities, evaluate
 from adaptdet.errors import SingularMatrixError
 from adaptdet.montecarlo import DOMAIN_SIGNAL, replay_trial
 from adaptdet.scenario import (make_scenario, make_signal, random_directions, scale_to_snr,
@@ -12,6 +12,12 @@ from adaptdet.verify import REGIMES, instance_stream, random_instance, run_verif
 
 from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, random_cmatrix,
                      ru_am_direct, ru_glr_direct)
+
+RU_GLR = DetectorKind.GLRGDD_RU
+RU_AM = DetectorKind.AMGDD_RU
+GLR = DetectorKind.GLRGDD
+AM = DetectorKind.AMGDD
+BOSE = DetectorKind.BOSE_GLRT
 
 
 def _instances(regime, seed, count):
@@ -48,17 +54,26 @@ class TestDetectorKind:
         assert not DetectorKind.AMGDD.is_valid(12, 6, 3, 11)
 
 
-class TestStatisticInvariants:
-    def test_rejects_negative_value(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            Statistic(-0.1, DetectorKind.AMGDD)
+class TestEvaluateCheck:
+    # evaluate checks each value it returns: finite and >= 0, and below 1 for
+    # the bounded kinds; `statistics` is stubbed to return one value
+    @staticmethod
+    def _evaluate_as(monkeypatch, kind, value):
+        monkeypatch.setattr(adaptdet.detectors, "statistics",
+                            lambda kinds, *_: np.full((1, 1, len(kinds)), value))
+        inst = next(_instances("full", 118, 1))
+        return evaluate([kind], inst.x, inst.x_l, inst.a, inst.c)
 
-    def test_rejects_bounded_kind_at_one(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            Statistic(1.0, DetectorKind.GLRGDD_RU)
+    def test_rejects_negative_value(self, monkeypatch):
+        with pytest.raises(ValueError, match="AMGDD statistic must be finite and >= 0, got -0.1"):
+            self._evaluate_as(monkeypatch, AM, -0.1)
 
-    def test_unbounded_kind_accepts_large_values(self):
-        assert Statistic(17.5, DetectorKind.AMGDD).value == 17.5
+    def test_rejects_bounded_kind_at_one(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"GLRGDD_RU statistic must lie in \[0, 1\), got 1.0"):
+            self._evaluate_as(monkeypatch, RU_GLR, 1.0)
+
+    def test_unbounded_kind_accepts_large_values(self, monkeypatch):
+        assert self._evaluate_as(monkeypatch, AM, 17.5) == {AM: 17.5}
 
 
 class TestRuFamily:
@@ -70,60 +85,60 @@ class TestRuFamily:
         x = random_cmatrix(rng, 4, 5) @ f.c_perp
         x_l = random_cmatrix(rng, 4, 6)
         for kind in (DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU):
-            assert compute(kind, x, x_l, random_cmatrix(rng, 4, 2), c).value <= 1e-12
+            assert evaluate([kind], x, x_l, random_cmatrix(rng, 4, 2), c)[kind] <= 1e-12
 
     def test_scalar_glr_case(self):
-        value = compute(DetectorKind.GLRGDD_RU, [[1.0]], [[1.0]], [[1.0]], [[1.0]]).value
+        value = evaluate([RU_GLR], [[1.0]], [[1.0]], [[1.0]], [[1.0]])[RU_GLR]
         assert value == pytest.approx(0.5, rel=1e-12)
 
     def test_scalar_two_step_case(self):
-        value = compute(DetectorKind.AMGDD_RU, [[1.0]], [[np.sqrt(2.0)]], [[1.0]], [[1.0]]).value
+        value = evaluate([RU_AM], [[1.0]], [[np.sqrt(2.0)]], [[1.0]], [[1.0]])[RU_AM]
         assert value == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("regime", ["abundant", "lowsample"])
     def test_matches_explicit_inversion_oracle(self, regime):
         for inst in _instances(regime, 100, 10):
             td = transform_stack(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
-            glr = compute(DetectorKind.GLRGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
-            am = compute(DetectorKind.AMGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
+            glr = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
+            am = evaluate([RU_AM], inst.x, inst.x_l, inst.a, inst.c)[RU_AM]
             assert glr == pytest.approx(ru_glr_direct(td.x_par, td.s_plus, inst.a), rel=1e-8)
             assert am == pytest.approx(ru_am_direct(td.x_par, td.s_plus, inst.a), rel=1e-8)
 
     def test_bounded_strictly_below_one(self):
         for inst in _instances("lowsample", 101, 20):
-            value = compute(DetectorKind.GLRGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
+            value = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
             assert value < 1.0 - 1e-12
 
 
 class TestGlrgdd:
     def test_zero_test_data_gives_zero(self):
         inst = next(_instances("abundant", 102, 1))
-        value = compute(DetectorKind.GLRGDD, np.zeros_like(inst.x), inst.x_l, inst.a, inst.c).value
+        value = evaluate([GLR], np.zeros_like(inst.x), inst.x_l, inst.a, inst.c)[GLR]
         assert value <= 1e-12
 
     def test_scale_invariance(self):
         inst = next(_instances("abundant", 103, 1))
-        base = compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c).value
+        base = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
         for c in (0.5, 2.0 + 1.0j, 300.0):
-            scaled = compute(DetectorKind.GLRGDD, c * inst.x, c * inst.x_l, inst.a, inst.c).value
+            scaled = evaluate([GLR], c * inst.x, c * inst.x_l, inst.a, inst.c)[GLR]
             assert abs(scaled - base) <= 1e-10 * (1.0 + abs(base))
 
     def test_monotone_map_to_ru_statistic(self):
         for inst in _instances("abundant", 104, 20):
-            t_full = compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c).value
-            t_ru = compute(DetectorKind.GLRGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
+            t_full = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
+            t_ru = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
             assert abs(t_full - t_ru / (1.0 - t_ru)) <= 1e-8 * (1.0 + t_full)
 
     def test_matches_raw_whitened_form(self):
         for inst in _instances("abundant", 105, 10):
-            ours = compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c).value
+            ours = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
             reference = glrgdd_raw_form(inst.x, inst.x_l, inst.a, inst.c)
             assert ours == pytest.approx(reference, rel=1e-8)
 
     def test_requires_sample_abundance(self):
         inst = next(_instances("lowsample", 106, 1))
         with pytest.raises(ValueError, match="GLRGDD requires L >= N"):
-            compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c)
+            evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)
 
     def test_ill_conditioned_square_instance_matches_mpmath(self):
         # `adaptdet verify --seed 10` instance 99 of stream layout 4: square,
@@ -133,53 +148,52 @@ class TestGlrgdd:
         inst = _philox_instance(REGIMES[idx % len(REGIMES)], 10, idx)
         td = transform_stack(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
         t_ru, t_full = mp_glr_pair(td.x_par, td.s_plus, inst.a, np.zeros((inst.j, inst.m)))
-        stats = evaluate([DetectorKind.GLRGDD, DetectorKind.GLRGDD_RU],
+        stats = evaluate([GLR, RU_GLR],
                          inst.x, inst.x_l, inst.a, inst.c)
-        assert stats[DetectorKind.GLRGDD].value == pytest.approx(float(t_full), rel=1e-9)
-        assert stats[DetectorKind.GLRGDD_RU].value == pytest.approx(float(t_ru), rel=1e-9)
+        assert stats[GLR] == pytest.approx(float(t_full), rel=1e-9)
+        assert stats[RU_GLR] == pytest.approx(float(t_ru), rel=1e-9)
 
     def test_zero_training_row_is_a_singular_scm(self):
         inst = next(_instances("abundant", 120, 1))
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
-            compute(DetectorKind.GLRGDD, inst.x, _zero_training_row(inst), inst.a, inst.c)
+            evaluate([GLR], inst.x, _zero_training_row(inst), inst.a, inst.c)
 
 
 class TestAmgdd:
     def test_zero_test_data_gives_zero(self):
         inst = next(_instances("abundant", 107, 1))
-        value = compute(DetectorKind.AMGDD, np.zeros_like(inst.x), inst.x_l, inst.a, inst.c).value
+        value = evaluate([AM], np.zeros_like(inst.x), inst.x_l, inst.a, inst.c)[AM]
         assert value <= 1e-12
 
     def test_square_subspace_equals_ru_variant(self):
         for inst in _instances("square", 108, 10):
-            classic = compute(DetectorKind.AMGDD, inst.x, inst.x_l, inst.a, inst.c).value
-            ru = compute(DetectorKind.AMGDD_RU, inst.x, inst.x_l, inst.a, inst.c).value
+            classic = evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)[AM]
+            ru = evaluate([RU_AM], inst.x, inst.x_l, inst.a, inst.c)[RU_AM]
             assert abs(classic - ru) <= 1e-12 * max(1.0, abs(ru))
 
     def test_matches_projection_form(self):
         for inst in _instances("abundant", 109, 10):
-            ours = compute(DetectorKind.AMGDD, inst.x, inst.x_l, inst.a, inst.c).value
+            ours = evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)[AM]
             reference = amgdd_projection_form(inst.x, inst.x_l, inst.a, inst.c)
             assert ours == pytest.approx(reference, rel=1e-8)
 
     def test_requires_sample_abundance(self):
         inst = next(_instances("lowsample", 110, 1))
         with pytest.raises(ValueError, match="AMGDD requires L >= N"):
-            compute(DetectorKind.AMGDD, inst.x, inst.x_l, inst.a, inst.c)
+            evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)
 
     def test_zero_training_row_is_a_singular_scm(self):
         inst = next(_instances("abundant", 121, 1))
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
-            compute(DetectorKind.AMGDD, inst.x, _zero_training_row(inst), inst.a, inst.c)
+            evaluate([AM], inst.x, _zero_training_row(inst), inst.a, inst.c)
 
 
 class TestBoseGlrt:
     def test_equals_ru_statistic_without_training_data(self):
         for inst in _instances("notraining", 111, 10):
-            direct = compute(DetectorKind.BOSE_GLRT, inst.x, np.zeros((inst.n, 0)),
-                             inst.a, inst.c).value
-            via_ru = compute(DetectorKind.GLRGDD_RU, inst.x,
-                             np.zeros((inst.n, 0), complex), inst.a, inst.c).value
+            direct = evaluate([BOSE], inst.x, np.zeros((inst.n, 0)), inst.a, inst.c)[BOSE]
+            via_ru = evaluate([RU_GLR], inst.x, np.zeros((inst.n, 0), complex),
+                              inst.a, inst.c)[RU_GLR]
             assert abs(direct - via_ru) <= 1e-12 * max(1.0, via_ru)
 
     def test_zero_signal_block_gives_zero(self):
@@ -188,20 +202,20 @@ class TestBoseGlrt:
         f = factor_waveform_subspace(c)
         x = random_cmatrix(rng, 3, 6) @ f.c_perp
         a = random_cmatrix(rng, 3, 2)
-        assert compute(DetectorKind.BOSE_GLRT, x, np.zeros((3, 0)), a, c).value <= 1e-12
+        assert evaluate([BOSE], x, np.zeros((3, 0)), a, c)[BOSE] <= 1e-12
 
     def test_boundary_dimension_is_finite(self):
         # K = M + N exactly: the virtual SCM has just enough columns
         inst = _philox_instance("notraining", 112)
         x = inst.x[:, :inst.m + inst.n]
         c = inst.c[:, :inst.m + inst.n]
-        value = compute(DetectorKind.BOSE_GLRT, x, np.zeros((inst.n, 0)), inst.a, c).value
+        value = evaluate([BOSE], x, np.zeros((inst.n, 0)), inst.a, c)[BOSE]
         assert np.isfinite(value) and 0.0 <= value < 1.0
 
     def test_rejects_small_test_data(self):
         inst = next(_instances("square", 113, 1))
         with pytest.raises(ValueError, match=r"BOSE_GLRT requires K >= M\+N"):
-            compute(DetectorKind.BOSE_GLRT, inst.x, np.zeros((inst.n, 0)), inst.a, inst.c)
+            evaluate([BOSE], inst.x, np.zeros((inst.n, 0)), inst.a, inst.c)
 
 
 class TestAppendixIdentities:
@@ -233,54 +247,50 @@ class TestAppendixIdentities:
             appendix_identities(inst.x, _zero_training_row(inst), inst.a, inst.c)
 
 
-class TestComputeDispatcher:
+class TestEvaluateDispatch:
     def test_each_kind_dispatches(self):
         inst = next(_instances("full", 118, 1))
         for kind in DetectorKind:
-            stat = compute(kind, inst.x, inst.x_l, inst.a, inst.c)
-            assert stat.kind is kind
-            assert stat.value >= 0.0
+            stats = evaluate([kind], inst.x, inst.x_l, inst.a, inst.c)
+            assert list(stats) == [kind]
+            assert type(stats[kind]) is float and stats[kind] >= 0.0
 
     def test_checks_validity_first(self):
         inst = next(_instances("lowsample", 119, 1))
         with pytest.raises(ValueError, match="requires"):
-            compute(DetectorKind.BOSE_GLRT, inst.x, inst.x_l, inst.a, inst.c)
+            evaluate([BOSE], inst.x, inst.x_l, inst.a, inst.c)
 
     def test_rejects_mismatched_shapes(self):
         inst = next(_instances("full", 122, 1))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            compute(DetectorKind.AMGDD_RU, inst.x, inst.x_l[1:], inst.a, inst.c)
+            evaluate([RU_AM], inst.x, inst.x_l[1:], inst.a, inst.c)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            compute(DetectorKind.GLRGDD, inst.x, inst.x_l, inst.a, inst.c[:, 1:])
+            evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c[:, 1:])
 
-    @pytest.mark.parametrize("entry", ["compute", "evaluate"])
     @pytest.mark.parametrize("kind", list(DetectorKind))
-    def test_refuses_an_invalid_spatial_subspace(self, kind, entry):
-        # every kind's own constraint holds in both cases, and both
-        # per-instance entry points validate
-        call = {"compute": lambda *data: compute(kind, *data),
-                "evaluate": lambda *data: evaluate([kind], *data)}[entry]
+    def test_refuses_an_invalid_spatial_subspace(self, kind):
+        # every kind's own constraint holds in both cases
         rng = np.random.default_rng(23)
         x, x_l, c = (random_cmatrix(rng, *shape) for shape in ((2, 6), (2, 4), (2, 6)))
         with pytest.raises(ValueError, match="J=3 > N=2"):
-            call(x, x_l, random_cmatrix(rng, 2, 3), c)
+            evaluate([kind], x, x_l, random_cmatrix(rng, 2, 3), c)
         x, x_l, c = (random_cmatrix(rng, *shape) for shape in ((6, 10), (6, 8), (2, 10)))
         column = random_cmatrix(rng, 6, 1)
         with pytest.raises(ValueError, match="A must have full column rank"):
-            call(x, x_l, np.hstack([column, column]), c)
+            evaluate([kind], x, x_l, np.hstack([column, column]), c)
 
 
 class TestEvaluate:
     @pytest.mark.parametrize("regime", REGIMES + ("full",))
-    def test_equals_per_kind_compute_bitwise(self, regime):
+    def test_equals_per_kind_evaluate_bitwise(self, regime):
         # "full" is the regime where Bose with L > 0 rides with the RU kinds
         for inst in _instances(regime, 123, 8):
             kinds = inst.valid_kinds()
             stats = evaluate(kinds, inst.x, inst.x_l, inst.a, inst.c)
             assert list(stats) == list(kinds)
             for kind in kinds:
-                alone = compute(kind, inst.x, inst.x_l, inst.a, inst.c)
-                assert stats[kind].kind is kind and stats[kind].value == alone.value
+                alone = evaluate([kind], inst.x, inst.x_l, inst.a, inst.c)
+                assert stats[kind] == alone[kind]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
@@ -295,7 +305,7 @@ class TestEvaluate:
         ref = evaluate(kinds, x, x_l, sc.A, sc.C)
         scaled = evaluate(kinds, scale * x, scale * x_l, sc.A, sc.C)
         for kind in kinds:
-            assert scaled[kind].value == pytest.approx(ref[kind].value, rel=1e-12, abs=0.0)
+            assert scaled[kind] == pytest.approx(ref[kind], rel=1e-12, abs=0.0)
 
     def test_a_lapack_failure_names_the_kinds(self):
         # data built here, not drawn from a package stream: one channel 1e-10
@@ -316,13 +326,13 @@ class TestEvaluate:
     def test_checks_every_kind(self):
         inst = next(_instances("lowsample", 124, 1))
         with pytest.raises(ValueError, match=r"BOSE_GLRT requires K >= M\+N"):
-            evaluate([DetectorKind.GLRGDD_RU, DetectorKind.BOSE_GLRT],
+            evaluate([RU_GLR, BOSE],
                      inst.x, inst.x_l, inst.a, inst.c)
 
     def test_refuses_a_kind_given_by_name(self):
         inst = next(_instances("full", 126, 1))
         with pytest.raises(TypeError, match="DetectorKind members, got 'GLRGDD_RU'"):
-            evaluate([DetectorKind.AMGDD_RU, "GLRGDD_RU"], inst.x, inst.x_l, inst.a, inst.c)
+            evaluate([RU_AM, "GLRGDD_RU"], inst.x, inst.x_l, inst.a, inst.c)
 
     def test_refuses_a_lone_kind_where_a_list_is_expected(self):
         inst = next(_instances("full", 126, 1))

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from adaptdet.errors import SingularMatrixError
-from adaptdet.linalg import cholesky, hermitize
+from adaptdet.linalg import as_cmatrix, cholesky, hermitize
 
 from oracles import dagger, random_cmatrix, random_hpd
+
+
+@pytest.mark.parametrize("data, shape", [(np.ones(3), r"\(3,\)"),
+                                         (np.ones((2, 2, 2)), r"\(2, 2, 2\)")],
+                         ids=["1-D", "3-D"])
+def test_as_cmatrix_refuses_data_that_is_not_2d(data, shape):
+    with pytest.raises(ValueError, match=rf"^X must be 2-D, got shape {shape}$"):
+        as_cmatrix(data, "X")
 
 
 class TestHermitize:

@@ -8,7 +8,7 @@ import pytest
 from scipy import special, stats
 
 from adaptdet import kernels, montecarlo, scenario, verify
-from adaptdet.detectors import DetectorKind, compute, evaluate, statistics
+from adaptdet.detectors import DetectorKind, evaluate, statistics
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
 from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_SIGNAL, _coefficients,
                                  calibrate_thresholds, cfar_check, estimate_pd, pd_curves,
@@ -53,6 +53,10 @@ class TestThresholdRule:
     def test_rejects_pfa_out_of_range(self):
         with pytest.raises(ValueError, match="pfa"):
             threshold_from_h0(np.ones(10), 1.5)
+
+    def test_rejects_no_statistics(self):
+        with pytest.raises(ValueError, match="no statistics to calibrate on"):
+            threshold_from_h0(np.array([]), 0.1)
 
     def test_rejects_pfa_too_large_for_sample(self):
         with pytest.raises(ValueError, match="too large"):
@@ -104,7 +108,7 @@ class TestNonFiniteTrials:
             for p, snr in enumerate(snrs):
                 x = noise + make_signal(sc.A, scale_to_snr(sc, theta, alpha, snr), alpha, sc.C)
                 for col, kind in enumerate(ALL):
-                    value = compute(kind, x, x_l, sc.A, sc.C).value
+                    value = evaluate([kind], x, x_l, sc.A, sc.C)[kind]
                     assert value == pytest.approx(stats[trial, p, col], rel=1e-10)
 
     @pytest.mark.parametrize("dims, kinds", [
@@ -112,14 +116,14 @@ class TestNonFiniteTrials:
         ((6, 6, 2, 2, 3), [RU, DetectorKind.AMGDD_RU]),  # L < N: the RU pair only
     ])
     def test_per_instance_api_is_bitwise_the_engine(self, dims, kinds):
-        # compute and the engine share the transform and the dispatch, so a
+        # evaluate and the engine share the transform and the dispatch, so a
         # replayed noise-only trial gives the engine's value to the last bit
         sc = make_scenario(*dims, seed=21)
         stats = simulate_statistics(sc, kinds, BLOCK_TRIALS + 2, seed=11)
         for trial in (0, 1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1):
             x, x_l = replay_trial(sc, 11, DOMAIN_NULL, trial)
             for col, kind in enumerate(kinds):
-                value = compute(kind, x, x_l, sc.A, sc.C).value
+                value = evaluate([kind], x, x_l, sc.A, sc.C)[kind]
                 assert value == stats[trial, col], (trial, kind)
 
     @pytest.mark.parametrize("failing, trials, named", [
@@ -145,6 +149,20 @@ class TestNonFiniteTrials:
                    rf"{montecarlo.STREAM_VERSION}$")
         with pytest.raises(SingularMatrixError, match=pattern):
             simulate_statistics(sc, [RU], trials, seed=9, snr_db=snrs, threads=2)
+
+    def test_lapack_failure_of_no_single_trial_names_the_block(self, monkeypatch):
+        # a block that fails as a stack while each of its trials passes alone
+        # is named by its range of trials
+        def stacks_fail(kinds, td, *args, **kwargs):
+            if len(td.x_par) > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return statistics(kinds, td, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "statistics", stacks_fail)
+        pattern = (r"^Singular matrix in trials 0\.\.9 of \(seed, domain\) = \(9, 0\) of "
+                   rf"stream version {montecarlo.STREAM_VERSION}$")
+        with pytest.raises(SingularMatrixError, match=pattern):
+            simulate_statistics(_scenario(), [RU], 10, seed=9)
 
     def test_lapack_failure_names_its_trial_inside_the_block(self, monkeypatch):
         # a reduction that fails on one trial's data alone, in the middle of the
@@ -185,7 +203,7 @@ class TestBlockWorkspace:
             x, x_l = replay_trial(sc, 13, domain, trial)
             if snrs is None:
                 values = evaluate(ALL, x, x_l, sc.A, sc.C)
-                assert [values[kind].value for kind in ALL] == list(runs[0][trial]), trial
+                assert [values[kind] for kind in ALL] == list(runs[0][trial]), trial
             else:
                 td = transform_stack(x[None], x_l[None], sc.waveform)
                 values = statistics(ALL, td, sc.A, _coefficients(sc, snrs, 13))[0]
@@ -630,6 +648,25 @@ class TestPdCurves:
                 simulate_statistics(sc, [RU], 10, seed=0, snr_db=snr)
         with pytest.raises(TypeError, match=r"SNR grid must be a sequence of numbers, got 6\.0"):
             pd_curves(sc, [RU], 6.0, 0.05, 600, 100, seed=0)
+
+    @pytest.mark.parametrize("top", [4000.0, np.float64(4000.0)], ids=["float", "np.float64"])
+    def test_refuses_a_grid_whose_power_overflows_before_any_draw(self, monkeypatch, top):
+        # 10^(snr/10) overflows above ~3082.5 dB: unrefused, pd_curves would
+        # raise a bare OverflowError only after its whole calibration pass
+        def refused(*args, **kwargs):
+            raise AssertionError("drew before checking the grid")
+
+        monkeypatch.setattr(montecarlo, "random_directions", refused)
+        monkeypatch.setattr(montecarlo, "_block_noise", refused)
+        sc = _scenario()
+        message = r"SNR grid point 4000\.0 dB has a linear power 10\^\(snr/10\) beyond"
+        with pytest.raises(ValueError, match=message):
+            simulate_statistics(sc, [RU], 10, seed=0, snr_db=[0.0, top])
+        with pytest.raises(ValueError, match=message):
+            estimate_pd(sc, RU, 0.5, top, 10, seed=0)
+        monkeypatch.setattr(montecarlo, "simulate_statistics", refused)
+        with pytest.raises(ValueError, match=message):
+            pd_curves(sc, [RU], [0.0, top], 0.05, 600, 100, seed=0)
 
     def test_pd_curves_calls_the_engine_through_its_module_attribute(self, monkeypatch):
         # a wrapper on montecarlo.simulate_statistics (as a benchmark installs

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import adaptdet
-from adaptdet import montecarlo, verify
+from adaptdet import montecarlo, scenario, verify
 from adaptdet.config import ExperimentConfig
 from adaptdet.detectors import DetectorKind
 from adaptdet.montecarlo import (calibrate_thresholds, cfar_check, estimate_pd, pd_curves,
@@ -68,6 +68,11 @@ class TestRandomSubspaces:
         with pytest.raises(ValueError, match="M=5 > K=4"):
             random_subspaces(2, 1, 5, 4, seed=0)
 
+    def test_gives_up_on_a_rank_deficient_draw(self, monkeypatch):
+        monkeypatch.setattr(scenario, "_full_rank", lambda *args: False)
+        with pytest.raises(RuntimeError, match="could not draw a full-rank A in 100 tries"):
+            random_subspaces(4, 2, 2, 6, seed=0)
+
     def test_refuses_a_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             random_subspaces(2, 1, 1, 4, seed=-1)
@@ -94,6 +99,15 @@ class TestMakeSignal:
     def test_scalar_case(self):
         sig = make_signal([[1.0]], [2.0], [3.0], [[1.0]])
         assert sig[0, 0] == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("theta, alpha, message", [
+        (np.ones(3), np.ones(2), "theta must have length 2, got 3"),
+        (np.ones(2), np.ones(1), "alpha must have length 2, got 1"),
+    ], ids=["theta", "alpha"])
+    def test_refuses_a_direction_of_the_wrong_length(self, theta, alpha, message):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            make_signal(random_cmatrix(rng, 4, 2), theta, alpha, random_cmatrix(rng, 2, 6))
 
     def test_output_is_rank_one(self):
         rng = np.random.default_rng(1)
@@ -236,6 +250,25 @@ class TestScaleToSnr:
         theta, alpha = random_directions(sc.J, sc.M, 4)
         with pytest.raises(ValueError, match="target_snr_db must be finite"):
             scale_to_snr(sc, theta, alpha, target_db)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target_db", [3083.0, 4000.0, np.float64(4000.0)],
+                             ids=["3083.0", "4000.0", "np.float64(4000.0)"])
+    def test_rejects_a_target_whose_power_overflows(self, target_db):
+        # 10^(snr/10) is past the largest float above ~3082.5 dB: unrefused, a
+        # Python float raises a bare OverflowError and an np.float64 gives an
+        # infinite theta
+        sc = make_scenario(4, 6, 2, 2, 5, rho=0.5, seed=5)
+        theta, alpha = random_directions(sc.J, sc.M, 4)
+        assert np.all(np.isfinite(scale_to_snr(sc, theta, alpha, 3082.0)))
+        with pytest.raises(ValueError, match=rf"target_snr_db {float(target_db)!r} dB has a "
+                                             r"linear power 10\^\(snr/10\) beyond the float"):
+            scale_to_snr(sc, theta, alpha, target_db)
+
+    def test_rejects_a_non_finite_direction(self):
+        sc = _small_scenario()
+        with pytest.raises(ValueError, match="theta_dir contains non-finite entries"):
+            scale_to_snr(sc, np.array([1.0, np.nan]), np.ones(2), 10.0)
 
 
 class TestScenarioValidation:

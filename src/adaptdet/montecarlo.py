@@ -28,26 +28,19 @@ point's value does not depend on which other points are evaluated with it,
 and a grid can therefore be extended or cut without changing the points it
 keeps.
 
-Each block, run by a thread pool, transforms the noise of all its trials
-at once and evaluates it with :func:`adaptdet.detectors.statistics`, as the
-per-instance API does (a trial's value does not depend on the block it sits
-in), and writes a disjoint slice of a preallocated result array.  All
-order-sensitive reductions (sorting, counting) happen on the full array in
-trial order.  A non-finite statistic stops the run with the replay key of
-its trial and grid point instead of being counted as a miss or sorted into
-a threshold; a LAPACK failure stops it with ``SingularMatrixError`` naming
-the stream, the grid and the replay key of the earliest failing trial, found
-by re-running the failing block one trial at a time.
-
-Each engine thread allocates one workspace per call, at its first block,
-and every block it runs draws, colors and transforms into it (a short last
-block uses its leading rows): one arena receives the white noise, a second
-the colored noise, and the transformed data then overwrites the first; the
-second then takes the bordered matrices that :func:`adaptdet.kernels.reduce`
-factors.
-New arrays per block would be handed back to the kernel by the allocator
-and faulted in again by the next block.  :func:`replay_trial` draws a
-trial's noise through the same block code.
+The calling thread and up to ``threads - 1`` helper threads take the blocks
+from one locked iterator, each into its own workspace, allocated once per call
+so that no block faults in new arrays.  Each block transforms the noise of all
+its trials at once, evaluates it with :func:`adaptdet.detectors.statistics` as
+the per-instance API does (a trial's value does not depend on its block) and
+writes a disjoint slice of a preallocated result array.  All order-sensitive
+reductions (sorting, counting) happen on the full array in trial order.  A
+non-finite statistic stops the run with the replay key of its trial and grid
+point instead of being counted as a miss or sorted into a threshold; a LAPACK
+failure stops it with ``SingularMatrixError`` naming the stream, the grid and
+the replay key of the earliest failing trial, found by re-running the failing
+block one trial at a time.  Once a block fails no thread takes another, and
+the call raises what the lowest failing block raised.
 
 Detectors requested together share the same draws per trial (common random
 numbers), which sharpens PD comparisons between detectors.
@@ -220,14 +213,9 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
                 else f" at grid points {names[0]} to {names[-1]}")
 
     out = np.empty((trials, len(c), len(kinds)), dtype=np.float64)
-    # one workspace per engine thread, reused by every block it runs
-    local = threading.local()
 
-    def run_block(lo: int) -> None:
+    def run_block(lo: int, white: np.ndarray, colored: np.ndarray) -> None:
         hi = min(lo + BLOCK_TRIALS, trials)
-        if not hasattr(local, "workspace"):
-            local.workspace = _workspace(scenario, min(trials, BLOCK_TRIALS))
-        white, colored = local.workspace
         noise = _noise_block(scenario, seed, domain, lo // BLOCK_TRIALS, hi - lo,
                              white, colored)
         # the white noise is colored by now: its arena takes the transformed data
@@ -251,16 +239,32 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
                 + (f" at grid point {names[p]}" if names else "")
                 + f" of stream version {STREAM_VERSION}")
 
-    starts = range(0, trials, BLOCK_TRIALS) if len(c) else ()  # an empty grid draws nothing
-    if threads == 1 or trials <= BLOCK_TRIALS:
-        for lo in starts:
-            run_block(lo)
-    else:
-        # concurrent.futures pulls in logging (~4 ms); a 1-thread run never needs it
-        from concurrent.futures import ThreadPoolExecutor
+    starts = range(0, trials, BLOCK_TRIALS) if len(c) else range(0)  # an empty grid draws nothing
+    pending, lock, failed = iter(starts), threading.Lock(), {}  # failed: block start -> exception
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, starts))
+    def take() -> int | None:
+        with lock:  # once a block has failed no thread takes another
+            return None if failed else next(pending, None)
+
+    def work() -> None:
+        workspace = _workspace(scenario, min(trials, BLOCK_TRIALS))
+        for lo in iter(take, None):
+            try:
+                run_block(lo, *workspace)
+            except BaseException as exc:  # an interrupted caller stops the helpers too
+                with lock:
+                    failed[lo] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(starts)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()  # the calling thread computes as well
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:  # every lower block has run, so a serial run would stop here too
+        raise failed[min(failed)]
     return out if snr_db is not None else out[:, 0]
 
 

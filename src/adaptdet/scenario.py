@@ -242,17 +242,23 @@ def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float)
     Only theta is scaled and returned; alpha_dir stays the caller's.  The
     statistic depends on the signal matrix alone, so how the amplitude is split
     between theta and alpha is immaterial and one convention keeps runs
-    reproducible.  A non-finite target, or one whose power overflows, is refused.
+    reproducible.  A non-finite target or an overflowing power or theta is refused.
     """
     if not np.isfinite(target_snr_db):
         raise ValueError(f"target_snr_db must be finite, got {target_snr_db!r}")
     power = _snr_power(target_snr_db, "target_snr_db")
     theta_dir = as_cvector(theta_dir, "theta_dir")
     alpha_dir = as_cvector(alpha_dir, "alpha_dir")
-    base = snr_of(scenario, theta_dir, alpha_dir)
+    # exact power-of-two scales to unit size keep a tiny or huge direction's SNR in range
+    t, a = (2.0 ** (np.frexp(np.abs(v).max(initial=0.0))[1] - 1) for v in (theta_dir, alpha_dir))
+    base = snr_of(scenario, theta_dir / t, alpha_dir / a)
     if base <= 0.0:
         raise ValueError("zero-SNR direction: theta_dir/alpha_dir give no signal power")
-    return np.sqrt(power / base) * theta_dir
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = np.sqrt(power / base) / a * (theta_dir / t)
+    if not np.isfinite(theta).all():
+        raise ValueError(f"target_snr_db {target_snr_db!r} needs a theta beyond the float range")
+    return theta
 
 
 def _snr_power(snr_db, name: str) -> float:

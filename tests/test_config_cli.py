@@ -265,6 +265,17 @@ class TestCommandLine:
     def test_missing_config_file_exit_code(self, capsys):
         assert cli.main(["calibrate", "--config", "/nonexistent.cfg"]) == 1
 
+    def test_value_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a ValueError from a command is one "error: " line and exit 1, not a traceback
+        def refused(*args, **kwargs):
+            raise ValueError("refused by the engine")
+
+        monkeypatch.setattr(cli.montecarlo, "pd_curves", refused)
+        out = tmp_path / "out.csv"
+        assert cli.main(["pd-curve", "--config", self._write_config(tmp_path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: refused by the engine\n"
+
     @pytest.mark.parametrize("argv", [["calibrate", "--config", "{dir}"],
                                       ["pd-curve", "--config", "{cfg}", "--out", "{dir}"],
                                       ["preset", "fig1", "--out", "{dir}"],
@@ -450,15 +461,18 @@ class TestCommandLine:
 
 
 def test_start_up_loads_only_what_the_command_runs():
-    # scipy serves only the test oracles, adaptdet.verify only `adaptdet verify`
-    # and concurrent.futures (which pulls in logging) only an engine call with
-    # threads > 1: a 1-thread run must import none of them, and the lazy
-    # adaptdet.verify must still resolve to the module's own names
+    # scipy serves only the test oracles and adaptdet.verify only `adaptdet
+    # verify`, and the engine runs its threads without concurrent.futures (which
+    # pulls in logging): engine calls on one and on two threads must import none
+    # of them, and the lazy adaptdet.verify must still resolve to the module's
+    # own names
     src = str(Path(adaptdet.__file__).resolve().parents[1])
     probe = (
         "import adaptdet, adaptdet.cli, sys; "
         "from adaptdet import DetectorKind, make_scenario, simulate_statistics; "
-        "simulate_statistics(make_scenario(5, 8, 2, 2, 6), [DetectorKind.GLRGDD_RU], 300, 0); "
+        "sc, kinds = make_scenario(5, 8, 2, 2, 6), [DetectorKind.GLRGDD_RU]; "
+        "simulate_statistics(sc, kinds, 300, 0); "
+        "simulate_statistics(sc, kinds, 600, 0, threads=2); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent') "
         "or m == 'adaptdet.verify')); "
         "print(adaptdet.run_verification is adaptdet.verify.run_verification)")

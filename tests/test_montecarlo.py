@@ -1,6 +1,8 @@
 import copy
 import itertools
 import re
+import sys
+import threading
 import time
 
 import numpy as np
@@ -227,6 +229,105 @@ class TestBlockWorkspace:
     def test_replay_refuses_a_negative_trial(self):
         with pytest.raises(ValueError, match="trial must be >= 0"):
             replay_trial(_scenario(), 1, DOMAIN_NULL, -1)
+
+
+class TestDispatch:
+    # the calling thread and min(threads, blocks) - 1 helpers take the blocks
+    # from one locked iterator
+
+    def test_a_helper_s_failure_is_raised_by_the_caller(self, monkeypatch):
+        # any exception of a block that a helper runs, not only a LinAlgError,
+        # reaches the caller, and no helper outlives the call
+        caller = threading.get_ident()
+
+        def helper_fails(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise RuntimeError("a helper's block failed")
+            time.sleep(0.2)  # the helper takes a block while the caller sleeps
+            return statistics(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "statistics", helper_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^a helper's block failed$"):
+            simulate_statistics(_scenario(), [RU], 3 * BLOCK_TRIALS, seed=9, threads=2)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_lowest_failing_block_is_raised(self, monkeypatch, threads):
+        # block 2 fails first in time and block 1 later: serial order meets
+        # block 1 first, so every thread count raises block 1's exception
+        block_noise = montecarlo._block_noise
+
+        def blocks_fail(seed, domain, block, *args):
+            if block == 1:
+                time.sleep(0.2)
+            if block >= 1:
+                raise RuntimeError(f"block {block} failed")
+            return block_noise(seed, domain, block, *args)
+
+        monkeypatch.setattr(montecarlo, "_block_noise", blocks_fail)
+        with pytest.raises(RuntimeError, match="^block 1 failed$"):
+            simulate_statistics(_scenario(), [RU], 4 * BLOCK_TRIALS, seed=9, threads=threads)
+
+    def test_no_thread_takes_a_block_after_a_failure(self, monkeypatch):
+        # block 0 fails at once while block 1 is still running: blocks 2 to 9
+        # are never drawn, since a later block's failure would not be raised
+        drawn = []
+        block_noise = montecarlo._block_noise
+
+        def first_fails(seed, domain, block, *args):
+            drawn.append(block)
+            if block == 0:
+                raise RuntimeError("block 0 failed")
+            time.sleep(0.2)
+            return block_noise(seed, domain, block, *args)
+
+        monkeypatch.setattr(montecarlo, "_block_noise", first_fails)
+        with pytest.raises(RuntimeError, match="^block 0 failed$"):
+            simulate_statistics(_scenario(), [RU], 10 * BLOCK_TRIALS, seed=9, threads=2)
+        assert set(drawn) <= {0, 1}
+
+    def test_each_block_runs_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows:
+        # a block taken twice or never shows in the drawn blocks or the result
+        sc, trials = _scenario(), 40 * BLOCK_TRIALS
+        serial = simulate_statistics(sc, [RU], trials, seed=5)
+        drawn = []
+        block_noise = montecarlo._block_noise
+
+        def recorded(seed, domain, block, *args):
+            drawn.append(block)
+            return block_noise(seed, domain, block, *args)
+
+        monkeypatch.setattr(montecarlo, "_block_noise", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = simulate_statistics(sc, [RU], trials, seed=5, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn) == list(range(40))
+        assert np.array_equal(parallel, serial)
+
+    @pytest.mark.parametrize("threads, trials, snrs, helpers", [
+        (4, 2 * BLOCK_TRIALS, None, 1),
+        (2, 5 * BLOCK_TRIALS, None, 1),
+        (1, 3 * BLOCK_TRIALS, None, 0),
+        (4, BLOCK_TRIALS, None, 0),
+        (4, 3 * BLOCK_TRIALS, [], 0),  # an empty grid has no block
+    ])
+    def test_starts_one_helper_per_thread_with_a_block(self, monkeypatch, threads, trials,
+                                                       snrs, helpers):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        simulate_statistics(_scenario(), [RU], trials, seed=3, snr_db=snrs, threads=threads)
+        assert len(started) == helpers
 
 
 class TestStreamLayout:

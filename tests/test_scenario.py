@@ -270,6 +270,43 @@ class TestScaleToSnr:
         with pytest.raises(ValueError, match="theta_dir contains non-finite entries"):
             scale_to_snr(sc, np.array([1.0, np.nan]), np.ones(2), 10.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theta_size, alpha_size", [
+        (1e-155, 1.0), (1e-200, 1.0), (1e200, 1.0), (1.0, 1e-200), (1.0, 1e200)])
+    def test_a_direction_far_from_unit_size_hits_the_target(self, theta_size, alpha_size):
+        # the SNR of such a pair under- or overflows a float: scaled directly,
+        # theta 1e-155 gave [inf+nanj, inf+nanj], theta 1e200 a NaN theta, and
+        # theta or alpha 1e-200 were refused as a zero-SNR direction
+        sc = make_scenario(4, 6, 2, 2, 5, rho=0.5, seed=5)
+        unit = scale_to_snr(sc, np.ones(2), np.ones(2), 30.0)
+        theta = scale_to_snr(sc, theta_size * np.ones(2), alpha_size * np.ones(2), 30.0)
+        assert np.all(np.isfinite(theta))
+        assert np.allclose(theta * alpha_size, unit, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_theta_beyond_the_float_range(self):
+        # a tiny alpha needs a theta of about 1 / alpha, which may not exist
+        sc = make_scenario(4, 6, 2, 2, 5, rho=0.5, seed=5)
+        assert np.all(np.isfinite(scale_to_snr(sc, np.ones(2), 1e-300 * np.ones(2), 10.0)))
+        with pytest.raises(ValueError, match="target_snr_db 3000.0 needs a theta beyond the "
+                                             "float range"):
+            scale_to_snr(sc, np.ones(2), 1e-300 * np.ones(2), 3000.0)
+
+    def test_is_bitwise_the_direct_formula_on_unit_size_directions(self):
+        # the power-of-two scales move no rounding: where sqrt(power / snr) *
+        # theta_dir is finite, as for the engine's unit directions, theta is it
+        # bitwise, so no signal trial moves
+        rng = np.random.default_rng(5)
+        for seed in range(6):
+            sc = make_scenario(6, 9, 2, 3, 5, rho=0.5, seed=seed)
+            for draw in range(10):
+                theta, alpha = random_directions(sc.J, sc.M, 10 * seed + draw)
+                if draw % 2:
+                    theta, alpha = theta * rng.uniform(0.01, 100), alpha * rng.uniform(0.01, 100)
+                for target_db in (-10.0, -3.3, 0.0, 6.0, 12.0, 31.7):
+                    direct = np.sqrt(10.0 ** (target_db / 10.0) / snr_of(sc, theta, alpha)) * theta
+                    assert np.array_equal(scale_to_snr(sc, theta, alpha, target_db), direct)
+
 
 class TestScenarioValidation:
     def test_training_constraint_message(self):

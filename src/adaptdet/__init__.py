@@ -14,8 +14,7 @@ from .detectors import DetectorKind, appendix_identities, evaluate
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
 from .linalg import TOL, hermitize
 from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_thresholds,
-                         cfar_check, estimate_pd, pd_curves, simulate_statistics,
-                         threshold_from_h0)
+                         cfar_check, pd_curves, simulate_statistics, threshold_from_h0)
 from .scenario import (Scenario, make_scenario, make_signal, random_directions,
                        random_subspaces, scale_to_snr, snr_of, toeplitz_covariance)
 from .transform import (SubspaceFactorization, TransformedData,
@@ -28,7 +27,7 @@ __all__ = [
     "ExperimentConfig", "NonFiniteStatisticError", "PdCurve", "Scenario",
     "SingularMatrixError", "SubspaceFactorization", "TOL", "TransformedData",
     "appendix_identities", "build_scenario", "calibrate_thresholds", "cfar_check",
-    "estimate_pd", "evaluate", "factor_waveform_subspace", "format_config", "hermitize",
+    "evaluate", "factor_waveform_subspace", "format_config", "hermitize",
     "make_scenario", "make_signal", "parse_config", "pd_curves", "random_directions",
     "random_subspaces", "run_verification", "scale_to_snr", "signal_coefficient",
     "simulate_statistics", "snr_of", "threshold_from_h0", "toeplitz_covariance",

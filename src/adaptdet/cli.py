@@ -29,7 +29,7 @@ from . import __version__, montecarlo
 from .config import (DESK_SCALE, PAPER_SCALE, ExperimentConfig, build_scenario,
                      format_config, parse_config)
 from .detectors import DetectorKind
-from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
+from .errors import ConfigError, NonFiniteStatisticError
 from .scenario import DEFAULT_SEED
 
 EXIT_OK = 0
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularMatrixError, np.linalg.LinAlgError, NonFiniteStatisticError) as exc:
+    except (np.linalg.LinAlgError, NonFiniteStatisticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -1,7 +1,8 @@
 """Seeded, parallel Monte Carlo engine.
 
 Threshold calibration at a target false-alarm probability, detection
-probability over SNR grids, and empirical CFAR verification.
+probability over SNR grids, and empirical CFAR verification, each for a
+list of detector kinds on one shared set of draws.
 
 Reproducibility contract (stream layout ``STREAM_VERSION``): block b of
 ``BLOCK_TRIALS`` trials draws its white noise, trial by trial, in one call
@@ -48,6 +49,7 @@ numbers), which sharpens PD comparisons between detectors.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, replace
 
@@ -64,8 +66,8 @@ from .transform import (TransformedData, signal_coefficient, transform_size,
                         transform_stack)
 
 __all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
-           "threshold_from_h0", "calibrate_thresholds", "estimate_pd", "pd_curves",
-           "cfar_check", "replay_trial"]
+           "threshold_from_h0", "calibrate_thresholds", "pd_curves", "cfar_check",
+           "replay_trial"]
 
 BLOCK_TRIALS = 256
 
@@ -280,8 +282,7 @@ def threshold_from_h0(stats, pfa: float) -> float:
     trials = stats.size
     if trials == 0:
         raise ValueError("no statistics to calibrate on")
-    if not 0.0 < pfa < 1.0:
-        raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
+    _check_pfa(pfa)
     m = int(round(trials * pfa))
     if m >= trials:
         raise ValueError(f"pfa {pfa} too large for {trials} trials")
@@ -292,9 +293,17 @@ def threshold_from_h0(stats, pfa: float) -> float:
     return float(np.sort(stats)[::-1][m])
 
 
-def _check_calibration_budget(pfa: float, trials: int) -> None:
+def _check_pfa(pfa) -> None:
+    """The one pfa rule: a real number in (0, 1); a str would otherwise fail
+    the comparison with a TypeError that does not name it."""
+    if not isinstance(pfa, numbers.Real):
+        raise TypeError(f"pfa must be a number, got {pfa!r}")
     if not 0.0 < pfa < 1.0:
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
+
+
+def _check_calibration_budget(pfa: float, trials: int) -> None:
+    _check_pfa(pfa)
     if trials * pfa < 20:
         raise ValueError(
             f"calibration refused: trials*pfa = {trials * pfa:g} < 20 "
@@ -313,24 +322,6 @@ def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
         kind: CalibrationResult(kind, pfa, trials, threshold_from_h0(stats[:, j], pfa), seed)
         for j, kind in enumerate(kinds)
     }
-
-
-def estimate_pd(scenario: Scenario, kind: DetectorKind, threshold: float,
-                snr_db: float, trials: int, seed: int, *, threads: int = 1) -> float:
-    """Detection probability at one SNR: count(statistic > threshold) / trials.
-
-    The signal direction pair is a pair of unit vectors drawn from the seed.
-    The trials are those of every grid point, so the result equals bitwise
-    the ``pd_curves`` value at this SNR for the same seed, trials and
-    threshold.  A non-finite threshold is refused, since a NaN one would
-    read as pd 0.
-    """
-    trials = check_integer(trials, "trials", 1)
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    stats = simulate_statistics(scenario, [kind], trials, seed, snr_db=[snr_db],
-                                threads=threads)
-    return float(np.count_nonzero(stats[:, 0, 0] > threshold)) / trials
 
 
 def _check_grid(snr_grid_db) -> tuple[float, ...]:
@@ -355,7 +346,7 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
 
     One calibration pass and one H1 pass are shared by all detectors and
     all grid points, so curve differences reflect the detectors rather than
-    the draws, and each point's pd is that of :func:`estimate_pd` at its SNR.
+    the draws.
     """
     pd_trials = check_integer(pd_trials, "pd_trials", 1)
     kinds = kind_list(kinds)
@@ -372,22 +363,26 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
             for j, kind in enumerate(kinds)}
 
 
-def cfar_check(scenario: Scenario, r_alt, kind: DetectorKind, pfa: float,
-               trials: int, seed: int, *, threads: int = 1) -> CfarReport:
-    """Empirical CFAR check across two noise covariances.
+def cfar_check(scenario: Scenario, r_alt, kinds, pfa: float, trials: int, seed: int, *,
+               threads: int = 1) -> dict[DetectorKind, CfarReport]:
+    """Empirical CFAR check of several detectors across two noise covariances.
 
-    Calibrates the threshold under ``scenario.R``, then measures the
-    empirical PFA under ``r_alt`` using the same underlying white draws
-    (only the coloring changes).  A CFAR statistic has the same H0
-    distribution under both, so the empirical PFA should sit within four
+    Calibrates the thresholds under ``scenario.R``, then measures the
+    empirical PFAs under ``r_alt`` using the same underlying white draws
+    (only the coloring changes).  One calibration pass and one re-measurement
+    pass are shared by all detectors.  A CFAR statistic has the same H0
+    distribution under both, so each empirical PFA should sit within four
     binomial standard errors of the target; when r_alt is a scalar multiple
     of scenario.R the statistics are identical up to rounding and the check
     is near-deterministic.
     """
     alt = replace(scenario, R=as_cmatrix(r_alt, "r_alt"))  # refused before calibrating
-    cal = calibrate_thresholds(scenario, [kind], pfa, trials, seed, threads=threads)[kind]
-    stats = simulate_statistics(alt, [kind], trials, seed, threads=threads)
-    pfa_emp = float(np.count_nonzero(stats[:, 0] > cal.threshold)) / trials
+    kinds = kind_list(kinds)
+    cals = calibrate_thresholds(scenario, kinds, pfa, trials, seed, threads=threads)
+    stats = simulate_statistics(alt, kinds, trials, seed, threads=threads)
+    thresholds = np.array([cals[kind].threshold for kind in kinds])
+    pfa_emp = np.count_nonzero(stats > thresholds, axis=0) / trials
     sigma = float(np.sqrt(pfa * (1.0 - pfa) / trials))
-    return CfarReport(kind=kind, pfa_target=pfa, pfa_empirical=pfa_emp,
-                      threshold=cal.threshold, trials=trials, sigma=sigma)
+    return {kind: CfarReport(kind=kind, pfa_target=pfa, pfa_empirical=float(pfa_emp[j]),
+                             threshold=cals[kind].threshold, trials=trials, sigma=sigma)
+            for j, kind in enumerate(kinds)}

@@ -56,10 +56,13 @@ def stream(seed: int, purpose: int, *index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(key))
 
 
-def as_cvector(x, name: str = "vector") -> np.ndarray:
+def as_cvector(x, name: str = "vector", size: int | None = None) -> np.ndarray:
+    """`x` as a finite complex vector, of length `size` when one is given."""
     a = np.asarray(x, dtype=np.complex128).ravel()
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
+    if size is not None and a.size != size:
+        raise ValueError(f"{name} must have length {size}, got {a.size}")
     return a
 
 
@@ -214,19 +217,15 @@ def make_signal(a, theta, alpha, c) -> np.ndarray:
     """Rank-one signal matrix A theta alpha^H C."""
     a = as_cmatrix(a, "A")
     c = as_cmatrix(c, "C")
-    theta = as_cvector(theta, "theta")
-    alpha = as_cvector(alpha, "alpha")
-    if a.shape[1] != theta.size:
-        raise ValueError(f"theta must have length {a.shape[1]}, got {theta.size}")
-    if c.shape[0] != alpha.size:
-        raise ValueError(f"alpha must have length {c.shape[0]}, got {alpha.size}")
+    theta = as_cvector(theta, "theta", a.shape[1])
+    alpha = as_cvector(alpha, "alpha", c.shape[0])
     return a @ np.outer(theta, alpha.conj()) @ c
 
 
 def snr_of(scenario: Scenario, theta, alpha) -> float:
     """Output SNR (linear): (alpha^H C C^H alpha) * (theta^H A^H R^-1 A theta)."""
-    theta = as_cvector(theta, "theta")
-    alpha = as_cvector(alpha, "alpha")
+    theta = as_cvector(theta, "theta", scenario.J)
+    alpha = as_cvector(alpha, "alpha", scenario.M)
     c_alpha = scenario.C.conj().T @ alpha
     waveform = float(np.real(c_alpha.conj() @ c_alpha))
     v = (scenario.A @ theta)[:, None]
@@ -247,8 +246,8 @@ def scale_to_snr(scenario: Scenario, theta_dir, alpha_dir, target_snr_db: float)
     if not np.isfinite(target_snr_db):
         raise ValueError(f"target_snr_db must be finite, got {target_snr_db!r}")
     power = _snr_power(target_snr_db, "target_snr_db")
-    theta_dir = as_cvector(theta_dir, "theta_dir")
-    alpha_dir = as_cvector(alpha_dir, "alpha_dir")
+    theta_dir = as_cvector(theta_dir, "theta_dir", scenario.J)
+    alpha_dir = as_cvector(alpha_dir, "alpha_dir", scenario.M)
     # exact power-of-two scales to unit size keep a tiny or huge direction's SNR in range
     t, a = (2.0 ** (np.frexp(np.abs(v).max(initial=0.0))[1] - 1) for v in (theta_dir, alpha_dir))
     base = snr_of(scenario, theta_dir / t, alpha_dir / a)

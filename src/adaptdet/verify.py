@@ -108,11 +108,12 @@ def random_instance(regime: str, rng: np.random.Generator) -> Instance:
 
 
 def instance_stream(seed: int, count: int, regimes=REGIMES):
-    """Yield (index, Instance) pairs cycling through the regimes; instance i
-    is drawn from ``stream(seed, VERIFY_INSTANCE, i)``."""
-    for idx in range(check_integer(count, "count")):
-        yield idx, random_instance(regimes[idx % len(regimes)],
-                                   stream(seed, VERIFY_INSTANCE, idx))
+    """Iterator of (index, Instance) pairs cycling through the regimes;
+    instance i is drawn from ``stream(seed, VERIFY_INSTANCE, i)``.  The seed
+    and count are checked when it is called, not on the first ``next``."""
+    check_integer(seed, "seed")
+    return ((idx, random_instance(regimes[idx % len(regimes)], stream(seed, VERIFY_INSTANCE, idx)))
+            for idx in range(check_integer(count, "count")))
 
 
 @dataclass

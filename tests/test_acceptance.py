@@ -13,8 +13,6 @@ implemented exactly as stated and is expected to fail; the printed table
 shows the measured values.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ from adaptdet import cli
 from adaptdet.config import parse_config
 from adaptdet.detectors import DetectorKind, appendix_identities, evaluate
 from adaptdet.errors import ConfigError
-from adaptdet.montecarlo import (calibrate_thresholds, estimate_pd, pd_curves,
+from adaptdet.montecarlo import (calibrate_thresholds, cfar_check, pd_curves,
                                  simulate_statistics)
 from adaptdet.scenario import make_scenario, toeplitz_covariance
 from adaptdet.verify import instance_stream
@@ -155,20 +153,14 @@ def test_criterion_5_invariance_suite():
 def test_criterion_6_empirical_cfar():
     pfa, trials = 1e-2, 20_000
     scenario = make_scenario(6, 10, 2, 2, 8, rho=0.0, seed=SEED)  # R = I
-    alt = replace(scenario, R=toeplitz_covariance(scenario.N, 0.95))
-    kinds = list(DetectorKind)
-    cals = calibrate_thresholds(scenario, kinds, pfa, trials, SEED, threads=THREADS)
-    stats = simulate_statistics(alt, kinds, trials, SEED, threads=THREADS)
-    band = 4.0 * np.sqrt(pfa * (1.0 - pfa) / trials)
-    details = []
-    passed = True
-    for j, kind in enumerate(kinds):
-        pfa_emp = np.count_nonzero(stats[:, j] > cals[kind].threshold) / trials
-        ok = abs(pfa_emp - pfa) <= band
-        passed &= ok
-        details.append(f"{kind.name}={pfa_emp:.4f}")
+    reports = cfar_check(scenario, toeplitz_covariance(scenario.N, 0.95), list(DetectorKind),
+                         pfa, trials, SEED, threads=THREADS)
+    band = 4.0 * reports[RU_GLR].sigma
+    passed = all(report.passed for report in reports.values())
     _report(6, "empirical CFAR", passed,
-            f"target {pfa}, band ±{band:.2e}: " + ", ".join(details))
+            f"target {pfa}, band ±{band:.2e}: "
+            + ", ".join(f"{kind.name}={report.pfa_empirical:.4f}"
+                        for kind, report in reports.items()))
     assert passed
 
 
@@ -218,9 +210,10 @@ def test_criterion_8_low_sample_trend_in_k():
         scenario = make_scenario(12, k, 3, 2, 11, rho=0.95, seed=SEED)
         cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, SEED,
                                     threads=THREADS)
-        for kind in kinds:
-            pd[kind].append(estimate_pd(scenario, kind, cals[kind].threshold,
-                                        probe_snr, pd_trials, SEED, threads=THREADS))
+        stats = simulate_statistics(scenario, kinds, pd_trials, SEED, snr_db=[probe_snr],
+                                    threads=THREADS)
+        for j, kind in enumerate(kinds):
+            pd[kind].append(np.count_nonzero(stats[:, 0, j] > cals[kind].threshold) / pd_trials)
 
     def sigma(p):
         return np.sqrt(max(p * (1.0 - p), 1e-12) / pd_trials)

@@ -13,8 +13,8 @@ from adaptdet import kernels, montecarlo, scenario, verify
 from adaptdet.detectors import DetectorKind, evaluate, statistics
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
 from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_SIGNAL, _coefficients,
-                                 calibrate_thresholds, cfar_check, estimate_pd, pd_curves,
-                                 replay_trial, simulate_statistics, threshold_from_h0)
+                                 calibrate_thresholds, cfar_check, pd_curves, replay_trial,
+                                 simulate_statistics, threshold_from_h0)
 from adaptdet.scenario import (make_scenario, make_signal, random_directions, random_subspaces,
                                scale_to_snr, toeplitz_covariance)
 from adaptdet.transform import transform_stack
@@ -55,6 +55,13 @@ class TestThresholdRule:
     def test_rejects_pfa_out_of_range(self):
         with pytest.raises(ValueError, match="pfa"):
             threshold_from_h0(np.ones(10), 1.5)
+
+    def test_rejects_a_pfa_that_is_not_a_number(self):
+        # a str would fail the range comparison with a TypeError naming nothing
+        with pytest.raises(TypeError, match="pfa must be a number, got '0.1'"):
+            threshold_from_h0(np.ones(100), "0.1")
+        with pytest.raises(TypeError, match="pfa must be a number, got '0.1'"):
+            calibrate_thresholds(_scenario(), [RU], "0.1", 1000, seed=0)
 
     def test_rejects_no_statistics(self):
         with pytest.raises(ValueError, match="no statistics to calibrate on"):
@@ -99,9 +106,10 @@ class TestNonFiniteTrials:
     def test_replay_key_reproduces_the_trial(self):
         # the (seed, domain, trial) key and the grid point's signal are enough
         # to recompute a value: replay_trial draws the trial's noise, shared by
-        # every grid point
+        # every grid point.  At 40 dB a strong signal, which the replay adds to
+        # the data and the engine after the reduction, stays inside the budget
         sc = _scenario()
-        snrs = [-3.0, 6.0, 15.0]
+        snrs = [-3.0, 6.0, 15.0, 40.0]
         theta, alpha = random_directions(sc.J, sc.M, 11)
         replayed = [1, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1]
         stats = simulate_statistics(sc, ALL, BLOCK_TRIALS + 2, seed=11, snr_db=snrs)
@@ -538,26 +546,20 @@ class TestCalibration:
         assert np.count_nonzero(stats > cal.threshold) == round(trials * pfa)
 
 
-class TestEstimatePd:
-    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
-    def test_refuses_a_non_finite_threshold(self, monkeypatch, threshold):
-        # no statistic exceeds NaN, so it read as pd 0.0 like an infinite one:
-        # refused before the first trial is drawn
+class TestDetectionProbability:
+    def test_refuses_a_negative_seed_before_drawing_the_directions(self, monkeypatch):
         def refused(*args, **kwargs):
-            raise AssertionError("drew a trial before checking the threshold")
+            raise AssertionError("drew the directions before checking the seed")
 
-        monkeypatch.setattr(montecarlo, "simulate_statistics", refused)
-        with pytest.raises(ValueError, match=f"threshold must be finite, got {threshold}"):
-            estimate_pd(_scenario(), RU, threshold, 10.0, 200, seed=6)
-
-    def test_refuses_a_negative_seed_before_drawing_the_directions(self):
+        monkeypatch.setattr(montecarlo, "random_directions", refused)
         with pytest.raises(ValueError, match="seed must be >= 0, got -6"):
-            estimate_pd(_scenario(), RU, 0.5, 10.0, 200, seed=-6)
+            simulate_statistics(_scenario(), [RU], 200, seed=-6, snr_db=[10.0])
 
     def test_saturates_at_high_snr(self):
         sc = _scenario()
         cal = calibrate_thresholds(sc, [RU], 0.05, 600, seed=7)[RU]
-        assert estimate_pd(sc, RU, cal.threshold, 60.0, 400, seed=7) == 1.0
+        stats = simulate_statistics(sc, [RU], 400, seed=7, snr_db=[60.0])
+        assert np.count_nonzero(stats[:, 0, 0] > cal.threshold) == 400
 
     def test_zero_signal_reduces_to_false_alarm_rate(self):
         # the H1 noise alone, which is the zero-signal trial of every grid
@@ -639,12 +641,6 @@ class TestPdCurves:
         bose = DetectorKind.BOSE_GLRT
         single = pd_curves(sc, [bose], grid, 0.05, 600, 300, seed=16)[bose]
         assert joint[bose].points == single.points
-
-    def test_estimate_pd_is_the_curve_value_at_its_snr(self):
-        sc = _scenario()
-        curve = pd_curves(sc, [RU], [0.0, 6.0, 12.0], 0.05, 600, 600, seed=23)[RU]
-        for snr, pd in curve.points:
-            assert estimate_pd(sc, RU, curve.threshold_used, snr, 600, seed=23) == pd
 
     def test_sub_grid_keeps_the_points_it_shares(self):
         # a grid can be extended or cut without moving the points it keeps
@@ -741,7 +737,7 @@ class TestPdCurves:
                 simulate_statistics(sc, [RU], 10, seed=0, snr_db=grid)
         for snr in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="SNR grid must be finite"):
-                estimate_pd(sc, RU, 0.5, snr, 10, seed=0)
+                simulate_statistics(sc, [RU], 10, seed=0, snr_db=[snr])
         # a single SNR where a grid is expected
         for snr in (6.0, "69", b"69", bytearray(b"69"), ["6 dB"]):
             with pytest.raises(TypeError, match="SNR grid must be a sequence of numbers, got "
@@ -764,7 +760,7 @@ class TestPdCurves:
         with pytest.raises(ValueError, match=message):
             simulate_statistics(sc, [RU], 10, seed=0, snr_db=[0.0, top])
         with pytest.raises(ValueError, match=message):
-            estimate_pd(sc, RU, 0.5, top, 10, seed=0)
+            simulate_statistics(sc, [RU], 10, seed=0, snr_db=[top])
         monkeypatch.setattr(montecarlo, "simulate_statistics", refused)
         with pytest.raises(ValueError, match=message):
             pd_curves(sc, [RU], [0.0, top], 0.05, 600, 100, seed=0)
@@ -930,25 +926,49 @@ class TestCfar:
 
         monkeypatch.setattr(montecarlo, "simulate_statistics", counted)
         with pytest.raises(ValueError, match="R is not positive definite"):
-            cfar_check(_scenario(), np.ones((5, 5)), RU, 0.005, 4000, seed=17)
+            cfar_check(_scenario(), np.ones((5, 5)), [RU], 0.005, 4000, seed=17)
         assert calls == []
+
+    def test_refuses_a_lone_kind(self):
+        with pytest.raises(TypeError, match=r"got DetectorKind\.GLRGDD_RU alone: pass "
+                                            r"\[DetectorKind\.GLRGDD_RU\]"):
+            cfar_check(_scenario(), np.eye(5), RU, 0.05, 1000, seed=17)
 
     def test_same_covariance_hits_target_exactly(self):
         sc = _scenario()
         trials, pfa = 2000, 0.05
-        report = cfar_check(sc, sc.R, RU, pfa, trials, seed=17)
+        report = cfar_check(sc, sc.R, [RU], pfa, trials, seed=17)[RU]
         assert report.pfa_empirical == round(trials * pfa) / trials
         assert report.passed
 
     def test_scalar_covariance_multiple_is_near_deterministic(self):
         sc = _scenario()
-        report = cfar_check(sc, 100.0 * sc.R, RU, 0.05, 2000, seed=18)
+        report = cfar_check(sc, 100.0 * sc.R, [RU], 0.05, 2000, seed=18)[RU]
         assert report.passed
         assert abs(report.pfa_empirical - 0.05) <= 5.0 / 2000
 
-    def test_white_to_strongly_correlated(self):
+    def test_all_kinds_share_one_calibration_and_one_re_measurement(self, monkeypatch):
+        # two engine calls for five kinds, seen through the module attribute,
+        # and each kind's report is that of a call for the kind alone
         sc = _scenario(rho=0.0)
         r_alt = toeplitz_covariance(sc.N, 0.95)
+        calls = []
+        simulate = montecarlo.simulate_statistics
+
+        def counted(scenario, kinds, *args, **kwargs):
+            calls.append((scenario.R, list(kinds)))
+            return simulate(scenario, kinds, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_statistics", counted)
+        reports = cfar_check(sc, r_alt, ALL, 0.05, 1000, seed=20)
+        assert [kinds for _, kinds in calls] == [ALL, ALL]
+        assert np.array_equal(calls[0][0], sc.R) and np.array_equal(calls[1][0], r_alt)
+        assert list(reports) == ALL
         for kind in ALL:
-            report = cfar_check(sc, r_alt, kind, 1e-2, 20_000, seed=19)
+            assert cfar_check(sc, r_alt, [kind], 0.05, 1000, seed=20)[kind] == reports[kind]
+
+    def test_white_to_strongly_correlated(self):
+        sc = _scenario(rho=0.0)
+        reports = cfar_check(sc, toeplitz_covariance(sc.N, 0.95), ALL, 1e-2, 20_000, seed=19)
+        for kind, report in reports.items():
             assert report.passed, (kind, report)

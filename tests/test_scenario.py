@@ -10,8 +10,8 @@ import adaptdet
 from adaptdet import montecarlo, scenario, verify
 from adaptdet.config import ExperimentConfig
 from adaptdet.detectors import DetectorKind
-from adaptdet.montecarlo import (calibrate_thresholds, cfar_check, estimate_pd, pd_curves,
-                                 replay_trial, simulate_statistics)
+from adaptdet.montecarlo import (calibrate_thresholds, cfar_check, pd_curves, replay_trial,
+                                 simulate_statistics)
 from adaptdet.scenario import (DOMAIN_NULL, Scenario, complex_gaussian, make_scenario,
                                make_signal, random_directions, random_subspaces, scale_to_snr,
                                snr_of, stream, toeplitz_covariance)
@@ -152,8 +152,6 @@ _INTEGER_ARGUMENTS = {
                                    "trials", 0),
     "simulate_statistics_threads": (
         lambda v: simulate_statistics(_small_scenario(), [_RU], 10, 1, threads=v), "threads", 1),
-    "estimate_pd_trials": (lambda v: estimate_pd(_small_scenario(), _RU, 0.5, 6.0, v, 1),
-                           "trials", 1),
     "pd_curves_pd_trials": (lambda v: pd_curves(_small_scenario(), [_RU], [6.0], 0.05, 600, v, 1),
                             "pd_trials", 1),
     "run_verification_seed": (lambda v: run_verification(v, 1), "seed", 0),
@@ -167,7 +165,7 @@ _INTEGER_ARGUMENTS = {
         lambda v: calibrate_thresholds(_small_scenario(), [_RU], 0.05, v, 0), "trials", 0,
         600, "trials must be >= 0, got -1"),
     "cfar_check_trials": (
-        lambda v: cfar_check(_small_scenario(), np.eye(4), _RU, 0.05, v, 0), "trials", 0,
+        lambda v: cfar_check(_small_scenario(), np.eye(4), [_RU], 0.05, v, 0), "trials", 0,
         600, "trials must be >= 0, got -1"),
     "toeplitz_covariance_n": (lambda v: toeplitz_covariance(v, 0.5), "n", 1),
     "random_directions_J": (lambda v: random_directions(v, 2, 1), "J", 1),
@@ -214,6 +212,18 @@ class TestSnr:
         moved = replace(sc, A=sc.A @ t)
         assert snr_of(moved, np.linalg.solve(t, theta), alpha) == pytest.approx(
             snr_of(sc, theta, alpha), rel=1e-10)
+
+    @pytest.mark.parametrize("theta, alpha, message", [
+        (np.ones(3), np.ones(2), "theta{} must have length 2, got 3"),
+        (np.ones(2), np.ones(1), "alpha{} must have length 2, got 1"),
+    ], ids=["theta", "alpha"])
+    def test_refuses_a_direction_of_the_wrong_length(self, theta, alpha, message):
+        # numpy's matmul mismatch would name neither the direction nor its length
+        sc = _small_scenario()
+        with pytest.raises(ValueError, match=message.format("")):
+            snr_of(sc, theta, alpha)
+        with pytest.raises(ValueError, match=message.format("_dir")):
+            scale_to_snr(sc, theta, alpha, 10.0)
 
 
 class TestScaleToSnr:
@@ -394,6 +404,18 @@ class TestScenarioValidation:
             with pytest.raises(TypeError, match=message):
                 entry(seed)
         entry(np.int64(2))
+
+    @pytest.mark.parametrize("seed, count, error, message", [
+        (-1, 0, ValueError, "seed must be >= 0, got -1"),
+        (2.5, 0, TypeError, "seed must be an integer, got 2.5"),
+        (0, -1, ValueError, "count must be >= 0, got -1"),
+    ], ids=["negative_seed", "fractional_seed", "negative_count"])
+    def test_instance_stream_checks_its_arguments_when_called(self, seed, count, error,
+                                                              message):
+        # a generator would check them only on the first next(), and an empty
+        # stream never
+        with pytest.raises(error, match=re.escape(message)):
+            instance_stream(seed, count)
 
     @pytest.mark.parametrize("case", list(_INTEGER_ARGUMENTS))
     def test_integer_arguments_follow_one_rule(self, monkeypatch, case):

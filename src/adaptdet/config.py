@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 from .detectors import DetectorKind, kind_list
 from .errors import ConfigError
 from .montecarlo import _check_calibration_budget, _check_grid
-from .scenario import Scenario, check_dimensions, check_integer, make_scenario
+from .scenario import Scenario, check_dimensions, check_integer, check_rho, make_scenario
 
 __all__ = ["ExperimentConfig", "parse_config", "format_config", "build_scenario",
            "DESK_SCALE", "PAPER_SCALE"]
@@ -135,10 +135,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         _check_calibration_budget(cfg.pfa, cfg.calib_trials)  # implies calib_trials > 20
         check_integer(cfg.pd_trials, "pd_trials", 1)
         check_integer(cfg.master_seed, "master_seed")
+        check_rho(cfg.rho)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not 0.0 <= cfg.rho < 1.0:
-        raise ConfigError(f"rho must lie in [0, 1), got {cfg.rho}")
 
 
 def format_config(cfg: ExperimentConfig) -> str:

@@ -164,5 +164,7 @@ def am(v) -> np.ndarray:
 
 
 def bounded(mu):
-    """mu / (1 + mu): the GLR statistic in [0, 1) of the augmented-SCM family."""
-    return mu / (1.0 + mu)
+    """mu / (1 + mu): the GLR statistic in [0, 1) of the augmented-SCM family;
+    NaN, without a warning, for an infinite mu, which the engine and evaluate refuse."""
+    with np.errstate(invalid="ignore"):
+        return mu / (1.0 + mu)

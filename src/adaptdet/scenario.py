@@ -14,6 +14,7 @@ purposes; a change of generator or key bumps ``STREAM_VERSION``.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ __all__ = [
     "Scenario",
     "check_dimensions",
     "check_integer",
+    "check_rho",
     "stream",
     "toeplitz_covariance",
     "random_subspaces",
@@ -97,6 +99,15 @@ def check_integer(value, name: str, low: int | None = 0) -> int:
     return value
 
 
+def check_rho(rho) -> None:
+    """The one rho rule: a real number in [0, 1); a str would otherwise fail
+    the comparison with a TypeError that does not name it."""
+    if not isinstance(rho, numbers.Real):
+        raise TypeError(f"rho must be a number, got {rho!r}")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+
+
 def _check_subspace_dimensions(n: int, k: int, m: int, j: int, l: int = 0) -> None:
     """The half of check_dimensions that random_subspaces shares: each
     dimension an integer, all positive (L may be 0), J <= N and M <= K."""
@@ -165,8 +176,7 @@ def _full_rank(a: np.ndarray, rtol: float = TOL.rank_sv_rtol) -> bool:
 def toeplitz_covariance(n: int, rho: float) -> np.ndarray:
     """N x N covariance with entries rho^|i-j| (real symmetric Toeplitz, PD)."""
     n = check_integer(n, "n", low=1)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    check_rho(rho)
     idx = np.arange(n)
     return (rho ** np.abs(idx[:, None] - idx[None, :])).astype(np.complex128)
 

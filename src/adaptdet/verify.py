@@ -107,12 +107,12 @@ def random_instance(regime: str, rng: np.random.Generator) -> Instance:
     return Instance(regime=regime, n=n, k=k, m=m, j=j, l=l, a=a, c=c, x=x, x_l=x_l)
 
 
-def instance_stream(seed: int, count: int, regimes=REGIMES):
-    """Iterator of (index, Instance) pairs cycling through the regimes;
-    instance i is drawn from ``stream(seed, VERIFY_INSTANCE, i)``.  The seed
-    and count are checked when it is called, not on the first ``next``."""
+def instance_stream(seed: int, count: int):
+    """Iterator of (index, Instance) pairs cycling through REGIMES; instance i
+    is drawn from ``stream(seed, VERIFY_INSTANCE, i)``.  The seed and count
+    are checked when it is called, not on the first ``next``."""
     check_integer(seed, "seed")
-    return ((idx, random_instance(regimes[idx % len(regimes)], stream(seed, VERIFY_INSTANCE, idx)))
+    return ((idx, random_instance(REGIMES[idx % len(REGIMES)], stream(seed, VERIFY_INSTANCE, idx)))
             for idx in range(check_integer(count, "count")))
 
 

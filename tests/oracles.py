@@ -3,12 +3,25 @@
 Everything here is deliberately naive: explicit matrix inverses, principal
 matrix square roots from scipy, a dense general (non-Hermitian)
 eigensolver, and mpmath for references that must not lose digits.  None
-of it shares code with the package's computation paths.
+of it shares code with the package's computation paths.  The one
+exception is :func:`regime_instances`, which draws the instances of
+``adaptdet verify`` for chosen regimes.
 """
 
 import mpmath
 import numpy as np
 import scipy.linalg
+
+from adaptdet.scenario import VERIFY_INSTANCE, stream
+from adaptdet.verify import random_instance
+
+
+def regime_instances(seed, count, *regimes):
+    """Instances 0..count-1 cycling through `regimes`, drawn as verify.instance_stream
+    draws its own: instance i is random_instance(regimes[i % len(regimes)],
+    stream(seed, VERIFY_INSTANCE, i))."""
+    return (random_instance(regimes[i % len(regimes)], stream(seed, VERIFY_INSTANCE, i))
+            for i in range(count))
 
 
 def dagger(m):

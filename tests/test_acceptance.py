@@ -23,9 +23,8 @@ from adaptdet.errors import ConfigError
 from adaptdet.montecarlo import (calibrate_thresholds, cfar_check, pd_curves,
                                  simulate_statistics)
 from adaptdet.scenario import make_scenario, toeplitz_covariance
-from adaptdet.verify import instance_stream
 
-from oracles import amgdd_projection_form, glrgdd_raw_form, ru_glr_direct
+from oracles import amgdd_projection_form, glrgdd_raw_form, regime_instances, ru_glr_direct
 
 SEED = 20260810
 THREADS = 4
@@ -44,7 +43,7 @@ def _report(number, name, passed, detail):
 def test_criterion_1_identity_suite():
     worst = 0.0
     count = 0
-    for _, inst in instance_stream(SEED + 1, 500, regimes=("abundant", "square")):
+    for inst in regime_instances(SEED + 1, 500, "abundant", "square"):
         residuals = appendix_identities(inst.x, inst.x_l, inst.a, inst.c)
         worst = max(worst, max(residuals.values()))
         count += 1
@@ -56,7 +55,7 @@ def test_criterion_1_identity_suite():
 
 def test_criterion_2_monotone_map_equivalence():
     worst = 0.0
-    for _, inst in instance_stream(SEED + 2, 500, regimes=("abundant", "square")):
+    for inst in regime_instances(SEED + 2, 500, "abundant", "square"):
         t_full = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
         t_ru = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
         residual = abs(t_full - t_ru / (1.0 - t_ru)) / (1.0 + t_full)
@@ -73,7 +72,7 @@ def test_criterion_2_holds_against_independent_oracles():
     # that shares no code with the kernels, on the same instances.
     worst_glr = 0.0
     worst_ru = 0.0
-    for _, inst in instance_stream(SEED + 2, 500, regimes=("abundant", "square")):
+    for inst in regime_instances(SEED + 2, 500, "abundant", "square"):
         glr = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
         glr_ref = glrgdd_raw_form(inst.x, inst.x_l, inst.a, inst.c)
         worst_glr = max(worst_glr, abs(glr - glr_ref) / abs(glr_ref))
@@ -92,12 +91,12 @@ def test_criterion_2_holds_against_independent_oracles():
 
 def test_criterion_3_degenerate_agreements():
     worst_bose = 0.0
-    for _, inst in instance_stream(SEED + 3, 200, regimes=("notraining",)):
+    for inst in regime_instances(SEED + 3, 200, "notraining"):
         ru = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
         bose = evaluate([BOSE], inst.x, inst.x_l, inst.a, inst.c)[BOSE]
         worst_bose = max(worst_bose, abs(bose - ru) / max(1.0, abs(ru)))
     worst_square = 0.0
-    for _, inst in instance_stream(SEED + 4, 200, regimes=("square",)):
+    for inst in regime_instances(SEED + 4, 200, "square"):
         am_ru = evaluate([RU_AM], inst.x, inst.x_l, inst.a, inst.c)[RU_AM]
         am = evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)[AM]
         worst_square = max(worst_square, abs(am - am_ru) / max(1.0, abs(am_ru)))
@@ -111,7 +110,7 @@ def test_criterion_3_degenerate_agreements():
 def test_criterion_4_dual_formula_oracles():
     worst_am = 0.0
     worst_glr = 0.0
-    for _, inst in instance_stream(SEED + 5, 200, regimes=("abundant",)):
+    for inst in regime_instances(SEED + 5, 200, "abundant"):
         am = evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)[AM]
         am_ref = amgdd_projection_form(inst.x, inst.x_l, inst.a, inst.c)
         worst_am = max(worst_am, abs(am - am_ref) / (1.0 + abs(am_ref)))
@@ -128,7 +127,7 @@ def test_criterion_4_dual_formula_oracles():
 def test_criterion_5_invariance_suite():
     rng = np.random.default_rng(SEED + 6)
     worst = {"A -> A T": 0.0, "C -> T C": 0.0, "scale": 0.0}
-    for _, inst in instance_stream(SEED + 6, 200, regimes=("full",)):
+    for inst in regime_instances(SEED + 6, 200, "full"):
         t_a = rng.standard_normal((inst.j, inst.j)) + 1j * rng.standard_normal(
             (inst.j, inst.j)) + 2 * np.eye(inst.j)
         t_c = rng.standard_normal((inst.m, inst.m)) + 1j * rng.standard_normal(

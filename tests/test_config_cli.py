@@ -17,7 +17,7 @@ from adaptdet.config import build_scenario, format_config, parse_config
 from adaptdet.detectors import DetectorKind
 from adaptdet.errors import ConfigError, SingularMatrixError
 from adaptdet.scenario import check_dimensions
-from adaptdet.verify import CheckSuite, VerificationReport, run_verification
+from adaptdet.verify import CheckSuite, VerificationReport, random_instance, run_verification
 
 SMALL_CONFIG = """\
 # small experiment used by the test suite
@@ -419,7 +419,7 @@ class TestCommandLine:
 
     def test_verify_refuses_an_unknown_regime(self):
         with pytest.raises(ValueError, match="^unknown regime 'dense'$"):
-            next(adaptdet.verify.instance_stream(0, 1, regimes=("dense",)))
+            random_instance("dense", np.random.default_rng(0))
 
     def test_preset_print_config_is_parseable(self, capsys):
         assert cli.main(["preset", "fig1", "--print-config"]) == 0

@@ -11,17 +11,13 @@ from adaptdet.transform import factor_waveform_subspace, transform_stack
 from adaptdet.verify import REGIMES, instance_stream, random_instance, run_verification
 
 from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, random_cmatrix,
-                     ru_am_direct, ru_glr_direct)
+                     regime_instances, ru_am_direct, ru_glr_direct)
 
 RU_GLR = DetectorKind.GLRGDD_RU
 RU_AM = DetectorKind.AMGDD_RU
 GLR = DetectorKind.GLRGDD
 AM = DetectorKind.AMGDD
 BOSE = DetectorKind.BOSE_GLRT
-
-
-def _instances(regime, seed, count):
-    return (inst for _, inst in instance_stream(seed, count, regimes=(regime,)))
 
 
 def _philox_instance(regime, seed, *key):
@@ -61,7 +57,7 @@ class TestEvaluateCheck:
     def _evaluate_as(monkeypatch, kind, value):
         monkeypatch.setattr(adaptdet.detectors, "statistics",
                             lambda kinds, *_: np.full((1, 1, len(kinds)), value))
-        inst = next(_instances("full", 118, 1))
+        inst = next(regime_instances(118, 1, "full"))
         return evaluate([kind], inst.x, inst.x_l, inst.a, inst.c)
 
     def test_rejects_negative_value(self, monkeypatch):
@@ -74,6 +70,15 @@ class TestEvaluateCheck:
 
     def test_unbounded_kind_accepts_large_values(self, monkeypatch):
         assert self._evaluate_as(monkeypatch, AM, 17.5) == {AM: 17.5}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_mu_reaches_the_check_without_a_warning(self, monkeypatch):
+        # GLRGDD-RU is bounded(mu) of the kernel's mu; an infinite mu gives NaN
+        monkeypatch.setattr(adaptdet.kernels, "glr", lambda v, r: np.full(v.shape[:2], np.inf))
+        inst = next(regime_instances(118, 1, "full"))
+        message = "GLRGDD_RU statistic must be finite and >= 0, got nan"
+        with pytest.raises(ValueError, match=message):
+            evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)
 
 
 class TestRuFamily:
@@ -97,7 +102,7 @@ class TestRuFamily:
 
     @pytest.mark.parametrize("regime", ["abundant", "lowsample"])
     def test_matches_explicit_inversion_oracle(self, regime):
-        for inst in _instances(regime, 100, 10):
+        for inst in regime_instances(100, 10, regime):
             td = transform_stack(inst.x, inst.x_l, factor_waveform_subspace(inst.c))
             glr = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
             am = evaluate([RU_AM], inst.x, inst.x_l, inst.a, inst.c)[RU_AM]
@@ -105,38 +110,38 @@ class TestRuFamily:
             assert am == pytest.approx(ru_am_direct(td.x_par, td.s_plus, inst.a), rel=1e-8)
 
     def test_bounded_strictly_below_one(self):
-        for inst in _instances("lowsample", 101, 20):
+        for inst in regime_instances(101, 20, "lowsample"):
             value = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
             assert value < 1.0 - 1e-12
 
 
 class TestGlrgdd:
     def test_zero_test_data_gives_zero(self):
-        inst = next(_instances("abundant", 102, 1))
+        inst = next(regime_instances(102, 1, "abundant"))
         value = evaluate([GLR], np.zeros_like(inst.x), inst.x_l, inst.a, inst.c)[GLR]
         assert value <= 1e-12
 
     def test_scale_invariance(self):
-        inst = next(_instances("abundant", 103, 1))
+        inst = next(regime_instances(103, 1, "abundant"))
         base = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
         for c in (0.5, 2.0 + 1.0j, 300.0):
             scaled = evaluate([GLR], c * inst.x, c * inst.x_l, inst.a, inst.c)[GLR]
             assert abs(scaled - base) <= 1e-10 * (1.0 + abs(base))
 
     def test_monotone_map_to_ru_statistic(self):
-        for inst in _instances("abundant", 104, 20):
+        for inst in regime_instances(104, 20, "abundant"):
             t_full = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
             t_ru = evaluate([RU_GLR], inst.x, inst.x_l, inst.a, inst.c)[RU_GLR]
             assert abs(t_full - t_ru / (1.0 - t_ru)) <= 1e-8 * (1.0 + t_full)
 
     def test_matches_raw_whitened_form(self):
-        for inst in _instances("abundant", 105, 10):
+        for inst in regime_instances(105, 10, "abundant"):
             ours = evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)[GLR]
             reference = glrgdd_raw_form(inst.x, inst.x_l, inst.a, inst.c)
             assert ours == pytest.approx(reference, rel=1e-8)
 
     def test_requires_sample_abundance(self):
-        inst = next(_instances("lowsample", 106, 1))
+        inst = next(regime_instances(106, 1, "lowsample"))
         with pytest.raises(ValueError, match="GLRGDD requires L >= N"):
             evaluate([GLR], inst.x, inst.x_l, inst.a, inst.c)
 
@@ -154,43 +159,43 @@ class TestGlrgdd:
         assert stats[RU_GLR] == pytest.approx(float(t_ru), rel=1e-9)
 
     def test_zero_training_row_is_a_singular_scm(self):
-        inst = next(_instances("abundant", 120, 1))
+        inst = next(regime_instances(120, 1, "abundant"))
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
             evaluate([GLR], inst.x, _zero_training_row(inst), inst.a, inst.c)
 
 
 class TestAmgdd:
     def test_zero_test_data_gives_zero(self):
-        inst = next(_instances("abundant", 107, 1))
+        inst = next(regime_instances(107, 1, "abundant"))
         value = evaluate([AM], np.zeros_like(inst.x), inst.x_l, inst.a, inst.c)[AM]
         assert value <= 1e-12
 
     def test_square_subspace_equals_ru_variant(self):
-        for inst in _instances("square", 108, 10):
+        for inst in regime_instances(108, 10, "square"):
             classic = evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)[AM]
             ru = evaluate([RU_AM], inst.x, inst.x_l, inst.a, inst.c)[RU_AM]
             assert abs(classic - ru) <= 1e-12 * max(1.0, abs(ru))
 
     def test_matches_projection_form(self):
-        for inst in _instances("abundant", 109, 10):
+        for inst in regime_instances(109, 10, "abundant"):
             ours = evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)[AM]
             reference = amgdd_projection_form(inst.x, inst.x_l, inst.a, inst.c)
             assert ours == pytest.approx(reference, rel=1e-8)
 
     def test_requires_sample_abundance(self):
-        inst = next(_instances("lowsample", 110, 1))
+        inst = next(regime_instances(110, 1, "lowsample"))
         with pytest.raises(ValueError, match="AMGDD requires L >= N"):
             evaluate([AM], inst.x, inst.x_l, inst.a, inst.c)
 
     def test_zero_training_row_is_a_singular_scm(self):
-        inst = next(_instances("abundant", 121, 1))
+        inst = next(regime_instances(121, 1, "abundant"))
         with pytest.raises(SingularMatrixError, match="singular covariance estimate: SCM"):
             evaluate([AM], inst.x, _zero_training_row(inst), inst.a, inst.c)
 
 
 class TestBoseGlrt:
     def test_equals_ru_statistic_without_training_data(self):
-        for inst in _instances("notraining", 111, 10):
+        for inst in regime_instances(111, 10, "notraining"):
             direct = evaluate([BOSE], inst.x, np.zeros((inst.n, 0)), inst.a, inst.c)[BOSE]
             via_ru = evaluate([RU_GLR], inst.x, np.zeros((inst.n, 0), complex),
                               inst.a, inst.c)[RU_GLR]
@@ -213,31 +218,31 @@ class TestBoseGlrt:
         assert np.isfinite(value) and 0.0 <= value < 1.0
 
     def test_rejects_small_test_data(self):
-        inst = next(_instances("square", 113, 1))
+        inst = next(regime_instances(113, 1, "square"))
         with pytest.raises(ValueError, match=r"BOSE_GLRT requires K >= M\+N"):
             evaluate([BOSE], inst.x, np.zeros((inst.n, 0)), inst.a, inst.c)
 
 
 class TestAppendixIdentities:
     def test_zero_test_data_is_exact(self):
-        inst = next(_instances("abundant", 114, 1))
+        inst = next(regime_instances(114, 1, "abundant"))
         residuals = appendix_identities(np.zeros_like(inst.x), inst.x_l, inst.a, inst.c)
         assert residuals["resolvent_contraction"] <= 1e-14
         assert residuals["scm_update_inverse"] <= 1e-12
 
     def test_square_subspace_collapses_update_chain(self):
-        inst = next(_instances("square", 115, 1))
+        inst = next(regime_instances(115, 1, "square"))
         residuals = appendix_identities(inst.x, inst.x_l, inst.a, inst.c)
         assert residuals["scm_update_inverse"] <= 1e-12
 
     def test_generic_residuals_at_rounding_level(self):
-        for inst in _instances("abundant", 116, 10):
+        for inst in regime_instances(116, 10, "abundant"):
             residuals = appendix_identities(inst.x, inst.x_l, inst.a, inst.c)
             assert len(residuals) == 5
             assert max(residuals.values()) <= 1e-8
 
     def test_requires_sample_abundance(self):
-        inst = next(_instances("lowsample", 117, 1))
+        inst = next(regime_instances(117, 1, "lowsample"))
         with pytest.raises(ValueError, match="requires L >= N"):
             appendix_identities(inst.x, inst.x_l, inst.a, inst.c)
 
@@ -249,19 +254,19 @@ class TestAppendixIdentities:
 
 class TestEvaluateDispatch:
     def test_each_kind_dispatches(self):
-        inst = next(_instances("full", 118, 1))
+        inst = next(regime_instances(118, 1, "full"))
         for kind in DetectorKind:
             stats = evaluate([kind], inst.x, inst.x_l, inst.a, inst.c)
             assert list(stats) == [kind]
             assert type(stats[kind]) is float and stats[kind] >= 0.0
 
     def test_checks_validity_first(self):
-        inst = next(_instances("lowsample", 119, 1))
+        inst = next(regime_instances(119, 1, "lowsample"))
         with pytest.raises(ValueError, match="requires"):
             evaluate([BOSE], inst.x, inst.x_l, inst.a, inst.c)
 
     def test_rejects_mismatched_shapes(self):
-        inst = next(_instances("full", 122, 1))
+        inst = next(regime_instances(122, 1, "full"))
         with pytest.raises(ValueError, match="dimension mismatch"):
             evaluate([RU_AM], inst.x, inst.x_l[1:], inst.a, inst.c)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -284,7 +289,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("regime", REGIMES + ("full",))
     def test_equals_per_kind_evaluate_bitwise(self, regime):
         # "full" is the regime where Bose with L > 0 rides with the RU kinds
-        for inst in _instances(regime, 123, 8):
+        for inst in regime_instances(123, 8, regime):
             kinds = inst.valid_kinds()
             stats = evaluate(kinds, inst.x, inst.x_l, inst.a, inst.c)
             assert list(stats) == list(kinds)
@@ -324,18 +329,18 @@ class TestEvaluate:
             evaluate(kinds, x, x_l, a, c)
 
     def test_checks_every_kind(self):
-        inst = next(_instances("lowsample", 124, 1))
+        inst = next(regime_instances(124, 1, "lowsample"))
         with pytest.raises(ValueError, match=r"BOSE_GLRT requires K >= M\+N"):
             evaluate([RU_GLR, BOSE],
                      inst.x, inst.x_l, inst.a, inst.c)
 
     def test_refuses_a_kind_given_by_name(self):
-        inst = next(_instances("full", 126, 1))
+        inst = next(regime_instances(126, 1, "full"))
         with pytest.raises(TypeError, match="DetectorKind members, got 'GLRGDD_RU'"):
             evaluate([RU_AM, "GLRGDD_RU"], inst.x, inst.x_l, inst.a, inst.c)
 
     def test_refuses_a_lone_kind_where_a_list_is_expected(self):
-        inst = next(_instances("full", 126, 1))
+        inst = next(regime_instances(126, 1, "full"))
         with pytest.raises(TypeError, match=r"kinds must be a list of detector kinds, got "
                                             r"DetectorKind\.AMGDD alone: pass "
                                             r"\[DetectorKind\.AMGDD\]"):
@@ -343,7 +348,7 @@ class TestEvaluate:
 
     def test_checks_the_estimate_each_kind_reads(self):
         # zero test data: S_perp = 0, while S_plus = S is PD
-        inst = next(_instances("full", 125, 1))
+        inst = next(regime_instances(125, 1, "full"))
         x = np.zeros_like(inst.x)
         ru = [DetectorKind.GLRGDD_RU, DetectorKind.AMGDD_RU, DetectorKind.AMGDD]
         assert set(evaluate(ru, x, inst.x_l, inst.a, inst.c)) == set(ru)

@@ -229,6 +229,14 @@ def test_reduction_reads_no_entry_above_the_diagonal(stacks, monkeypatch):
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounded_of_an_infinite_mu_is_nan_without_a_warning():
+    mu = np.array([0.0, 0.37, 2.5e3, np.inf, np.nan])
+    out = kernels.bounded(mu)
+    assert out[:3].tobytes() == (mu[:3] / (1.0 + mu[:3])).tobytes()
+    assert np.isnan(out[3:]).all()
+
+
 @pytest.mark.parametrize("estimate", ["s_plus", "s_perp"])
 def test_bounded_column_alone_is_bitwise_the_pair_column(estimate):
     # The engine computes the bounded statistic of an estimate alone (Bose's

@@ -80,6 +80,7 @@ class TestThresholdRule:
 
 
 class TestNonFiniteTrials:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name, kinds", [
         ("glr", [RU, DetectorKind.BOSE_GLRT]),
         ("am", [DetectorKind.AMGDD]),

@@ -40,8 +40,12 @@ class TestToeplitzCovariance:
 
     @pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])
     def test_rejects_bad_rho(self, rho):
-        with pytest.raises(ValueError, match="rho"):
+        with pytest.raises(ValueError, match=rf"^rho must lie in \[0, 1\), got {rho}$"):
             toeplitz_covariance(4, rho)
+
+    def test_non_number_rho_is_named(self):
+        with pytest.raises(TypeError, match="^rho must be a number, got '0.5'$"):
+            make_scenario(5, 9, 2, 2, 6, rho="0.5")
 
 
 class TestRandomSubspaces:

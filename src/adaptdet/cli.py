@@ -30,7 +30,7 @@ from .config import (DESK_SCALE, PAPER_SCALE, ExperimentConfig, build_scenario,
                      format_config, parse_config)
 from .detectors import DetectorKind
 from .errors import ConfigError, NonFiniteStatisticError
-from .scenario import DEFAULT_SEED
+from .scenario import DEFAULT_SEED, STREAM_VERSION
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,9 +154,13 @@ def _cmd_preset(args) -> int:
             print(format_config(config), end="")
         return EXIT_OK
     base = args.out if args.out is not None else f"{args.name}.csv"
+    if base == "-" and len(configs) > 1:  # back-to-back CSVs with no K to tell them apart
+        names = ", ".join(f"{args.name}{suffix}.csv" for suffix, _ in configs)
+        raise ValueError(f"preset {args.name} writes one CSV per K ({names}): "
+                          "--out - cannot hold them; give a file path")
     for suffix, config in configs:
         path = base
-        if suffix and base != "-":
+        if suffix:
             root = Path(base)
             path = str(root.with_name(root.stem + suffix + root.suffix))
         run_experiment(config, threads=args.threads, out_path=path)
@@ -188,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="adaptdet",
                      description="Adaptive detection of a rank-one subspace signal "
                                  "with limited training data.")
-    parser.add_argument("--version", action="version", version=f"adaptdet {__version__}")
+    parser.add_argument("--version", action="version",
+                        version=f"adaptdet {__version__} (stream layout {STREAM_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *, config: bool):
@@ -217,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=tuple(_PRESETS))
     add_common(p, config=False)
     p.add_argument("--out", default=None, help="output CSV path (fig2 writes one "
-                                               "file per K, suffixed _K<k>)")
+                                               "file per K, suffixed _K<k>, so not '-')")
     p.add_argument("--paper-scale", action="store_true",
                    help="use the published trial budgets (pfa 1e-3, 1e5/1e4 trials)")
     p.add_argument("--print-config", action="store_true",

@@ -5,14 +5,14 @@ probability over SNR grids, and empirical CFAR verification, each for a
 list of detector kinds on one shared set of draws.
 
 Reproducibility contract (stream layout ``STREAM_VERSION``): block b of
-``BLOCK_TRIALS`` trials draws its white noise, trial by trial, in one call
-from its own stream, ``scenario.stream(seed, domain, b)``, the registry
-every seeded draw of the package comes from.  A trial's draws thus depend
-only on its key (seed, domain, trial) and the block size, not on the trial
-count, the worker-thread count or the scheduling: results are bitwise
-identical for any thread count and a shorter run is a prefix of a longer
-one.  Changing the block size bumps ``STREAM_VERSION`` as a change of the
-registry's bit generator or keys does.
+``BLOCK_TRIALS`` trials draws its white noise, trial by trial, in one
+``scenario.complex_gaussian`` call from its own stream, ``scenario.stream(seed,
+domain, b)``, the registry every seeded draw of the package comes from.  A
+trial's draws thus depend only on its key (seed, domain, trial) and the block
+size, not on the trial count, the worker-thread count or the scheduling:
+results are bitwise identical for any thread count and a shorter run is a
+prefix of a longer one.  Changing the block size bumps ``STREAM_VERSION`` as
+a change of the registry's bit generator, keys or draw layout does.
 
 The stream domain follows from whether a grid is given: a
 :func:`simulate_statistics` call without ``snr_db`` draws H0 trials from
@@ -59,8 +59,8 @@ from . import kernels
 from .detectors import DetectorKind, kind_list, statistics
 from .errors import NonFiniteStatisticError, SingularMatrixError
 from .linalg import as_cmatrix
-from .scenario import (_SQRT_HALF, DOMAIN_NULL, DOMAIN_SIGNAL, STREAM_VERSION, Scenario,
-                       _snr_power, check_dimensions, check_integer, random_directions,
+from .scenario import (DOMAIN_NULL, DOMAIN_SIGNAL, STREAM_VERSION, Scenario, _snr_power,
+                       check_dimensions, check_integer, complex_gaussian, random_directions,
                        scale_to_snr, stream)
 from .transform import (TransformedData, signal_coefficient, transform_size,
                         transform_stack)
@@ -104,17 +104,6 @@ class CfarReport:
         return abs(self.pfa_empirical - self.pfa_target) <= 4.0 * self.sigma
 
 
-def _block_noise(seed: int, domain: int, block: int, count: int, n: int,
-                 cols: int, out: np.ndarray) -> np.ndarray:
-    """White CN(0, I) noise (count, n, cols) of the first `count` trials of
-    block `block`, i.e. trials from block * BLOCK_TRIALS, of its stream,
-    drawn into the head of the complex128 buffer `out`."""
-    draws = out[:count * n * cols].view(np.float64).reshape(count, n, cols, 2)
-    stream(seed, domain, block).standard_normal(out=draws)
-    draws *= _SQRT_HALF
-    return draws.view(np.complex128)[..., 0]
-
-
 def _workspace(scenario: Scenario, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Arenas (white, colored) for blocks of up to `trials` trials.  `white`
     receives a block's white noise and, once that is colored into `colored`,
@@ -132,10 +121,9 @@ def _noise_block(scenario: Scenario, seed: int, domain: int, block: int, count: 
     of block `block` of the stream (seed, domain), drawn into the arena
     `white` and colored into `colored`: the one code that fills a block, for
     the engine and :func:`replay_trial` alike."""
-    n, cols = scenario.N, scenario.K + scenario.L
-    noise = _block_noise(seed, domain, block, count, n, cols, white)
-    return np.matmul(scenario.coloring, noise,
-                     out=colored[:count * n * cols].reshape(count, n, cols))
+    size, shape = count * scenario.N * (scenario.K + scenario.L), (count, scenario.N, -1)
+    noise = complex_gaussian(stream(seed, domain, block), out=white[:size].reshape(shape))
+    return np.matmul(scenario.coloring, noise, out=colored[:size].reshape(shape))
 
 
 def replay_trial(scenario: Scenario, seed: int, domain: int,
@@ -294,9 +282,9 @@ def threshold_from_h0(stats, pfa: float) -> float:
 
 
 def _check_pfa(pfa) -> None:
-    """The one pfa rule: a real number in (0, 1); a str would otherwise fail
-    the comparison with a TypeError that does not name it."""
-    if not isinstance(pfa, numbers.Real):
+    """The one pfa rule: a real number, not a bool, in (0, 1); a str would
+    otherwise fail the comparison with a TypeError that does not name it."""
+    if isinstance(pfa, bool) or not isinstance(pfa, numbers.Real):
         raise TypeError(f"pfa must be a number, got {pfa!r}")
     if not 0.0 < pfa < 1.0:
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")

@@ -9,7 +9,8 @@ set by :func:`scale_to_snr` from a scenario's A, C and factor of R.
 
 Every seeded draw of the package is SFC64 from one registry, :func:`stream`,
 keyed ``SeedSequence(seed, spawn_key=(purpose, *index))`` with disjoint
-purposes; a change of generator or key bumps ``STREAM_VERSION``.
+purposes, and every complex normal is :func:`complex_gaussian`'s; a change
+of generator, key or draw layout bumps ``STREAM_VERSION``.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ __all__ = [
     "make_scenario",
 ]
 
-_SQRT_HALF = np.sqrt(0.5)  # CN(0, 1) scaling of complex_gaussian and the engine's block draw
+_SQRT_HALF = np.sqrt(0.5)  # CN(0, 1) scaling of complex_gaussian
 _MAX_RANK_RETRIES = 100
 
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 DOMAIN_NULL = 0       # engine H0 block b: calibration (and CFAR re-measurement)
 DOMAIN_SIGNAL = 1     # engine H1 block b, shared by every SNR grid point
 SUBSPACES = 2         # random_subspaces, so make_scenario's A and C
@@ -100,9 +101,9 @@ def check_integer(value, name: str, low: int | None = 0) -> int:
 
 
 def check_rho(rho) -> None:
-    """The one rho rule: a real number in [0, 1); a str would otherwise fail
-    the comparison with a TypeError that does not name it."""
-    if not isinstance(rho, numbers.Real):
+    """The one rho rule: a real number, not a bool, in [0, 1); a str would
+    otherwise fail the comparison with a TypeError that does not name it."""
+    if isinstance(rho, bool) or not isinstance(rho, numbers.Real):
         raise TypeError(f"rho must be a number, got {rho!r}")
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
@@ -181,14 +182,14 @@ def toeplitz_covariance(n: int, rho: float) -> np.ndarray:
     return (rho ** np.abs(idx[:, None] - idx[None, :])).astype(np.complex128)
 
 
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """IID standard circular complex Gaussian entries.
-
-    Real and imaginary parts are each N(0, 1/2), so every entry has unit
-    variance.  The real block is drawn before the imaginary block.
-    """
-    z = rng.standard_normal((2, rows, cols))
-    return (z[0] + 1j * z[1]) * _SQRT_HALF
+def complex_gaussian(rng: np.random.Generator, *shape: int, out=None) -> np.ndarray:
+    """The package's one complex-normal draw: IID CN(0, 1) entries, each one
+    interleaved (re, im) pair of N(0, 1/2) parts, drawn into `out` (a new
+    array of `shape` when None; a C-contiguous complex128 `out` fixes it)."""
+    out = np.empty(shape, dtype=np.complex128) if out is None else out
+    parts = rng.standard_normal(out=out.view(np.float64))
+    parts *= _SQRT_HALF
+    return out
 
 
 def random_subspaces(n: int, j: int, m: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,8 +219,8 @@ def random_directions(j: int, m: int, seed: int) -> tuple[np.ndarray, np.ndarray
     """Unit-norm (theta_dir, alpha_dir) on the complex sphere, from the DIRECTIONS stream."""
     j, m = check_integer(j, "J", low=1), check_integer(m, "M", low=1)
     rng = stream(seed, DIRECTIONS)
-    theta = as_cvector(complex_gaussian(rng, j, 1), "theta_dir")
-    alpha = as_cvector(complex_gaussian(rng, m, 1), "alpha_dir")
+    theta = complex_gaussian(rng, j)
+    alpha = complex_gaussian(rng, m)
     return theta / np.linalg.norm(theta), alpha / np.linalg.norm(alpha)
 
 

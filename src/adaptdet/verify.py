@@ -98,8 +98,8 @@ def random_instance(regime: str, rng: np.random.Generator) -> Instance:
     if rng.integers(0, 2):
         # moderate SNR keeps the bounded statistics away from 1, where the
         # monotone map would amplify rounding error past the check budgets
-        theta_dir = complex_gaussian(rng, j, 1).ravel()
-        alpha_dir = complex_gaussian(rng, m, 1).ravel()
+        theta_dir = complex_gaussian(rng, j)
+        alpha_dir = complex_gaussian(rng, m)
         snr_db = float(rng.uniform(-5.0, 15.0))
         theta = scale_to_snr(sc, theta_dir, alpha_dir, snr_db)
         x = x + make_signal(a, theta, alpha_dir, c)

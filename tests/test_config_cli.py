@@ -16,7 +16,7 @@ from adaptdet import cli
 from adaptdet.config import build_scenario, format_config, parse_config
 from adaptdet.detectors import DetectorKind
 from adaptdet.errors import ConfigError, SingularMatrixError
-from adaptdet.scenario import check_dimensions
+from adaptdet.scenario import STREAM_VERSION, check_dimensions
 from adaptdet.verify import CheckSuite, VerificationReport, random_instance, run_verification
 
 SMALL_CONFIG = """\
@@ -451,6 +451,29 @@ class TestCommandLine:
         expected = [str(tmp_path / "d" / name) for name in ("f_K6.csv", "f_K10.csv", "f_K14.csv")]
         assert paths == expected
         assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in expected]
+
+    def test_preset_fig2_refuses_stdout_before_the_first_trial(self, monkeypatch, capsys):
+        # three CSVs back to back on stdout would carry no K to tell them apart
+        paths = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config, *, threads, out_path: paths.append(out_path))
+        assert cli.main(["preset", "fig2", "--out", "-"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert paths == [] and captured.out == ""
+        assert captured.err == ("error: preset fig2 writes one CSV per K (fig2_K6.csv, "
+                                "fig2_K10.csv, fig2_K14.csv): --out - cannot hold them; "
+                                "give a file path\n")
+        assert cli.main(["preset", "fig1", "--out", "-"]) == cli.EXIT_OK
+        assert paths == ["-"]
+
+    def test_version_names_the_stream_layout(self, capsys):
+        # a CSV is tied to the draws that made it by the layout that drew them
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (f"adaptdet {adaptdet.__version__} "
+                                           f"(stream layout {STREAM_VERSION})\n")
+        assert STREAM_VERSION == 6
 
     def test_preset_fig2_prints_three_configs(self, capsys):
         assert cli.main(["preset", "fig2", "--print-config"]) == 0

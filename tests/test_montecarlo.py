@@ -24,13 +24,14 @@ ALL = list(DetectorKind)
 
 
 def _numpy_stream(seed, *key):
-    """A stream of layout 5 rebuilt from numpy alone."""
+    """A stream of layout 6 rebuilt from numpy alone."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _numpy_cn(rng, rows, cols):
-    z = rng.standard_normal((2, rows, cols))
-    return (z[0] + 1j * z[1]) * np.sqrt(0.5)
+def _numpy_cn(rng, *shape):
+    """Layout 6's complex normals rebuilt from numpy alone: (re, im) pairs."""
+    pairs = rng.standard_normal((*shape, 2))
+    return (pairs * np.sqrt(0.5)).view(np.complex128)[..., 0]
 
 
 def _scenario(seed=17, **kw):
@@ -62,6 +63,12 @@ class TestThresholdRule:
             threshold_from_h0(np.ones(100), "0.1")
         with pytest.raises(TypeError, match="pfa must be a number, got '0.1'"):
             calibrate_thresholds(_scenario(), [RU], "0.1", 1000, seed=0)
+
+    @pytest.mark.parametrize("pfa", [False, True, np.False_, np.True_])
+    def test_a_bool_pfa_is_no_number(self, pfa):
+        # as for rho: True would otherwise get the range message, np.True_ the type one
+        with pytest.raises(TypeError, match=rf"^pfa must be a number, got {pfa!r}$"):
+            threshold_from_h0(np.ones(100), pfa)
 
     def test_rejects_no_statistics(self):
         with pytest.raises(ValueError, match="no statistics to calibrate on"):
@@ -224,13 +231,13 @@ class TestBlockWorkspace:
         # a thread's blocks draw into the memory of its first block rather
         # than into new arrays that the allocator hands back and faults in again
         draws = []
-        block_noise = montecarlo._block_noise
+        draw = montecarlo.complex_gaussian
 
         def recorded(*args, **kwargs):
-            draws.append(block_noise(*args, **kwargs))
+            draws.append(draw(*args, **kwargs))
             return draws[-1]
 
-        monkeypatch.setattr(montecarlo, "_block_noise", recorded)
+        monkeypatch.setattr(montecarlo, "complex_gaussian", recorded)
         simulate_statistics(_scenario(), [RU], 10 * BLOCK_TRIALS, seed=3, threads=1)
         assert len(draws) == 10
         assert all(np.shares_memory(draw, draws[0]) for draw in draws[1:])
@@ -265,16 +272,16 @@ class TestDispatch:
     def test_the_lowest_failing_block_is_raised(self, monkeypatch, threads):
         # block 2 fails first in time and block 1 later: serial order meets
         # block 1 first, so every thread count raises block 1's exception
-        block_noise = montecarlo._block_noise
+        noise_block = montecarlo._noise_block
 
-        def blocks_fail(seed, domain, block, *args):
+        def blocks_fail(sc, seed, domain, block, *args):
             if block == 1:
                 time.sleep(0.2)
             if block >= 1:
                 raise RuntimeError(f"block {block} failed")
-            return block_noise(seed, domain, block, *args)
+            return noise_block(sc, seed, domain, block, *args)
 
-        monkeypatch.setattr(montecarlo, "_block_noise", blocks_fail)
+        monkeypatch.setattr(montecarlo, "_noise_block", blocks_fail)
         with pytest.raises(RuntimeError, match="^block 1 failed$"):
             simulate_statistics(_scenario(), [RU], 4 * BLOCK_TRIALS, seed=9, threads=threads)
 
@@ -282,16 +289,16 @@ class TestDispatch:
         # block 0 fails at once while block 1 is still running: blocks 2 to 9
         # are never drawn, since a later block's failure would not be raised
         drawn = []
-        block_noise = montecarlo._block_noise
+        noise_block = montecarlo._noise_block
 
-        def first_fails(seed, domain, block, *args):
+        def first_fails(sc, seed, domain, block, *args):
             drawn.append(block)
             if block == 0:
                 raise RuntimeError("block 0 failed")
             time.sleep(0.2)
-            return block_noise(seed, domain, block, *args)
+            return noise_block(sc, seed, domain, block, *args)
 
-        monkeypatch.setattr(montecarlo, "_block_noise", first_fails)
+        monkeypatch.setattr(montecarlo, "_noise_block", first_fails)
         with pytest.raises(RuntimeError, match="^block 0 failed$"):
             simulate_statistics(_scenario(), [RU], 10 * BLOCK_TRIALS, seed=9, threads=2)
         assert set(drawn) <= {0, 1}
@@ -302,13 +309,13 @@ class TestDispatch:
         sc, trials = _scenario(), 40 * BLOCK_TRIALS
         serial = simulate_statistics(sc, [RU], trials, seed=5)
         drawn = []
-        block_noise = montecarlo._block_noise
+        noise_block = montecarlo._noise_block
 
-        def recorded(seed, domain, block, *args):
+        def recorded(sc, seed, domain, block, *args):
             drawn.append(block)
-            return block_noise(seed, domain, block, *args)
+            return noise_block(sc, seed, domain, block, *args)
 
-        monkeypatch.setattr(montecarlo, "_block_noise", recorded)
+        monkeypatch.setattr(montecarlo, "_noise_block", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -351,14 +358,14 @@ class TestStreamLayout:
     ])
     def test_block_draws_are_sfc64_keyed_by_seed_domain_and_block(self, seed, domain,
                                                                    block, count):
-        assert montecarlo.STREAM_VERSION == 5
+        assert montecarlo.STREAM_VERSION == 6
         assert BLOCK_TRIALS == 256
         assert (DOMAIN_NULL, DOMAIN_SIGNAL) == (0, 1)
         n, cols = 5, 14
-        pairs = _numpy_stream(seed, domain, block).standard_normal((count, n, cols, 2))
-        expected = (pairs * np.sqrt(0.5)).view(np.complex128)[..., 0]
-        out = np.empty(BLOCK_TRIALS * n * cols, dtype=np.complex128)
-        drawn = montecarlo._block_noise(seed, domain, block, count, n, cols, out)
+        expected = _numpy_cn(_numpy_stream(seed, domain, block), count, n, cols)
+        sc = _scenario(rho=0.0)  # N = 5, K + L = 14, colored by the identity: bytes kept
+        drawn = montecarlo._noise_block(sc, seed, domain, block, count,
+                                        *montecarlo._workspace(sc, BLOCK_TRIALS))
         assert drawn.shape == (count, n, cols)
         assert drawn.tobytes() == expected.tobytes()
 
@@ -376,7 +383,7 @@ class TestStreamLayout:
         theta, alpha = random_directions(2, 3, seed)
         rng = _numpy_stream(seed, 3)
         for drawn, size in ((theta, 2), (alpha, 3)):
-            expected = _numpy_cn(rng, size, 1).ravel()
+            expected = _numpy_cn(rng, size)
             assert drawn.tobytes() == (expected / np.linalg.norm(expected)).tobytes()
 
     def test_verify_draws_are_sfc64_keyed_by_seed_purpose_and_instance(self, monkeypatch):
@@ -403,11 +410,11 @@ class TestStreamLayout:
         seed, seen = 3, []
         draw = scenario.complex_gaussian
 
-        def fingerprinted(rng, rows, cols):
+        def fingerprinted(rng, *shape, **kwargs):
             # the first draws of a fresh copy of the stream behind `rng`
             bg = rng.bit_generator
             seen.append(np.random.Generator(type(bg)(bg.seed_seq)).standard_normal(8).tobytes())
-            return draw(rng, rows, cols)
+            return draw(rng, *shape, **kwargs)
 
         def streams(run):
             seen.clear()
@@ -523,7 +530,7 @@ class TestCalibration:
         def refused(*args, **kwargs):
             raise AssertionError("drew a block before checking the kinds")
 
-        monkeypatch.setattr(montecarlo, "_block_noise", refused)
+        monkeypatch.setattr(montecarlo, "_noise_block", refused)
         with pytest.raises(ValueError, match=message):
             entry(sc, data, kinds)
 
@@ -593,13 +600,13 @@ class TestPdCurves:
         # and draws nothing for it: calibration draws its 600 trials in 3
         # blocks, the H1 pass none
         blocks = []
-        block_noise = montecarlo._block_noise
+        noise_block = montecarlo._noise_block
 
-        def counted(seed, domain, *args):
+        def counted(sc, seed, domain, *args):
             blocks.append(domain)
-            return block_noise(seed, domain, *args)
+            return noise_block(sc, seed, domain, *args)
 
-        monkeypatch.setattr(montecarlo, "_block_noise", counted)
+        monkeypatch.setattr(montecarlo, "_noise_block", counted)
         assert pd_curves(_scenario(), [RU], [], 0.05, 600, 1000, seed=1)[RU].points == ()
         assert blocks == [DOMAIN_NULL] * 3
         stats = simulate_statistics(_scenario(), ALL, 1000, seed=1, snr_db=())
@@ -731,7 +738,7 @@ class TestPdCurves:
             raise AssertionError("drew before checking the grid")
 
         monkeypatch.setattr(montecarlo, "random_directions", refused)
-        monkeypatch.setattr(montecarlo, "_block_noise", refused)
+        monkeypatch.setattr(montecarlo, "_noise_block", refused)
         sc = _scenario()
         for grid in ([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0], [3.0, 3.0], [6.0, 0.0]):
             with pytest.raises(ValueError, match="SNR grid must be finite"):
@@ -755,7 +762,7 @@ class TestPdCurves:
             raise AssertionError("drew before checking the grid")
 
         monkeypatch.setattr(montecarlo, "random_directions", refused)
-        monkeypatch.setattr(montecarlo, "_block_noise", refused)
+        monkeypatch.setattr(montecarlo, "_noise_block", refused)
         sc = _scenario()
         message = r"SNR grid point 4000\.0 dB has a linear power 10\^\(snr/10\) beyond"
         with pytest.raises(ValueError, match=message):

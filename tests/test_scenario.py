@@ -47,6 +47,12 @@ class TestToeplitzCovariance:
         with pytest.raises(TypeError, match="^rho must be a number, got '0.5'$"):
             make_scenario(5, 9, 2, 2, 6, rho="0.5")
 
+    @pytest.mark.parametrize("rho", [False, True, np.False_, np.True_])
+    def test_a_bool_rho_is_no_number(self, rho):
+        # False would otherwise give the identity, and True a range error
+        with pytest.raises(TypeError, match=rf"^rho must be a number, got {rho!r}$"):
+            toeplitz_covariance(3, rho)
+
 
 class TestRandomSubspaces:
     def test_square_spatial_matrix_is_nonsingular(self):
@@ -83,6 +89,13 @@ class TestRandomSubspaces:
 
 
 class TestComplexGaussian:
+    def test_draws_into_out_in_place(self):
+        # `out` fixes the shape and is returned; a new array of the shape holds the same draw
+        out = np.empty((3, 4), dtype=np.complex128)
+        assert complex_gaussian(np.random.Generator(np.random.SFC64(5)), out=out) is out
+        fresh = complex_gaussian(np.random.Generator(np.random.SFC64(5)), 3, 4)
+        assert fresh.shape == (3, 4) and fresh.tobytes() == out.tobytes()
+
     def test_zero_mean_white(self):
         # circular CN(0, I): zero mean, identity covariance, zero pseudo-covariance
         cols = 100_000
@@ -428,7 +441,7 @@ class TestScenarioValidation:
         entry, name, low, *exception = _INTEGER_ARGUMENTS[case]
         accepted, below = exception or (low, f"{name} must be >= {low}, got {low - 1}")
         draws = []
-        for module, attr in ((montecarlo, "_block_noise"), (verify, "random_instance")):
+        for module, attr in ((montecarlo, "_noise_block"), (verify, "random_instance")):
             def counted(*args, _draw=getattr(module, attr), **kwargs):
                 draws.append(args)
                 return _draw(*args, **kwargs)

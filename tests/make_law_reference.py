@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_law_reference.py [--threads T]
+    PYTHONPATH=src python tests/make_law_reference.py
 
 For each case it draws REFERENCE_SEED's scenario and
 ``simulate_statistics`` at that seed, then records, per kind,
@@ -13,14 +13,13 @@ For each case it draws REFERENCE_SEED's scenario and
 * H1: the count of H1_TRIALS statistics above the kind's 0.99 quantile at
   each SNR of the case.
 
-``tests/test_law.py`` compares a run at other seeds with these counts.  The
-output does not depend on --threads.  A rerun rewrites the file; do so only
-for a change that is meant to move the law, and say why.
+``tests/test_law.py`` compares a run at other seeds with these counts.  A
+rerun rewrites the file; do so only for a change that is meant to move the
+law, and say why.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
 from pathlib import Path
@@ -36,6 +35,7 @@ H0_TRIALS = 1_000_000
 H1_TRIALS = 200_000
 PROBABILITIES = (0.5, 0.9, 0.99)
 H1_PROBABILITY = 0.99  # the H1 points count exceedances of this quantile
+THREADS = 2  # the engine's output does not depend on it
 RHO = 0.95
 # name: ((N, K, M, J, L), kinds, H1 SNRs in dB); fig1's preset and fig2's at K = 6
 CASES = {
@@ -46,11 +46,11 @@ CASES = {
 OUT = Path(__file__).with_name("law_reference.json")
 
 
-def record_case(dims, kinds, snrs, threads):
+def record_case(dims, kinds, snrs):
     sc = make_scenario(*dims, rho=RHO, seed=REFERENCE_SEED)
-    h0 = simulate_statistics(sc, kinds, H0_TRIALS, REFERENCE_SEED, threads=threads)
+    h0 = simulate_statistics(sc, kinds, H0_TRIALS, REFERENCE_SEED, threads=THREADS)
     h1 = simulate_statistics(sc, kinds, H1_TRIALS, REFERENCE_SEED, snr_db=snrs,
-                             threads=threads)
+                             threads=THREADS)
     quantiles, h1_above = {}, {}
     for j, kind in enumerate(kinds):
         rows = []
@@ -67,9 +67,6 @@ def record_case(dims, kinds, snrs, threads):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=2)
-    args = parser.parse_args()
     reference = {
         "command": "PYTHONPATH=src python tests/make_law_reference.py",
         "seed": REFERENCE_SEED,
@@ -79,7 +76,7 @@ def main() -> None:
     }
     for name, (dims, kinds, snrs) in CASES.items():
         start = time.perf_counter()
-        reference["cases"][name] = record_case(dims, kinds, snrs, args.threads)
+        reference["cases"][name] = record_case(dims, kinds, snrs)
         print(f"{name}: {time.perf_counter() - start:.1f} s")
     OUT.write_text(json.dumps(reference, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {OUT}")

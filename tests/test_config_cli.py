@@ -473,7 +473,6 @@ class TestCommandLine:
         assert exc.value.code == 0
         assert capsys.readouterr().out == (f"adaptdet {adaptdet.__version__} "
                                            f"(stream layout {STREAM_VERSION})\n")
-        assert STREAM_VERSION == 6
 
     def test_preset_fig2_prints_three_configs(self, capsys):
         assert cli.main(["preset", "fig2", "--print-config"]) == 0

@@ -15,6 +15,15 @@ tail, capped at 1):
 * an H1 pd against the reference's 0.99 quantile: Fisher's exact test of
   the test's count against the reference's count above that fixed number.
 
+The test draws its own scenario (A, C and the direction pair of its seed),
+not the reference's, which a layout change redraws.  Both laws are the
+scenario's in all but the dimensions and the SNR: under H0 every statistic
+is CFAR; under H1 a statistic invariant under A -> A T, C -> T C and a
+common nonsingular transform of the data and A, with white noise across
+columns, sees a rank-one signal A theta alpha^H C only through its output
+SNR (README, "Library use"; ``TestExactSignalLaw`` checks the resulting law
+against Kelly's at J = M = 1).
+
 Holm's step-down procedure holds the family-wise level at ALPHA over every
 point of both cases.  The level, seeds and trial counts were fixed before
 the test first ran.

@@ -158,11 +158,12 @@ def _cmd_preset(args) -> int:
         names = ", ".join(f"{args.name}{suffix}.csv" for suffix, _ in configs)
         raise ValueError(f"preset {args.name} writes one CSV per K ({names}): "
                           "--out - cannot hold them; give a file path")
-    for suffix, config in configs:
-        path = base
-        if suffix:
-            root = Path(base)
-            path = str(root.with_name(root.stem + suffix + root.suffix))
+    root = Path(base)
+    paths = [str(root.with_name(root.stem + suffix + root.suffix)) if suffix else base
+             for suffix, _ in configs]
+    for path in paths:  # every output before the first trial of the first config
+        _check_writable(path)
+    for path, (_, config) in zip(paths, configs):
         run_experiment(config, threads=args.threads, out_path=path)
         if path != "-":
             print(f"wrote {path}")

@@ -20,8 +20,8 @@ from .scenario import Scenario, check_dimensions, check_integer, check_rho, make
 __all__ = ["ExperimentConfig", "parse_config", "format_config", "build_scenario",
            "DESK_SCALE", "PAPER_SCALE"]
 
-# Trial budgets: desk scale answers in minutes on a laptop, paper scale is
-# the published protocol (PFA 1e-3, 1e5 calibration / 1e4 PD realizations).
+# Trial budgets: a desk-scale preset runs in under a second, paper scale (the
+# published protocol: PFA 1e-3, 1e5 calibration / 1e4 PD realizations) in 3-7 s.
 DESK_SCALE = {"pfa": 1e-2, "calib_trials": 5_000, "pd_trials": 2_000}
 PAPER_SCALE = {"pfa": 1e-3, "calib_trials": 100_000, "pd_trials": 10_000}
 

@@ -30,7 +30,6 @@ class Tolerances:
     check_rtol: float = 1e-10      # Hermitian input checks
     rank_sv_rtol: float = 1e-8     # smallest/largest singular value full-rank test
     identity_rtol: float = 1e-8    # algebraic-identity / equivalence residual budget
-    degenerate_rtol: float = 1e-12 # boundary-case detector agreement
     stat_unit_margin: float = 1e-12  # bounded statistics stay below 1 by this margin
 
 

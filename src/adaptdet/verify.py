@@ -4,9 +4,6 @@ Draws random problem instances across the four dimension regimes and
 checks, on each, the algebraic facts the detectors rest on:
 
 * the identity report from :func:`adaptdet.detectors.appendix_identities`,
-* the strictly increasing map t -> t/(1-t) carrying GLRGDD-RU to GLRGDD,
-* the boundary agreements (no training data: Bose = GLRGDD-RU;
-  square waveform subspace K = M: AMGDD = AMGDD-RU),
 * invariance of every statistic under subspace reparameterization
   (A -> A T, C -> T C) and under common data scaling (X, X_L) -> (c X, c X_L),
 * boundedness of the [0, 1) statistics.
@@ -96,8 +93,8 @@ def random_instance(regime: str, rng: np.random.Generator) -> Instance:
     sc = Scenario(A=a, C=c, R=toeplitz_covariance(n, rho), L=l)
     x = sc.coloring @ complex_gaussian(rng, n, k)
     if rng.integers(0, 2):
-        # moderate SNR keeps the bounded statistics away from 1, where the
-        # monotone map would amplify rounding error past the check budgets
+        # moderate SNR keeps the bounded statistics well away from 1: a strong
+        # signal could push a correct value into the boundedness margin
         theta_dir = complex_gaussian(rng, j)
         alpha_dir = complex_gaussian(rng, m)
         snr_db = float(rng.uniform(-5.0, 15.0))
@@ -174,9 +171,6 @@ def run_verification(seed: int = DEFAULT_SEED, instance_count: int = 500) -> Ver
     instance_count = check_integer(instance_count, "instance_count")
     suites = {
         "identities": CheckSuite("identities"),
-        "monotone_map": CheckSuite("monotone map GLRGDD = t/(1-t) of GLRGDD-RU"),
-        "no_training_agreement": CheckSuite("no-training agreement Bose = GLRGDD-RU"),
-        "square_agreement": CheckSuite("square-subspace agreement AMGDD = AMGDD-RU"),
         "invariance": CheckSuite("reparameterization and scale invariance"),
         "boundedness": CheckSuite("bounded statistics stay below 1"),
     }
@@ -202,21 +196,6 @@ def _check_instance(idx: int, inst: Instance, rng, suites: dict[str, CheckSuite]
         worst = max(residuals.values())
         suites["identities"].record(idx, worst, TOL.identity_rtol,
                                     f"{inst.regime}, worst of {len(residuals)} identities")
-        t_ru = base[DetectorKind.GLRGDD_RU]
-        t_full = base[DetectorKind.GLRGDD]
-        mapped = t_ru / (1.0 - t_ru)
-        res = abs(t_full - mapped) / (1.0 + t_full)
-        suites["monotone_map"].record(idx, res, TOL.identity_rtol, inst.regime)
-
-    if inst.l == 0:
-        ru = base[DetectorKind.GLRGDD_RU]
-        res = abs(base[DetectorKind.BOSE_GLRT] - ru) / max(1.0, abs(ru))
-        suites["no_training_agreement"].record(idx, res, TOL.degenerate_rtol, inst.regime)
-
-    if inst.k == inst.m and DetectorKind.AMGDD in kinds:
-        ru = base[DetectorKind.AMGDD_RU]
-        res = abs(base[DetectorKind.AMGDD] - ru) / max(1.0, abs(ru))
-        suites["square_agreement"].record(idx, res, TOL.degenerate_rtol, inst.regime)
 
     t_a = _draw_full_rank(rng, inst.j, inst.j, "T", _TRANSFORM_RTOL)
     t_c = _draw_full_rank(rng, inst.m, inst.m, "T", _TRANSFORM_RTOL)

@@ -370,6 +370,11 @@ class TestCommandLine:
         assert cli.main(["verify", "--instances", "24", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        # only suites that can fail: the t/(1-t) pair and the boundary pairs
+        # are one computation each, pinned by tier-1 tests instead
+        suites = [line.split(":")[0] for line in out.splitlines()[:-1]]
+        assert suites == ["PASS identities", "PASS reparameterization and scale invariance",
+                          "PASS bounded statistics stay below 1"]
 
     def test_verify_report_names_the_first_five_failures(self):
         # a residual over budget fails; past five failures the line ends "; ..."
@@ -447,10 +452,23 @@ class TestCommandLine:
         monkeypatch.setattr(cli, "run_experiment",
                             lambda config, *, threads, out_path: paths.append(out_path))
         out = tmp_path / "d" / "f.csv"
+        out.parent.mkdir()
         assert cli.main(["preset", "fig2", "--out", str(out)]) == 0
         expected = [str(tmp_path / "d" / name) for name in ("f_K6.csv", "f_K10.csv", "f_K14.csv")]
         assert paths == expected
         assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in expected]
+
+    def test_preset_fig2_refuses_a_later_output_before_the_first_trial(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        # an unusable _K10 path is refused before K = 6 draws a trial
+        def engine(*args, **kwargs):
+            raise AssertionError("the engine ran before every output path was checked")
+        monkeypatch.setattr(cli.montecarlo, "pd_curves", engine)
+        (tmp_path / "f_K10.csv").mkdir()
+        assert cli.main(["preset", "fig2", "--out", str(tmp_path / "f.csv")]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Is a directory" in captured.err
+        assert all(path.is_dir() or path.read_bytes() == b"" for path in tmp_path.iterdir())
 
     def test_preset_fig2_refuses_stdout_before_the_first_trial(self, monkeypatch, capsys):
         # three CSVs back to back on stdout would carry no K to tell them apart

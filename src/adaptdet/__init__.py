@@ -13,8 +13,8 @@ import importlib
 from .detectors import DetectorKind, appendix_identities, evaluate
 from .errors import ConfigError, NonFiniteStatisticError, SingularMatrixError
 from .linalg import TOL, hermitize
-from .montecarlo import (CalibrationResult, CfarReport, PdCurve, calibrate_thresholds,
-                         cfar_check, pd_curves, simulate_statistics, threshold_from_h0)
+from .montecarlo import (CfarReport, PdCurve, calibrate_thresholds, cfar_check, pd_curves,
+                         simulate_statistics, threshold_from_h0)
 from .scenario import (Scenario, make_scenario, make_signal, random_directions,
                        random_subspaces, scale_to_snr, snr_of, toeplitz_covariance)
 from .transform import (SubspaceFactorization, TransformedData,
@@ -22,10 +22,9 @@ from .transform import (SubspaceFactorization, TransformedData,
 from .config import ExperimentConfig, build_scenario, format_config, parse_config
 
 __all__ = [
-    "__version__",
-    "CalibrationResult", "CfarReport", "ConfigError", "DetectorKind",
-    "ExperimentConfig", "NonFiniteStatisticError", "PdCurve", "Scenario",
-    "SingularMatrixError", "SubspaceFactorization", "TOL", "TransformedData",
+    "__version__", "CfarReport", "ConfigError", "DetectorKind", "ExperimentConfig",
+    "NonFiniteStatisticError", "PdCurve", "Scenario", "SingularMatrixError",
+    "SubspaceFactorization", "TOL", "TransformedData",
     "appendix_identities", "build_scenario", "calibrate_thresholds", "cfar_check",
     "evaluate", "factor_waveform_subspace", "format_config", "hermitize",
     "make_scenario", "make_signal", "parse_config", "pd_curves", "random_directions",

@@ -76,8 +76,8 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1, out_path: str)
     curves = montecarlo.pd_curves(scenario, config.detectors, config.snr_grid_db,
                                   config.pfa, config.calib_trials, config.pd_trials,
                                   config.master_seed, threads=threads)
-    rows = [[kind.name, _fmt(snr_db), _fmt(pd), curves[kind].trials_per_point,
-             _fmt(curves[kind].threshold_used), _fmt(config.pfa), config.master_seed]
+    rows = [[kind.name, _fmt(snr_db), _fmt(pd), config.pd_trials,
+             _fmt(curves[kind].threshold), _fmt(config.pfa), config.master_seed]
             for kind in config.detectors for snr_db, pd in curves[kind].points]
     _write_csv(out_path, ("detector", "snr_db", "pd", "trials", "threshold", "pfa", "seed"),
                rows)
@@ -90,9 +90,13 @@ def _fmt(value: float) -> str:
 
 
 def _check_writable(path: str) -> None:
-    """Refuse an unusable output path before any trial is drawn, keeping what it holds."""
+    """Refuse an unusable output path before any trial is drawn, leaving it as it was."""
     if path != "-":
-        open(path, "a", encoding="utf-8").close()
+        try:  # remove a file the probe created; an existing one keeps its contents
+            open(path, "x", encoding="utf-8").close()
+            Path(path).unlink()
+        except FileExistsError:
+            open(path, "a", encoding="utf-8").close()
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -119,11 +123,11 @@ def _cmd_calibrate(args) -> int:
     config = _read_config(args)
     scenario = build_scenario(config)
     _check_writable(args.out)
-    results = montecarlo.calibrate_thresholds(scenario, config.detectors, config.pfa,
-                                              config.calib_trials, config.master_seed,
-                                              threads=args.threads)
-    rows = [[cal.kind.name, _fmt(cal.threshold), _fmt(cal.pfa_target), cal.trials, cal.seed]
-            for cal in (results[kind] for kind in config.detectors)]
+    thresholds = montecarlo.calibrate_thresholds(scenario, config.detectors, config.pfa,
+                                                 config.calib_trials, config.master_seed,
+                                                 threads=args.threads)
+    rows = [[kind.name, _fmt(threshold), _fmt(config.pfa), config.calib_trials,
+             config.master_seed] for kind, threshold in thresholds.items()]
     _write_csv(args.out, ("detector", "threshold", "pfa", "trials", "seed"), rows)
     return EXIT_OK
 

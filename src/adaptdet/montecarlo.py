@@ -2,7 +2,8 @@
 
 Threshold calibration at a target false-alarm probability, detection
 probability over SNR grids, and empirical CFAR verification, each for a
-list of detector kinds on one shared set of draws.
+list of detector kinds on one shared set of draws.  Each returns
+``{kind: result}`` with only what it computed, repeating no argument.
 
 Reproducibility contract (stream layout ``STREAM_VERSION``): block b of
 ``BLOCK_TRIALS`` trials draws its white noise, trial by trial, in one
@@ -65,43 +66,24 @@ from .scenario import (DOMAIN_NULL, DOMAIN_SIGNAL, STREAM_VERSION, Scenario, _sn
 from .transform import (TransformedData, signal_coefficient, transform_size,
                         transform_stack)
 
-__all__ = ["CalibrationResult", "PdCurve", "CfarReport", "simulate_statistics",
-           "threshold_from_h0", "calibrate_thresholds", "pd_curves", "cfar_check",
-           "replay_trial"]
+__all__ = ["PdCurve", "CfarReport", "simulate_statistics", "threshold_from_h0",
+           "calibrate_thresholds", "pd_curves", "cfar_check", "replay_trial"]
 
 BLOCK_TRIALS = 256
 
 
 @dataclass(frozen=True)
-class CalibrationResult:
-    kind: DetectorKind
-    pfa_target: float
-    trials: int
-    threshold: float
-    seed: int
-
-
-@dataclass(frozen=True)
 class PdCurve:
-    kind: DetectorKind
     points: tuple[tuple[float, float], ...]  # (snr_db, pd), pd = count / trials
-    trials_per_point: int
-    threshold_used: float
-    seed: int
+    threshold: float
 
 
 @dataclass(frozen=True)
 class CfarReport:
-    kind: DetectorKind
-    pfa_target: float
     pfa_empirical: float
     threshold: float
-    trials: int
-    sigma: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.pfa_empirical - self.pfa_target) <= 4.0 * self.sigma
+    sigma: float  # binomial standard error at the target pfa
+    passed: bool  # |pfa_empirical - pfa| <= 4 sigma
 
 
 def _workspace(scenario: Scenario, trials: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,16 +282,13 @@ def _check_calibration_budget(pfa: float, trials: int) -> None:
 
 
 def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
-                         seed: int, *, threads: int = 1) -> dict[DetectorKind, CalibrationResult]:
-    """Thresholds for several detectors from one shared set of H0 draws."""
+                         seed: int, *, threads: int = 1) -> dict[DetectorKind, float]:
+    """Thresholds (`threshold_from_h0`) for several detectors from one shared set of H0 draws."""
     trials = check_integer(trials, "trials")  # first: a str count would fail trials * pfa unnamed
     _check_calibration_budget(pfa, trials)
     kinds = kind_list(kinds)
     stats = simulate_statistics(scenario, kinds, trials, seed, threads=threads)
-    return {
-        kind: CalibrationResult(kind, pfa, trials, threshold_from_h0(stats[:, j], pfa), seed)
-        for j, kind in enumerate(kinds)
-    }
+    return {kind: threshold_from_h0(stats[:, j], pfa) for j, kind in enumerate(kinds)}
 
 
 def _check_grid(snr_grid_db) -> tuple[float, ...]:
@@ -343,11 +322,8 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
                                 threads=threads)
     stats = simulate_statistics(scenario, kinds, pd_trials, seed, snr_db=grid,
                                 threads=threads)
-    thresholds = np.array([cals[kind].threshold for kind in kinds])
-    pd_matrix = np.count_nonzero(stats > thresholds, axis=0) / pd_trials
-    return {kind: PdCurve(kind=kind, points=tuple(zip(grid, pd_matrix[:, j].tolist())),
-                          trials_per_point=pd_trials, threshold_used=cals[kind].threshold,
-                          seed=seed)
+    pd_matrix = np.count_nonzero(stats > [cals[kind] for kind in kinds], axis=0) / pd_trials
+    return {kind: PdCurve(tuple(zip(grid, pd_matrix[:, j].tolist())), cals[kind])
             for j, kind in enumerate(kinds)}
 
 
@@ -368,9 +344,7 @@ def cfar_check(scenario: Scenario, r_alt, kinds, pfa: float, trials: int, seed: 
     kinds = kind_list(kinds)
     cals = calibrate_thresholds(scenario, kinds, pfa, trials, seed, threads=threads)
     stats = simulate_statistics(alt, kinds, trials, seed, threads=threads)
-    thresholds = np.array([cals[kind].threshold for kind in kinds])
-    pfa_emp = np.count_nonzero(stats > thresholds, axis=0) / trials
+    pfa_emp = (np.count_nonzero(stats > [cals[kind] for kind in kinds], axis=0) / trials).tolist()
     sigma = float(np.sqrt(pfa * (1.0 - pfa) / trials))
-    return {kind: CfarReport(kind=kind, pfa_target=pfa, pfa_empirical=float(pfa_emp[j]),
-                             threshold=cals[kind].threshold, trials=trials, sigma=sigma)
+    return {kind: CfarReport(pfa_emp[j], cals[kind], sigma, abs(pfa_emp[j] - pfa) <= 4.0 * sigma)
             for j, kind in enumerate(kinds)}

@@ -212,7 +212,7 @@ def test_criterion_8_low_sample_trend_in_k():
         stats = simulate_statistics(scenario, kinds, pd_trials, SEED, snr_db=[probe_snr],
                                     threads=THREADS)
         for j, kind in enumerate(kinds):
-            pd[kind].append(np.count_nonzero(stats[:, 0, j] > cals[kind].threshold) / pd_trials)
+            pd[kind].append(np.count_nonzero(stats[:, 0, j] > cals[kind]) / pd_trials)
 
     def sigma(p):
         return np.sqrt(max(p * (1.0 - p), 1e-12) / pd_trials)

@@ -468,7 +468,7 @@ class TestCommandLine:
         assert cli.main(["preset", "fig2", "--out", str(tmp_path / "f.csv")]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "Is a directory" in captured.err
-        assert all(path.is_dir() or path.read_bytes() == b"" for path in tmp_path.iterdir())
+        assert [path.name for path in tmp_path.iterdir()] == ["f_K10.csv"]  # nothing left behind
 
     def test_preset_fig2_refuses_stdout_before_the_first_trial(self, monkeypatch, capsys):
         # three CSVs back to back on stdout would carry no K to tell them apart

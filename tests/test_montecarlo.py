@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import re
 import sys
@@ -471,7 +472,7 @@ class TestCalibration:
         sc = _scenario()
         first = calibrate_thresholds(sc, [RU], 0.05, 600, seed=2)[RU]
         second = calibrate_thresholds(sc, [RU], 0.05, 600, seed=2)[RU]
-        assert first.threshold == second.threshold
+        assert first == second
 
     def test_threads_do_not_change_results(self):
         sc = _scenario()
@@ -551,7 +552,26 @@ class TestCalibration:
         trials, pfa = 500, 0.08
         cal = calibrate_thresholds(sc, [RU], pfa, trials, seed=5)[RU]
         stats = simulate_statistics(sc, [RU], trials, seed=5)[:, 0]
-        assert np.count_nonzero(stats > cal.threshold) == round(trials * pfa)
+        assert np.count_nonzero(stats > cal) == round(trials * pfa)
+
+    def test_results_hold_only_what_was_computed(self):
+        # a threshold is a bare float and a report's verdict a field, not
+        # records repeating the caller's kind, pfa, trials and seed
+        sc = _scenario(rho=0.0)
+        pfa, trials = 0.05, 1000
+        thresholds = calibrate_thresholds(sc, ALL, pfa, trials, seed=6)
+        stats = simulate_statistics(sc, ALL, trials, seed=6)
+        assert list(thresholds) == ALL
+        for j, kind in enumerate(ALL):
+            assert type(thresholds[kind]) is float
+            assert thresholds[kind] == threshold_from_h0(stats[:, j], pfa)
+        reports = cfar_check(sc, toeplitz_covariance(sc.N, 0.95), ALL, pfa, trials, seed=6)
+        for kind, report in reports.items():
+            assert report.threshold == thresholds[kind]
+            assert report.passed == (abs(report.pfa_empirical - pfa) <= 4 * report.sigma)
+        assert [f.name for f in dataclasses.fields(montecarlo.PdCurve)] == ["points", "threshold"]
+        assert ([f.name for f in dataclasses.fields(montecarlo.CfarReport)]
+                == ["pfa_empirical", "threshold", "sigma", "passed"])
 
 
 class TestDetectionProbability:
@@ -567,7 +587,7 @@ class TestDetectionProbability:
         sc = _scenario()
         cal = calibrate_thresholds(sc, [RU], 0.05, 600, seed=7)[RU]
         stats = simulate_statistics(sc, [RU], 400, seed=7, snr_db=[60.0])
-        assert np.count_nonzero(stats[:, 0, 0] > cal.threshold) == 400
+        assert np.count_nonzero(stats[:, 0, 0] > cal) == 400
 
     def test_zero_signal_reduces_to_false_alarm_rate(self):
         # the H1 noise alone, which is the zero-signal trial of every grid
@@ -582,7 +602,7 @@ class TestDetectionProbability:
                                         min(BLOCK_TRIALS, trials - lo), *workspace)
             td = transform_stack(x[:, :, :sc.K], x[:, :, sc.K:], sc.waveform)
             noise.append(statistics([RU], td, sc.A, kernels.no_signal(sc.J, sc.M))[:, 0, 0])
-        pd = np.count_nonzero(np.concatenate(noise) > cal.threshold) / trials
+        pd = np.count_nonzero(np.concatenate(noise) > cal) / trials
         assert abs(pd - pfa) <= 4.0 * np.sqrt(pfa * (1 - pfa) / trials)
 
     def test_empirical_pfa_on_fresh_noise(self):
@@ -591,7 +611,7 @@ class TestDetectionProbability:
         cal = calibrate_thresholds(sc, [RU], pfa, trials, seed=9)[RU]
         # independent H0 draws: those of another seed
         fresh = simulate_statistics(sc, [RU], trials, seed=10)
-        pfa_emp = np.count_nonzero(fresh[:, 0] > cal.threshold) / trials
+        pfa_emp = np.count_nonzero(fresh[:, 0] > cal) / trials
         assert abs(pfa_emp - pfa) <= 4.0 * np.sqrt(pfa * (1 - pfa) / trials)
 
 
@@ -825,7 +845,7 @@ class TestExactNullLaw:
         sc = make_scenario(*dims, rho=0.9, seed=31)
         law = self._law(dims, kind)
         lo, hi = law.ppf(stats.beta(n - m, m + 1).ppf([0.0005, 0.9995]))
-        threshold = calibrate_thresholds(sc, [kind], self.PFA, n, self.SEED)[kind].threshold
+        threshold = calibrate_thresholds(sc, [kind], self.PFA, n, self.SEED)[kind]
         assert lo <= threshold <= hi
 
     @staticmethod

@@ -62,7 +62,8 @@ def _preset(name: str, paper_scale: bool, seed: int) -> list[tuple[str, Experime
 
 
 def run_experiment(config: ExperimentConfig, *, threads: int = 1, out_path: str) -> None:
-    """Run the configured experiment and write one CSV to `out_path` ('-' for stdout).
+    """Run the configured experiment and write one CSV to `out_path` ('-' for stdout);
+    the command that calls it checks the path.
 
     Header: ``detector,snr_db,pd,trials,threshold,pfa,seed``; one row per
     (detector, SNR point).  Output is byte-identical for a fixed config and
@@ -72,7 +73,6 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1, out_path: str)
     if not config.snr_grid_db:
         raise ConfigError("snr_grid_db is empty: a PD curve needs at least one SNR point")
     scenario = build_scenario(config)
-    _check_writable(out_path)
     curves = montecarlo.pd_curves(scenario, config.detectors, config.snr_grid_db,
                                   config.pfa, config.calib_trials, config.pd_trials,
                                   config.master_seed, threads=threads)
@@ -111,6 +111,17 @@ def _write_csv(path: str, header, rows) -> None:
         Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
+def _run_experiments(outputs, threads: int) -> int:
+    """Run each (path, config) output, every path checked before the first trial."""
+    for path, _ in outputs:
+        _check_writable(path)
+    for path, config in outputs:
+        run_experiment(config, threads=threads, out_path=path)
+        if path != "-":
+            print(f"wrote {path}")
+    return EXIT_OK
+
+
 def _read_config(args) -> ExperimentConfig:
     text = Path(args.config).read_text(encoding="utf-8")
     config = parse_config(text)
@@ -133,10 +144,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_pd_curve(args) -> int:
-    run_experiment(_read_config(args), threads=args.threads, out_path=args.out)
-    if args.out != "-":
-        print(f"wrote {args.out}")
-    return EXIT_OK
+    return _run_experiments([(args.out, _read_config(args))], args.threads)
 
 
 def _cmd_verify(args) -> int:
@@ -163,15 +171,9 @@ def _cmd_preset(args) -> int:
         raise ValueError(f"preset {args.name} writes one CSV per K ({names}): "
                           "--out - cannot hold them; give a file path")
     root = Path(base)
-    paths = [str(root.with_name(root.stem + suffix + root.suffix)) if suffix else base
-             for suffix, _ in configs]
-    for path in paths:  # every output before the first trial of the first config
-        _check_writable(path)
-    for path, (_, config) in zip(paths, configs):
-        run_experiment(config, threads=args.threads, out_path=path)
-        if path != "-":
-            print(f"wrote {path}")
-    return EXIT_OK
+    outputs = [(str(root.with_name(root.stem + suffix + root.suffix)) if suffix else base,
+                config) for suffix, config in configs]
+    return _run_experiments(outputs, args.threads)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,7 +255,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

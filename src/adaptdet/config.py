@@ -2,14 +2,15 @@
 
 The format is deliberately flat and diff-friendly: one ``key = value`` per
 line, ``#`` starts a comment anywhere, numeric lists are comma-separated.
-Unknown keys are errors so typos cannot silently change an experiment.
-All dimension constraints are checked at parse time with messages naming
-the violated inequality.
+The keys are ``ExperimentConfig``'s fields, in field order.  Unknown keys
+are errors so typos cannot silently change an experiment.  All dimension
+constraints are checked at parse time with messages naming the violated
+inequality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 from .detectors import DetectorKind, kind_list
@@ -24,25 +25,6 @@ __all__ = ["ExperimentConfig", "parse_config", "format_config", "build_scenario"
 # published protocol: PFA 1e-3, 1e5 calibration / 1e4 PD realizations) in 3-7 s.
 DESK_SCALE = {"pfa": 1e-2, "calib_trials": 5_000, "pd_trials": 2_000}
 PAPER_SCALE = {"pfa": 1e-3, "calib_trials": 100_000, "pd_trials": 10_000}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    N: int
-    K: int
-    M: int
-    J: int
-    L: int
-    rho: float
-    pfa: float
-    snr_grid_db: tuple[float, ...]
-    calib_trials: int
-    pd_trials: int
-    detectors: tuple[DetectorKind, ...]
-    master_seed: int
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, master_seed=check_integer(seed, "seed"))
 
 
 class _Key(NamedTuple):
@@ -70,25 +52,37 @@ def _parse_detectors(value: str) -> tuple[DetectorKind, ...]:
 _INT = _Key(int, str, "an integer")
 # repr of a Python float reads back exactly; a numpy float's repr does not parse
 _FLOAT = _Key(float, lambda value: repr(float(value)), "a number")
+_GRID = _Key(lambda value: tuple(float(v) for v in _split_list(value)),
+             lambda grid: ", ".join(_FLOAT.format(v) for v in grid),
+             "a comma-separated list of numbers")
+_DETECTORS = _Key(_parse_detectors, lambda kinds: ", ".join(k.name for k in kinds))
 
-# Every config key, in ExperimentConfig field order: the order in which
-# format_config writes them and messages list them.
-_KEYS = {
-    "N": _INT,
-    "K": _INT,
-    "M": _INT,
-    "J": _INT,
-    "L": _INT,
-    "rho": _FLOAT,
-    "pfa": _FLOAT,
-    "snr_grid_db": _Key(lambda value: tuple(float(v) for v in _split_list(value)),
-                        lambda grid: ", ".join(_FLOAT.format(v) for v in grid),
-                        "a comma-separated list of numbers"),
-    "calib_trials": _INT,
-    "pd_trials": _INT,
-    "detectors": _Key(_parse_detectors, lambda kinds: ", ".join(k.name for k in kinds)),
-    "master_seed": _INT,
-}
+
+def _key(spec: _Key):
+    return field(metadata={"key": spec})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    N: int = _key(_INT)
+    K: int = _key(_INT)
+    M: int = _key(_INT)
+    J: int = _key(_INT)
+    L: int = _key(_INT)
+    rho: float = _key(_FLOAT)
+    pfa: float = _key(_FLOAT)
+    snr_grid_db: tuple[float, ...] = _key(_GRID)
+    calib_trials: int = _key(_INT)
+    pd_trials: int = _key(_INT)
+    detectors: tuple[DetectorKind, ...] = _key(_DETECTORS)
+    master_seed: int = _key(_INT)
+
+    def with_seed(self, seed: int) -> "ExperimentConfig":
+        return replace(self, master_seed=check_integer(seed, "seed"))
+
+
+# In field order: the order in which format_config writes the keys and messages list them.
+_KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:

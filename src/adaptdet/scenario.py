@@ -59,12 +59,12 @@ def stream(seed: int, purpose: int, *index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(key))
 
 
-def as_cvector(x, name: str = "vector", size: int | None = None) -> np.ndarray:
-    """`x` as a finite complex vector, of length `size` when one is given."""
+def as_cvector(x, name: str, size: int) -> np.ndarray:
+    """`x` as a finite complex vector of length `size`."""
     a = np.asarray(x, dtype=np.complex128).ravel()
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
-    if size is not None and a.size != size:
+    if a.size != size:
         raise ValueError(f"{name} must have length {size}, got {a.size}")
     return a
 

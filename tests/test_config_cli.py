@@ -16,6 +16,7 @@ from adaptdet import cli
 from adaptdet.config import build_scenario, format_config, parse_config
 from adaptdet.detectors import DetectorKind
 from adaptdet.errors import ConfigError, SingularMatrixError
+from adaptdet.montecarlo import PdCurve
 from adaptdet.scenario import STREAM_VERSION, check_dimensions
 from adaptdet.verify import CheckSuite, VerificationReport, random_instance, run_verification
 
@@ -457,6 +458,23 @@ class TestCommandLine:
         expected = [str(tmp_path / "d" / name) for name in ("f_K6.csv", "f_K10.csv", "f_K14.csv")]
         assert paths == expected
         assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in expected]
+
+    def test_each_output_path_is_probed_once(self, tmp_path, monkeypatch):
+        # each output path is checked once, all of them before the first trial
+        probed = []
+        check = cli._check_writable
+        monkeypatch.setattr(cli, "_check_writable",
+                            lambda path: (probed.append(path), check(path)))
+        monkeypatch.setattr(cli.montecarlo, "pd_curves",
+                            lambda scenario, kinds, *args, **kwargs:
+                            {kind: PdCurve((), 0.0) for kind in kinds})
+        out = tmp_path / "f.csv"
+        assert cli.main(["preset", "fig2", "--out", str(out)]) == 0
+        assert probed == [str(tmp_path / name) for name in ("f_K6.csv", "f_K10.csv", "f_K14.csv")]
+        probed.clear()
+        assert cli.main(["pd-curve", "--config", self._write_config(tmp_path),
+                         "--out", str(out)]) == 0
+        assert probed == [str(out)]
 
     def test_preset_fig2_refuses_a_later_output_before_the_first_trial(self, tmp_path,
                                                                        monkeypatch, capsys):

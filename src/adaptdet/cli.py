@@ -70,17 +70,28 @@ def run_experiment(config: ExperimentConfig, *, threads: int = 1, out_path: str)
     seed, independent of the worker-thread count; each ``pd`` field is an
     exact count/trials ratio printed with full precision.
     """
-    if not config.snr_grid_db:
-        raise ConfigError("snr_grid_db is empty: a PD curve needs at least one SNR point")
-    scenario = build_scenario(config)
-    curves = montecarlo.pd_curves(scenario, config.detectors, config.snr_grid_db,
-                                  config.pfa, config.calib_trials, config.pd_trials,
-                                  config.master_seed, threads=threads)
+    _write_curves(out_path, config, _curves([config], threads)[0])
+
+
+def _curves(configs, threads: int) -> list[dict]:
+    """{kind: PdCurve} of each config, all computed by one engine call."""
+    plans = []
+    for config in configs:
+        if not config.snr_grid_db:
+            raise ConfigError("snr_grid_db is empty: a PD curve needs at least one SNR point")
+        plans.append(montecarlo._pd_jobs(build_scenario(config), config.detectors,
+                                         config.snr_grid_db, config.pfa, config.calib_trials,
+                                         config.pd_trials, config.master_seed))
+    stats = montecarlo.simulate_jobs([job for jobs in plans for job in jobs], threads=threads)
+    return [montecarlo._pd_curves_of(jobs, stats[2 * i:2 * i + 2], config.pfa)
+            for i, (jobs, config) in enumerate(zip(plans, configs))]
+
+
+def _write_curves(path: str, config: ExperimentConfig, curves: dict) -> None:
     rows = [[kind.name, _fmt(snr_db), _fmt(pd), config.pd_trials,
              _fmt(curves[kind].threshold), _fmt(config.pfa), config.master_seed]
             for kind in config.detectors for snr_db, pd in curves[kind].points]
-    _write_csv(out_path, ("detector", "snr_db", "pd", "trials", "threshold", "pfa", "seed"),
-               rows)
+    _write_csv(path, ("detector", "snr_db", "pd", "trials", "threshold", "pfa", "seed"), rows)
 
 
 def _fmt(value: float) -> str:
@@ -112,11 +123,13 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _run_experiments(outputs, threads: int) -> int:
-    """Run each (path, config) output, every path checked before the first trial."""
+    """Run each (path, config) output in one engine call, every path checked
+    before the first trial; a failure writes no output."""
     for path, _ in outputs:
         _check_writable(path)
-    for path, config in outputs:
-        run_experiment(config, threads=threads, out_path=path)
+    for (path, config), curves in zip(outputs, _curves([config for _, config in outputs],
+                                                       threads)):
+        _write_curves(path, config, curves)
         if path != "-":
             print(f"wrote {path}")
     return EXIT_OK

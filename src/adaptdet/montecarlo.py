@@ -15,6 +15,14 @@ results are bitwise identical for any thread count and a shorter run is a
 prefix of a longer one.  Changing the block size bumps ``STREAM_VERSION`` as
 a change of the registry's bit generator, keys or draw layout does.
 
+A block's stream fills its draw in C order, so the draw of fewer trials, or
+of fewer columns K + L per trial, is the head of a longer draw of the same
+block.  Jobs at one (seed, domain) therefore read one draw of each block,
+as long as the longest that any of them needs (:func:`simulate_jobs`).  The
+three K outputs of ``adaptdet preset fig2``, at one seed, thus share their
+normals; they did so when each was drawn apart, since the heads are the
+same numbers.
+
 The stream domain follows from whether a grid is given: a
 :func:`simulate_statistics` call without ``snr_db`` draws H0 trials from
 ``DOMAIN_NULL``, one with an SNR grid draws H1 trials from
@@ -30,19 +38,23 @@ point's value does not depend on which other points are evaluated with it,
 and a grid can therefore be extended or cut without changing the points it
 keeps.
 
-The calling thread and up to ``threads - 1`` helper threads take the blocks
-from one locked iterator, each into its own workspace, allocated once per call
-so that no block faults in new arrays.  Each block transforms the noise of all
-its trials at once, evaluates it with :func:`adaptdet.detectors.statistics` as
-the per-instance API does (a trial's value does not depend on its block) and
-writes a disjoint slice of a preallocated result array.  All order-sensitive
-reductions (sorting, counting) happen on the full array in trial order.  A
-non-finite statistic stops the run with the replay key of its trial and grid
-point instead of being counted as a miss or sorted into a threshold; a LAPACK
-failure stops it with ``SingularMatrixError`` naming the stream, the grid and
-the replay key of the earliest failing trial, found by re-running the failing
-block one trial at a time.  Once a block fails no thread takes another, and
-the call raises what the lowest failing block raised.
+The calling thread and up to ``threads - 1`` helper threads take units of
+work, one block of one group of jobs, from one locked iterator, each into its
+own arenas, allocated once per call so that no block faults in new arrays.
+Each job of a unit transforms the noise of all its trials of the block at
+once, evaluates it with :func:`adaptdet.detectors.statistics` as the
+per-instance API does (a trial's value does not depend on its block) and
+writes a disjoint slice of its preallocated result array.  All
+order-sensitive reductions (sorting, counting) happen on the full arrays in
+trial order, after the call.  A non-finite statistic stops the run with the
+replay key of its trial and grid point instead of being counted as a miss or
+sorted into a threshold; a LAPACK failure stops it with
+``SingularMatrixError`` naming the stream, the grid and the replay key of the
+earliest failing trial, found by re-running the failing block one trial at a
+time.  Once a unit fails no thread takes another, and the call raises what
+the lowest failing unit raised.  No job's result is returned before every
+job has run, so a failure in one job of a call, such as one K of ``adaptdet
+preset fig2``, leaves no output of the others.
 
 Detectors requested together share the same draws per trial (common random
 numbers), which sharpens PD comparisons between detectors.
@@ -52,7 +64,9 @@ from __future__ import annotations
 
 import numbers
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +80,8 @@ from .scenario import (DOMAIN_NULL, DOMAIN_SIGNAL, STREAM_VERSION, Scenario, _sn
 from .transform import (TransformedData, signal_coefficient, transform_size,
                         transform_stack)
 
-__all__ = ["PdCurve", "CfarReport", "simulate_statistics", "threshold_from_h0",
-           "calibrate_thresholds", "pd_curves", "cfar_check", "replay_trial"]
+__all__ = ["PdCurve", "CfarReport", "Job", "simulate_jobs", "simulate_statistics",
+           "threshold_from_h0", "calibrate_thresholds", "pd_curves", "cfar_check", "replay_trial"]
 
 BLOCK_TRIALS = 256
 
@@ -86,26 +100,30 @@ class CfarReport:
     passed: bool  # |pfa_empirical - pfa| <= 4 sigma
 
 
-def _workspace(scenario: Scenario, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arenas (white, colored) for blocks of up to `trials` trials.  `white`
-    receives a block's white noise and, once that is colored into `colored`,
-    the block's transformed data, which overwrites it; `colored` then takes
-    the bordered matrices of the block's reductions."""
-    n, k, l = scenario.N, scenario.K, scenario.L
-    return (np.empty(trials * max(n * (k + l), transform_size(n, k)), dtype=np.complex128),
-            np.empty(trials * max(n * (k + l), kernels.bordered_size(n, scenario.J, scenario.M)),
-                     dtype=np.complex128))
+class Job(NamedTuple):
+    """One job of :func:`simulate_jobs`: the arguments of one
+    :func:`simulate_statistics` call, whose array it gives."""
+
+    scenario: Scenario
+    kinds: Sequence[DetectorKind]
+    trials: int
+    seed: int
+    snr_db: Sequence[float] | None = None  # None: H0 trials; a grid (dB): H1 trials
 
 
-def _noise_block(scenario: Scenario, seed: int, domain: int, block: int, count: int,
-                 white: np.ndarray, colored: np.ndarray) -> np.ndarray:
+def _draw(seed: int, domain: int, block: int, out: np.ndarray) -> np.ndarray:
+    """The first ``out.size`` complex normals of block `block` of the stream
+    (seed, domain), drawn into the flat arena `out`: the one code that draws
+    a block, for the engine and :func:`replay_trial` alike."""
+    return complex_gaussian(stream(seed, domain, block), out=out)
+
+
+def _color(scenario: Scenario, drawn: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
     """Colored noise [X, X_L] (count, N, K + L) of the first `count` trials
-    of block `block` of the stream (seed, domain), drawn into the arena
-    `white` and colored into `colored`: the one code that fills a block, for
-    the engine and :func:`replay_trial` alike."""
+    of a block from the head of its draw `drawn`, written into `out`."""
     size, shape = count * scenario.N * (scenario.K + scenario.L), (count, scenario.N, -1)
-    noise = complex_gaussian(stream(seed, domain, block), out=white[:size].reshape(shape))
-    return np.matmul(scenario.coloring, noise, out=colored[:size].reshape(shape))
+    return np.matmul(scenario.coloring, drawn[:size].reshape(shape),
+                     out=out[:size].reshape(shape))
 
 
 def replay_trial(scenario: Scenario, seed: int, domain: int,
@@ -126,8 +144,9 @@ def replay_trial(scenario: Scenario, seed: int, domain: int,
         raise ValueError(f"domain must be DOMAIN_NULL ({DOMAIN_NULL}) or "
                          f"DOMAIN_SIGNAL ({DOMAIN_SIGNAL}), got {domain}")
     block, row = divmod(check_integer(trial, "trial"), BLOCK_TRIALS)
-    noise = _noise_block(scenario, seed, domain, block, row + 1,
-                         *_workspace(scenario, row + 1))[row]
+    size = (row + 1) * scenario.N * (scenario.K + scenario.L)
+    drawn = _draw(seed, domain, block, np.empty(size, dtype=np.complex128))
+    noise = _color(scenario, drawn, row + 1, np.empty_like(drawn))[row]
     return noise[:, :scenario.K].copy(), noise[:, scenario.K:].copy()
 
 
@@ -152,6 +171,150 @@ def _coefficients(scenario: Scenario, grid, seed: int) -> np.ndarray:
     return np.array(stack, dtype=np.complex128).reshape(-1, scenario.J, scenario.M)
 
 
+class _Task:
+    """A checked job: its stream, signal coefficients and result array, the
+    arena sizes of its blocks and what its error messages begin with, which
+    names its position when the call has several jobs."""
+
+    def __init__(self, job: Job, position: int | None):
+        scenario, kinds, trials, seed, snr_db = job
+        dims = (scenario.N, scenario.K, scenario.M, scenario.J, scenario.L)
+        self.kinds = kind_list(kinds)
+        check_dimensions(*dims, self.kinds)
+        self.trials = check_integer(trials, "trials")
+        self.seed = check_integer(seed, "seed")
+        self.scenario = scenario
+        self.label = "" if position is None else f"job {position} (N, K, M, J, L) = {dims}: "
+        if snr_db is None:
+            self.domain, self.c, self.names = DOMAIN_NULL, kernels.no_signal(scenario.J,
+                                                                             scenario.M), []
+        else:
+            snrs = _check_grid(snr_db)
+            self.domain, self.c = DOMAIN_SIGNAL, _coefficients(scenario, snrs, self.seed)
+            self.names = [f"{p} ({v} dB)" for p, v in enumerate(snrs)]
+        self.grid = ""
+        if self.names:
+            self.grid = (f" at grid point {self.names[0]}" if len(self.names) == 1
+                         else f" at grid points {self.names[0]} to {self.names[-1]}")
+        self.out = np.empty((self.trials, len(self.c), len(self.kinds)), dtype=np.float64)
+        # an empty grid draws nothing
+        self.blocks = -(-self.trials // BLOCK_TRIALS) if len(self.c) else 0
+        n, k, rows = scenario.N, scenario.K, min(self.trials, BLOCK_TRIALS)
+        self.width = n * (k + scenario.L)  # complex normals per trial
+        # arenas (white, colored): `white` receives a block's white noise
+        # and, once that is colored into `colored`, the block's transformed
+        # data, which overwrites it; `colored` then takes the bordered
+        # matrices of the block's reductions
+        self.sizes = (rows * max(self.width, transform_size(n, k)),
+                      rows * max(self.width, kernels.bordered_size(n, scenario.J, scenario.M)))
+        self.draw_size = rows * self.width
+
+    def count(self, block: int) -> int:
+        return min(BLOCK_TRIALS, self.trials - block * BLOCK_TRIALS)
+
+    def run(self, block: int, drawn: np.ndarray, white: np.ndarray,
+            colored: np.ndarray) -> None:
+        """Evaluate this job's trials of block `block` from the head of the
+        block's draw `drawn` into its result."""
+        sc, seed, domain = self.scenario, self.seed, self.domain
+        lo = block * BLOCK_TRIALS
+        hi = lo + self.count(block)
+        noise = _color(sc, drawn, hi - lo, colored)
+        # the draw is colored by now: `white` takes the transformed data
+        td = transform_stack(noise[:, :, :sc.K], noise[:, :, sc.K:], sc.waveform, out=white)
+        try:
+            stats = statistics(self.kinds, td, sc.A, self.c, out=colored)
+        except np.linalg.LinAlgError as exc:
+            row = _first_failure(self.kinds, td, sc.A, self.c)
+            where = (f"trials {lo}..{hi - 1} of (seed, domain) = ({seed}, {domain})"
+                     if row is None else
+                     f"trial (seed, domain, trial) = ({seed}, {domain}, {lo + row})")
+            raise SingularMatrixError(f"{self.label}{exc} in {where}{self.grid} of stream "
+                                      f"version {STREAM_VERSION}") from exc
+        self.out[lo:hi] = stats
+        bad = np.argwhere(~np.isfinite(stats).all(axis=-1))
+        if bad.size:
+            trial, p = int(bad[0, 0]), int(bad[0, 1])
+            raise NonFiniteStatisticError(
+                f"{self.label}non-finite statistic in trial (seed, domain, trial) = "
+                f"({seed}, {domain}, {lo + trial})"
+                + (f" at grid point {self.names[p]}" if self.names else "")
+                + f" of stream version {STREAM_VERSION}")
+
+    def result(self) -> np.ndarray:
+        return self.out if self.domain == DOMAIN_SIGNAL else self.out[:, 0]
+
+
+def simulate_jobs(jobs, *, threads: int = 1) -> list[np.ndarray]:
+    """For each :class:`Job`, bitwise the array that :func:`simulate_statistics`
+    returns for its arguments, all computed by one team of threads.
+
+    Jobs with the same (seed, domain) form a group, and a unit of work is
+    one block of one group: the thread that takes it draws the block once,
+    as long as the longest prefix any job of the group reads, and then
+    colors, transforms and evaluates each job's head of that draw in job
+    order.  The calling thread and up to ``threads - 1`` helpers take the
+    units from one locked iterator, ordered by the position of their
+    group's first job and then by block.
+
+    Every argument of every job is checked before the first draw.  Once a
+    unit fails no thread takes another, and the call raises what the lowest
+    failing unit raised: within a unit, its first failing job's exception,
+    so that a serial run in unit order would stop at the same error.  With
+    several jobs, the message of a numerical error begins with the failing
+    job's position and its (N, K, M, J, L).
+    """
+    threads = check_integer(threads, "threads", 1)
+    jobs = [Job(*job) for job in jobs]
+    tasks = [_Task(job, None if len(jobs) == 1 else i) for i, job in enumerate(jobs)]
+    groups: dict[tuple[int, int], list[_Task]] = {}
+    for task in tasks:
+        if task.blocks:
+            groups.setdefault((task.seed, task.domain), []).append(task)
+    units = [(group, block) for group in groups.values()
+             for block in range(max(task.blocks for task in group))]
+    # per thread: the two arenas of the largest job, and one that holds the
+    # draw of a group with several jobs (a lone job draws into its `white`)
+    sizes = [max((task.sizes[i] for task in tasks), default=0) for i in (0, 1)]
+    sizes.append(max((task.draw_size for group in groups.values() if len(group) > 1
+                      for task in group), default=0))
+
+    def run_unit(group: list[_Task], block: int, white, colored, shared) -> None:
+        readers = [task for task in group if block < task.blocks]
+        size = max(task.count(block) * task.width for task in readers)
+        drawn = _draw(group[0].seed, group[0].domain, block,
+                      (white if len(group) == 1 else shared)[:size])
+        for task in readers:
+            task.run(block, drawn, white, colored)
+
+    pending, lock, failed = iter(enumerate(units)), threading.Lock(), {}  # unit -> exception
+
+    def take() -> tuple[int, tuple[list[_Task], int]] | None:
+        with lock:  # once a unit has failed no thread takes another
+            return None if failed else next(pending, None)
+
+    def work() -> None:
+        arenas = [np.empty(size, dtype=np.complex128) for size in sizes]
+        for index, unit in iter(take, None):
+            try:
+                run_unit(*unit, *arenas)
+            except BaseException as exc:  # an interrupted caller stops the helpers too
+                with lock:
+                    failed[index] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(units)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()  # the calling thread computes as well
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:  # every lower unit has run, so a serial run would stop here too
+        raise failed[min(failed)]
+    return [task.result() for task in tasks]
+
+
 def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
                         snr_db=None, threads: int = 1) -> np.ndarray:
     """Statistics of `kinds` over `trials` independent realizations.
@@ -165,79 +328,10 @@ def simulate_statistics(scenario: Scenario, kinds, trials: int, seed: int, *,
     All kinds and points are evaluated on the same noise per trial.
 
     Raises NonFiniteStatisticError naming the replay key of the first
-    trial whose statistics are not all finite.
+    trial whose statistics are not all finite.  The one-job case of
+    :func:`simulate_jobs`.
     """
-    kinds = kind_list(kinds)
-    check_dimensions(scenario.N, scenario.K, scenario.M, scenario.J, scenario.L, kinds)
-    trials = check_integer(trials, "trials")
-    check_integer(seed, "seed")
-    threads = check_integer(threads, "threads", 1)
-    k = scenario.K
-    if snr_db is None:
-        domain, c, names = DOMAIN_NULL, kernels.no_signal(scenario.J, scenario.M), []
-    else:
-        snrs = _check_grid(snr_db)
-        domain, c = DOMAIN_SIGNAL, _coefficients(scenario, snrs, seed)
-        names = [f"{p} ({v} dB)" for p, v in enumerate(snrs)]
-    grid = ""
-    if names:
-        grid = (f" at grid point {names[0]}" if len(names) == 1
-                else f" at grid points {names[0]} to {names[-1]}")
-
-    out = np.empty((trials, len(c), len(kinds)), dtype=np.float64)
-
-    def run_block(lo: int, white: np.ndarray, colored: np.ndarray) -> None:
-        hi = min(lo + BLOCK_TRIALS, trials)
-        noise = _noise_block(scenario, seed, domain, lo // BLOCK_TRIALS, hi - lo,
-                             white, colored)
-        # the white noise is colored by now: its arena takes the transformed data
-        td = transform_stack(noise[:, :, :k], noise[:, :, k:], scenario.waveform, out=white)
-        try:
-            block = statistics(kinds, td, scenario.A, c, out=colored)
-        except np.linalg.LinAlgError as exc:
-            row = _first_failure(kinds, td, scenario.A, c)
-            where = (f"trials {lo}..{hi - 1} of (seed, domain) = ({seed}, {domain})"
-                     if row is None else
-                     f"trial (seed, domain, trial) = ({seed}, {domain}, {lo + row})")
-            raise SingularMatrixError(
-                f"{exc} in {where}{grid} of stream version {STREAM_VERSION}") from exc
-        out[lo:hi] = block
-        bad = np.argwhere(~np.isfinite(block).all(axis=-1))
-        if bad.size:
-            trial, p = int(bad[0, 0]), int(bad[0, 1])
-            raise NonFiniteStatisticError(
-                f"non-finite statistic in trial (seed, domain, trial) = "
-                f"({seed}, {domain}, {lo + trial})"
-                + (f" at grid point {names[p]}" if names else "")
-                + f" of stream version {STREAM_VERSION}")
-
-    starts = range(0, trials, BLOCK_TRIALS) if len(c) else range(0)  # an empty grid draws nothing
-    pending, lock, failed = iter(starts), threading.Lock(), {}  # failed: block start -> exception
-
-    def take() -> int | None:
-        with lock:  # once a block has failed no thread takes another
-            return None if failed else next(pending, None)
-
-    def work() -> None:
-        workspace = _workspace(scenario, min(trials, BLOCK_TRIALS))
-        for lo in iter(take, None):
-            try:
-                run_block(lo, *workspace)
-            except BaseException as exc:  # an interrupted caller stops the helpers too
-                with lock:
-                    failed[lo] = exc
-
-    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(starts)) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()  # the calling thread computes as well
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failed:  # every lower block has run, so a serial run would stop here too
-        raise failed[min(failed)]
-    return out if snr_db is not None else out[:, 0]
+    return simulate_jobs([Job(scenario, kinds, trials, seed, snr_db)], threads=threads)[0]
 
 
 def threshold_from_h0(stats, pfa: float) -> float:
@@ -287,7 +381,11 @@ def calibrate_thresholds(scenario: Scenario, kinds, pfa: float, trials: int,
     trials = check_integer(trials, "trials")  # first: a str count would fail trials * pfa unnamed
     _check_calibration_budget(pfa, trials)
     kinds = kind_list(kinds)
-    stats = simulate_statistics(scenario, kinds, trials, seed, threads=threads)
+    return _thresholds(kinds, simulate_statistics(scenario, kinds, trials, seed,
+                                                  threads=threads), pfa)
+
+
+def _thresholds(kinds, stats: np.ndarray, pfa: float) -> dict[DetectorKind, float]:
     return {kind: threshold_from_h0(stats[:, j], pfa) for j, kind in enumerate(kinds)}
 
 
@@ -307,24 +405,38 @@ def _check_grid(snr_grid_db) -> tuple[float, ...]:
     return grid
 
 
+def _pd_jobs(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: int,
+             pd_trials: int, seed: int) -> list[Job]:
+    """The checked [H0, H1] jobs of a :func:`pd_curves` experiment."""
+    pd_trials = check_integer(pd_trials, "pd_trials", 1)
+    kinds = kind_list(kinds)
+    grid = _check_grid(snr_grid_db)
+    calib_trials = check_integer(calib_trials, "trials")
+    _check_calibration_budget(pfa, calib_trials)
+    return [Job(scenario, kinds, calib_trials, seed), Job(scenario, kinds, pd_trials, seed, grid)]
+
+
+def _pd_curves_of(jobs: list[Job], stats: list[np.ndarray],
+                  pfa: float) -> dict[DetectorKind, PdCurve]:
+    """{kind: PdCurve} from the statistics of the [H0, H1] jobs of `_pd_jobs`."""
+    h0, h1 = jobs
+    thresholds = _thresholds(h0.kinds, stats[0], pfa)
+    pd_matrix = np.count_nonzero(stats[1] > [thresholds[kind] for kind in h1.kinds],
+                                 axis=0) / h1.trials
+    return {kind: PdCurve(tuple(zip(h1.snr_db, pd_matrix[:, j].tolist())), thresholds[kind])
+            for j, kind in enumerate(h1.kinds)}
+
+
 def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: int,
               pd_trials: int, seed: int, *, threads: int = 1) -> dict[DetectorKind, PdCurve]:
     """PD curves for several detectors with common random numbers.
 
-    One calibration pass and one H1 pass are shared by all detectors and
-    all grid points, so curve differences reflect the detectors rather than
-    the draws.
+    One calibration job and one H1 job, run by one engine call, are shared
+    by all detectors and all grid points, so curve differences reflect the
+    detectors rather than the draws.
     """
-    pd_trials = check_integer(pd_trials, "pd_trials", 1)
-    kinds = kind_list(kinds)
-    grid = _check_grid(snr_grid_db)
-    cals = calibrate_thresholds(scenario, kinds, pfa, calib_trials, seed,
-                                threads=threads)
-    stats = simulate_statistics(scenario, kinds, pd_trials, seed, snr_db=grid,
-                                threads=threads)
-    pd_matrix = np.count_nonzero(stats > [cals[kind] for kind in kinds], axis=0) / pd_trials
-    return {kind: PdCurve(tuple(zip(grid, pd_matrix[:, j].tolist())), cals[kind])
-            for j, kind in enumerate(kinds)}
+    jobs = _pd_jobs(scenario, kinds, snr_grid_db, pfa, calib_trials, pd_trials, seed)
+    return _pd_curves_of(jobs, simulate_jobs(jobs, threads=threads), pfa)
 
 
 def cfar_check(scenario: Scenario, r_alt, kinds, pfa: float, trials: int, seed: int, *,
@@ -332,18 +444,21 @@ def cfar_check(scenario: Scenario, r_alt, kinds, pfa: float, trials: int, seed: 
     """Empirical CFAR check of several detectors across two noise covariances.
 
     Calibrates the thresholds under ``scenario.R``, then measures the
-    empirical PFAs under ``r_alt`` using the same underlying white draws
-    (only the coloring changes).  One calibration pass and one re-measurement
-    pass are shared by all detectors.  A CFAR statistic has the same H0
-    distribution under both, so each empirical PFA should sit within four
-    binomial standard errors of the target; when r_alt is a scalar multiple
+    empirical PFAs under ``r_alt`` on the same white draws, each block
+    drawn once (only the coloring changes).  The calibration job and the
+    re-measurement job share one engine call and all detectors.  A CFAR
+    statistic has the same H0 distribution under both, so each empirical PFA
+    should sit within four binomial standard errors of the target; when r_alt is a scalar multiple
     of scenario.R the statistics are identical up to rounding and the check
     is near-deterministic.
     """
     alt = replace(scenario, R=as_cmatrix(r_alt, "r_alt"))  # refused before calibrating
     kinds = kind_list(kinds)
-    cals = calibrate_thresholds(scenario, kinds, pfa, trials, seed, threads=threads)
-    stats = simulate_statistics(alt, kinds, trials, seed, threads=threads)
+    trials = check_integer(trials, "trials")
+    _check_calibration_budget(pfa, trials)
+    h0, stats = simulate_jobs([Job(scenario, kinds, trials, seed), Job(alt, kinds, trials, seed)],
+                              threads=threads)
+    cals = _thresholds(kinds, h0, pfa)
     pfa_emp = (np.count_nonzero(stats > [cals[kind] for kind in kinds], axis=0) / trials).tolist()
     sigma = float(np.sqrt(pfa * (1.0 - pfa) / trials))
     return {kind: CfarReport(pfa_emp[j], cals[kind], sigma, abs(pfa_emp[j] - pfa) <= 4.0 * sigma)

@@ -5,6 +5,7 @@ import pkgutil
 import runpy
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from adaptdet.config import build_scenario, format_config, parse_config
 from adaptdet.detectors import DetectorKind
 from adaptdet.errors import ConfigError, SingularMatrixError
 from adaptdet.montecarlo import PdCurve
-from adaptdet.scenario import STREAM_VERSION, check_dimensions
+from adaptdet.scenario import DEFAULT_SEED, STREAM_VERSION, check_dimensions
 from adaptdet.verify import CheckSuite, VerificationReport, random_instance, run_verification
 
 SMALL_CONFIG = """\
@@ -218,7 +219,7 @@ class TestRunExperiment:
     def test_requires_an_output_path(self, tmp_path, monkeypatch, capsys):
         # --out is the only source of the path, refused before any trial
         calls = []
-        monkeypatch.setattr(cli.montecarlo, "simulate_statistics",
+        monkeypatch.setattr(cli.montecarlo, "simulate_jobs",
                             lambda *args, **kwargs: calls.append(args))
         config = tmp_path / "exp.cfg"
         config.write_text(SMALL_CONFIG)
@@ -271,7 +272,7 @@ class TestCommandLine:
         def refused(*args, **kwargs):
             raise ValueError("refused by the engine")
 
-        monkeypatch.setattr(cli.montecarlo, "pd_curves", refused)
+        monkeypatch.setattr(cli.montecarlo, "simulate_jobs", refused)
         out = tmp_path / "out.csv"
         assert cli.main(["pd-curve", "--config", self._write_config(tmp_path),
                          "--out", str(out)]) == 1
@@ -288,7 +289,7 @@ class TestCommandLine:
         def refused(*args, **kwargs):
             raise AssertionError("drew a trial before checking the output path")
 
-        monkeypatch.setattr(cli.montecarlo, "simulate_statistics", refused)
+        monkeypatch.setattr(cli.montecarlo, "simulate_jobs", refused)
         cfg = self._write_config(tmp_path)
         assert cli.main([arg.format(cfg=cfg, dir=tmp_path) for arg in argv]) == 1
         err = capsys.readouterr().err
@@ -303,7 +304,7 @@ class TestCommandLine:
         path.write_text(SMALL_CONFIG.replace("snr_grid_db = 0, 8, 16", "snr_grid_db ="))
         out = tmp_path / "out.csv"
         with monkeypatch.context() as patch:
-            patch.setattr(cli.montecarlo, "simulate_statistics", refused)
+            patch.setattr(cli.montecarlo, "simulate_jobs", refused)
             assert cli.main(["pd-curve", "--config", str(path), "--out", str(out)]) == 1
         assert "config error: snr_grid_db is empty" in capsys.readouterr().err
         assert not out.exists()
@@ -450,8 +451,9 @@ class TestCommandLine:
     def test_preset_fig2_names_one_output_per_k(self, tmp_path, monkeypatch, capsys):
         # the benchmark's fig2 workload reads these _K<k> files back
         paths = []
-        monkeypatch.setattr(cli, "run_experiment",
-                            lambda config, *, threads, out_path: paths.append(out_path))
+        monkeypatch.setattr(cli, "_curves", lambda configs, threads: [{}] * len(configs))
+        monkeypatch.setattr(cli, "_write_curves",
+                            lambda path, config, curves: paths.append(path))
         out = tmp_path / "d" / "f.csv"
         out.parent.mkdir()
         assert cli.main(["preset", "fig2", "--out", str(out)]) == 0
@@ -465,9 +467,9 @@ class TestCommandLine:
         check = cli._check_writable
         monkeypatch.setattr(cli, "_check_writable",
                             lambda path: (probed.append(path), check(path)))
-        monkeypatch.setattr(cli.montecarlo, "pd_curves",
-                            lambda scenario, kinds, *args, **kwargs:
-                            {kind: PdCurve((), 0.0) for kind in kinds})
+        monkeypatch.setattr(cli, "_curves", lambda configs, threads:
+                            [{kind: PdCurve((), 0.0) for kind in config.detectors}
+                             for config in configs])
         out = tmp_path / "f.csv"
         assert cli.main(["preset", "fig2", "--out", str(out)]) == 0
         assert probed == [str(tmp_path / name) for name in ("f_K6.csv", "f_K10.csv", "f_K14.csv")]
@@ -481,7 +483,7 @@ class TestCommandLine:
         # an unusable _K10 path is refused before K = 6 draws a trial
         def engine(*args, **kwargs):
             raise AssertionError("the engine ran before every output path was checked")
-        monkeypatch.setattr(cli.montecarlo, "pd_curves", engine)
+        monkeypatch.setattr(cli.montecarlo, "simulate_jobs", engine)
         (tmp_path / "f_K10.csv").mkdir()
         assert cli.main(["preset", "fig2", "--out", str(tmp_path / "f.csv")]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
@@ -491,8 +493,9 @@ class TestCommandLine:
     def test_preset_fig2_refuses_stdout_before_the_first_trial(self, monkeypatch, capsys):
         # three CSVs back to back on stdout would carry no K to tell them apart
         paths = []
-        monkeypatch.setattr(cli, "run_experiment",
-                            lambda config, *, threads, out_path: paths.append(out_path))
+        monkeypatch.setattr(cli, "_curves", lambda configs, threads: [{}] * len(configs))
+        monkeypatch.setattr(cli, "_write_curves",
+                            lambda path, config, curves: paths.append(path))
         assert cli.main(["preset", "fig2", "--out", "-"]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert paths == [] and captured.out == ""
@@ -501,6 +504,45 @@ class TestCommandLine:
                                 "give a file path\n")
         assert cli.main(["preset", "fig1", "--out", "-"]) == cli.EXIT_OK
         assert paths == ["-"]
+
+    def test_preset_fig2_draws_each_block_once(self, tmp_path, monkeypatch):
+        # one engine call for the six jobs: the three K share each block's
+        # draw, 20 calibration blocks and 8 H1 blocks, not three times as many
+        draws = []
+        draw = cli.montecarlo.complex_gaussian
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(cli.montecarlo, "complex_gaussian", counted)
+        assert cli.main(["preset", "fig2", "--threads", "2", "--out",
+                         str(tmp_path / "f.csv")]) == cli.EXIT_OK
+        assert len(draws) == 28
+
+    def test_preset_fig2_numerical_error_names_its_k_and_writes_nothing(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        # K = 10's calibration job, the third of six, fails in its first block
+        local, color = threading.local(), cli.montecarlo._color
+        statistics = cli.montecarlo.statistics
+
+        def colored(scenario, *args):
+            local.k = scenario.K
+            return color(scenario, *args)
+
+        def singular_at_k10(*args, **kwargs):
+            if local.k == 10:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return statistics(*args, **kwargs)
+
+        monkeypatch.setattr(cli.montecarlo, "_color", colored)
+        monkeypatch.setattr(cli.montecarlo, "statistics", singular_at_k10)
+        assert cli.main(["preset", "fig2", "--out", str(tmp_path / "f.csv")]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+        assert captured.err == ("numerical error: job 2 (N, K, M, J, L) = (12, 10, 3, 2, 11): "
+                                "Singular matrix in trial (seed, domain, trial) = "
+                                f"({DEFAULT_SEED}, 0, 0) of stream version {STREAM_VERSION}\n")
 
     def test_version_names_the_stream_layout(self, capsys):
         # a CSV is tied to the draws that made it by the layout that drew them

@@ -13,9 +13,9 @@ from scipy import special, stats
 from adaptdet import kernels, montecarlo, scenario, verify
 from adaptdet.detectors import DetectorKind, evaluate, statistics
 from adaptdet.errors import NonFiniteStatisticError, SingularMatrixError
-from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_SIGNAL, _coefficients,
+from adaptdet.montecarlo import (BLOCK_TRIALS, DOMAIN_NULL, DOMAIN_SIGNAL, Job, _coefficients,
                                  calibrate_thresholds, cfar_check, pd_curves, replay_trial,
-                                 simulate_statistics, threshold_from_h0)
+                                 simulate_jobs, simulate_statistics, threshold_from_h0)
 from adaptdet.scenario import (make_scenario, make_signal, random_directions, random_subspaces,
                                scale_to_snr, toeplitz_covariance)
 from adaptdet.transform import transform_stack
@@ -242,6 +242,12 @@ class TestBlockWorkspace:
         simulate_statistics(_scenario(), [RU], 10 * BLOCK_TRIALS, seed=3, threads=1)
         assert len(draws) == 10
         assert all(np.shares_memory(draw, draws[0]) for draw in draws[1:])
+        # and so do the draws that two jobs of another K share
+        draws.clear()
+        simulate_jobs([Job(_scenario(), [RU], 10 * BLOCK_TRIALS, 3),
+                       Job(_scenario(k=6), [RU], 5 * BLOCK_TRIALS, 3)], threads=1)
+        assert len(draws) == 10
+        assert all(np.shares_memory(draw, draws[0]) for draw in draws[1:])
 
     def test_replay_refuses_a_negative_trial(self):
         with pytest.raises(ValueError, match="trial must be >= 0"):
@@ -273,16 +279,16 @@ class TestDispatch:
     def test_the_lowest_failing_block_is_raised(self, monkeypatch, threads):
         # block 2 fails first in time and block 1 later: serial order meets
         # block 1 first, so every thread count raises block 1's exception
-        noise_block = montecarlo._noise_block
+        draw = montecarlo._draw
 
-        def blocks_fail(sc, seed, domain, block, *args):
+        def blocks_fail(seed, domain, block, out):
             if block == 1:
                 time.sleep(0.2)
             if block >= 1:
                 raise RuntimeError(f"block {block} failed")
-            return noise_block(sc, seed, domain, block, *args)
+            return draw(seed, domain, block, out)
 
-        monkeypatch.setattr(montecarlo, "_noise_block", blocks_fail)
+        monkeypatch.setattr(montecarlo, "_draw", blocks_fail)
         with pytest.raises(RuntimeError, match="^block 1 failed$"):
             simulate_statistics(_scenario(), [RU], 4 * BLOCK_TRIALS, seed=9, threads=threads)
 
@@ -290,16 +296,16 @@ class TestDispatch:
         # block 0 fails at once while block 1 is still running: blocks 2 to 9
         # are never drawn, since a later block's failure would not be raised
         drawn = []
-        noise_block = montecarlo._noise_block
+        draw = montecarlo._draw
 
-        def first_fails(sc, seed, domain, block, *args):
+        def first_fails(seed, domain, block, out):
             drawn.append(block)
             if block == 0:
                 raise RuntimeError("block 0 failed")
             time.sleep(0.2)
-            return noise_block(sc, seed, domain, block, *args)
+            return draw(seed, domain, block, out)
 
-        monkeypatch.setattr(montecarlo, "_noise_block", first_fails)
+        monkeypatch.setattr(montecarlo, "_draw", first_fails)
         with pytest.raises(RuntimeError, match="^block 0 failed$"):
             simulate_statistics(_scenario(), [RU], 10 * BLOCK_TRIALS, seed=9, threads=2)
         assert set(drawn) <= {0, 1}
@@ -310,13 +316,13 @@ class TestDispatch:
         sc, trials = _scenario(), 40 * BLOCK_TRIALS
         serial = simulate_statistics(sc, [RU], trials, seed=5)
         drawn = []
-        noise_block = montecarlo._noise_block
+        draw = montecarlo._draw
 
-        def recorded(sc, seed, domain, block, *args):
+        def recorded(seed, domain, block, out):
             drawn.append(block)
-            return noise_block(sc, seed, domain, block, *args)
+            return draw(seed, domain, block, out)
 
-        monkeypatch.setattr(montecarlo, "_noise_block", recorded)
+        monkeypatch.setattr(montecarlo, "_draw", recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -347,6 +353,98 @@ class TestDispatch:
         assert len(started) == helpers
 
 
+class TestJobs:
+    # simulate_jobs: jobs at one (seed, domain) read one draw per block, each
+    # returning bitwise what simulate_statistics returns for it
+
+    @staticmethod
+    def _fig2_jobs():
+        # fig2's N, M, J and L at three K; trial counts that leave later
+        # blocks to one job of a group; both domains, two seeds, an empty grid
+        sc = {k: make_scenario(12, k, 3, 2, 11, rho=0.95, seed=5) for k in (6, 10, 14)}
+        pair = [RU, DetectorKind.AMGDD_RU]
+        return [Job(sc[6], pair, 300, 7), Job(sc[14], pair, 700, 7, (0.0, 9.0)),
+                Job(sc[10], [RU], 700, 7), Job(sc[14], pair, 300, 7),
+                Job(sc[6], pair, 300, 7, (3.0,)), Job(sc[10], pair, 500, 7, ()),
+                Job(sc[10], pair, 300, 8)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_multi_job_call_is_one_call_per_job(self, threads):
+        jobs = self._fig2_jobs()
+        together = simulate_jobs(jobs, threads=threads)
+        assert len(together) == len(jobs)
+        for job, stats in zip(jobs, together):
+            alone = simulate_statistics(*job[:4], snr_db=job.snr_db)
+            assert stats.shape == alone.shape and stats.tobytes() == alone.tobytes(), job[1:]
+        assert simulate_jobs([]) == []
+
+    def test_a_block_s_shorter_draws_are_heads_of_its_longest(self):
+        # what lets jobs share a draw, rebuilt from numpy alone: a block's
+        # stream fills its draw in C order, so the draw of fewer trials or
+        # columns is the head of the longest one
+        for block, count in [(0, 136), (3, 208), (19, 256)]:
+            longest = _numpy_cn(_numpy_stream(20260810, DOMAIN_NULL, block), count, 12, 25)
+            for rows, cols in [(count, 17), (count, 21), (44, 25), (count - 1, 25)]:
+                head = _numpy_cn(_numpy_stream(20260810, DOMAIN_NULL, block), rows, 12, cols)
+                assert np.array_equal(head.ravel(), longest.ravel()[:head.size])
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_the_lowest_failing_unit_and_its_first_failing_job_are_raised(self, monkeypatch,
+                                                                          threads):
+        # units run group by group, in the order of each group's first job,
+        # and a unit runs its jobs in job order.  Jobs 0 and 2 share the H0
+        # group and both fail in its block 1, job 0 late; block 2 fails at
+        # once, and so does the H1 group's block 0, whose unit comes after
+        # every H0 unit: job 0's block 1 is raised at every thread count
+        sc = [_scenario(seed=17 + i) for i in range(3)]
+        jobs = [Job(sc[0], [RU], 3 * BLOCK_TRIALS, 9), Job(sc[1], [RU], 3 * BLOCK_TRIALS, 9, [0.0]),
+                Job(sc[2], [RU], 3 * BLOCK_TRIALS, 9)]
+        failing = {(0, 1), (2, 1), (0, 2), (1, 0)}
+        local, draw, color = threading.local(), montecarlo._draw, montecarlo._color
+
+        def drawn(seed, domain, block, out):
+            local.block = block
+            return draw(seed, domain, block, out)
+
+        def colored(scenario, *args):
+            job = next(i for i, s in enumerate(sc) if s is scenario)
+            if (job, local.block) in failing:
+                time.sleep(0.2 if (job, local.block) == (0, 1) else 0.0)
+                raise RuntimeError(f"job {job} failed in block {local.block}")
+            return color(scenario, *args)
+
+        monkeypatch.setattr(montecarlo, "_draw", drawn)
+        monkeypatch.setattr(montecarlo, "_color", colored)
+        with pytest.raises(RuntimeError, match="^job 0 failed in block 1$"):
+            simulate_jobs(jobs, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_a_numerical_error_names_its_job(self, monkeypatch, threads):
+        # with several jobs the message begins with the failing job's position
+        # and dimensions, and the rest is the one-job message.  Only the
+        # 300-trial jobs have a 44-trial block, where trial 260 is not finite
+        sc = _scenario()
+        h0, h1 = Job(sc, [RU], 300, 9), Job(sc, [RU], 300, 9, [6.0])
+        glr = kernels.glr
+
+        def nan_in_trial_260(*args):
+            out = glr(*args)
+            if len(out) == 300 - BLOCK_TRIALS:
+                out[260 - BLOCK_TRIALS] = np.nan
+            return out
+
+        monkeypatch.setattr(kernels, "glr", nan_in_trial_260)
+        dims = r"\(N, K, M, J, L\) = \(5, 8, 2, 2, 6\): non-finite statistic in trial "
+        with pytest.raises(NonFiniteStatisticError, match=(
+                rf"^job 1 {dims}\(seed, domain, trial\) = \(9, 0, 260\) of stream version "
+                rf"{montecarlo.STREAM_VERSION}$")):
+            simulate_jobs([Job(sc, [RU], 200, 9), h0, h1], threads=threads)
+        with pytest.raises(NonFiniteStatisticError, match=(
+                rf"^job 0 {dims}\(seed, domain, trial\) = \(9, 1, 260\) at grid point 0 "
+                rf"\(6\.0 dB\) of stream version {montecarlo.STREAM_VERSION}$")):
+            simulate_jobs([h1, Job(sc, [RU], 200, 9), h0], threads=threads)
+
+
 class TestStreamLayout:
     # Each purpose's layout rebuilt from numpy alone: the replay tests go through
     # the package's own stream code, so only these tests see a change of
@@ -365,8 +463,9 @@ class TestStreamLayout:
         n, cols = 5, 14
         expected = _numpy_cn(_numpy_stream(seed, domain, block), count, n, cols)
         sc = _scenario(rho=0.0)  # N = 5, K + L = 14, colored by the identity: bytes kept
-        drawn = montecarlo._noise_block(sc, seed, domain, block, count,
-                                        *montecarlo._workspace(sc, BLOCK_TRIALS))
+        arena = np.empty(BLOCK_TRIALS * n * cols, dtype=np.complex128)
+        head = montecarlo._draw(seed, domain, block, arena[:count * n * cols])
+        drawn = montecarlo._color(sc, head, count, np.empty_like(arena))
         assert drawn.shape == (count, n, cols)
         assert drawn.tobytes() == expected.tobytes()
 
@@ -531,7 +630,7 @@ class TestCalibration:
         def refused(*args, **kwargs):
             raise AssertionError("drew a block before checking the kinds")
 
-        monkeypatch.setattr(montecarlo, "_noise_block", refused)
+        monkeypatch.setattr(montecarlo, "_draw", refused)
         with pytest.raises(ValueError, match=message):
             entry(sc, data, kinds)
 
@@ -595,11 +694,13 @@ class TestDetectionProbability:
         sc = _scenario()
         pfa, trials = 0.05, 4000
         cal = calibrate_thresholds(sc, [RU], pfa, 4000, seed=8)[RU]
-        workspace = montecarlo._workspace(sc, BLOCK_TRIALS)
+        width = sc.N * (sc.K + sc.L)
         noise = []
         for block, lo in enumerate(range(0, trials, BLOCK_TRIALS)):
-            x = montecarlo._noise_block(sc, 8, DOMAIN_SIGNAL, block,
-                                        min(BLOCK_TRIALS, trials - lo), *workspace)
+            count = min(BLOCK_TRIALS, trials - lo)
+            drawn = montecarlo._draw(8, DOMAIN_SIGNAL, block,
+                                     np.empty(count * width, dtype=np.complex128))
+            x = montecarlo._color(sc, drawn, count, np.empty_like(drawn))
             td = transform_stack(x[:, :, :sc.K], x[:, :, sc.K:], sc.waveform)
             noise.append(statistics([RU], td, sc.A, kernels.no_signal(sc.J, sc.M))[:, 0, 0])
         pd = np.count_nonzero(np.concatenate(noise) > cal) / trials
@@ -620,13 +721,13 @@ class TestPdCurves:
         # and draws nothing for it: calibration draws its 600 trials in 3
         # blocks, the H1 pass none
         blocks = []
-        noise_block = montecarlo._noise_block
+        draw = montecarlo._draw
 
-        def counted(sc, seed, domain, *args):
+        def counted(seed, domain, *args):
             blocks.append(domain)
-            return noise_block(sc, seed, domain, *args)
+            return draw(seed, domain, *args)
 
-        monkeypatch.setattr(montecarlo, "_noise_block", counted)
+        monkeypatch.setattr(montecarlo, "_draw", counted)
         assert pd_curves(_scenario(), [RU], [], 0.05, 600, 1000, seed=1)[RU].points == ()
         assert blocks == [DOMAIN_NULL] * 3
         stats = simulate_statistics(_scenario(), ALL, 1000, seed=1, snr_db=())
@@ -758,7 +859,7 @@ class TestPdCurves:
             raise AssertionError("drew before checking the grid")
 
         monkeypatch.setattr(montecarlo, "random_directions", refused)
-        monkeypatch.setattr(montecarlo, "_noise_block", refused)
+        monkeypatch.setattr(montecarlo, "_draw", refused)
         sc = _scenario()
         for grid in ([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0], [3.0, 3.0], [6.0, 0.0]):
             with pytest.raises(ValueError, match="SNR grid must be finite"):
@@ -782,30 +883,31 @@ class TestPdCurves:
             raise AssertionError("drew before checking the grid")
 
         monkeypatch.setattr(montecarlo, "random_directions", refused)
-        monkeypatch.setattr(montecarlo, "_noise_block", refused)
+        monkeypatch.setattr(montecarlo, "_draw", refused)
         sc = _scenario()
         message = r"SNR grid point 4000\.0 dB has a linear power 10\^\(snr/10\) beyond"
         with pytest.raises(ValueError, match=message):
             simulate_statistics(sc, [RU], 10, seed=0, snr_db=[0.0, top])
         with pytest.raises(ValueError, match=message):
             simulate_statistics(sc, [RU], 10, seed=0, snr_db=[top])
-        monkeypatch.setattr(montecarlo, "simulate_statistics", refused)
+        monkeypatch.setattr(montecarlo, "simulate_jobs", refused)
         with pytest.raises(ValueError, match=message):
             pd_curves(sc, [RU], [0.0, top], 0.05, 600, 100, seed=0)
 
     def test_pd_curves_calls_the_engine_through_its_module_attribute(self, monkeypatch):
-        # a wrapper on montecarlo.simulate_statistics (as a benchmark installs
-        # to time each call) sees the calibration pass and the H1 pass
+        # a wrapper on montecarlo.simulate_jobs (as a benchmark installs to
+        # time each call) sees one call with the calibration and the H1 job
         calls = []
-        engine = montecarlo.simulate_statistics
+        engine = montecarlo.simulate_jobs
 
-        def observed(*args, **kwargs):
-            calls.append(kwargs.get("snr_db"))
-            return engine(*args, **kwargs)
+        def observed(jobs, **kwargs):
+            calls.append(jobs)
+            return engine(jobs, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "simulate_statistics", observed)
-        pd_curves(_scenario(), [RU], [0.0, 6.0], 0.05, 600, 100, seed=2)
-        assert calls == [None, (0.0, 6.0)]
+        monkeypatch.setattr(montecarlo, "simulate_jobs", observed)
+        sc = _scenario()
+        pd_curves(sc, [RU], [0.0, 6.0], 0.05, 600, 100, seed=2)
+        assert calls == [[Job(sc, [RU], 600, 2), Job(sc, [RU], 100, 2, (0.0, 6.0))]]
 
 
 class TestExactNullLaw:
@@ -946,13 +1048,13 @@ class TestExactSignalLaw:
 class TestCfar:
     def test_refuses_a_bad_alternative_covariance_before_calibrating(self, monkeypatch):
         calls = []
-        simulate = montecarlo.simulate_statistics
+        simulate = montecarlo.simulate_jobs
 
         def counted(*args, **kwargs):
             calls.append(args)
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "simulate_statistics", counted)
+        monkeypatch.setattr(montecarlo, "simulate_jobs", counted)
         with pytest.raises(ValueError, match="R is not positive definite"):
             cfar_check(_scenario(), np.ones((5, 5)), [RU], 0.005, 4000, seed=17)
         assert calls == []
@@ -976,24 +1078,49 @@ class TestCfar:
         assert abs(report.pfa_empirical - 0.05) <= 5.0 / 2000
 
     def test_all_kinds_share_one_calibration_and_one_re_measurement(self, monkeypatch):
-        # two engine calls for five kinds, seen through the module attribute,
-        # and each kind's report is that of a call for the kind alone
+        # one engine call with the job under R and the job under r_alt for
+        # five kinds, seen through the module attribute, and each kind's
+        # report is that of a call for the kind alone
         sc = _scenario(rho=0.0)
         r_alt = toeplitz_covariance(sc.N, 0.95)
         calls = []
-        simulate = montecarlo.simulate_statistics
+        simulate = montecarlo.simulate_jobs
 
-        def counted(scenario, kinds, *args, **kwargs):
-            calls.append((scenario.R, list(kinds)))
-            return simulate(scenario, kinds, *args, **kwargs)
+        def counted(jobs, **kwargs):
+            calls.append(jobs)
+            return simulate(jobs, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "simulate_statistics", counted)
+        monkeypatch.setattr(montecarlo, "simulate_jobs", counted)
         reports = cfar_check(sc, r_alt, ALL, 0.05, 1000, seed=20)
-        assert [kinds for _, kinds in calls] == [ALL, ALL]
-        assert np.array_equal(calls[0][0], sc.R) and np.array_equal(calls[1][0], r_alt)
+        [(job, alt)] = calls
+        assert job == Job(sc, ALL, 1000, 20)
+        assert alt[1:] == (ALL, 1000, 20, None) and np.array_equal(alt.scenario.R, r_alt)
         assert list(reports) == ALL
         for kind in ALL:
             assert cfar_check(sc, r_alt, [kind], 0.05, 1000, seed=20)[kind] == reports[kind]
+
+    def test_draws_each_block_once_and_reports_what_two_calls_report(self, monkeypatch):
+        # the re-measurement colors the calibration's draws: 4 blocks for
+        # 1000 trials, not 8, and the reports are bitwise those of a
+        # calibration under R and a separate engine call under r_alt
+        sc, pfa, trials = _scenario(), 0.05, 1000
+        r_alt = toeplitz_covariance(sc.N, 0.9)
+        thresholds = calibrate_thresholds(sc, ALL, pfa, trials, seed=21)
+        stats = simulate_statistics(dataclasses.replace(sc, R=r_alt), ALL, trials, seed=21)
+        draws = []
+        draw = montecarlo.complex_gaussian
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "complex_gaussian", counted)
+        reports = cfar_check(sc, r_alt, ALL, pfa, trials, seed=21, threads=2)
+        assert len(draws) == 4
+        for j, kind in enumerate(ALL):
+            empirical = np.count_nonzero(stats[:, j] > thresholds[kind]) / trials
+            assert reports[kind].threshold == thresholds[kind]
+            assert reports[kind].pfa_empirical == empirical
 
     def test_white_to_strongly_correlated(self):
         sc = _scenario(rho=0.0)

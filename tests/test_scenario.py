@@ -441,7 +441,7 @@ class TestScenarioValidation:
         entry, name, low, *exception = _INTEGER_ARGUMENTS[case]
         accepted, below = exception or (low, f"{name} must be >= {low}, got {low - 1}")
         draws = []
-        for module, attr in ((montecarlo, "_noise_block"), (verify, "random_instance")):
+        for module, attr in ((montecarlo, "_draw"), (verify, "random_instance")):
             def counted(*args, _draw=getattr(module, attr), **kwargs):
                 draws.append(args)
                 return _draw(*args, **kwargs)

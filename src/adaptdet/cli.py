@@ -62,8 +62,9 @@ def _preset(name: str, paper_scale: bool, seed: int) -> list[tuple[str, Experime
 
 
 def run_experiment(config: ExperimentConfig, *, threads: int = 1, out_path: str) -> None:
-    """Run the configured experiment and write one CSV to `out_path` ('-' for stdout);
-    the command that calls it checks the path.
+    """Run the configured experiment and write one CSV to `out_path` ('-' for stdout),
+    without probing the path first: no command calls it, and ``pd-curve`` and
+    ``preset`` go through :func:`_run_experiments`, which probes every path.
 
     Header: ``detector,snr_db,pd,trials,threshold,pfa,seed``; one row per
     (detector, SNR point).  Output is byte-identical for a fixed config and

@@ -110,7 +110,8 @@ def statistics(kinds, td: TransformedData, a: np.ndarray, c: np.ndarray,
         columns[DetectorKind.AMGDD] = kernels.am(
             kernels.reduce(td.x_par, td.s_train, a, c, out=out)[0])
     if want & {glr_full, glr_ru, DetectorKind.AMGDD_RU}:
-        v, r = kernels.reduce(td.x_par, td.s_perp, a, c, plus=td.s_train, out=out)
+        v, r = (kernels.reduce(td.x_par, td.s_perp, a, c, plus=td.s_train, out=out)
+                if td.y is None else kernels.reduce(td.x_par, td.y, a, c, gram=True, out=out))
         if want & {glr_full, glr_ru}:
             columns[glr_full] = kernels.glr(v, r)
             columns[glr_ru] = kernels.bounded(columns[glr_full])
@@ -154,9 +155,8 @@ def evaluate(kinds, x, x_l, a, c) -> dict[DetectorKind, float]:
     must be finite and >= 0, and below 1 for the bounded kinds."""
     kinds = kind_list(kinds)
     _, a, f, td = _prepared(kinds, x, x_l, a, c)
-    one = TransformedData(**{name: value[None] for name, value in vars(td).items()})
     try:
-        values = statistics(kinds, one, a, kernels.no_signal(a.shape[1], f.c_par.shape[0]))
+        values = statistics(kinds, td[None], a, kernels.no_signal(a.shape[1], f.c_par.shape[0]))
     except np.linalg.LinAlgError as exc:
         names = ", ".join(kind.name for kind in kinds)
         raise SingularMatrixError(f"{exc}: ill-conditioned covariance estimate for {names}") from exc

@@ -16,7 +16,11 @@ estimates S_plus, S_perp and S do not depend on it.  A noise-only trial is
 the single point c = 0, which gives bitwise the values of the noise alone.
 
 A statistic takes two calls: ``reduce`` once per covariance estimate S,
-then ``glr`` or ``am`` on what it returns.  ``reduce`` reads what S
+then ``glr`` or ``am`` on what it returns.  ``reduce`` writes S into the
+bordered matrix itself: S_plus as S_perp + S, or, where
+:func:`adaptdet.transform.one_gram` holds (L < N and K < M + N, where only
+the two S_plus statistics are valid), as the one Gram Y Y^H of
+Y = [X_perp, X_L], so that no S_perp or S is formed there.  ``reduce`` reads what S
 contributes from one stacked Cholesky factorization of the bordered matrix
 [[S, B], [B^H, t I]], B = [A, X_par].  Its factor holds Z^H, Z = F^-1 B with S = F F^H, so
 Z^H Z = B^H S^-1 B is the Gram of Phi_A = A^H S^-1 A, Phi_AX = A^H S^-1 X_par
@@ -82,15 +86,18 @@ def bordered_size(n: int, j: int, m: int) -> int:
     return (n + j + m) ** 2
 
 
-def reduce(x_par, s, a, c, *, plus=None, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """(V(c), R) of the estimate S = s (+ plus) from one bordered Cholesky factorization:
-    V(c) = V + L^H c, (trials, P, J, M), and R, (trials, M, M), with I + W = R R^H.
+def reduce(x_par, s, a, c, *, plus=None, gram=False,
+           out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(V(c), R) of the estimate S = s (+ plus), or S = s s^H with `gram`, from
+    one bordered Cholesky factorization: V(c) = V + L^H c, (trials, P, J, M),
+    and R, (trials, M, M), with I + W = R R^H.
 
-    x_par: (trials, N, M) noise block; s, plus: (trials, N, N) stacks;
+    x_par: (trials, N, M) noise block; s, plus: (trials, N, N) stacks, or
+    with `gram` s alone, a (trials, N, W) stack such as Y = [X_perp, X_L];
     a: (N, J) spatial subspace; c: (P, J, M) signal coefficients.  The
-    bordered matrix is built in `out`, a contiguous complex128 buffer of
-    ``bordered_size(N, J, M)`` elements per trial or more (a new one when
-    None).
+    estimate is written straight into the bordered matrix, which is built in
+    `out`, a contiguous complex128 buffer of ``bordered_size(N, J, M)``
+    elements per trial or more (a new one when None).
     """
     trials, n, m = x_par.shape
     j = a.shape[-1]
@@ -100,7 +107,10 @@ def reduce(x_par, s, a, c, *, plus=None, out=None) -> tuple[np.ndarray, np.ndarr
     # H = [[S, B], [B^H, t I]] with B = [A 2^e, X_par] has the factor
     # [[F, 0], [Z^H, *]]; numpy reads H's lower triangle only
     h = out[:trials * size * size].reshape(trials, size, size)
-    np.add(s, 0.0 if plus is None else plus, out=h[:, :n, :n])
+    if gram:
+        np.matmul(s, _ct(s), out=h[:, :n, :n])
+    else:
+        np.add(s, 0.0 if plus is None else plus, out=h[:, :n, :n])
     mean = np.diagonal(h[:, :n, :n], axis1=1, axis2=2).real.sum(axis=1) / n
     # powers of two per trial, so exact: 2^e brings A's columns to the scale of
     # S, and t exceeds every eigenvalue of B^H S^-1 B while cond(S) < ~2^256

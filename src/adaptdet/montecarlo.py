@@ -155,8 +155,7 @@ def _first_failure(kinds, td: TransformedData, a, c) -> int | None:
     alone; a stack of one gives bitwise the block's values."""
     for row in range(len(td.x_par)):
         try:
-            statistics(kinds, TransformedData(*(v[row:row + 1] for v in vars(td).values())),
-                       a, c)
+            statistics(kinds, td[row:row + 1], a, c)
         except np.linalg.LinAlgError:
             return row
     return None
@@ -199,13 +198,13 @@ class _Task:
         self.out = np.empty((self.trials, len(self.c), len(self.kinds)), dtype=np.float64)
         # an empty grid draws nothing
         self.blocks = -(-self.trials // BLOCK_TRIALS) if len(self.c) else 0
-        n, k, rows = scenario.N, scenario.K, min(self.trials, BLOCK_TRIALS)
-        self.width = n * (k + scenario.L)  # complex normals per trial
+        n, k, l, rows = scenario.N, scenario.K, scenario.L, min(self.trials, BLOCK_TRIALS)
+        self.width = n * (k + l)  # complex normals per trial
         # arenas (white, colored): `white` receives a block's white noise
         # and, once that is colored into `colored`, the block's transformed
         # data, which overwrites it; `colored` then takes the bordered
         # matrices of the block's reductions
-        self.sizes = (rows * max(self.width, transform_size(n, k)),
+        self.sizes = (rows * max(self.width, transform_size(n, k, scenario.M, l)),
                       rows * max(self.width, kernels.bordered_size(n, scenario.J, scenario.M)))
         self.draw_size = rows * self.width
 

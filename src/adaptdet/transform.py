@@ -13,6 +13,15 @@ estimates, for the Monte Carlo engine and the per-instance API alike; the
 engine passes each block a buffer that its thread reuses.  It validates
 nothing: :mod:`adaptdet.detectors` checks an instance's dimensions
 and refuses a singular covariance estimate before any detector reads it.
+
+Which estimates it forms depends on (N, K, M, L) alone, never on the kinds
+requested, so the per-instance API and the engine share one transform.
+Where :func:`one_gram` holds (L < N and K < M + N) only GLRGDD-RU and
+AMGDD-RU are valid and both read S_plus alone: it stores Y = [X_perp, X_L]
+and :func:`adaptdet.kernels.reduce` forms S_plus = Y Y^H.  Elsewhere it
+stores the Grams S_perp and S (the training SCM), which Bose's GLRT and
+AMGDD read alone and ``reduce`` adds into S_plus; a Gram of Y there would
+be a third Gram per trial.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import numpy as np
 from .linalg import TOL, as_cmatrix, hermitize
 
 __all__ = ["SubspaceFactorization", "TransformedData", "factor_waveform_subspace",
-           "signal_coefficient", "transform_size", "transform_stack"]
+           "one_gram", "signal_coefficient", "transform_size", "transform_stack"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,20 +57,31 @@ class SubspaceFactorization:
 class TransformedData:
     """Transformed test data and the covariance estimates formed from it.
 
-    x_par (N x M) carries any subspace signal, s_perp = X_perp X_perp^H of the
-    signal-free X_perp (N x (K-M)), s_train = X_L X_L^H (the training SCM) and
-    s_plus = s_perp + s_train, Hermitian PD whenever L + K >= M + N and the
+    x_par (N x M) carries any subspace signal.  With two Grams,
+    s_perp = X_perp X_perp^H of the signal-free X_perp (N x (K-M)) and
+    s_train = X_L X_L^H (the training SCM), and y is None; where
+    :func:`one_gram` holds, both are None and y = [X_perp, X_L]
+    (N x (K-M+L)).  s_plus is Hermitian PD whenever L + K >= M + N and the
     data are nondegenerate.  Fields may carry leading trial axes.
     """
 
     x_par: np.ndarray
-    s_perp: np.ndarray
-    s_train: np.ndarray
+    s_perp: np.ndarray | None
+    s_train: np.ndarray | None
+    y: np.ndarray | None = None
 
     @property
     def s_plus(self) -> np.ndarray:
-        """Formed on each access; the engine adds the two into each bordered matrix."""
-        return self.s_perp + self.s_train
+        """s_perp + s_train or Y Y^H, formed on each access; the engine forms
+        it in each bordered matrix instead (see ``kernels.reduce``)."""
+        if self.y is None:
+            return self.s_perp + self.s_train
+        return self.y @ np.conj(np.swapaxes(self.y, -1, -2))
+
+    def __getitem__(self, index) -> TransformedData:
+        """The trials that `index` selects from every field: ``td[t:t + 1]``
+        is trial t as a stack of one, ``td[None]`` one instance as a stack."""
+        return TransformedData(*(None if v is None else v[index] for v in vars(self).values()))
 
 
 def factor_waveform_subspace(c) -> SubspaceFactorization:
@@ -89,9 +109,16 @@ def signal_coefficient(f: SubspaceFactorization, theta, alpha) -> np.ndarray:
     return np.outer(theta, np.conj(alpha)) @ f.d
 
 
-def transform_size(n: int, k: int) -> int:
+def one_gram(n: int, k: int, m: int, l: int) -> bool:
+    """Whether :func:`transform_stack` stores Y = [X_perp, X_L] instead of
+    S_perp and S: where L < N and K < M + N, so that AMGDD, GLRGDD and
+    Bose's GLRT are all invalid and no valid kind reads S_perp or S alone."""
+    return l < n and k < m + n
+
+
+def transform_size(n: int, k: int, m: int, l: int) -> int:
     """complex128 elements per trial that :func:`transform_stack` writes."""
-    return n * (k + 2 * n)
+    return n * (k + l) if one_gram(n, k, m, l) else n * (k + 2 * n)
 
 
 def transform_stack(x, x_l, f: SubspaceFactorization, out=None) -> TransformedData:
@@ -99,23 +126,30 @@ def transform_stack(x, x_l, f: SubspaceFactorization, out=None) -> TransformedDa
     data x_l (..., N, L) with any leading trial axes.  A trial's values do
     not depend on the other trials of its stack.
 
-    X_par, X_perp and the two Grams are written into `out`, a contiguous
-    complex128 buffer of at least ``transform_size(N, K)`` elements per
-    trial (a new one when None), and the results are views of it.
+    X_par and either X_perp and the two Grams or Y = [X_perp, X_L] (see
+    :func:`one_gram`) are written into `out`, a contiguous complex128
+    buffer of at least ``transform_size(N, K, M, L)`` elements per trial (a
+    new one when None), and the results are views of it.
     """
     *lead, n, k = x.shape
-    m = f.c_par.shape[0]
+    m, l = f.c_par.shape[0], x_l.shape[-1]
     rows = math.prod(lead) * n
     if out is None:
-        out = np.empty(math.prod(lead) * transform_size(n, k), dtype=np.complex128)
-    x_par, x_perp, s_perp, s_train = (
-        out[lo * rows:hi * rows].reshape(*lead, n, hi - lo)
-        for lo, hi in itertools.pairwise((0, m, k, k + n, k + 2 * n)))
+        out = np.empty(math.prod(lead) * transform_size(n, k, m, l), dtype=np.complex128)
+    gram = one_gram(n, k, m, l)
+    bounds = (0, m, k + l) if gram else (0, m, k, k + n, k + 2 * n)
+    x_par, y, *grams = (out[lo * rows:hi * rows].reshape(*lead, n, hi - lo)
+                        for lo, hi in itertools.pairwise(bounds))
     # one GEMM over all rows of the stack: merging the trial axes of a block
-    # slice is a view, and a row's product does not depend on the others
+    # slice is a view, and a row's product does not depend on the others;
+    # y is X_perp, or Y with X_perp in its leading K - M columns
     x = x.reshape(rows, k)
     np.matmul(x, f.c_par.conj().T, out=x_par.reshape(rows, m))
-    np.matmul(x, f.c_perp.conj().T, out=x_perp.reshape(rows, k - m))
-    np.matmul(x_perp, np.conj(np.swapaxes(x_perp, -1, -2)), out=s_perp)
+    np.matmul(x, f.c_perp.conj().T, out=y.reshape(rows, y.shape[-1])[:, :k - m])
+    if gram:
+        y[..., k - m:] = x_l
+        return TransformedData(x_par, None, None, y)
+    s_perp, s_train = grams
+    np.matmul(y, np.conj(np.swapaxes(y, -1, -2)), out=s_perp)
     np.matmul(x_l, np.conj(np.swapaxes(x_l, -1, -2)), out=s_train)
     return TransformedData(x_par, s_perp, s_train)

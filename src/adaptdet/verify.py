@@ -61,10 +61,12 @@ class Instance:
 def random_instance(regime: str, rng: np.random.Generator) -> Instance:
     """Draw dimensions (3 <= N <= 8) for the regime, then subspaces, covariance, data.
 
-    Regimes: 'abundant' (L >= N, K > M), 'lowsample' (1 <= L < N and
+    Regimes: the four of :data:`REGIMES`, which ``adaptdet verify`` cycles
+    through: 'abundant' (L >= N, K > M), 'lowsample' (1 <= L < N and
     L+K >= M+N with K < M+N, so only the augmented-SCM detectors apply),
-    'notraining' (L = 0, K >= M+N), 'square' (K = M, L >= N), and 'full'
-    (L >= N and K >= M+N, where every detector is valid).
+    'notraining' (L = 0, K >= M+N) and 'square' (K = M, L >= N); and 'full'
+    (L >= N and K >= M+N, where every detector is valid), which is drawn
+    only on request, as the tests' ``regime_instances`` does.
     """
     n = int(rng.integers(3, 9))
     j = int(rng.integers(1, min(n, 3) + 1))

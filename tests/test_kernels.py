@@ -9,7 +9,7 @@ from adaptdet.detectors import DetectorKind, statistics
 from adaptdet.montecarlo import simulate_statistics
 from adaptdet.scenario import (complex_gaussian, make_scenario, make_signal, random_directions,
                                scale_to_snr)
-from adaptdet.transform import TransformedData, signal_coefficient, transform_stack
+from adaptdet.transform import signal_coefficient, transform_stack
 
 from oracles import (amgdd_projection_form, glrgdd_raw_form, mp_glr_pair, mp_two_step,
                      ru_am_direct, ru_glr_direct)
@@ -249,16 +249,23 @@ def test_bounded_column_alone_is_bitwise_the_pair_column(estimate):
     assert np.array_equal(alone[..., 0], every[..., kinds.index(kind)])
 
 
-def test_trial_is_bitwise_independent_of_its_stack(stacks):
+@pytest.mark.parametrize("low_sample", [False, True])
+def test_trial_is_bitwise_independent_of_its_stack(stacks, low_sample):
     # Byte-identical output across thread counts relies on the trial axis, and
-    # a grid that can be extended or cut relies on the point axis.
+    # a grid that can be extended or cut relies on the point axis.  At L < N
+    # and K < M + N the transform keeps Y = [X_perp, X_L] in place of S_perp
+    # and the training SCM, and only the two RU kinds are valid.
     c = np.concatenate([_zero(_SCENARIO)] + [_signal(snr)[1] for snr in _SNRS_DB])
-    full = _kernel_values(stacks, c)
+    kinds = _KINDS
+    if low_sample:
+        stacks = _engine_stacks(make_scenario(10, 6, 2, 2, 7, rho=0.9, seed=3), 12, 5)
+        kinds = _KINDS[:2]
+    a = stacks["scenario"].A
+    full = statistics(kinds, stacks["td"], a, c)
     for t in range(full.shape[0]):
-        one = dict(stacks, td=TransformedData(
-            **{key: val[t:t + 1] for key, val in vars(stacks["td"]).items()}))
+        one = stacks["td"][t:t + 1]
         for p in range(c.shape[0]):
-            assert np.array_equal(_kernel_values(one, c[p:p + 1])[0, 0], full[t, p])
+            assert np.array_equal(statistics(kinds, one, a, c[p:p + 1])[0, 0], full[t, p])
 
 
 def test_monotone_map_between_scm_families(stacks):

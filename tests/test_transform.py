@@ -6,7 +6,7 @@ from adaptdet.errors import SingularMatrixError
 from adaptdet.kernels import no_signal
 from adaptdet.scenario import complex_gaussian, make_scenario
 from adaptdet.transform import (SubspaceFactorization, factor_waveform_subspace,
-                                transform_stack)
+                                transform_size, transform_stack)
 
 from oracles import dagger, random_cmatrix, random_semi_unitary_rows, random_unitary
 
@@ -158,6 +158,46 @@ class TestTransformData:
         td = transform_stack(x, x_l, f)
         # trace(S_perp) is the squared Frobenius norm of X_perp
         assert np.sqrt(np.trace(td.s_perp).real) <= 1e-10 * np.linalg.norm(x)
+
+
+def _factored_estimate(monkeypatch, td, sc):
+    """The N x N block of the bordered matrices that the S_plus reduction factors."""
+    seen, cholesky = [], np.linalg.cholesky
+
+    def spy(h):
+        seen.append(h[:, :sc.N, :sc.N].copy())
+        return cholesky(h)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    statistics([DetectorKind.GLRGDD_RU], td, sc.A, no_signal(sc.J, sc.M))
+    return seen[0]
+
+
+@pytest.mark.parametrize("dims, one_gram", [
+    ((12, 6, 3, 2, 11), True),    # fig2 at K = 6: L < N and K < M + N
+    ((12, 16, 3, 2, 14), False),  # fig1
+])
+def test_low_sample_shape_forms_s_plus_as_one_gram(monkeypatch, dims, one_gram):
+    # where only GLRGDD-RU and AMGDD-RU are valid, both read S_plus alone: the
+    # transform stores Y = [X_perp, X_L] instead of S_perp and the training
+    # SCM, and the reduction factors S_plus = Y Y^H; fig1 keeps the two Grams
+    sc = make_scenario(*dims, rho=0.9, seed=13)
+    n, k, m, _, l = dims
+    rng = np.random.Generator(np.random.Philox(14))
+    x = np.stack([sc.coloring @ complex_gaussian(rng, n, k) for _ in range(4)])
+    x_l = np.stack([sc.coloring @ complex_gaussian(rng, n, l) for _ in range(4)])
+    td = transform_stack(x, x_l, sc.waveform)
+    block = _factored_estimate(monkeypatch, td, sc)
+    if one_gram:
+        assert td.s_perp is None and td.s_train is None
+        assert transform_size(n, k, m, l) == n * (k + l)
+        assert np.allclose(td.y[..., :k - m], x @ sc.waveform.c_perp.conj().T, atol=1e-12)
+        assert np.array_equal(td.y[..., k - m:], x_l)
+        assert np.array_equal(block, td.y @ np.conj(np.swapaxes(td.y, 1, 2)))
+    else:
+        assert td.y is None
+        assert np.array_equal(block, td.s_perp + td.s_train)
+    assert np.allclose(block, td.s_plus, rtol=0, atol=1e-12 * np.abs(block).max())
 
 
 def _ru_pair(x, x_l, f, a):

@@ -62,10 +62,14 @@ numbers), which sharpens PD comparisons between detectors.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import numbers
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -120,10 +124,21 @@ def _draw(seed: int, domain: int, block: int, out: np.ndarray) -> np.ndarray:
 
 def _color(scenario: Scenario, drawn: np.ndarray, count: int, out: np.ndarray) -> np.ndarray:
     """Colored noise [X, X_L] (count, N, K + L) of the first `count` trials
-    of a block from the head of its draw `drawn`, written into `out`."""
+    of a block from the head of its draw `drawn`, written into `out`.
+
+    Each trial's white noise W is multiplied by the factor F of
+    ``scenario.coloring``.  A real F (a real R, as every Toeplitz scenario
+    has) multiplies the float64 view of W, whose columns interleave (re, im),
+    since (F W)_re = F W_re and (F W)_im = F W_im: a real product of half the
+    flops of the complex one, which would multiply by F's zero imaginary
+    part.  A complex F (a complex Hermitian R) takes the complex product.
+    """
     size, shape = count * scenario.N * (scenario.K + scenario.L), (count, scenario.N, -1)
-    return np.matmul(scenario.coloring, drawn[:size].reshape(shape),
-                     out=out[:size].reshape(shape))
+    f, white, colored = scenario.coloring, drawn[:size], out[:size]
+    if not f.imag.any():
+        f, white, colored = f.real.copy(), white.view(np.float64), colored.view(np.float64)
+    np.matmul(f, white.reshape(shape), out=colored.reshape(shape))
+    return out[:size].reshape(shape)
 
 
 def replay_trial(scenario: Scenario, seed: int, domain: int,
@@ -148,6 +163,47 @@ def replay_trial(scenario: Scenario, seed: int, domain: int,
     drawn = _draw(seed, domain, block, np.empty(size, dtype=np.complex128))
     noise = _color(scenario, drawn, row + 1, np.empty_like(drawn))[row]
     return noise[:, :scenario.K].copy(), noise[:, scenario.K:].copy()
+
+
+class _OneBlasThread:
+    """Holds a BLAS at one thread while any multi-thread engine call runs.
+
+    The count is process-global, and engine calls from several user threads
+    may overlap: the first to enter saves the count and sets 1, the last to
+    leave restores it, so overlapping calls leave it as the first found it.
+    """
+
+    def __init__(self, get, set_):
+        self.get, self.set = get, set_
+        self._lock, self._calls, self._saved = threading.Lock(), 0, None
+
+    def __enter__(self):
+        with self._lock:
+            if not self._calls:
+                self._saved = self.get()
+                self.set(1)
+            self._calls += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._calls -= 1
+            if not self._calls:
+                self.set(self._saved)
+
+
+@functools.cache
+def _one_blas_thread() -> _OneBlasThread | None:
+    """The pin of numpy's bundled OpenBLAS, found once; None where numpy runs
+    another BLAS."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    try:  # the library numpy has loaded, so the count is numpy's
+        lib = ctypes.CDLL(str(min(libs.glob("libscipy_openblas64_*.so"))))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ValueError, OSError, AttributeError):  # no such library or symbol
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return _OneBlasThread(get, set_)
 
 
 def _first_failure(kinds, td: TransformedData, a, c) -> int | None:
@@ -262,6 +318,13 @@ def simulate_jobs(jobs, *, threads: int = 1) -> list[np.ndarray]:
     so that a serial run in unit order would stop at the same error.  With
     several jobs, the message of a numerical error begins with the failing
     job's position and its (N, K, M, J, L).
+
+    With ``threads > 1`` and numpy's bundled OpenBLAS, BLAS runs on one
+    thread for the length of the call, and its old thread count is restored
+    afterwards (when the last of several overlapping calls ends).  The count
+    is process-global: numpy work in another thread of the caller runs
+    single-threaded while such a call runs.  With one thread, or another
+    BLAS, the call leaves BLAS alone.
     """
     threads = check_integer(threads, "threads", 1)
     jobs = [Job(*job) for job in jobs]
@@ -301,14 +364,17 @@ def simulate_jobs(jobs, *, threads: int = 1) -> list[np.ndarray]:
                 with lock:
                     failed[index] = exc
 
-    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(units)) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()  # the calling thread computes as well
-    finally:
+    # the engine's threads take the cores: BLAS threads would only compete
+    # with them
+    with (_one_blas_thread() if threads > 1 else None) or contextlib.nullcontext():
+        helpers = [threading.Thread(target=work) for _ in range(min(threads, len(units)) - 1)]
         for helper in helpers:
-            helper.join()
+            helper.start()
+        try:
+            work()  # the calling thread computes as well
+        finally:
+            for helper in helpers:
+                helper.join()
     if failed:  # every lower unit has run, so a serial run would stop here too
         raise failed[min(failed)]
     return [task.result() for task in tasks]

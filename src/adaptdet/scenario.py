@@ -133,7 +133,10 @@ class Scenario:
     dimension, J: spatial-subspace dimension; all four are read from the
     shapes of A and C.  ``waveform`` is the factorization of C and
     ``coloring`` the lower Cholesky factor F of R = F F^H, both built once
-    with the scenario.
+    with the scenario.  F is real when R is (a Toeplitz R, so every preset),
+    and the engine then colors the (re, im) parts of its white noise with
+    one real product, half the flops of the complex product that a complex
+    F (a complex Hermitian R) takes.
     """
 
     A: np.ndarray

@@ -352,6 +352,85 @@ class TestDispatch:
         simulate_statistics(_scenario(), [RU], trials, seed=3, snr_db=snrs, threads=threads)
         assert len(started) == helpers
 
+    def test_blas_runs_on_one_thread_inside_a_multi_thread_call(self, monkeypatch):
+        # BLAS threads would compete with the engine's for the cores: a
+        # 2-thread call pins numpy's OpenBLAS to one thread and gives the
+        # count back afterwards; a 1-thread call leaves it alone
+        pin = montecarlo._one_blas_thread()
+        if pin is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        seen = []
+        draw = montecarlo._draw
+
+        def recorded(*args):
+            seen.append(pin.get())
+            return draw(*args)
+
+        monkeypatch.setattr(montecarlo, "_draw", recorded)
+        original = pin.get()
+        pin.set(2)
+        try:
+            before = pin.get()
+            simulate_statistics(_scenario(), [RU], 4 * BLOCK_TRIALS, seed=3, threads=2)
+            assert seen == [1] * 4
+            assert pin.get() == before
+            seen.clear()
+            simulate_statistics(_scenario(), [RU], 2 * BLOCK_TRIALS, seed=3, threads=1)
+            assert seen == [before] * 2
+        finally:
+            pin.set(original)
+
+    def test_overlapping_calls_restore_the_blas_count_when_the_last_ends(self):
+        # the count is process-global: call A enters, call B enters, A leaves
+        # while B still runs, then B leaves; saving and restoring per call
+        # would give 3 back to B's run and leave 1 behind at the end
+        count = [3]
+        pin = montecarlo._OneBlasThread(lambda: count[0], lambda n: count.__setitem__(0, n))
+        pin.__enter__()
+        pin.__enter__()
+        assert count == [1]
+        pin.__exit__(None, None, None)
+        assert count == [1]
+        pin.__exit__(None, None, None)
+        assert count == [3]
+
+
+class TestColoring:
+    # a real factor F of R colors the (re, im) view of the white noise with a
+    # real product; a complex one takes the complex product
+
+    @staticmethod
+    def _complex_scenario():
+        # R = D T D^H, with T Toeplitz and D a diagonal of unit-modulus phases,
+        # is complex Hermitian PD, so its factor D F_T D^H is complex
+        sc = make_scenario(6, 10, 2, 2, 8, rho=0.9, seed=21)
+        phases = np.diag(np.exp(1j * np.linspace(0.3, 2.9, sc.N)))
+        return dataclasses.replace(sc, R=phases @ sc.R @ phases.conj().T)
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real_factor", "complex_factor"])
+    def test_each_trial_is_colored_as_its_product(self, real):
+        sc = make_scenario(12, 16, 3, 2, 14, rho=0.95, seed=4) if real else self._complex_scenario()
+        assert sc.coloring.imag.any() != real
+        count = BLOCK_TRIALS
+        drawn = montecarlo._draw(8, DOMAIN_NULL, 0,
+                                 np.empty(count * sc.N * (sc.K + sc.L), dtype=np.complex128))
+        colored = montecarlo._color(sc, drawn, count, np.empty_like(drawn))
+        white = drawn.reshape(count, sc.N, -1)
+        # F W to within a few units of roundoff of |F| |W|, not bitwise: which
+        # bits a product rounds to is the BLAS kernel's business
+        bound = 4 * sc.N * np.finfo(np.float64).eps * np.abs(sc.coloring)
+        for trial in range(count):
+            error = np.abs(colored[trial] - sc.coloring @ white[trial])
+            assert (error <= bound @ np.abs(white[trial])).all(), trial
+
+    def test_a_complex_factor_replays_bitwise_the_engine(self):
+        sc = self._complex_scenario()
+        stats = simulate_statistics(sc, ALL, BLOCK_TRIALS + 2, seed=11)
+        for trial in (0, 1, BLOCK_TRIALS - 1, BLOCK_TRIALS + 1):
+            x, x_l = replay_trial(sc, 11, DOMAIN_NULL, trial)
+            values = evaluate(ALL, x, x_l, sc.A, sc.C)
+            assert [values[kind] for kind in ALL] == list(stats[trial]), trial
+
 
 class TestJobs:
     # simulate_jobs: jobs at one (seed, domain) read one draw per block, each

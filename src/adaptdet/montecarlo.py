@@ -10,10 +10,12 @@ Reproducibility contract (stream layout ``STREAM_VERSION``): block b of
 ``scenario.complex_gaussian`` call from its own stream, ``scenario.stream(seed,
 domain, b)``, the registry every seeded draw of the package comes from.  A
 trial's draws thus depend only on its key (seed, domain, trial) and the block
-size, not on the trial count, the worker-thread count or the scheduling:
-results are bitwise identical for any thread count and a shorter run is a
-prefix of a longer one.  Changing the block size bumps ``STREAM_VERSION`` as
-a change of the registry's bit generator, keys or draw layout does.
+size, not on the trial count, the worker-thread count or the scheduling, and
+each product that colors, transforms or evaluates them is one per trial,
+whatever the BLAS kernel: results are bitwise identical for any thread count
+and a shorter run is a prefix of a longer one.  Changing the block size bumps
+``STREAM_VERSION`` as a change of the registry's bit generator, keys or draw
+layout does.
 
 A block's stream fills its draw in C order, so the draw of fewer trials, or
 of fewer columns K + L per trial, is the head of a longer draw of the same
@@ -208,7 +210,7 @@ def _one_blas_thread() -> _OneBlasThread | None:
 
 def _first_failure(kinds, td: TransformedData, a, c) -> int | None:
     """Row of the first trial of a block whose statistics raise LinAlgError
-    alone; a stack of one gives bitwise the block's values."""
+    as a stack of one: every product is per trial, so it is bitwise the block's."""
     for row in range(len(td.x_par)):
         try:
             statistics(kinds, td[row:row + 1], a, c)

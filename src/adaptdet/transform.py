@@ -13,20 +13,21 @@ estimates, for the Monte Carlo engine and the per-instance API alike; the
 engine passes each block a buffer that its thread reuses.  It validates
 nothing: :mod:`adaptdet.detectors` checks an instance's dimensions
 and refuses a singular covariance estimate before any detector reads it.
+Each of its products is one per trial, so a trial's values are those of a
+stack of one whatever BLAS kernel computes them.
 
 Which estimates it forms depends on (N, K, M, L) alone, never on the kinds
 requested, so the per-instance API and the engine share one transform.
 Where :func:`one_gram` holds (L < N and K < M + N) only GLRGDD-RU and
-AMGDD-RU are valid and both read S_plus alone: it stores Y = [X_perp, X_L]
-and :func:`adaptdet.kernels.reduce` forms S_plus = Y Y^H.  Elsewhere it
-stores the Grams S_perp and S (the training SCM), which Bose's GLRT and
-AMGDD read alone and ``reduce`` adds into S_plus; a Gram of Y there would
-be a third Gram per trial.
+AMGDD-RU are valid and both read S_plus alone: X_L follows each trial's
+[X_par, X_perp] and :func:`adaptdet.kernels.reduce` forms S_plus = Y Y^H of
+the view Y = [X_perp, X_L].  Elsewhere it stores the Grams S_perp and S
+(the training SCM), which Bose's GLRT and AMGDD read alone and ``reduce``
+adds into S_plus; a Gram of Y there would be a third Gram per trial.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,8 +62,9 @@ class TransformedData:
     s_perp = X_perp X_perp^H of the signal-free X_perp (N x (K-M)) and
     s_train = X_L X_L^H (the training SCM), and y is None; where
     :func:`one_gram` holds, both are None and y = [X_perp, X_L]
-    (N x (K-M+L)).  s_plus is Hermitian PD whenever L + K >= M + N and the
-    data are nondegenerate.  Fields may carry leading trial axes.
+    (N x (K-M+L)); x_par and y view one block per trial.  s_plus is
+    Hermitian PD whenever L + K >= M + N and the data are nondegenerate.
+    Fields may carry leading trial axes.
     """
 
     x_par: np.ndarray
@@ -95,9 +97,8 @@ def factor_waveform_subspace(c) -> SubspaceFactorization:
     if sv[-1] <= TOL.rank_sv_rtol * sv[0]:
         raise ValueError("C must have full row rank; this C is rank deficient")
     c_par = u @ vh[:m]
-    c_perp = np.ascontiguousarray(vh[m:])
     d = hermitize((u * sv) @ u.conj().T, "D")
-    return SubspaceFactorization(c_par=c_par, c_perp=c_perp, d=d)
+    return SubspaceFactorization(c_par=c_par, c_perp=vh[m:], d=d)
 
 
 def signal_coefficient(f: SubspaceFactorization, theta, alpha) -> np.ndarray:
@@ -123,33 +124,29 @@ def transform_size(n: int, k: int, m: int, l: int) -> int:
 
 def transform_stack(x, x_l, f: SubspaceFactorization, out=None) -> TransformedData:
     """Unvalidated transformation of test data x (..., N, K) and training
-    data x_l (..., N, L) with any leading trial axes.  A trial's values do
-    not depend on the other trials of its stack.
+    data x_l (..., N, L) with any leading trial axes, by one product
+    [X_par, X_perp] = X [C_par^H, C_perp^H] per trial.
 
-    X_par and either X_perp and the two Grams or Y = [X_perp, X_L] (see
-    :func:`one_gram`) are written into `out`, a contiguous complex128
-    buffer of at least ``transform_size(N, K, M, L)`` elements per trial (a
-    new one when None), and the results are views of it.
+    Each trial's block [X_par, X_perp], with X_L copied in behind it where
+    :func:`one_gram` holds and followed by the Grams S_perp and S elsewhere,
+    is written into `out`, a contiguous complex128 buffer of at least
+    ``transform_size(N, K, M, L)`` elements per trial (a new one when None),
+    and the results are views of it.
     """
     *lead, n, k = x.shape
     m, l = f.c_par.shape[0], x_l.shape[-1]
-    rows = math.prod(lead) * n
+    trials = math.prod(lead)
     if out is None:
-        out = np.empty(math.prod(lead) * transform_size(n, k, m, l), dtype=np.complex128)
+        out = np.empty(trials * transform_size(n, k, m, l), dtype=np.complex128)
     gram = one_gram(n, k, m, l)
-    bounds = (0, m, k + l) if gram else (0, m, k, k + n, k + 2 * n)
-    x_par, y, *grams = (out[lo * rows:hi * rows].reshape(*lead, n, hi - lo)
-                        for lo, hi in itertools.pairwise(bounds))
-    # one GEMM over all rows of the stack: merging the trial axes of a block
-    # slice is a view, and a row's product does not depend on the others;
-    # y is X_perp, or Y with X_perp in its leading K - M columns
-    x = x.reshape(rows, k)
-    np.matmul(x, f.c_par.conj().T, out=x_par.reshape(rows, m))
-    np.matmul(x, f.c_perp.conj().T, out=y.reshape(rows, y.shape[-1])[:, :k - m])
+    width = k + l if gram else k
+    block = out[:trials * n * width].reshape(*lead, n, width)
+    np.matmul(x, np.concatenate((f.c_par, f.c_perp)).conj().T, out=block[..., :k])
+    x_par, y = block[..., :m], block[..., m:]  # y: X_perp, or Y once X_L is in
     if gram:
-        y[..., k - m:] = x_l
+        block[..., k:] = x_l
         return TransformedData(x_par, None, None, y)
-    s_perp, s_train = grams
+    s_perp, s_train = out[trials * n * k:trials * n * (k + 2 * n)].reshape(2, *lead, n, n)
     np.matmul(y, np.conj(np.swapaxes(y, -1, -2)), out=s_perp)
     np.matmul(x_l, np.conj(np.swapaxes(x_l, -1, -2)), out=s_train)
     return TransformedData(x_par, s_perp, s_train)

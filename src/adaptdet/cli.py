@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -61,34 +63,20 @@ def _preset(name: str, paper_scale: bool, seed: int) -> list[tuple[str, Experime
             for k in k_grid]
 
 
-def run_experiment(config: ExperimentConfig, *, threads: int = 1, out_path: str) -> None:
-    """Run the configured experiment and write one CSV to `out_path` ('-' for stdout),
-    without probing the path first: no command calls it, and ``pd-curve`` and
-    ``preset`` go through :func:`_run_experiments`, which probes every path.
-
-    Header: ``detector,snr_db,pd,trials,threshold,pfa,seed``; one row per
-    (detector, SNR point).  Output is byte-identical for a fixed config and
-    seed, independent of the worker-thread count; each ``pd`` field is an
-    exact count/trials ratio printed with full precision.
-    """
-    _write_curves(out_path, config, _curves([config], threads)[0])
-
-
 def _curves(configs, threads: int) -> list[dict]:
     """{kind: PdCurve} of each config, all computed by one engine call."""
-    plans = []
-    for config in configs:
-        if not config.snr_grid_db:
-            raise ConfigError("snr_grid_db is empty: a PD curve needs at least one SNR point")
-        plans.append(montecarlo._pd_jobs(build_scenario(config), config.detectors,
-                                         config.snr_grid_db, config.pfa, config.calib_trials,
-                                         config.pd_trials, config.master_seed))
-    stats = montecarlo.simulate_jobs([job for jobs in plans for job in jobs], threads=threads)
-    return [montecarlo._pd_curves_of(jobs, stats[2 * i:2 * i + 2], config.pfa)
-            for i, (jobs, config) in enumerate(zip(plans, configs))]
+    if not all(config.snr_grid_db for config in configs):
+        raise ConfigError("snr_grid_db is empty: a PD curve needs at least one SNR point")
+    return montecarlo._pd_experiments([(build_scenario(c), c.detectors, c.snr_grid_db, c.pfa,
+                                        c.calib_trials, c.pd_trials, c.master_seed)
+                                       for c in configs], threads)
 
 
 def _write_curves(path: str, config: ExperimentConfig, curves: dict) -> None:
+    """Write one experiment's CSV to `path` ('-' for stdout): header
+    ``detector,snr_db,pd,trials,threshold,pfa,seed`` and one row per (detector,
+    SNR point), each ``pd`` an exact count/trials ratio at full precision.
+    The bytes depend on the config and seed only, not on the thread count."""
     rows = [[kind.name, _fmt(snr_db), _fmt(pd), config.pd_trials,
              _fmt(curves[kind].threshold), _fmt(config.pfa), config.master_seed]
             for kind in config.detectors for snr_db, pd in curves[kind].points]
@@ -137,11 +125,8 @@ def _run_experiments(outputs, threads: int) -> int:
 
 
 def _read_config(args) -> ExperimentConfig:
-    text = Path(args.config).read_text(encoding="utf-8")
-    config = parse_config(text)
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    return config
+    config = parse_config(Path(args.config).read_text(encoding="utf-8-sig"))  # skips a BOM
+    return config if args.seed is None else config.with_seed(args.seed)
 
 
 def _cmd_calibrate(args) -> int:
@@ -185,6 +170,9 @@ def _cmd_preset(args) -> int:
         raise ValueError(f"preset {args.name} writes one CSV per K ({names}): "
                           "--out - cannot hold them; give a file path")
     root = Path(base)
+    if len(configs) > 1 and (base.endswith(("/", os.sep)) or root.is_dir()):
+        # the _K<k> files would be named after the directory and land beside it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), base)
     outputs = [(str(root.with_name(root.stem + suffix + root.suffix)) if suffix else base,
                 config) for suffix, config in configs]
     return _run_experiments(outputs, args.threads)

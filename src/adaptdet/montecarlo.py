@@ -193,10 +193,18 @@ class _OneBlasThread:
                 self.set(self._saved)
 
 
-@functools.cache
+_pin_lookup = threading.Lock()
+
+
 def _one_blas_thread() -> _OneBlasThread | None:
-    """The pin of numpy's bundled OpenBLAS, found once; None where numpy runs
-    another BLAS."""
+    """The pin of numpy's bundled OpenBLAS, one per process even for concurrent
+    first calls (two would each restore the count); None for another BLAS."""
+    with _pin_lookup:
+        return _find_blas_pin()
+
+
+@functools.cache
+def _find_blas_pin() -> _OneBlasThread | None:
     libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
     try:  # the library numpy has loaded, so the count is numpy's
         lib = ctypes.CDLL(str(min(libs.glob("libscipy_openblas64_*.so"))))
@@ -483,15 +491,18 @@ def _pd_jobs(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: i
     return [Job(scenario, kinds, calib_trials, seed), Job(scenario, kinds, pd_trials, seed, grid)]
 
 
-def _pd_curves_of(jobs: list[Job], stats: list[np.ndarray],
-                  pfa: float) -> dict[DetectorKind, PdCurve]:
-    """{kind: PdCurve} from the statistics of the [H0, H1] jobs of `_pd_jobs`."""
-    h0, h1 = jobs
-    thresholds = _thresholds(h0.kinds, stats[0], pfa)
-    pd_matrix = np.count_nonzero(stats[1] > [thresholds[kind] for kind in h1.kinds],
-                                 axis=0) / h1.trials
-    return {kind: PdCurve(tuple(zip(h1.snr_db, pd_matrix[:, j].tolist())), thresholds[kind])
-            for j, kind in enumerate(h1.kinds)}
+def _pd_experiments(experiments, threads: int) -> list[dict[DetectorKind, PdCurve]]:
+    """{kind: PdCurve} of each experiment, a tuple of :func:`pd_curves`'
+    positional arguments, from one engine call over their [H0, H1] jobs."""
+    plans = [(_pd_jobs(*experiment), experiment[3]) for experiment in experiments]
+    stats = iter(simulate_jobs([job for jobs, _ in plans for job in jobs], threads=threads))
+    curves = []
+    for (h0, h1), pfa in plans:
+        thresholds = _thresholds(h0.kinds, next(stats), pfa)
+        pds = np.count_nonzero(next(stats) > list(thresholds.values()), axis=0) / h1.trials
+        curves.append({kind: PdCurve(tuple(zip(h1.snr_db, pd)), thresholds[kind])
+                       for kind, pd in zip(h1.kinds, pds.T.tolist())})
+    return curves
 
 
 def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: int,
@@ -502,8 +513,8 @@ def pd_curves(scenario: Scenario, kinds, snr_grid_db, pfa: float, calib_trials: 
     by all detectors and all grid points, so curve differences reflect the
     detectors rather than the draws.
     """
-    jobs = _pd_jobs(scenario, kinds, snr_grid_db, pfa, calib_trials, pd_trials, seed)
-    return _pd_curves_of(jobs, simulate_jobs(jobs, threads=threads), pfa)
+    return _pd_experiments([(scenario, kinds, snr_grid_db, pfa, calib_trials, pd_trials, seed)],
+                           threads)[0]
 
 
 def cfar_check(scenario: Scenario, r_alt, kinds, pfa: float, trials: int, seed: int, *,

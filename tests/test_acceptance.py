@@ -265,7 +265,8 @@ master_seed = 20260810
 
 
 def test_criterion_9_csv_determinism_across_threads(tmp_path):
-    config = parse_config("""\
+    config = tmp_path / "exp.cfg"
+    config.write_text("""\
 N = 5
 K = 8
 M = 2
@@ -282,7 +283,8 @@ master_seed = 7
     blobs = []
     for threads in (1, 4, 8):
         out = tmp_path / f"t{threads}.csv"
-        cli.run_experiment(config, threads=threads, out_path=str(out))
+        cli.main(["pd-curve", "--config", str(config), "--threads", str(threads),
+                  "--out", str(out)])
         blobs.append(out.read_bytes())
     passed = blobs[0] == blobs[1] == blobs[2]
     _report(9, "CSV byte determinism across threads", passed,

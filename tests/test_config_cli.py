@@ -1,3 +1,4 @@
+import codecs
 import csv
 import importlib
 import os
@@ -196,7 +197,7 @@ class TestRunExperiment:
     def test_csv_schema_and_exact_ratios(self, tmp_path):
         cfg = parse_config(SMALL_CONFIG)
         out = tmp_path / "result.csv"
-        cli.run_experiment(cfg, threads=2, out_path=str(out))
+        cli._run_experiments([(str(out), cfg)], 2)
         with out.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0].keys()) == ["detector", "snr_db", "pd", "trials",
@@ -212,7 +213,7 @@ class TestRunExperiment:
         blobs = []
         for threads in (1, 3):
             out = tmp_path / f"threads{threads}.csv"
-            cli.run_experiment(cfg, threads=threads, out_path=str(out))
+            cli._run_experiments([(str(out), cfg)], threads)
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -294,6 +295,39 @@ class TestCommandLine:
         assert cli.main([arg.format(cfg=cfg, dir=tmp_path) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", ["results", "fresh/"], ids=["existing", "trailing-slash"])
+    def test_preset_fig2_refuses_a_directory_as_fig1_does(self, out, tmp_path, monkeypatch,
+                                                          capsys):
+        # fig2 names its files <stem>_K<k><suffix> after --out: a directory's
+        # name would put them beside it, so it is refused with fig1's error,
+        # before the first trial and leaving no file
+        def refused(*args, **kwargs):
+            raise AssertionError("drew a trial before checking the output path")
+
+        monkeypatch.setattr(cli.montecarlo, "simulate_jobs", refused)
+        (tmp_path / "results").mkdir()
+        path = f"{tmp_path}/{out}"  # a Path would drop the trailing slash
+        errors = []
+        for name in ("fig1", "fig2"):
+            assert cli.main(["preset", name, "--out", path]) == cli.EXIT_USAGE
+            errors.append(capsys.readouterr())
+        assert errors[1] == errors[0]
+        assert errors[1].err == f"error: [Errno 21] Is a directory: {path!r}\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["results"]
+
+    def test_a_config_may_open_with_a_byte_order_mark(self, tmp_path):
+        # some editors save UTF-8 with a leading BOM: it is not part of the first key
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(SMALL_CONFIG, encoding="utf-8")
+        marked.write_text(SMALL_CONFIG, encoding="utf-8-sig")
+        assert marked.read_bytes() == codecs.BOM_UTF8 + plain.read_bytes()
+        blobs = []
+        for config in (plain, marked):
+            out = tmp_path / f"{config.stem}.csv"
+            assert cli.main(["calibrate", "--config", str(config), "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_pd_curve_refuses_an_empty_grid(self, tmp_path, monkeypatch, capsys):
         # an empty grid spent the whole calibration budget on a header-only CSV
@@ -596,7 +630,7 @@ def test_export_list_names_resolve_once(module):
 @pytest.mark.parametrize("path", [
     "cli.main", "config.parse_config", "config.build_scenario",
     "montecarlo.simulate_statistics", "verify.instance_stream", "verify.compute",
-    "verify.appendix_identities", "cli.build_scenario", "cli.run_experiment",
+    "verify.appendix_identities", "cli.build_scenario",
     "verify.random_instance", "montecarlo.threshold_from_h0",
     "montecarlo.calibrate_thresholds", "montecarlo.pd_curves"])
 def test_benchmark_entry_points_resolve(path):

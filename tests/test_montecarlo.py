@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -393,6 +394,45 @@ class TestDispatch:
         assert count == [1]
         pin.__exit__(None, None, None)
         assert count == [3]
+
+    def test_concurrent_first_calls_share_one_blas_pin(self, monkeypatch):
+        # two threads that both find no pin yet must still get the one pin:
+        # with a pin each, A enters, B enters, A leaves, B leaves would
+        # restore B's saved 1 last and leave BLAS on one thread for good
+        if montecarlo._one_blas_thread() is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        ctypes = montecarlo.ctypes
+
+        def slow_cdll(*args):  # widens the window between lookup and caching
+            time.sleep(0.2)
+            return ctypes.CDLL(*args)
+
+        monkeypatch.setattr(montecarlo, "ctypes", SimpleNamespace(CDLL=slow_cdll,
+                                                                  c_int=ctypes.c_int))
+        montecarlo._find_blas_pin.cache_clear()
+        barrier, pins = threading.Barrier(2), [None, None]
+
+        def first_call(i):
+            barrier.wait(timeout=10)
+            pins[i] = montecarlo._one_blas_thread()
+
+        helper = threading.Thread(target=first_call, args=(1,))
+        helper.start()
+        first_call(0)
+        helper.join(timeout=10)
+        assert not helper.is_alive()
+        a, b = pins
+        assert a is b
+        original = a.get()
+        a.set(2)
+        try:
+            a.__enter__()
+            b.__enter__()
+            a.__exit__(None, None, None)
+            b.__exit__(None, None, None)
+            assert a.get() == 2
+        finally:
+            a.set(original)
 
 
 class TestColoring:
